@@ -5,15 +5,10 @@ import argparse
 import json
 import math
 
-from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
-                                HeightLayerSpec, Pose3DoF, SceneSpec)
-from crossview.losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
-from crossview.pipeline import PipelineConfig, run_localization
-from crossview.refiner import initial_similarity
+from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.losses import LossConfig
+from crossview.pipeline import run_localization, scene_loss_report
 from crossview.solver import pose_error
-from crossview.surface import (aerial_depth_to_height_index,
-                               fuse_height_features, normalize_confidence,
-                               surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
 
@@ -25,34 +20,14 @@ def main():
     parser.add_argument("--continuous-pose", action="store_true")
     args = parser.parse_args()
 
-    specs = SceneSpec(
-        grid=BevGridSpec(n_points_per_side=args.n),
-        layers=HeightLayerSpec(),
-        intrinsics=CameraIntrinsics(1024, 512),
-        aerial=AerialMeta(),
-    )
+    specs = SceneSpec(grid=BevGridSpec(n_points_per_side=args.n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
                                snapped=not args.continuous_pose)
     gt = bundle.scene.gt_pose
     res = run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
-                           bundle.inputs.f_sat, specs, config=PipelineConfig())
+                           bundle.inputs.f_sat, specs)
     trans_m, orient_deg = pose_error(res.pose_px, gt, specs.aerial)
-
-    conf = normalize_confidence(bundle.inputs.conf_logits)
-    surf_grd = surface_from_accumulation(conf, 0.5, specs.layers)
-    f_grd = fuse_height_features(bundle.inputs.volume, conf, surf_grd)
-    sim = initial_similarity(f_grd, bundle.inputs.f_sat)
-    surf_sat = aerial_depth_to_height_index(bundle.inputs.depth_sat, specs.layers,
-                                            scale=bundle.depth_scale)
-    cfg = LossConfig(rng_seed=args.seed)
-    gsd = specs.aerial.gsd_m_per_px
-    losses = loss_report(
-        vce_loss(Pose3DoF(res.pose_px.t_px * gsd, res.pose_px.yaw_rad),
-                 Pose3DoF(gt.t_px * gsd, gt.yaw_rad), cfg),
-        matching_loss(sim, gt, specs, cfg),
-        height_loss(surf_grd, surf_sat, gt, specs, cfg),
-        cfg,
-    )
+    losses = scene_loss_report(bundle, res.pose_px, LossConfig(rng_seed=args.seed))
 
     print(json.dumps({
         "seed": args.seed,

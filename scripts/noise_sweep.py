@@ -10,8 +10,7 @@ import argparse
 
 import numpy as np
 
-from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
-                                HeightLayerSpec, SceneSpec)
+from crossview.geometry import AerialMeta, BevGridSpec, CameraIntrinsics, SceneSpec
 from crossview.pipeline import run_localization
 from crossview.solver import pose_error
 from crossview.synthetic import make_scene_bundle
@@ -27,7 +26,6 @@ def main():
 
     specs = SceneSpec(
         grid=BevGridSpec(n_points_per_side=args.n, extent_m=args.extent),
-        layers=HeightLayerSpec(),
         intrinsics=CameraIntrinsics(512, 256),
         aerial=AerialMeta(image_size_px=512),
     )

@@ -15,18 +15,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .evaluation import (DEFAULT_THRESHOLDS_PX, GroundTruthProjection,
                          MatchPrediction, localization_stats,
-                         matching_success_ratio)
-from .geometry import Pose3DoF, SceneSpec
-from .losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
-from .pipeline import PipelineConfig, run_localization
-from .refiner import RefinerParams, initial_similarity
+                         matching_success_ratio, read_pose_csv)
+from .geometry import BevGridSpec, Pose3DoF, SceneSpec
+from .losses import LossConfig
+from .pipeline import PipelineConfig, run_localization, scene_loss_report
+from .refiner import RefinerParams
 from .solver import pose_error
-from .surface import (aerial_depth_to_height_index, fuse_height_features,
-                      normalize_confidence, surface_from_accumulation)
+from .surface import BevFeatureMap, FeatureVolume
 from .synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from .tensorio import load_tensor
 
@@ -53,22 +50,12 @@ def _write_csv_report(path: str, rows: list[tuple]) -> None:
 
 def cmd_generate(args) -> int:
     specs = SceneSpec.from_json_dict(json.loads(Path(args.spec_json).read_text())) \
-        if args.spec_json else _default_specs(args.n)
+        if args.spec_json else SceneSpec(grid=BevGridSpec(args.n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
                                channels=args.channels, snapped=not args.continuous_pose)
     save_scene_dir(args.out_dir, bundle)
     log.info("wrote scene (seed=%d, noise=%g) to %s", args.seed, args.noise, args.out_dir)
     return EXIT_OK
-
-
-def _default_specs(n: int) -> SceneSpec:
-    from .geometry import AerialMeta, BevGridSpec, CameraIntrinsics, HeightLayerSpec
-    return SceneSpec(
-        grid=BevGridSpec(n_points_per_side=n),
-        layers=HeightLayerSpec(),
-        intrinsics=CameraIntrinsics(1024, 512),
-        aerial=AerialMeta(),
-    )
 
 
 def _load_solve_inputs(args):
@@ -78,7 +65,6 @@ def _load_solve_inputs(args):
     needed = (args.volume, args.conf_logits, args.f_sat, args.spec_json)
     if any(p is None for p in needed):
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
-    from .surface import BevFeatureMap, FeatureVolume
     specs = SceneSpec.from_json_dict(json.loads(Path(args.spec_json).read_text()))
     volume = FeatureVolume(load_tensor(args.volume).astype(float), specs.layers, specs.grid)
     conf_logits = load_tensor(args.conf_logits).astype(float)
@@ -87,13 +73,13 @@ def _load_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
-    volume, conf_logits, f_sat, specs = _load_solve_inputs(args)
-    params = RefinerParams.load(args.refiner_params) if args.refiner_params else None
     config = PipelineConfig(
         surface_threshold=args.threshold,
         top_k=args.topk,
         known_yaw_rad=math.radians(args.known_yaw) if args.known_yaw is not None else None,
     )
+    volume, conf_logits, f_sat, specs = _load_solve_inputs(args)
+    params = RefinerParams.load(args.refiner_params) if args.refiner_params else None
     result = run_localization(volume, conf_logits, f_sat, specs, params, config)
     payload = {
         "tx_px": float(result.pose_px.t_px[0]),
@@ -118,9 +104,9 @@ def cmd_eval(args) -> int:
         rows += list(zip(report["thresholds_px"], report["ratios"]))
         rows += [("valid_ratio", report["valid_ratio"])]
     else:
-        pred_poses = _read_pose_csv(args.pred_csv)
+        pred_poses = read_pose_csv(args.pred_csv)
         gt_dir = Path(args.gt_dir)
-        gt_poses = _read_pose_csv(gt_dir / "poses.csv")
+        gt_poses = read_pose_csv(gt_dir / "poses.csv")
         if len(pred_poses) != len(gt_poses):
             raise ValueError(
                 f"prediction count {len(pred_poses)} != ground-truth count {len(gt_poses)}")
@@ -136,51 +122,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_pose_csv(path) -> list[Pose3DoF]:
-    import csv
-    poses = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ("tx_px", "ty_px", "yaw_deg")
-        if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                poses.append(Pose3DoF(
-                    np.array([float(row["tx_px"]), float(row["ty_px"])]),
-                    math.radians(float(row["yaw_deg"]))))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"{path}: malformed row at line {line_no}") from exc
-    if not poses:
-        raise ValueError(f"{path}: no pose rows")
-    return poses
-
-
 def cmd_loss(args) -> int:
+    config = PipelineConfig(surface_threshold=args.threshold, tau=args.tau)
     bundle = load_scene_dir(args.scene_dir)
-    specs = bundle.specs
     cfg = LossConfig.from_json_dict(json.loads(Path(args.config).read_text())) \
         if args.config else LossConfig()
-    pred_raw = json.loads(Path(args.pred_pose).read_text())
-    pred = Pose3DoF.from_json_dict(pred_raw)
-    gt = bundle.scene.gt_pose
-
-    conf = normalize_confidence(bundle.inputs.conf_logits)
-    surf_grd = surface_from_accumulation(conf, args.threshold, specs.layers)
-    f_grd = fuse_height_features(bundle.inputs.volume, conf, surf_grd)
-    sim = initial_similarity(f_grd, bundle.inputs.f_sat, args.tau)
-    surf_sat = aerial_depth_to_height_index(
-        bundle.inputs.depth_sat, specs.layers,
-        ground_anchor_m=bundle.depth_anchor_m, scale=bundle.depth_scale)
-
-    gsd = specs.aerial.gsd_m_per_px
-    pred_m = Pose3DoF(pred.t_px * gsd, pred.yaw_rad)
-    gt_m = Pose3DoF(gt.t_px * gsd, gt.yaw_rad)
-
-    vce = vce_loss(pred_m, gt_m, cfg)
-    matching = matching_loss(sim, gt, specs, cfg)
-    height = height_loss(surf_grd, surf_sat, gt, specs, cfg)
-    _dump_json(loss_report(vce, matching, height, cfg), args.out)
+    pred = Pose3DoF.from_json_dict(json.loads(Path(args.pred_pose).read_text()))
+    _dump_json(scene_loss_report(bundle, pred, cfg, config), args.out)
     return EXIT_OK
 
 

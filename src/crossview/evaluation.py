@@ -8,16 +8,17 @@ which predicted matches are scored.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_px, panorama_pixel_ray
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor, read_csv, save_tensor, write_csv
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
+POSE_CSV_FIELDS = ("tx_px", "ty_px", "yaw_deg")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
 DEFAULT_MAX_RANGE_M = 30.0
 
@@ -40,27 +41,17 @@ class MatchPrediction:
 
     @classmethod
     def from_csv(cls, path) -> "MatchPrediction":
-        grd, sat = [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
-                raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    grd.append((float(row["xg"]), float(row["yg"])))
-                    sat.append((float(row["xs"]), float(row["ys"])))
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ValueError(f"{path}: malformed row at line {line_no}") from exc
-        if not grd:
-            raise ValueError(f"{path}: no prediction rows")
-        return cls(np.array(grd), np.array(sat))
+        rows = read_csv(path, PRED_CSV_FIELDS, "prediction")
+        return cls(rows[:, 0:2], rows[:, 2:4])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PRED_CSV_FIELDS)
-            for g, s in zip(self.grd_px, self.sat_px):
-                writer.writerow([repr(float(v)) for v in (g[0], g[1], s[0], s[1])])
+        write_csv(path, PRED_CSV_FIELDS, np.hstack([self.grd_px, self.sat_px]))
+
+
+def read_pose_csv(path) -> list[Pose3DoF]:
+    """Poses from a ``tx_px,ty_px,yaw_deg`` CSV, one per row."""
+    rows = read_csv(path, POSE_CSV_FIELDS, "pose")
+    return [Pose3DoF(row[0:2], math.radians(row[2])) for row in rows]
 
 
 @dataclass

@@ -9,18 +9,15 @@ product of its row-wise and column-wise softmax.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor_dir, save_tensor_dir
 
-PARAMS_MANIFEST = "manifest.json"
 _PARAMS_FORMAT = "refiner-params-v1"
 
 
@@ -167,49 +164,28 @@ class RefinerParams:
         return named
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        named = self._named_tensors()
-        manifest = {
-            "format": _PARAMS_FORMAT,
-            "num_conv_layers": len(self.conv_kernels),
-            "num_global_layers": len(self.global_weights),
-            "num_gate_layers": len(self.gate_weights),
-            "tensors": {name: list(t.shape) for name, t in named.items()},
-        }
-        for name, tensor in named.items():
-            save_tensor(directory / f"{name}.cvt", tensor)
-        with open(directory / PARAMS_MANIFEST, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        save_tensor_dir(directory, _PARAMS_FORMAT, self._named_tensors(),
+                        num_conv_layers=len(self.conv_kernels),
+                        num_global_layers=len(self.global_weights),
+                        num_gate_layers=len(self.gate_weights))
 
     @classmethod
     def load(cls, directory) -> "RefinerParams":
-        directory = Path(directory)
-        with open(directory / PARAMS_MANIFEST) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != _PARAMS_FORMAT:
-            raise ValueError(f"{directory}: unknown parameter format")
+        tensors, manifest = load_tensor_dir(directory, _PARAMS_FORMAT)
 
-        def grab(name):
-            tensor = load_tensor(directory / f"{name}.cvt")
-            if list(tensor.shape) != manifest["tensors"][name]:
-                raise ValueError(f"{name}: tensor shape disagrees with the manifest")
-            return tensor
+        def stack(pattern, count_key):
+            return tuple(tensors[pattern.format(i)] for i in range(manifest[count_key]))
 
-        n_conv = manifest["num_conv_layers"]
-        n_glob = manifest["num_global_layers"]
-        n_gate = manifest["num_gate_layers"]
         return cls(
-            conv_kernels=tuple(grab(f"conv{i}_kernel") for i in range(n_conv)),
-            conv_biases=tuple(grab(f"conv{i}_bias") for i in range(n_conv)),
-            global_weights=tuple(grab(f"global{i}_weight") for i in range(n_glob)),
-            global_biases=tuple(grab(f"global{i}_bias") for i in range(n_glob)),
-            gate_weights=tuple(grab(f"gate{i}_weight") for i in range(n_gate)),
-            gate_biases=tuple(grab(f"gate{i}_bias") for i in range(n_gate)),
-            dustbin_row=grab("dustbin_row"),
-            dustbin_col=grab("dustbin_col"),
-            dustbin_theta=grab("dustbin_theta"),
+            conv_kernels=stack("conv{}_kernel", "num_conv_layers"),
+            conv_biases=stack("conv{}_bias", "num_conv_layers"),
+            global_weights=stack("global{}_weight", "num_global_layers"),
+            global_biases=stack("global{}_bias", "num_global_layers"),
+            gate_weights=stack("gate{}_weight", "num_gate_layers"),
+            gate_biases=stack("gate{}_bias", "num_gate_layers"),
+            dustbin_row=tensors["dustbin_row"],
+            dustbin_col=tensors["dustbin_col"],
+            dustbin_theta=tensors["dustbin_theta"],
         )
 
 

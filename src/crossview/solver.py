@@ -8,13 +8,13 @@ always yields det(R) = +1 without an SVD.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AerialMeta, Pose3DoF, rotation_matrix, wrap_angle
+from .tensorio import read_csv, write_csv
 
 # below this cross-covariance Frobenius norm the rotation is unobservable
 DEGENERACY_EPS = 1e-12
@@ -55,29 +55,12 @@ class CorrespondenceSet:
         return len(self.weights)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_FIELDS)
-            for g, a, w in zip(self.ground_xy, self.aerial_xy, self.weights):
-                writer.writerow([repr(float(v)) for v in (g[0], g[1], a[0], a[1], w)])
+        write_csv(path, CSV_FIELDS, np.column_stack([self.ground_xy, self.aerial_xy, self.weights]))
 
     @classmethod
     def from_csv(cls, path) -> "CorrespondenceSet":
-        ground, aerial, weights = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-                raise ValueError(f"{path}: expected header {','.join(CSV_FIELDS)}")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    ground.append((float(row["gx"]), float(row["gy"])))
-                    aerial.append((float(row["ax"]), float(row["ay"])))
-                    weights.append(float(row["w"]))
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ValueError(f"{path}: malformed row at line {line_no}") from exc
-        if not ground:
-            raise ValueError(f"{path}: no correspondence rows")
-        return cls(np.array(ground), np.array(aerial), np.array(weights))
+        rows = read_csv(path, CSV_FIELDS, "correspondence")
+        return cls(rows[:, 0:2], rows[:, 2:4], rows[:, 4])
 
 
 def solve_weighted_procrustes(c: CorrespondenceSet) -> tuple[Pose3DoF, bool]:

@@ -9,20 +9,17 @@ aerial pseudo-depth is invertible back to surface indices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import Pose3DoF, SceneSpec, aerial_px_to_metric
 from .surface import BevFeatureMap, FeatureVolume, SurfaceMap
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor_dir, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
 CONFIDENCE_PEAK = 15.0
-SCENE_MANIFEST = "manifest.json"
 _SCENE_FORMAT = "scene-v1"
 
 _TENSOR_NAMES = ("height_field", "texture", "volume", "conf_logits",
@@ -232,8 +229,6 @@ def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> SurfaceMap:
 
 def save_scene_dir(directory, bundle: SceneBundle) -> None:
     """Write a scene directory: one manifest plus the named tensors."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     inputs = bundle.inputs
     tensors = {
         "height_field": bundle.scene.height_field_m,
@@ -244,37 +239,20 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
         "surf_gt_index": inputs.surf_gt.index.astype(np.float32),
         "depth_sat": inputs.depth_sat,
     }
-    for name in _TENSOR_NAMES:
-        save_tensor(directory / f"{name}.cvt", tensors[name])
-    manifest = {
-        "format": _SCENE_FORMAT,
-        "spec": bundle.specs.to_json_dict(),
-        "gt_pose": bundle.scene.gt_pose.to_json_dict(),
-        "seed": bundle.scene.seed,
-        "noise_sigma": bundle.scene.noise_sigma,
-        "depth_anchor_m": bundle.depth_anchor_m,
-        "depth_scale": bundle.depth_scale,
-        "channels": bundle.scene.feature_texture.shape[2],
-        "tensors": {name: list(np.asarray(tensors[name]).shape) for name in _TENSOR_NAMES},
-    }
-    with open(directory / SCENE_MANIFEST, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_tensor_dir(directory, _SCENE_FORMAT, tensors,
+                    spec=bundle.specs.to_json_dict(),
+                    gt_pose=bundle.scene.gt_pose.to_json_dict(),
+                    seed=bundle.scene.seed,
+                    noise_sigma=bundle.scene.noise_sigma,
+                    depth_anchor_m=bundle.depth_anchor_m,
+                    depth_scale=bundle.depth_scale,
+                    channels=bundle.scene.feature_texture.shape[2])
 
 
 def load_scene_dir(directory) -> SceneBundle:
-    directory = Path(directory)
-    with open(directory / SCENE_MANIFEST) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != _SCENE_FORMAT:
-        raise ValueError(f"{directory}: unknown scene format")
+    raw, manifest = load_tensor_dir(directory, _SCENE_FORMAT)
+    tensors = {name: raw[name].astype(float) for name in _TENSOR_NAMES}
     specs = SceneSpec.from_json_dict(manifest["spec"])
-    tensors = {}
-    for name in _TENSOR_NAMES:
-        arr = load_tensor(directory / f"{name}.cvt").astype(float)
-        if list(arr.shape) != manifest["tensors"][name]:
-            raise ValueError(f"{name}: tensor shape disagrees with the manifest")
-        tensors[name] = arr
     scene = SyntheticScene(
         height_field_m=tensors["height_field"],
         feature_texture=tensors["texture"],

@@ -1,13 +1,19 @@
-"""Self-describing binary tensor files.
+"""On-disk formats: binary tensor files, tensor directories and float CSVs.
 
-Layout: magic ``CVT1``, rank as little-endian uint64, each dim as
-little-endian uint64, a uint32 dtype tag (1 = float32), then the
+Tensor file layout: magic ``CVT1``, rank as little-endian uint64, each
+dim as little-endian uint64, a uint32 dtype tag (1 = float32), then the
 row-major float32 payload. An optional JSON sidecar lives at
 ``<path>.json``. Round trips are byte-lossless for float32 data.
+
+A tensor directory holds ``<name>.cvt`` files next to a ``manifest.json``
+carrying the directory's ``format`` tag, the shape of every tensor and any
+format-specific fields. A float CSV has an exact header line and one row
+of ``repr`` floats per record.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -15,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"CVT1"
+MANIFEST = "manifest.json"
 DTYPE_TAG_FLOAT32 = 1
 _MAX_RANK = 8
 
@@ -25,6 +32,12 @@ class TensorFormatError(ValueError):
 
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def save_tensor(path, array, meta: dict | None = None) -> None:
@@ -40,9 +53,7 @@ def save_tensor(path, array, meta: dict | None = None) -> None:
         fh.write(struct.pack("<I", DTYPE_TAG_FLOAT32))
         fh.write(arr.tobytes(order="C"))
     if meta is not None:
-        with open(sidecar_path(path), "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(sidecar_path(path), meta)
 
 
 def load_tensor(path, with_meta: bool = False):
@@ -82,3 +93,61 @@ def load_tensor(path, with_meta: bool = False):
         with open(sc) as fh:
             meta = json.load(fh)
     return arr, meta
+
+
+def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
+    """Write each named tensor as ``<name>.cvt`` plus a manifest of ``fmt``, shapes and ``fields``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, tensor in tensors.items():
+        save_tensor(directory / f"{name}.cvt", tensor)
+    shapes = {name: list(np.shape(tensor)) for name, tensor in tensors.items()}
+    _write_json(directory / MANIFEST, {**fields, "format": fmt, "tensors": shapes})
+
+
+def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
+    """Read a tensor directory of format ``fmt``; returns (float32 tensors by name, manifest).
+
+    Every tensor the manifest lists is loaded and must have the listed shape.
+    """
+    directory = Path(directory)
+    with open(directory / MANIFEST) as fh:
+        manifest = json.load(fh)
+    if manifest.get("format") != fmt:
+        raise ValueError(f"{directory}: unknown format {manifest.get('format')!r}, expected {fmt!r}")
+    tensors = {}
+    for name, shape in manifest["tensors"].items():
+        tensor = load_tensor(directory / f"{name}.cvt")
+        if list(tensor.shape) != shape:
+            raise ValueError(f"{name}: tensor shape disagrees with the manifest")
+        tensors[name] = tensor
+    return tensors, manifest
+
+
+def write_csv(path, fields, rows) -> None:
+    """Write the header ``fields`` then each row as ``repr`` floats."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+def read_csv(path, fields, what: str) -> np.ndarray:
+    """Read a float CSV whose header is exactly ``fields``; returns (rows, len(fields)).
+
+    Errors name the file and, for an unparsable row, its line number; a
+    file with no rows is an error naming ``what`` the rows hold.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(fields):
+            raise ValueError(f"{path}: expected header {','.join(fields)}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(row[f]) for f in fields])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed row at line {line_no}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no {what} rows")
+    return np.array(rows)

@@ -89,6 +89,14 @@ class TestSolve:
         proc = run_cli("solve", "--scene-dir", out)
         assert "skipping refinement" in proc.stderr
 
+    @pytest.mark.parametrize("flag,value", [("--topk", "100000"), ("--known-yaw", "nan")])
+    def test_bad_settings_fail_before_the_pipeline(self, tmp_path, flag, value):
+        out = generate_scene_dir(tmp_path, seed=5)
+        proc = run_cli("solve", "--scene-dir", out, flag, value, check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "skipping refinement" not in proc.stderr
+
     def test_determinism(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=6)
         a = run_cli("solve", "--scene-dir", out, "--topk", "15")

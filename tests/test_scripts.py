@@ -1,0 +1,45 @@
+"""Smoke tests of the experiment scripts and the benchmark's own smoke run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_demo_pipeline_noise_free_is_exact():
+    report = json.loads(run_python(ROOT / "scripts" / "demo_pipeline.py", "--n", "9"))
+    assert report["translation_error_m"] < 1e-6
+    assert report["orientation_error_deg"] < 1e-6
+    assert report["degenerate"] is False
+    assert report["losses"]["seed"] == 0
+    assert set(report["losses"]) == {"vce", "matching", "height", "total", "seed"}
+
+
+def test_noise_sweep_prints_one_row_per_sigma():
+    out = run_python(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
+                     "--seeds", "2", "--sigmas", "0.0")
+    header, *rows = out.strip().splitlines()
+    assert header.split() == ["sigma", "median_m", "mean_m", "p90_m", "median_deg"]
+    assert len(rows) == 1
+    sigma, median_m, mean_m, p90_m, median_deg = map(float, rows[0].split())
+    assert sigma == 0.0
+    assert max(median_m, mean_m, p90_m) < 1e-6
+    assert median_deg < 1e-6
+
+
+def test_bench_smoke_passes():
+    out = run_python(ROOT / "bench" / "run.py", "--smoke")
+    assert "smoke: ok" in out.splitlines()

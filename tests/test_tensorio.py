@@ -1,10 +1,17 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from crossview.tensorio import (MAGIC, TensorFormatError, load_tensor,
-                                save_tensor, sidecar_path)
+from crossview.evaluation import MatchPrediction, read_pose_csv
+from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.refiner import RefinerParams
+from crossview.solver import CorrespondenceSet
+from crossview.synthetic import make_scene_bundle, save_scene_dir
+from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor,
+                                load_tensor_dir, save_tensor, save_tensor_dir,
+                                sidecar_path)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4), (2, 3, 4, 5)])
@@ -82,3 +89,103 @@ def test_implausible_rank_rejected(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<Q", 99))
     with pytest.raises(TensorFormatError):
         load_tensor(path)
+
+
+def test_tensor_dir_round_trip(tmp_path):
+    tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(4)}
+    save_tensor_dir(tmp_path / "d", "toy-v1", tensors, count=2)
+    back, manifest = load_tensor_dir(tmp_path / "d", "toy-v1")
+    assert manifest == {"format": "toy-v1", "count": 2, "tensors": {"a": [2, 3], "b": [4]}}
+    assert back.keys() == tensors.keys()
+    for name, tensor in tensors.items():
+        assert np.array_equal(back[name], tensor)
+
+
+def test_tensor_dir_wrong_format_rejected(tmp_path):
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    with pytest.raises(ValueError, match="unknown format"):
+        load_tensor_dir(tmp_path / "d", "toy-v2")
+
+
+def test_tensor_dir_shape_mismatch_rejected(tmp_path):
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    save_tensor(tmp_path / "d" / "a.cvt", np.zeros(4))
+    with pytest.raises(ValueError, match="a: tensor shape disagrees"):
+        load_tensor_dir(tmp_path / "d", "toy-v1")
+
+
+def _write_scene_dir(directory):
+    save_scene_dir(directory, make_scene_bundle(SceneSpec(grid=BevGridSpec(9)), seed=0))
+
+
+def _write_params_dir(directory):
+    RefinerParams.random(81, seed=0).save(directory)
+
+
+@pytest.mark.parametrize("write,keys", [
+    (_write_scene_dir, {"format", "spec", "gt_pose", "seed", "noise_sigma", "depth_anchor_m",
+                        "depth_scale", "channels", "tensors"}),
+    (_write_params_dir, {"format", "num_conv_layers", "num_global_layers",
+                         "num_gate_layers", "tensors"}),
+], ids=["scene", "refiner-params"])
+def test_manifest_layout_is_pinned(tmp_path, write, keys):
+    write(tmp_path / "d")
+    text = (tmp_path / "d" / MANIFEST).read_text()
+    manifest = json.loads(text)
+    assert set(manifest) == keys
+    assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    cvt_names = {p.name[:-len(".cvt")] for p in (tmp_path / "d").glob("*.cvt")}
+    assert set(manifest["tensors"]) == cvt_names
+
+
+# one case per CSV format: reader, header, a good row, a row that does not parse, row kind
+CSV_READERS = {
+    "correspondence": (CorrespondenceSet.from_csv, "gx,gy,ax,ay,w", "1,2,3,4,5", "1,2,oops,4,5"),
+    "prediction": (MatchPrediction.from_csv, "xg,yg,xs,ys", "1,2,3,4", "bad,2,3,4"),
+    "pose": (read_pose_csv, "tx_px,ty_px,yaw_deg", "100,100,0", "100,nope,0"),
+}
+
+
+@pytest.fixture(params=sorted(CSV_READERS))
+def csv_format(request):
+    return request.param, *CSV_READERS[request.param]
+
+
+def test_csv_wrong_header_rejected(tmp_path, csv_format):
+    _, reader, header, good, _ = csv_format
+    path = tmp_path / "bad.csv"
+    path.write_text(header.replace(",", ";") + "\n" + good + "\n")
+    with pytest.raises(ValueError, match=f"expected header {header}"):
+        reader(path)
+
+
+def test_csv_extra_column_rejected(tmp_path, csv_format):
+    _, reader, header, good, _ = csv_format
+    path = tmp_path / "bad.csv"
+    path.write_text(header + ",extra\n" + good + ",0\n")
+    with pytest.raises(ValueError, match="header"):
+        reader(path)
+
+
+def test_csv_malformed_row_reports_line(tmp_path, csv_format):
+    _, reader, header, good, bad = csv_format
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{good}\n{bad}\n")
+    with pytest.raises(ValueError, match="malformed row at line 3"):
+        reader(path)
+
+
+def test_csv_short_row_reports_line(tmp_path, csv_format):
+    _, reader, header, good, _ = csv_format
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{good.rsplit(',', 1)[0]}\n")
+    with pytest.raises(ValueError, match="malformed row at line 2"):
+        reader(path)
+
+
+def test_csv_header_only_rejected(tmp_path, csv_format):
+    what, reader, header, _, _ = csv_format
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=f"no {what} rows"):
+        reader(path)
