@@ -134,8 +134,8 @@ def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
     if len(pred) == 0:
         raise ValueError("empty prediction set")
     thresholds = [float(t) for t in thresholds_px]
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in thresholds):
+        raise ValueError("thresholds must be finite and positive")
 
     h, w = gt.valid.shape
     u = np.rint(pred.grd_px[:, 0]).astype(int)

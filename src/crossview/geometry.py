@@ -182,6 +182,22 @@ class SceneSpec:
         c = (self.aerial.image_size_px - 1) / 2.0
         return np.array([c, c])
 
+    @property
+    def cell_spacing_px(self) -> float:
+        """Aerial pixels between adjacent grid cells: ``spacing_m / gsd``."""
+        return self.grid.spacing_m / self.aerial.gsd_m_per_px
+
+    def aerial_cell_px(self, cells, center_px=None) -> np.ndarray:
+        """Aerial pixel position of (fractional) grid cells shaped (..., 2).
+
+        Cell ``(i, j)`` sits at ``center_px + ((i, j) - c) * cell_spacing_px``
+        with ``c`` the grid's center index; ``center_px`` defaults to
+        :attr:`grid_center_px`. This is the one cell <-> pixel rule of the
+        aerial grid.
+        """
+        center = self.grid_center_px if center_px is None else center_px
+        return center + (np.asarray(cells) - self.grid.center_index) * self.cell_spacing_px
+
     def identity_pose(self) -> Pose3DoF:
         """Pose mapping ground cell (i, j) onto aerial grid cell (i, j)."""
         return Pose3DoF(self.grid_center_px, 0.0)
@@ -237,6 +253,12 @@ def cell_center_coords(spec: BevGridSpec) -> np.ndarray:
     coords[..., 0] = offsets[:, None]
     coords[..., 1] = offsets[None, :]
     return coords
+
+
+def grid_cells(spec: BevGridSpec) -> np.ndarray:
+    """(N, N, 2) integer indices of every grid cell; ``[i, j] == (i, j)``."""
+    idx = np.arange(spec.n_points_per_side)
+    return np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)
 
 
 def project_point_to_panorama(intr: CameraIntrinsics, x_m, y_m, z_m):
@@ -300,26 +322,25 @@ def aerial_px_to_metric(meta: AerialMeta, pose: Pose3DoF, x_px, y_px):
 def aerial_bev_sample_coords(spec: BevGridSpec, meta: AerialMeta, center_px):
     """Axis-aligned N x N aerial sampling grid around ``center_px``.
 
-    Returns (coords, in_bounds): coords has shape (N, N, 2) in pixels with
-    spacing ``spacing_m / gsd``; in_bounds flags cells whose coordinates
-    stay within [0, image_size - 1] on both axes.
+    Returns (coords, in_bounds): coords has shape (N, N, 2) in pixels,
+    placed by :meth:`SceneSpec.aerial_cell_px`; in_bounds flags cells whose
+    coordinates stay within [0, image_size - 1] on both axes.
     """
     center = np.asarray(center_px, dtype=float).reshape(2)
     size = meta.image_size_px
     if not (0 <= center[0] <= size - 1 and 0 <= center[1] <= size - 1):
         raise ValueError("grid center outside the aerial image")
-    spacing_px = spec.spacing_m / meta.gsd_m_per_px
-    offsets = (np.arange(spec.n_points_per_side) - spec.center_index) * spacing_px
-    coords = np.empty((spec.n_points_per_side, spec.n_points_per_side, 2))
-    coords[..., 0] = center[0] + offsets[:, None]
-    coords[..., 1] = center[1] + offsets[None, :]
+    coords = SceneSpec(grid=spec, aerial=meta).aerial_cell_px(grid_cells(spec), center)
     in_bounds = np.all((coords >= 0.0) & (coords <= size - 1), axis=-1)
     return coords, in_bounds
 
 
-def _nearest_cell(frac_idx: np.ndarray) -> np.ndarray:
+def _nearest_cells(specs: SceneSpec, fx, fy):
+    """Round fractional cell coordinates to cells; returns (cells (..., 2), in-grid mask)."""
     # round-half-up keeps the rule deterministic for points on cell borders
-    return np.floor(frac_idx + 0.5).astype(np.int64)
+    tgt = np.stack([np.floor(fx + 0.5), np.floor(fy + 0.5)], axis=-1).astype(np.int64)
+    valid = np.all((tgt >= 0) & (tgt < specs.grid.n_points_per_side), axis=-1)
+    return tgt, valid
 
 
 def ground_cell_to_aerial_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarray):
@@ -328,32 +349,23 @@ def ground_cell_to_aerial_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarr
     ``cells`` is (K, 2) integer ground indices; returns (targets (K, 2),
     valid (K,)) where valid marks targets inside the aerial grid.
     """
-    cells = np.asarray(cells)
     c = specs.grid.center_index
-    g = (cells - c) * specs.grid.spacing_m
-    ax, ay = metric_to_aerial_px(specs.aerial, pose, g[:, 0], g[:, 1])
-    spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
+    g = (np.asarray(cells) - c) * specs.grid.spacing_m
+    ax, ay = metric_to_aerial_px(specs.aerial, pose, g[..., 0], g[..., 1])
     center = specs.grid_center_px
-    fx = (ax - center[0]) / spacing_px + c
-    fy = (ay - center[1]) / spacing_px + c
-    tgt = np.stack([_nearest_cell(fx), _nearest_cell(fy)], axis=1)
-    n = specs.grid.n_points_per_side
-    valid = np.all((tgt >= 0) & (tgt < n), axis=1)
-    return tgt, valid
+    spacing_px = specs.cell_spacing_px
+    return _nearest_cells(specs, (ax - center[0]) / spacing_px + c,
+                          (ay - center[1]) / spacing_px + c)
+
+
+def aerial_cell_in_ground_grid(specs: SceneSpec, pose: Pose3DoF, cells):
+    """Fractional ground-grid coordinates (fx, fy) of aerial grid cells (..., 2) under ``pose``."""
+    px = specs.aerial_cell_px(cells)
+    gx, gy = aerial_px_to_metric(specs.aerial, pose, px[..., 0], px[..., 1])
+    c = specs.grid.center_index
+    return gx / specs.grid.spacing_m + c, gy / specs.grid.spacing_m + c
 
 
 def aerial_cell_to_ground_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarray):
     """Nearest ground grid cell for each aerial grid cell (inverse direction)."""
-    cells = np.asarray(cells)
-    c = specs.grid.center_index
-    spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
-    center = specs.grid_center_px
-    ax = center[0] + (cells[:, 0] - c) * spacing_px
-    ay = center[1] + (cells[:, 1] - c) * spacing_px
-    gx, gy = aerial_px_to_metric(specs.aerial, pose, ax, ay)
-    fx = gx / specs.grid.spacing_m + c
-    fy = gy / specs.grid.spacing_m + c
-    tgt = np.stack([_nearest_cell(fx), _nearest_cell(fy)], axis=1)
-    n = specs.grid.n_points_per_side
-    valid = np.all((tgt >= 0) & (tgt < n), axis=1)
-    return tgt, valid
+    return _nearest_cells(specs, *aerial_cell_in_ground_grid(specs, pose, cells))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_to_ground_cell,
-                       ground_cell_to_aerial_cell)
+                       ground_cell_to_aerial_cell, grid_cells)
 from .refiner import SimilarityMatrix
 from .surface import SurfaceMap
 
@@ -29,8 +29,9 @@ class LossConfig:
     height_in_meters: bool = False
 
     def __post_init__(self):
-        if min(self.beta1, self.beta2, self.l_v_m, self.k_norm) <= 0:
-            raise ValueError("loss weights and scales must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.beta1, self.beta2, self.l_v_m,
+                                                      self.k_norm)):
+            raise ValueError("loss weights and scales must be finite and positive")
         if self.n_v < 1 or self.n_s < 1:
             raise ValueError("sample counts must be positive")
 
@@ -86,8 +87,7 @@ def _sample_pairs(specs: SceneSpec, gt: Pose3DoF, n_s: int,
     ``n_s`` valid pairs exist all of them are used.
     """
     n = specs.grid.n_points_per_side
-    grid = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"),
-                    axis=-1).reshape(-1, 2)
+    grid = grid_cells(specs.grid).reshape(-1, 2)
     if reverse:
         tgt, valid = aerial_cell_to_ground_cell(specs, gt, grid)
     else:

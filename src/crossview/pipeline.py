@@ -60,11 +60,8 @@ def matches_cells_to_metric(matches: CorrespondenceSet, specs: SceneSpec) -> Cor
     aerial pixel coordinates scaled by the GSD, so the recovered
     translation divided by the GSD is the pose translation in pixels.
     """
-    c = specs.grid.center_index
-    s_m = specs.grid.spacing_m
-    spacing_px = s_m / specs.aerial.gsd_m_per_px
-    ground = (matches.ground_xy - c) * s_m
-    aerial_px = specs.grid_center_px + (matches.aerial_xy - c) * spacing_px
+    ground = (matches.ground_xy - specs.grid.center_index) * specs.grid.spacing_m
+    aerial_px = specs.aerial_cell_px(matches.aerial_xy)
     return CorrespondenceSet(ground, aerial_px * specs.aerial.gsd_m_per_px, matches.weights)
 
 

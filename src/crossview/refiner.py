@@ -119,6 +119,8 @@ class RefinerParams:
                 raise ValueError("affine stack output width is wrong")
         if self.dustbin_row.shape != (n2,) or self.dustbin_col.shape != (n2,):
             raise ValueError("dustbin vectors must have length N^2")
+        if not all(np.isfinite(t).all() for t in self._named_tensors().values()):
+            raise ValueError("refiner parameters must be finite")
 
     @property
     def num_patches(self) -> int:

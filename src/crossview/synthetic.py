@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose3DoF, SceneSpec, aerial_px_to_metric
+from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
+                       aerial_cell_to_ground_cell, grid_cells)
 from .surface import BevFeatureMap, FeatureVolume, SurfaceMap
 from .tensorio import load_tensor_dir, save_tensor_dir
 
@@ -97,7 +98,7 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     texture /= np.linalg.norm(texture, axis=2, keepdims=True)
 
     center = specs.grid_center_px
-    spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
+    spacing_px = specs.cell_spacing_px
     max_cells = n // 4
     if snapped:
         offset_cells = rng.integers(-max_cells, max_cells + 1, size=2)
@@ -110,22 +111,11 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
                           float(noise_sigma), int(seed))
 
 
-_QUARTER_INVERSE = {
-    0: lambda x, y: (x, y),
-    1: lambda x, y: (y, -x),    # inverse of a +90 deg turn
-    2: lambda x, y: (-x, -y),
-    3: lambda x, y: (-y, x),
-}
-
-
-def _snapped_cell_transform(scene: SyntheticScene, specs: SceneSpec):
-    """(offset cells, quarter turns) when the pose is grid-snapped, else None."""
-    spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
-    k = (scene.gt_pose.t_px - specs.grid_center_px) / spacing_px
+def _is_snapped(scene: SyntheticScene, specs: SceneSpec) -> bool:
+    """Whether the true pose translates by whole cells and rotates by quarter turns."""
+    k = (scene.gt_pose.t_px - specs.grid_center_px) / specs.cell_spacing_px
     turns = scene.gt_pose.yaw_rad / (np.pi / 2.0)
-    if np.max(np.abs(k - np.rint(k))) < 1e-6 and abs(turns - np.rint(turns)) < 1e-6:
-        return np.rint(k).astype(int), int(np.rint(turns)) % 4
-    return None
+    return bool(np.max(np.abs(k - np.rint(k))) < 1e-6 and abs(turns - np.rint(turns)) < 1e-6)
 
 
 def _bilinear(img: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -144,36 +134,26 @@ def _bilinear(img: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
 
 def _resample_to_aerial(scene: SyntheticScene, specs: SceneSpec):
-    """Ground texture and heights seen from the aerial grid under the true pose."""
+    """Ground texture and heights seen from the aerial grid under the true pose.
+
+    Returns (texture, height, inside): aerial cells whose ground position
+    falls outside the ground grid are flagged by ``inside`` and read ground
+    level. Snapped poses land on ground cells and sample them by index;
+    other poses sample bilinearly.
+    """
     n = specs.grid.n_points_per_side
-    snap = _snapped_cell_transform(scene, specs)
-    if snap is not None:
-        k, turns = snap
-        c = (n - 1) // 2
-        ai, aj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        wx = ai - c - k[0]
-        wy = aj - c - k[1]
-        gx_rel, gy_rel = _QUARTER_INVERSE[turns](wx, wy)
-        gx = gx_rel + c
-        gy = gy_rel + c
-        inside = (gx >= 0) & (gx < n) & (gy >= 0) & (gy < n)
-        sx = np.clip(gx, 0, n - 1)
-        sy = np.clip(gy, 0, n - 1)
+    cells = grid_cells(specs.grid)
+    if _is_snapped(scene, specs):
+        tgt, inside = aerial_cell_to_ground_cell(specs, scene.gt_pose, cells)
+        sx, sy = np.moveaxis(np.clip(tgt, 0, n - 1), -1, 0)
         tex = scene.feature_texture[sx, sy]
         hgt = scene.height_field_m[sx, sy]
     else:
-        c = specs.grid.center_index
-        spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
-        offs = (np.arange(n) - c) * spacing_px
-        ax = specs.grid_center_px[0] + offs[:, None] + np.zeros((n, n))
-        ay = specs.grid_center_px[1] + offs[None, :] + np.zeros((n, n))
-        gxm, gym = aerial_px_to_metric(specs.aerial, scene.gt_pose, ax, ay)
-        fx = gxm / specs.grid.spacing_m + c
-        fy = gym / specs.grid.spacing_m + c
+        fx, fy = aerial_cell_in_ground_grid(specs, scene.gt_pose, cells)
         inside = (fx >= 0) & (fx <= n - 1) & (fy >= 0) & (fy <= n - 1)
         tex = _bilinear(scene.feature_texture, fx, fy)
         hgt = _bilinear(scene.height_field_m, fx, fy)
-    return tex, hgt, inside
+    return tex, np.where(inside, hgt, GROUND_LEVEL_M), inside
 
 
 def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
@@ -206,9 +186,8 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
     sat_noise = rng.standard_normal((n, n, c))
     depth_noise = rng.standard_normal((n, n))
 
-    tex, hgt, inside = _resample_to_aerial(scene, specs)
+    tex, height_sat, inside = _resample_to_aerial(scene, specs)
     f_sat = np.where(inside[..., None], tex, filler) + sigma * sat_noise
-    height_sat = np.where(inside, hgt, GROUND_LEVEL_M)
     depth_sat = (height_sat - GROUND_LEVEL_M) / DEPTH_SCALE + sigma * depth_noise
 
     return RenderedInputs(
@@ -222,8 +201,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
 
 def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> SurfaceMap:
     """True aerial-frame surface map (the transformed height field, discretized)."""
-    _, hgt, inside = _resample_to_aerial(scene, specs)
-    height_sat = np.where(inside, hgt, GROUND_LEVEL_M)
+    height_sat = _resample_to_aerial(scene, specs)[1]
     return SurfaceMap.from_index(specs.layers.nearest_index(height_sat), specs.layers)
 
 

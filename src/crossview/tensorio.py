@@ -62,18 +62,15 @@ def load_tensor(path, with_meta: bool = False):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise TensorFormatError(f"{path}: bad magic {raw[:4]!r}")
-    offset = 4
-    (rank,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    if rank > _MAX_RANK:
-        raise TensorFormatError(f"{path}: implausible rank {rank}")
-    dims = []
-    for _ in range(rank):
-        (d,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        dims.append(int(d))
-    (tag,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    try:
+        (rank,) = struct.unpack_from("<Q", raw, 4)
+        if rank > _MAX_RANK:
+            raise TensorFormatError(f"{path}: implausible rank {rank}")
+        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 12)]
+        (tag,) = struct.unpack_from("<I", raw, 12 + 8 * rank)
+    except struct.error as exc:
+        raise TensorFormatError(f"{path}: header truncated at {len(raw)} bytes") from exc
+    offset = 16 + 8 * rank
     if tag != DTYPE_TAG_FLOAT32:
         raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
     count = 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossview import cli, refiner
 from crossview.evaluation import GroundTruthProjection
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.synthetic import load_scene_dir
@@ -117,6 +118,50 @@ class TestSolve:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_truncated_tensor_header_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=7)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(json.loads((out / "manifest.json").read_text())["spec"]))
+        short = tmp_path / "short.cvt"
+        short.write_bytes(b"CVT1\x04\x00")
+        proc = run_cli("solve", "--volume", short, "--conf-logits", out / "conf_logits.cvt",
+                       "--f-sat", out / "f_sat.cvt", "--spec-json", spec_path, check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "header truncated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_refiner_params_fail_before_refining(self, tmp_path, monkeypatch,
+                                                            capsys):
+        out = generate_scene_dir(tmp_path, seed=5)
+        params = refiner.RefinerParams.random(81, seed=1)
+        params.save(tmp_path / "params")
+        kernel = params.conv_kernels[0].copy()
+        kernel.flat[0] = np.nan
+        save_tensor(tmp_path / "params" / "conv0_kernel.cvt", kernel)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("local_residual ran on invalid parameters")
+
+        monkeypatch.setattr(refiner, "local_residual", must_not_run)
+        code = cli.main(["solve", "--scene-dir", str(out),
+                         "--refiner-params", str(tmp_path / "params")])
+        assert code == 2
+        assert "refiner parameters must be finite" in capsys.readouterr().err
+
+    def test_continuous_pose_lands_within_one_cell_and_reruns_identically(self, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            run_cli("generate", "--seed", 0, "--n", 11, "--continuous-pose", "--out-dir", out)
+            runs.append((dir_snapshot(out), run_cli("solve", "--scene-dir", out).stdout))
+        assert runs[0] == runs[1]
+        manifest = json.loads(runs[0][0]["manifest.json"])
+        gt, payload = manifest["gt_pose"], json.loads(runs[0][1])
+        err_m = math.hypot(payload["tx_px"] - gt["tx_px"], payload["ty_px"] - gt["ty_px"]) \
+            * manifest["spec"]["gsd"]
+        assert err_m < BevGridSpec(11).spacing_m
+        assert gt["yaw_rad"] % (math.pi / 2) != 0.0  # not a grid-snapped pose
+
     def test_degenerate_correspondences_exit_three(self, tmp_path):
         # constant features everywhere: every row of the similarity matrix is
         # identical, matches collapse onto one ground cell
@@ -204,6 +249,15 @@ class TestEvalMatching:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
+    def test_nan_threshold_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--thresholds", "nan,5", "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "finite and positive" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestEvalLocalization:
     def setup_dirs(self, tmp_path):
@@ -279,3 +333,15 @@ class TestLoss:
         proc = run_cli("loss", "--scene-dir", tmp_path / "nope",
                        "--pred-pose", pose_path, check=False)
         assert proc.returncode == 2
+
+    def test_non_finite_config_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=12)
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"beta1": NaN}')
+        proc = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path,
+                       "--config", cfg_path, "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "finite and positive" in proc.stderr
+        assert not (tmp_path / "r.json").exists()

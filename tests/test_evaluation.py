@@ -185,6 +185,9 @@ class TestMatchingSuccessRatio:
         pred = MatchPrediction(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
             matching_success_ratio(pred, gt, (0.0,))
+        for bad in ((math.nan, 5.0), (math.inf,), (-1.0,)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                matching_success_ratio(pred, gt, bad)
 
 
 class TestLocalizationStats:

@@ -10,7 +10,8 @@ from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec,
                                 aerial_bev_sample_coords, aerial_px_to_metric,
                                 bev_cell_to_metric, cell_center_coords,
-                                ground_cell_to_aerial_cell, metric_to_aerial_px,
+                                aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
+                                grid_cells, ground_cell_to_aerial_cell, metric_to_aerial_px,
                                 panorama_pixel_ray, project_point_to_panorama,
                                 wrap_angle)
 
@@ -295,3 +296,33 @@ class TestCellMappings:
         assert valid.all()
         flat = tgt[:, 0] * n + tgt[:, 1]
         assert len(set(flat.tolist())) == n * n
+
+    def test_aerial_cell_px_rule(self, small_specs):
+        spacing_px = small_specs.grid.spacing_m / small_specs.aerial.gsd_m_per_px
+        assert small_specs.cell_spacing_px == spacing_px
+        c = small_specs.grid.center_index
+        assert np.array_equal(small_specs.aerial_cell_px([c, c]), small_specs.grid_center_px)
+        px = small_specs.aerial_cell_px(grid_cells(small_specs.grid))
+        assert np.allclose(px[2, 5], small_specs.grid_center_px + (np.array([2, 5]) - c)
+                           * spacing_px, rtol=0, atol=1e-12)
+        assert np.allclose(px[1:, :, 0] - px[:-1, :, 0], spacing_px, rtol=0, atol=1e-12)
+
+    def test_identity_pose_puts_aerial_cells_on_ground_cells(self, small_specs):
+        cells = grid_cells(small_specs.grid)
+        fx, fy = aerial_cell_in_ground_grid(small_specs, small_specs.identity_pose(), cells)
+        assert np.allclose(np.stack([fx, fy], axis=-1), cells, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [9, 11])
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_snapped_round_trip_returns_every_in_grid_cell(self, n, turns):
+        specs = SceneSpec(grid=BevGridSpec(n, 2.0 * (n - 1)),
+                          intrinsics=CameraIntrinsics(256, 128), aerial=AerialMeta(0.12, 400))
+        cells = grid_cells(specs.grid).reshape(-1, 2)
+        for offset in [(0, 0), (1, -2), (-3, 2), (n // 4, n // 4)]:
+            t_px = specs.grid_center_px + np.array(offset) * specs.cell_spacing_px
+            pose = Pose3DoF(t_px, turns * math.pi / 2)
+            ground, valid = aerial_cell_to_ground_cell(specs, pose, cells)
+            assert valid.sum() == (n - abs(offset[0])) * (n - abs(offset[1]))
+            back, back_valid = ground_cell_to_aerial_cell(specs, pose, ground[valid])
+            assert back_valid.all()
+            assert np.array_equal(back, cells[valid])

@@ -276,6 +276,10 @@ class TestLossConfig:
             LossConfig(beta1=0.0)
         with pytest.raises(ValueError):
             LossConfig(n_s=0)
+        for field in ("beta1", "beta2", "l_v_m", "k_norm"):
+            for value in (math.nan, math.inf, -math.inf, -1.0):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    LossConfig(**{field: value})
 
     def test_json_round_trip(self):
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,

@@ -11,6 +11,7 @@ from crossview.refiner import (MatchProbabilities, RefinerParams,
                                local_residual, normalize_doubly_stochastic,
                                refine, row_softmax)
 from crossview.surface import BevFeatureMap
+from crossview.tensorio import save_tensor
 
 
 def feature_map(data):
@@ -486,3 +487,39 @@ class TestParamsSerialization:
         params = RefinerParams.random(9, seed=36)
         with pytest.raises(ValueError):
             _with_dustbin(params, np.zeros(5), np.zeros(9), 0.0)
+
+
+# one tensor per parameter group: (constructor field, tensor file name)
+_GROUP_TENSORS = {"conv": ("conv_kernels", "conv0_kernel"),
+                  "global": ("global_biases", "global0_bias"),
+                  "gate": ("gate_weights", "gate0_weight"),
+                  "dustbin": ("dustbin_theta", "dustbin_theta")}
+
+
+def _poisoned(tensor, value):
+    bad = np.array(tensor, dtype=np.float32)
+    bad.flat[0] = value
+    return bad
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("group", sorted(_GROUP_TENSORS))
+class TestParamsFinite:
+    def test_rejected_at_construction(self, group, value):
+        field, _ = _GROUP_TENSORS[group]
+        params = RefinerParams.random(9, seed=37)
+        current = getattr(params, field)
+        bad = ((_poisoned(current[0], value),) + current[1:]
+               if isinstance(current, tuple) else _poisoned(current, value))
+        fields = {f: getattr(params, f) for f in params.__dataclass_fields__}
+        with pytest.raises(ValueError, match="finite"):
+            RefinerParams(**{**fields, field: bad})
+
+    def test_rejected_by_load(self, tmp_path, group, value):
+        _, name = _GROUP_TENSORS[group]
+        params = RefinerParams.random(9, seed=38)
+        params.save(tmp_path / "params")
+        save_tensor(tmp_path / "params" / f"{name}.cvt",
+                    _poisoned(params._named_tensors()[name], value))
+        with pytest.raises(ValueError, match="finite"):
+            RefinerParams.load(tmp_path / "params")

@@ -1,20 +1,41 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from crossview.geometry import (BevGridSpec, SceneSpec,
-                                ground_cell_to_aerial_cell)
+from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics, Pose3DoF,
+                                SceneSpec, ground_cell_to_aerial_cell)
 from crossview.pipeline import PipelineConfig, run_localization
 from crossview.refiner import initial_similarity
 from crossview.solver import pose_error
 from crossview.surface import (aerial_depth_to_height_index,
                                normalize_confidence,
                                surface_from_accumulation)
-from crossview.synthetic import (GROUND_LEVEL_M, aerial_gt_surface,
-                                 generate_scene, load_scene_dir,
-                                 make_scene_bundle, render_inputs,
-                                 save_scene_dir)
+from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, _resample_to_aerial,
+                                 aerial_gt_surface, generate_scene, load_scene_dir,
+                                 make_scene_bundle, render_inputs, save_scene_dir)
+
+# Ground offset (in cells) seen by an aerial cell offset under k quarter turns:
+# the inverse rotation, written out by hand as an independent oracle.
+_QUARTER_INVERSE = {
+    0: lambda x, y: (x, y),
+    1: lambda x, y: (y, -x),    # inverse of a +90 deg turn
+    2: lambda x, y: (-x, -y),
+    3: lambda x, y: (-y, x),
+}
+
+
+def quarter_turn_oracle(scene, n, offset, turns):
+    """(texture, masked height, inside) on the aerial grid for a snapped pose, by integer cells."""
+    c = (n - 1) // 2
+    ai, aj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    gx, gy = _QUARTER_INVERSE[turns](ai - c - offset[0], aj - c - offset[1])
+    gx, gy = gx + c, gy + c
+    inside = (gx >= 0) & (gx < n) & (gy >= 0) & (gy < n)
+    sx, sy = np.clip(gx, 0, n - 1), np.clip(gy, 0, n - 1)
+    height = np.where(inside, scene.height_field_m[sx, sy], GROUND_LEVEL_M)
+    return scene.feature_texture[sx, sy], height, inside
 
 
 class TestGenerateScene:
@@ -121,6 +142,30 @@ class TestRenderInputs:
             rec_auto = aerial_depth_to_height_index(bundle.inputs.depth_sat,
                                                     small_specs.layers)
             assert np.array_equal(rec_auto.index, gt_sat.index)
+
+
+class TestSnappedRenderOracle:
+    @pytest.mark.parametrize("n", [9, 11])
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_snapped_renders_equal_quarter_turn_oracle(self, n, turns):
+        specs = SceneSpec(grid=BevGridSpec(n, 2.0 * (n - 1)),
+                          intrinsics=CameraIntrinsics(256, 128), aerial=AerialMeta(0.12, 400))
+        for seed, offset in enumerate([(0, 0), (1, -2), (-2, 1), (n // 4, -(n // 4))]):
+            scene = generate_scene(specs, seed=seed)
+            t_px = specs.grid_center_px + np.array(offset) * specs.cell_spacing_px
+            scene = dataclasses.replace(scene, gt_pose=Pose3DoF(t_px, turns * math.pi / 2))
+            tex, height, inside = quarter_turn_oracle(scene, n, offset, turns)
+
+            got_tex, got_height, got_inside = _resample_to_aerial(scene, specs)
+            assert np.array_equal(got_inside, inside)
+            assert np.array_equal(got_tex, tex)
+            assert np.array_equal(got_height, height)
+
+            inputs = render_inputs(scene, specs)
+            assert np.array_equal(inputs.f_sat.data[inside], tex[inside])
+            assert np.array_equal(inputs.depth_sat, (height - GROUND_LEVEL_M) / DEPTH_SCALE)
+            assert np.array_equal(aerial_gt_surface(scene, specs).index,
+                                  specs.layers.nearest_index(height))
 
 
 class TestEndToEnd:

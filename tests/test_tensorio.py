@@ -84,6 +84,16 @@ def test_truncated_payload_rejected(tmp_path):
         load_tensor(path)
 
 
+# a (4, 4) tensor's header: magic 0-4, rank 4-12, dims 12-28, dtype tag 28-32
+@pytest.mark.parametrize("keep", [6, 20, 30], ids=["in-rank", "in-dims", "in-dtype-tag"])
+def test_truncated_header_rejected(tmp_path, keep):
+    path = tmp_path / "t.cvt"
+    save_tensor(path, np.zeros((4, 4), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(TensorFormatError, match="header truncated"):
+        load_tensor(path)
+
+
 def test_implausible_rank_rejected(tmp_path):
     path = tmp_path / "t.cvt"
     path.write_bytes(MAGIC + struct.pack("<Q", 99))
