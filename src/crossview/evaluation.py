@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_px, panorama_pixel_ray
-from .tensorio import load_tensor, read_csv, save_tensor, write_csv
+from .tensorio import load_tensor_dir, read_csv, save_tensor_dir, write_csv
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 POSE_CSV_FIELDS = ("tx_px", "ty_px", "yaw_deg")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
 DEFAULT_MAX_RANGE_M = 30.0
+_GT_FORMAT = "gt-projection-v1"
 
 
 @dataclass
@@ -58,7 +58,8 @@ def read_pose_csv(path) -> list[Pose3DoF]:
 class GroundTruthProjection:
     """Per ground-pixel aerial target and the valid-region mask.
 
-    ``sat_xy`` is (H, W, 2) with NaN outside the valid region.
+    ``sat_xy`` is (H, W, 2) with NaN outside the valid region; on disk the
+    targets are 0 there and the mask is stored as 1/0.
     """
 
     sat_xy: np.ndarray
@@ -72,22 +73,16 @@ class GroundTruthProjection:
             raise ValueError("projection map and mask shapes disagree")
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         sat = np.where(self.valid[..., None], self.sat_xy, 0.0)
-        save_tensor(directory / "gt_sat_x.cvt", sat[..., 0])
-        save_tensor(directory / "gt_sat_y.cvt", sat[..., 1])
-        save_tensor(directory / "gt_valid.cvt", self.valid.astype(np.float32))
+        save_tensor_dir(directory, _GT_FORMAT, {"gt_sat_x": sat[..., 0], "gt_sat_y": sat[..., 1],
+                                                "gt_valid": self.valid.astype(np.float32)})
 
     @classmethod
     def load(cls, directory) -> "GroundTruthProjection":
-        directory = Path(directory)
-        x = load_tensor(directory / "gt_sat_x.cvt").astype(float)
-        y = load_tensor(directory / "gt_sat_y.cvt").astype(float)
-        valid = load_tensor(directory / "gt_valid.cvt") > 0.5
-        sat = np.stack([x, y], axis=-1)
-        sat[~valid] = np.nan
-        return cls(sat, valid)
+        tensors, _ = load_tensor_dir(directory, _GT_FORMAT)
+        valid = tensors["gt_valid"] > 0.5
+        sat = np.stack([tensors["gt_sat_x"], tensors["gt_sat_y"]], axis=-1)
+        return cls(np.where(valid[..., None], sat, np.nan), valid)
 
 
 def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3DoF,

@@ -113,6 +113,8 @@ class CameraIntrinsics:
             raise ValueError("equirectangular panorama requires width == 2 * height")
         if not 2.0 <= self.camera_height_m <= 3.0:
             raise ValueError("camera height outside the supported 2-3 m range")
+        if not math.isfinite(self.azimuth_offset_rad):
+            raise ValueError("azimuth offset must be finite")
 
 
 @dataclass(frozen=True)

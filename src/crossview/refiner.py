@@ -242,11 +242,15 @@ def _cube_side(n2: int) -> int:
     return n
 
 
+def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
+    if params.num_patches != s.num_patches:
+        raise ValueError("parameters sized for a different patch count")
+
+
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from three 3D convolutions over the (N, N, N^2) similarity cube."""
+    _require_patch_count(s, params)
     n2 = s.num_patches
-    if params.num_patches != n2:
-        raise ValueError("parameters sized for a different patch count")
     n = _cube_side(n2)
     x = s.s.reshape(n, n, n2)[None].astype(float)
     last = len(params.conv_kernels) - 1
@@ -269,13 +273,13 @@ def _affine_stack(x: np.ndarray, weights, biases) -> np.ndarray:
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from the per-row affine stack, applied independently to every row."""
-    if params.num_patches != s.num_patches:
-        raise ValueError("parameters sized for a different patch count")
+    _require_patch_count(s, params)
     return _affine_stack(s.s, params.global_weights, params.global_biases)
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Per-ground-patch gate in [0, 1], computed from each row of the matrix."""
+    _require_patch_count(s, params)
     logits = _affine_stack(s.s, params.gate_weights, params.gate_biases)[:, 0]
     return 1.0 / (1.0 + np.exp(-logits))
 

@@ -33,10 +33,6 @@ class FeatureVolume:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature volume contains non-finite entries")
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[3]
-
 
 @dataclass
 class ConfidenceVolume:
@@ -89,40 +85,6 @@ class BevFeatureMap:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("BEV feature map contains non-finite entries")
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass
-class ProjectionHead:
-    """Affine channel projection C -> c applied after height fusion."""
-
-    weight: np.ndarray  # (C, c)
-    bias: np.ndarray    # (c,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
-            raise ValueError("projection weight/bias shapes inconsistent")
-
-    def save(self, directory) -> None:
-        from pathlib import Path
-        from .tensorio import save_tensor
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_tensor(directory / "weight.cvt", self.weight)
-        save_tensor(directory / "bias.cvt", self.bias)
-
-    @classmethod
-    def load(cls, directory) -> "ProjectionHead":
-        from pathlib import Path
-        from .tensorio import load_tensor
-        directory = Path(directory)
-        return cls(load_tensor(directory / "weight.cvt"),
-                   load_tensor(directory / "bias.cvt"))
-
 
 def normalize_confidence(raw: np.ndarray) -> ConfidenceVolume:
     """Softmax raw scores along the height axis, per BEV cell."""
@@ -155,17 +117,14 @@ def surface_from_accumulation(conf: ConfidenceVolume, threshold: float,
 
 
 def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: SurfaceMap,
-                         window: int | None = None,
-                         projection: ProjectionHead | None = None,
-                         out_channels: int | None = None) -> BevFeatureMap:
+                         window: int | None = None) -> BevFeatureMap:
     """Confidence-weighted fusion of features across height layers.
 
     Layers within ``window`` of the surface index contribute, weighted by
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
-    with zero total confidence falls back to uniform weights. The optional
-    projection maps channels C -> c; without one the channel count must
-    stay unchanged.
+    with zero total confidence falls back to uniform weights. The channel
+    count is unchanged.
     """
     m, n = vol.data.shape[0], vol.data.shape[1]
     if conf.conf.shape != (m, n, n) or surf.index.shape != (n, n):
@@ -182,17 +141,7 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: Surfa
     totals = weights.sum(axis=0, keepdims=True)
     uniform = mask / mask.sum(axis=0, keepdims=True)
     weights = np.where(totals > 0, weights / np.where(totals > 0, totals, 1.0), uniform)
-    fused = np.einsum("mij,mijc->ijc", weights, vol.data)
-
-    if projection is None:
-        if out_channels is not None and out_channels != vol.channels:
-            raise ValueError("channel change requested but no projection weights given")
-        return BevFeatureMap(fused, vol.grid_spec)
-    if projection.weight.shape[0] != vol.channels:
-        raise ValueError("projection input width disagrees with the feature volume")
-    if out_channels is not None and projection.weight.shape[1] != out_channels:
-        raise ValueError("projection output width disagrees with out_channels")
-    return BevFeatureMap(fused @ projection.weight + projection.bias, vol.grid_spec)
+    return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol.data), vol.grid_spec)
 
 
 def aerial_depth_to_height_index(depth: np.ndarray, layer_spec: HeightLayerSpec,

@@ -21,6 +21,7 @@ from .tensorio import load_tensor_dir, save_tensor_dir
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
 CONFIDENCE_PEAK = 15.0
+NUM_BUMPS = 8              # Gaussian bumps summed into each height field
 _SCENE_FORMAT = "scene-v1"
 
 _TENSOR_NAMES = ("height_field", "texture", "volume", "conf_logits",
@@ -64,8 +65,7 @@ def _require_camera_centered(specs: SceneSpec) -> None:
 
 
 def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
-                   snapped: bool = True, channels: int = 16,
-                   num_bumps: int = 8) -> SyntheticScene:
+                   snapped: bool = True, channels: int = 16) -> SyntheticScene:
     """Random smooth height field, unit-norm features, and a pose near the grid center.
 
     Heights are a sum of Gaussian bumps on a flat ground plane, rescaled to
@@ -81,7 +81,7 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
 
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     bumps = np.zeros((n, n))
-    for _ in range(num_bumps):
+    for _ in range(NUM_BUMPS):
         cx, cy = rng.uniform(0, n - 1, size=2)
         amp = rng.uniform(1.0, 10.0)
         width = rng.uniform(1.5, max(2.0, n / 6.0))

@@ -2,8 +2,8 @@
 
 Tensor file layout: magic ``CVT1``, rank as little-endian uint64, each
 dim as little-endian uint64, a uint32 dtype tag (1 = float32), then the
-row-major float32 payload. An optional JSON sidecar lives at
-``<path>.json``. Round trips are byte-lossless for float32 data.
+row-major float32 payload. Round trips are byte-lossless for float32
+data.
 
 A tensor directory holds ``<name>.cvt`` files next to a ``manifest.json``
 carrying the directory's ``format`` tag, the shape of every tensor and any
@@ -30,17 +30,13 @@ class TensorFormatError(ValueError):
     pass
 
 
-def sidecar_path(path) -> Path:
-    return Path(str(path) + ".json")
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def save_tensor(path, array, meta: dict | None = None) -> None:
+def save_tensor(path, array) -> None:
     """Write ``array`` as a float32 tensor file (casting if needed)."""
     arr = np.asarray(array, dtype=np.float32)  # tobytes(order="C") handles layout
     if arr.ndim > _MAX_RANK:
@@ -52,12 +48,10 @@ def save_tensor(path, array, meta: dict | None = None) -> None:
             fh.write(struct.pack("<Q", dim))
         fh.write(struct.pack("<I", DTYPE_TAG_FLOAT32))
         fh.write(arr.tobytes(order="C"))
-    if meta is not None:
-        _write_json(sidecar_path(path), meta)
 
 
-def load_tensor(path, with_meta: bool = False):
-    """Read a tensor file; returns the array, or (array, meta) with ``with_meta``."""
+def load_tensor(path) -> np.ndarray:
+    """Read a tensor file as a float32 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -81,15 +75,7 @@ def load_tensor(path, with_meta: bool = False):
     if len(payload) != expected:
         raise TensorFormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if not with_meta:
-        return arr
-    meta = None
-    sc = sidecar_path(path)
-    if sc.exists():
-        with open(sc) as fh:
-            meta = json.load(fh)
-    return arr, meta
+    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
 def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:

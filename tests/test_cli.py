@@ -148,6 +148,26 @@ class TestSolve:
         assert code == 2
         assert "refiner parameters must be finite" in capsys.readouterr().err
 
+    def test_refiner_params_for_another_grid_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        refiner.RefinerParams.random(16, seed=1).save(tmp_path / "params")
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
+                       check=False)
+        assert proc.returncode == 2
+        assert "error: parameters sized for a different patch count" in proc.stderr
+
+    def test_nan_azimuth_offset_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        spec = json.loads((out / "manifest.json").read_text())["spec"]
+        spec["azimuth_offset"] = math.nan
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        proc = run_cli("solve", "--volume", out / "volume.cvt",
+                       "--conf-logits", out / "conf_logits.cvt", "--f-sat", out / "f_sat.cvt",
+                       "--spec-json", spec_path, check=False)
+        assert proc.returncode == 2
+        assert "azimuth offset must be finite" in proc.stderr
+
     def test_continuous_pose_lands_within_one_cell_and_reruns_identically(self, tmp_path):
         runs = []
         for name in ("a", "b"):
@@ -257,6 +277,19 @@ class TestEvalMatching:
         assert proc.returncode == 2
         assert "finite and positive" in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+
+    def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        (gt_dir / "manifest.json").unlink()
+        assert sorted(p.name for p in gt_dir.iterdir()) == [
+            "gt_sat_x.cvt", "gt_sat_y.cvt", "gt_valid.cvt"]
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEvalLocalization:

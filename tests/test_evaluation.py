@@ -9,6 +9,7 @@ from crossview.evaluation import (GroundTruthProjection, MatchPrediction,
 from crossview.geometry import (AerialMeta, CameraIntrinsics, Pose3DoF,
                                 aerial_px_to_metric, metric_to_aerial_px,
                                 panorama_pixel_ray)
+from crossview.tensorio import MANIFEST, save_tensor_dir
 
 INTR = CameraIntrinsics(panorama_width=128, panorama_height=64, camera_height_m=2.5)
 META = AerialMeta(gsd_m_per_px=0.12, image_size_px=512)
@@ -107,6 +108,18 @@ class TestBuildGtProjection:
         assert np.array_equal(back.valid, proj.valid)
         assert np.allclose(back.sat_xy[proj.valid], proj.sat_xy[proj.valid], atol=1e-3)
         assert np.all(np.isnan(back.sat_xy[~proj.valid]))
+
+    def test_load_rejects_wrong_format(self, tmp_path):
+        save_tensor_dir(tmp_path / "gt", "scene-v1", {"gt_valid": np.ones((2, 4))})
+        with pytest.raises(ValueError, match="unknown format"):
+            GroundTruthProjection.load(tmp_path / "gt")
+
+    def test_load_rejects_missing_manifest(self, tmp_path):
+        proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
+        proj.save(tmp_path / "gt")
+        (tmp_path / "gt" / MANIFEST).unlink()
+        with pytest.raises(OSError):
+            GroundTruthProjection.load(tmp_path / "gt")
 
 
 def make_gt(size=64):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
-                                HeightLayerSpec, Pose3DoF, SceneSpec,
+                                HeightLayerSpec, Pose3DoF, SceneSpec, _nearest_cells,
                                 aerial_bev_sample_coords, aerial_px_to_metric,
                                 bev_cell_to_metric, cell_center_coords,
                                 aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
@@ -111,6 +111,11 @@ class TestCameraIntrinsics:
     def test_camera_height_prior(self, h):
         with pytest.raises(ValueError):
             CameraIntrinsics(1024, 512, camera_height_m=h)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="azimuth offset must be finite"):
+            CameraIntrinsics(256, 128, 2.5, offset)
 
 
 class TestPanoramaProjection:
@@ -326,3 +331,11 @@ class TestCellMappings:
             back, back_valid = ground_cell_to_aerial_cell(specs, pose, ground[valid])
             assert back_valid.all()
             assert np.array_equal(back, cells[valid])
+
+    def test_half_cell_ties_round_up(self, small_specs):
+        n = small_specs.grid.n_points_per_side
+        frac = np.array([-0.5, 0.5, 2.5, n - 1.5, n - 0.5])
+        cells, valid = _nearest_cells(small_specs, frac, frac)
+        expected = np.array([0, 1, 3, n - 1, n])
+        assert np.array_equal(cells, np.stack([expected, expected], axis=-1))
+        assert valid.tolist() == [True, True, True, True, False]

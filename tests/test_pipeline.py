@@ -8,7 +8,7 @@ from crossview.geometry import Pose3DoF
 from crossview.losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
 from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
                                 scene_loss_report)
-from crossview.refiner import initial_similarity
+from crossview.refiner import RefinerParams, initial_similarity
 from crossview.surface import (aerial_depth_to_height_index, fuse_height_features,
                                normalize_confidence, surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
@@ -37,6 +37,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k exceeds the number of matrix entries"):
             run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
                              bundle.inputs.f_sat, small_specs, config=PipelineConfig(top_k=n4 + 1))
+
+    def test_refiner_params_for_another_grid_rejected(self, small_specs):
+        bundle = make_scene_bundle(small_specs, seed=0)
+        with pytest.raises(ValueError, match="parameters sized for a different patch count"):
+            run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
+                             bundle.inputs.f_sat, small_specs, RefinerParams.random(16, seed=0))
 
 
 class TestSharedChain:

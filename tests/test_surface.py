@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crossview.geometry import BevGridSpec, HeightLayerSpec
 from crossview.surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,
-                               ProjectionHead, SurfaceMap,
+                               SurfaceMap,
                                aerial_depth_to_height_index,
                                fuse_height_features, normalize_confidence,
                                surface_from_accumulation)
@@ -171,33 +171,6 @@ class TestFuseHeightFeatures:
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
         assert np.array_equal(fused.data, vol.data[surf.index, ii, jj])
-
-    def test_channel_change_without_weights_rejected(self):
-        rng = np.random.default_rng(4)
-        vol = make_volume(rng.normal(size=(3, 2, 2, 6)))
-        conf = ConfidenceVolume(np.full((3, 2, 2), 1.0 / 3.0))
-        surf = SurfaceMap.from_index(np.zeros((2, 2), dtype=int), vol.layer_spec)
-        with pytest.raises(ValueError):
-            fuse_height_features(vol, conf, surf, out_channels=4)
-
-    def test_projection_head_applied(self):
-        rng = np.random.default_rng(5)
-        vol = make_volume(rng.normal(size=(3, 2, 2, 6)))
-        conf = ConfidenceVolume(np.full((3, 2, 2), 1.0 / 3.0))
-        surf = SurfaceMap.from_index(np.zeros((2, 2), dtype=int), vol.layer_spec)
-        head = ProjectionHead(rng.normal(size=(6, 4)), rng.normal(size=4))
-        fused = fuse_height_features(vol, conf, surf, projection=head, out_channels=4)
-        expected = vol.data.mean(axis=0) @ head.weight + head.bias
-        assert np.allclose(fused.data, expected, atol=1e-12)
-
-    def test_projection_head_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        head = ProjectionHead(rng.normal(size=(6, 4)).astype(np.float32),
-                              rng.normal(size=4).astype(np.float32))
-        head.save(tmp_path / "proj")
-        back = ProjectionHead.load(tmp_path / "proj")
-        assert np.array_equal(back.weight, head.weight)
-        assert np.array_equal(back.bias, head.bias)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)

@@ -4,14 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from crossview.evaluation import MatchPrediction, read_pose_csv
+from crossview.evaluation import GroundTruthProjection, MatchPrediction, read_pose_csv
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.solver import CorrespondenceSet
 from crossview.synthetic import make_scene_bundle, save_scene_dir
 from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor,
-                                load_tensor_dir, save_tensor, save_tensor_dir,
-                                sidecar_path)
+                                load_tensor_dir, save_tensor, save_tensor_dir)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4), (2, 3, 4, 5)])
@@ -53,19 +52,6 @@ def test_non_float32_input_is_cast(tmp_path):
     path = tmp_path / "t.cvt"
     save_tensor(path, arr)
     assert np.array_equal(load_tensor(path), arr.astype(np.float32))
-
-
-def test_sidecar_meta(tmp_path):
-    path = tmp_path / "t.cvt"
-    save_tensor(path, np.zeros(3), meta={"role": "test", "k": 2})
-    assert sidecar_path(path).exists()
-    _, meta = load_tensor(path, with_meta=True)
-    assert meta == {"role": "test", "k": 2}
-
-    bare = tmp_path / "bare.cvt"
-    save_tensor(bare, np.zeros(3))
-    _, no_meta = load_tensor(bare, with_meta=True)
-    assert no_meta is None
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -132,12 +118,19 @@ def _write_params_dir(directory):
     RefinerParams.random(81, seed=0).save(directory)
 
 
+def _write_gt_dir(directory):
+    valid = np.eye(4, 6, dtype=bool)
+    sat = np.where(valid[..., None], np.arange(48.0).reshape(4, 6, 2), np.nan)
+    GroundTruthProjection(sat, valid).save(directory)
+
+
 @pytest.mark.parametrize("write,keys", [
     (_write_scene_dir, {"format", "spec", "gt_pose", "seed", "noise_sigma", "depth_anchor_m",
                         "depth_scale", "channels", "tensors"}),
     (_write_params_dir, {"format", "num_conv_layers", "num_global_layers",
                          "num_gate_layers", "tensors"}),
-], ids=["scene", "refiner-params"])
+    (_write_gt_dir, {"format", "tensors"}),
+], ids=["scene", "refiner-params", "gt-projection"])
 def test_manifest_layout_is_pinned(tmp_path, write, keys):
     write(tmp_path / "d")
     text = (tmp_path / "d" / MANIFEST).read_text()
