@@ -211,27 +211,40 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
 
 
 def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3x3 cross-correlation with zero padding 1 (shape-preserving).
+    """3x3x3 cross-correlation with zero padding 1 (shape-preserving), in float64.
 
     ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3).
+
+    Each output depth slice is nine GEMMs, one per (dy, dx) tap, over the
+    three padded input slices it reads. Output rows are computed at the
+    padded width W + 2, so every tap's input is one contiguous-row slice
+    of the flattened slices, which BLAS reads without a copy; the two pad
+    columns of each row are cropped afterwards.
     """
     in_c, d, h, w = x.shape
     out_c = kernel.shape[0]
     if kernel.shape[1] != in_c:
         raise ValueError("kernel input channels disagree with the volume")
-    padded = np.zeros((in_c, d + 2, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1, 1:-1] = x
+    wp = w + 2
+    padded = np.zeros((d + 2, in_c, h + 2, wp))
+    padded[1:-1, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    flat = padded.reshape(d + 2, in_c, (h + 2) * wp)
+    # taps[3 * dy + dx] is (out_c, 3 * in_c), columns ordered (dz, ic) like a slab's rows
+    taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1).reshape(9, out_c, 3 * in_c)
+    offsets = [dy * wp + dx for dy in range(3) for dx in range(3)]
+    bias = np.asarray(bias, dtype=float)[:, None, None]
+    span = (h - 1) * wp + w   # padded-width output positions from (0, 0) to (h-1, w-1)
+    acc = np.empty((out_c, h * wp))
+    head = acc[:, :span]
+    part = np.empty((out_c, span))
     out = np.empty((out_c, d, h, w))
-    for oc in range(out_c):
-        acc = np.zeros((d, h, w))
-        for ic in range(in_c):
-            for dz in range(3):
-                for dy in range(3):
-                    for dx in range(3):
-                        tap = float(kernel[oc, ic, dz, dy, dx])
-                        if tap != 0.0:
-                            acc += tap * padded[ic, dz:dz + d, dy:dy + h, dx:dx + w]
-        out[oc] = acc + float(bias[oc])
+    for z in range(d):
+        slab = flat[z:z + 3].reshape(3 * in_c, -1)
+        np.matmul(taps[0], slab[:, :span], out=head)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            np.matmul(tap, slab[:, off:off + span], out=part)
+            head += part
+        np.add(acc.reshape(out_c, h, wp)[:, :, :w], bias, out=out[:, z])
     return out
 
 
@@ -252,12 +265,12 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     _require_patch_count(s, params)
     n2 = s.num_patches
     n = _cube_side(n2)
-    x = s.s.reshape(n, n, n2)[None].astype(float)
+    x = s.s.reshape(n, n, n2)[None]
     last = len(params.conv_kernels) - 1
     for i, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        x = conv3d(x, kernel.astype(float), bias.astype(float))
+        x = conv3d(x, kernel, bias)
         if i < last:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x[0].reshape(n2, n2)
 
 

@@ -88,17 +88,34 @@ def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
     _write_json(directory / MANIFEST, {**fields, "format": fmt, "tensors": shapes})
 
 
+class _ListedTensors(dict):
+    """Tensors by name; asking for one the manifest does not list is a ``ValueError``."""
+
+    def __init__(self, directory: Path):
+        super().__init__()
+        self.directory = directory
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.directory}: manifest does not list tensor {name!r}")
+
+
 def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
     """Read a tensor directory of format ``fmt``; returns (float32 tensors by name, manifest).
 
     Every tensor the manifest lists is loaded and must have the listed shape.
+    A listed name must be a bare file stem, so no entry reads outside the
+    directory; indexing the result by a name the manifest does not list
+    raises ``ValueError``.
     """
     directory = Path(directory)
     with open(directory / MANIFEST) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != fmt:
         raise ValueError(f"{directory}: unknown format {manifest.get('format')!r}, expected {fmt!r}")
-    tensors = {}
+    for name in manifest["tensors"]:
+        if not name or "/" in name or "\\" in name or ".." in name:
+            raise ValueError(f"{directory}: manifest tensor name {name!r} is not a bare file name")
+    tensors = _ListedTensors(directory)
     for name, shape in manifest["tensors"].items():
         tensor = load_tensor(directory / f"{name}.cvt")
         if list(tensor.shape) != shape:

@@ -291,6 +291,33 @@ class TestEvalMatching:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def edit_manifest_tensors(self, gt_dir, edit):
+        manifest = json.loads((gt_dir / "manifest.json").read_text())
+        edit(manifest["tensors"])
+        (gt_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_manifest_name_outside_gt_dir_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        (tmp_path / "outside").mkdir()
+        save_tensor(tmp_path / "outside" / "secret.cvt", np.zeros((32, 64)))
+        self.edit_manifest_tensors(gt_dir, lambda t: t.update({"../outside/secret": [32, 64]}))
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert "'../outside/secret' is not a bare file name" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_gt_dir_missing_tensor_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        self.edit_manifest_tensors(gt_dir, lambda t: t.pop("gt_valid"))
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert "manifest does not list tensor 'gt_valid'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestEvalLocalization:
     def setup_dirs(self, tmp_path):

@@ -1,17 +1,25 @@
+import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossview.geometry import BevGridSpec
+from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.pipeline import ground_similarity, run_localization
 from crossview.refiner import (MatchProbabilities, RefinerParams,
                                SimilarityMatrix, col_softmax, conv3d,
                                dustbin_extend, extract_matches, gate_values,
                                global_residual, initial_similarity,
                                local_residual, normalize_doubly_stochastic,
                                refine, row_softmax)
+from crossview.solver import pose_error
 from crossview.surface import BevFeatureMap
+from crossview.synthetic import make_scene_bundle
 from crossview.tensorio import save_tensor
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def feature_map(data):
@@ -153,6 +161,64 @@ class TestLocalResidual:
         params = RefinerParams.random(15, seed=9)
         with pytest.raises(ValueError):
             local_residual(SimilarityMatrix(np.zeros((15, 15))), params)
+
+
+class TestConv3dShapes:
+    """Against the naive oracle on shapes that exercise the padded-width span arithmetic."""
+
+    @pytest.mark.parametrize("dhw", [(1, 1, 1), (1, 4, 5), (4, 1, 5), (4, 5, 1), (3, 4, 6),
+                                     (3, 6, 4)], ids=lambda dhw: "x".join(map(str, dhw)))
+    @pytest.mark.parametrize("in_c,out_c", [(1, 1), (1, 3), (3, 1), (2, 3)],
+                             ids=lambda c: str(c))
+    def test_matches_naive(self, dhw, in_c, out_c):
+        rng = np.random.default_rng(sum(dhw) * 10 + in_c * 3 + out_c)
+        x = rng.normal(size=(in_c, *dhw))
+        kernel = rng.normal(size=(out_c, in_c, 3, 3, 3))
+        bias = rng.normal(size=out_c)
+        out = conv3d(x, kernel, bias)
+        assert out.shape == (out_c, *dhw)
+        assert np.allclose(out, conv3d_naive(x, kernel, bias), atol=1e-10)
+
+    def test_zero_kernel_returns_exactly_the_bias(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(2, 3, 4, 5))
+        bias = rng.normal(size=3)
+        out = conv3d(x, np.zeros((3, 2, 3, 3, 3)), bias)
+        assert np.array_equal(out, np.broadcast_to(bias[:, None, None, None], out.shape))
+
+    def test_kernel_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="input channels"):
+            conv3d(np.zeros((2, 3, 3, 3)), np.zeros((1, 3, 3, 3, 3)), np.zeros(1))
+
+
+class TestPaperSizeRefiner:
+    """The refiner at the paper-default n=41 (a 1681 x 1681 similarity matrix)."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_free_pose_is_exact(self, seed):
+        specs = SceneSpec()
+        bundle = make_scene_bundle(specs, seed=seed, noise_sigma=0.0)
+        params = RefinerParams.random(specs.grid.num_cells, scale=0.03, seed=seed)
+        inputs = bundle.inputs
+        res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs, params)
+        trans_m, yaw_deg = pose_error(res.pose_px, bundle.scene.gt_pose, specs.aerial)
+        assert not res.degenerate
+        assert trans_m < 1e-6
+        assert math.radians(yaw_deg) < 1e-8
+
+    def test_local_residual_matches_bench_reference(self, monkeypatch):
+        # reads the benchmark's recorded sketch; bench/ imports its modules by bare name
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        reference = importlib.import_module("reference")
+        record = json.loads(reference.REFERENCE_FILE.read_text())
+        spec = reference.INPUT
+        specs = SceneSpec(grid=BevGridSpec(record["input"]["n"]))
+        bundle = make_scene_bundle(specs, spec["scene_seed"], noise_sigma=spec["sigma"])
+        params = RefinerParams.random(specs.grid.num_cells, seed=spec["params_seed"],
+                                      scale=spec["scale"])
+        inputs = bundle.inputs
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat, specs)
+        assert reference.compare(local_residual(sim, params), record) is None
 
 
 class TestGlobalResidual:

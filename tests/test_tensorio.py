@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from crossview.evaluation import GroundTruthProjection, MatchPrediction, read_po
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.solver import CorrespondenceSet
-from crossview.synthetic import make_scene_bundle, save_scene_dir
+from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor,
                                 load_tensor_dir, save_tensor, save_tensor_dir)
 
@@ -110,6 +111,20 @@ def test_tensor_dir_shape_mismatch_rejected(tmp_path):
         load_tensor_dir(tmp_path / "d", "toy-v1")
 
 
+@pytest.mark.parametrize("name", ["../outside/secret", "", "sub/a", "sub\\a", "..", "a..b"])
+def test_tensor_dir_name_outside_directory_rejected(tmp_path, name):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    save_tensor(outside / "secret.cvt", np.zeros(3))
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    manifest_path = tmp_path / "d" / MANIFEST
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"] = {"a": [3], name: [3]}
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest tensor name {re.escape(repr(name))} is not"):
+        load_tensor_dir(tmp_path / "d", "toy-v1")
+
+
 def _write_scene_dir(directory):
     save_scene_dir(directory, make_scene_bundle(SceneSpec(grid=BevGridSpec(9)), seed=0))
 
@@ -139,6 +154,21 @@ def test_manifest_layout_is_pinned(tmp_path, write, keys):
     assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     cvt_names = {p.name[:-len(".cvt")] for p in (tmp_path / "d").glob("*.cvt")}
     assert set(manifest["tensors"]) == cvt_names
+
+
+@pytest.mark.parametrize("write,read,dropped", [
+    (_write_scene_dir, load_scene_dir, "volume"),
+    (_write_params_dir, RefinerParams.load, "dustbin_row"),
+    (_write_gt_dir, GroundTruthProjection.load, "gt_valid"),
+], ids=["scene", "refiner-params", "gt-projection"])
+def test_reader_names_a_tensor_the_manifest_does_not_list(tmp_path, write, read, dropped):
+    directory = tmp_path / "d"
+    write(directory)
+    manifest = json.loads((directory / MANIFEST).read_text())
+    del manifest["tensors"][dropped]
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"d: manifest does not list tensor '{dropped}'"):
+        read(directory)
 
 
 # one case per CSV format: reader, header, a good row, a row that does not parse, row kind
