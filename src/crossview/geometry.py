@@ -85,9 +85,6 @@ class HeightLayerSpec:
     def spacing_m(self) -> float:
         return (self.z_max_m - self.z_min_m) / (self.num_layers - 1)
 
-    def layer_heights(self) -> np.ndarray:
-        return self.z_min_m + np.arange(self.num_layers) * self.spacing_m
-
     def height_of(self, index):
         """Height in meters of a layer index (scalar or array)."""
         return self.z_min_m + np.asarray(index) * self.spacing_m
@@ -200,10 +197,6 @@ class SceneSpec:
         center = self.grid_center_px if center_px is None else center_px
         return center + (np.asarray(cells) - self.grid.center_index) * self.cell_spacing_px
 
-    def identity_pose(self) -> Pose3DoF:
-        """Pose mapping ground cell (i, j) onto aerial grid cell (i, j)."""
-        return Pose3DoF(self.grid_center_px, 0.0)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.grid.n_points_per_side,
@@ -246,15 +239,6 @@ def bev_cell_to_metric(spec: BevGridSpec, ix, iy):
     if np.ndim(ix) == 0 and np.ndim(iy) == 0:
         return float(x), float(y)
     return x, y
-
-
-def cell_center_coords(spec: BevGridSpec) -> np.ndarray:
-    """(N, N, 2) metric coordinates of every grid cell."""
-    offsets = (np.arange(spec.n_points_per_side) - spec.center_index) * spec.spacing_m
-    coords = np.empty((spec.n_points_per_side, spec.n_points_per_side, 2))
-    coords[..., 0] = offsets[:, None]
-    coords[..., 1] = offsets[None, :]
-    return coords
 
 
 def grid_cells(spec: BevGridSpec) -> np.ndarray:

@@ -9,6 +9,7 @@ product of its row-wise and column-wise softmax.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,7 +177,10 @@ class RefinerParams:
         tensors, manifest = load_tensor_dir(directory, _PARAMS_FORMAT)
 
         def stack(pattern, count_key):
-            return tuple(tensors[pattern.format(i)] for i in range(manifest[count_key]))
+            count = manifest.get(count_key)
+            if not isinstance(count, int):
+                raise ValueError(f"{directory}: manifest does not list layer count {count_key!r}")
+            return tuple(tensors[pattern.format(i)] for i in range(count))
 
         return cls(
             conv_kernels=stack("conv{}_kernel", "num_conv_layers"),
@@ -210,26 +214,32 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     return SimilarityMatrix(s, tau)
 
 
-def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3x3 cross-correlation with zero padding 1 (shape-preserving), in float64.
+def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
+    """Output depth slices of a 3x3x3 cross-correlation with zero padding 1, in float64.
 
-    ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3).
+    ``slices`` yields the input depth slices (in_c, H, W) in order; each is
+    copied before the next is requested. Output slice z reads only input
+    slices z-1, z and z+1, so the layer keeps a ring of three zero-padded
+    input slices instead of the whole volume. Each yielded (out_c, H, W)
+    slice is a view of a buffer that the following slice overwrites.
 
-    Each output depth slice is nine GEMMs, one per (dy, dx) tap, over the
-    three padded input slices it reads. Output rows are computed at the
-    padded width W + 2, so every tap's input is one contiguous-row slice
-    of the flattened slices, which BLAS reads without a copy; the two pad
-    columns of each row are cropped afterwards.
+    Each output slice is nine GEMMs, one per (dy, dx) tap, over the flattened
+    ring. Output rows are computed at the padded width W + 2, so every tap's
+    input is one contiguous-row slice of the ring, which BLAS reads without
+    a copy; the two pad columns of each row are dropped from the view.
     """
-    in_c, d, h, w = x.shape
+    slices = iter(slices)
+    first = next(slices, None)
+    if first is None:   # zero depth: nothing to yield
+        return
+    in_c, h, w = first.shape
     out_c = kernel.shape[0]
-    if kernel.shape[1] != in_c:
-        raise ValueError("kernel input channels disagree with the volume")
     wp = w + 2
-    padded = np.zeros((d + 2, in_c, h + 2, wp))
-    padded[1:-1, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-    flat = padded.reshape(d + 2, in_c, (h + 2) * wp)
-    # taps[3 * dy + dx] is (out_c, 3 * in_c), columns ordered (dz, ic) like a slab's rows
+    # ring[k] holds input depth z - 1 + k while output depth z is computed
+    ring = np.zeros((3, in_c, h + 2, wp))
+    interior = ring[:, :, 1:-1, 1:-1]
+    slab = ring.reshape(3 * in_c, (h + 2) * wp)
+    # taps[3 * dy + dx] is (out_c, 3 * in_c), columns ordered (dz, ic) like the slab's rows
     taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1).reshape(9, out_c, 3 * in_c)
     offsets = [dy * wp + dx for dy in range(3) for dx in range(3)]
     bias = np.asarray(bias, dtype=float)[:, None, None]
@@ -237,14 +247,34 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     acc = np.empty((out_c, h * wp))
     head = acc[:, :span]
     part = np.empty((out_c, span))
-    out = np.empty((out_c, d, h, w))
-    for z in range(d):
-        slab = flat[z:z + 3].reshape(3 * in_c, -1)
+    out = acc.reshape(out_c, h, wp)[:, :, :w]
+    interior[2] = first
+    for nxt in itertools.chain(slices, [None]):
+        # advance by copying slots, not rotating them, so the taps meet the slab in a fixed order
+        ring[0] = ring[1]
+        ring[1] = ring[2]
+        interior[2] = 0.0 if nxt is None else nxt
         np.matmul(taps[0], slab[:, :span], out=head)
         for tap, off in zip(taps[1:], offsets[1:]):
             np.matmul(tap, slab[:, off:off + span], out=part)
             head += part
-        np.add(acc.reshape(out_c, h, wp)[:, :, :w], bias, out=out[:, z])
+        out += bias
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        yield out
+
+
+def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """3x3x3 cross-correlation with zero padding 1 (shape-preserving), in float64.
+
+    ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3).
+    """
+    in_c, d, h, w = x.shape
+    if kernel.shape[1] != in_c:
+        raise ValueError("kernel input channels disagree with the volume")
+    out = np.empty((kernel.shape[0], d, h, w))
+    for z, sl in enumerate(_conv_slices(x.transpose(1, 0, 2, 3), kernel, bias, relu=False)):
+        out[:, z] = sl
     return out
 
 
@@ -261,17 +291,23 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
 
 
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Residual from three 3D convolutions over the (N, N, N^2) similarity cube."""
+    """Residual from three 3D convolutions over the (N, N, N^2) similarity cube.
+
+    The layers run as a wavefront over depth (the cube's first axis): each
+    pulls input slices from the layer before, so no multi-channel cube is
+    ever held, and the last layer writes straight into the result.
+    """
     _require_patch_count(s, params)
     n2 = s.num_patches
     n = _cube_side(n2)
-    x = s.s.reshape(n, n, n2)[None]
+    slices = s.s.reshape(n, 1, n, n2)
     last = len(params.conv_kernels) - 1
     for i, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        x = conv3d(x, kernel, bias)
-        if i < last:
-            np.maximum(x, 0.0, out=x)
-    return x[0].reshape(n2, n2)
+        slices = _conv_slices(slices, kernel, bias, relu=i < last)
+    out = np.empty((n2, n2))
+    for z, sl in enumerate(slices):
+        out[z * n:(z + 1) * n] = sl[0]
+    return out
 
 
 def _affine_stack(x: np.ndarray, weights, biases) -> np.ndarray:
@@ -300,8 +336,12 @@ def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
 def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     """Gated residual correction: S + alpha * (local + global), alpha broadcast per row."""
     alpha = gate_values(s, params)
-    delta = local_residual(s, params) + global_residual(s, params)
-    return SimilarityMatrix(s.s + alpha[:, None] * delta, s.tau)
+    # accumulate in place: each step would otherwise be a fresh N^2 x N^2 array
+    delta = local_residual(s, params)
+    delta += global_residual(s, params)
+    delta *= alpha[:, None]
+    delta += s.s
+    return SimilarityMatrix(delta, s.tau)
 
 
 def dustbin_extend(s: SimilarityMatrix, params: RefinerParams | None) -> np.ndarray:

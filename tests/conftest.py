@@ -1,11 +1,31 @@
 import logging
 
+import numpy as np
 import pytest
 
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
-                                HeightLayerSpec, SceneSpec)
+                                HeightLayerSpec, Pose3DoF, SceneSpec)
 
 logging.getLogger("crossview").setLevel(logging.ERROR)
+
+
+def identity_pose(specs: SceneSpec) -> Pose3DoF:
+    """Pose mapping ground cell (i, j) onto aerial grid cell (i, j)."""
+    return Pose3DoF(specs.grid_center_px, 0.0)
+
+
+def layer_heights(spec: HeightLayerSpec) -> np.ndarray:
+    """Height in meters of every layer, bottom to top."""
+    return spec.z_min_m + np.arange(spec.num_layers) * spec.spacing_m
+
+
+def cell_center_coords(spec: BevGridSpec) -> np.ndarray:
+    """(N, N, 2) metric coordinates of every grid cell."""
+    offsets = (np.arange(spec.n_points_per_side) - spec.center_index) * spec.spacing_m
+    coords = np.empty((spec.n_points_per_side, spec.n_points_per_side, 2))
+    coords[..., 0] = offsets[:, None]
+    coords[..., 1] = offsets[None, :]
+    return coords
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from crossview.surface import (SurfaceMap, normalize_confidence,
                                surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
+from conftest import identity_pose
 from test_refiner import conv3d_naive
 
 CELL_M = 71.0 / 40.0  # default grid spacing
@@ -217,12 +218,12 @@ def test_loss_closed_forms():
     n2 = 25
     mcfg = LossConfig(n_s=n2, rng_seed=0)
     uniform = matching_loss(SimilarityMatrix(np.zeros((n2, n2))),
-                            specs.identity_pose(), specs, mcfg)
+                            identity_pose(specs), specs, mcfg)
     matching_dev = abs(uniform - math.log(n2))
 
     a = SurfaceMap.from_index(np.full((5, 5), 2), specs.layers)
     b = SurfaceMap.from_index(np.full((5, 5), 5), specs.layers)
-    height = height_loss(a, b, specs.identity_pose(), specs, mcfg)
+    height = height_loss(a, b, identity_pose(specs), specs, mcfg)
     height_exact = height == 3.0 / mcfg.k_norm
 
     ok = worst_vce < 1e-12 and matching_dev <= 1e-9 and height_exact

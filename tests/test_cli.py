@@ -156,6 +156,19 @@ class TestSolve:
         assert proc.returncode == 2
         assert "error: parameters sized for a different patch count" in proc.stderr
 
+    def test_refiner_params_without_layer_count_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        refiner.RefinerParams.random(81, seed=1).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["num_conv_layers"]
+        manifest_path.write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
+                       check=False)
+        assert proc.returncode == 2
+        assert "manifest does not list layer count 'num_conv_layers'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_nan_azimuth_offset_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=5)
         spec = json.loads((out / "manifest.json").read_text())["spec"]

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec, _nearest_cells,
                                 aerial_bev_sample_coords, aerial_px_to_metric,
-                                bev_cell_to_metric, cell_center_coords,
+                                bev_cell_to_metric,
                                 aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
                                 grid_cells, ground_cell_to_aerial_cell, metric_to_aerial_px,
                                 panorama_pixel_ray, project_point_to_panorama,
                                 wrap_angle)
+
+from conftest import cell_center_coords, identity_pose, layer_heights
 
 INTR = CameraIntrinsics(panorama_width=1024, panorama_height=512, camera_height_m=2.5)
 
@@ -73,14 +75,14 @@ class TestBevCellToMetric:
 class TestHeightLayerSpec:
     def test_endpoints_and_midpoint(self):
         spec = HeightLayerSpec(11, -10.0, 10.0)
-        heights = spec.layer_heights()
+        heights = layer_heights(spec)
         assert heights[0] == -10.0
         assert heights[10] == 10.0
         assert heights[5] == 0.0  # midpoint of an odd layer count
 
     def test_heights_affine_in_index(self):
         spec = HeightLayerSpec(7, -3.0, 9.0)
-        heights = spec.layer_heights()
+        heights = layer_heights(spec)
         diffs = np.diff(heights)
         assert np.allclose(diffs, diffs[0])
         assert spec.height_of(3) == pytest.approx(-3.0 + 3 * spec.spacing_m)
@@ -288,7 +290,7 @@ class TestCellMappings:
         n = small_specs.grid.n_points_per_side
         cells = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"),
                          axis=-1).reshape(-1, 2)
-        tgt, valid = ground_cell_to_aerial_cell(small_specs, small_specs.identity_pose(), cells)
+        tgt, valid = ground_cell_to_aerial_cell(small_specs, identity_pose(small_specs), cells)
         assert valid.all()
         assert np.array_equal(tgt, cells)
 
@@ -314,7 +316,7 @@ class TestCellMappings:
 
     def test_identity_pose_puts_aerial_cells_on_ground_cells(self, small_specs):
         cells = grid_cells(small_specs.grid)
-        fx, fy = aerial_cell_in_ground_grid(small_specs, small_specs.identity_pose(), cells)
+        fx, fy = aerial_cell_in_ground_grid(small_specs, identity_pose(small_specs), cells)
         assert np.allclose(np.stack([fx, fy], axis=-1), cells, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [9, 11])

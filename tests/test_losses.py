@@ -11,6 +11,8 @@ from crossview.losses import (LossConfig, height_loss, matching_loss,
 from crossview.refiner import SimilarityMatrix
 from crossview.surface import SurfaceMap
 
+from conftest import identity_pose
+
 
 def tiny_specs(n=4, extent=6.0):
     return SceneSpec(
@@ -88,14 +90,14 @@ class TestMatchingLoss:
         n2 = 16
         s = SimilarityMatrix(np.eye(n2) * 100.0)
         cfg = LossConfig(n_s=n2, rng_seed=0)
-        loss = matching_loss(s, specs.identity_pose(), specs, cfg)
+        loss = matching_loss(s, identity_pose(specs), specs, cfg)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_similarity_is_log_n_squared(self):
         specs = tiny_specs()
         s = SimilarityMatrix(np.zeros((16, 16)))
         cfg = LossConfig(n_s=16, rng_seed=0)
-        loss = matching_loss(s, specs.identity_pose(), specs, cfg)
+        loss = matching_loss(s, identity_pose(specs), specs, cfg)
         assert loss == pytest.approx(math.log(16.0), abs=1e-9)
 
     def test_matches_two_loop_oracle_identity_pose(self):
@@ -103,10 +105,10 @@ class TestMatchingLoss:
         rng = np.random.default_rng(13)
         s = rng.normal(0, 2, (16, 16))
         cfg = LossConfig(n_s=16, rng_seed=0)
-        loss = matching_loss(SimilarityMatrix(s), specs.identity_pose(), specs, cfg)
+        loss = matching_loss(SimilarityMatrix(s), identity_pose(specs), specs, cfg)
         pairs = [(i, i) for i in range(16)]
         assert loss == pytest.approx(
-            matching_loss_oracle(s, specs, specs.identity_pose(), pairs, pairs), abs=1e-6)
+            matching_loss_oracle(s, specs, identity_pose(specs), pairs, pairs), abs=1e-6)
 
     def test_matches_two_loop_oracle_shifted_pose(self):
         # one-cell shift along +x: ground (ix, iy) -> aerial (ix + 1, iy)
@@ -144,7 +146,7 @@ class TestMatchingLoss:
         s2 = f_grd @ rot.reshape(n * n, 8).T
 
         cfg = LossConfig(n_s=n * n, rng_seed=3)
-        pose1 = specs.identity_pose()
+        pose1 = identity_pose(specs)
         pose2 = Pose3DoF(specs.grid_center_px, math.pi / 2)
         l1 = matching_loss(SimilarityMatrix(s1), pose1, specs, cfg)
         l2 = matching_loss(SimilarityMatrix(s2), pose2, specs, cfg)
@@ -162,8 +164,8 @@ class TestMatchingLoss:
         rng = np.random.default_rng(16)
         s = SimilarityMatrix(rng.normal(size=(16, 16)))
         cfg = LossConfig(n_s=8, rng_seed=5)
-        a = matching_loss(s, specs.identity_pose(), specs, cfg)
-        b = matching_loss(s, specs.identity_pose(), specs, cfg)
+        a = matching_loss(s, identity_pose(specs), specs, cfg)
+        b = matching_loss(s, identity_pose(specs), specs, cfg)
         assert a == b
 
 
@@ -174,14 +176,14 @@ class TestHeightLoss:
         idx = rng.integers(0, 11, (4, 4))
         surf = SurfaceMap.from_index(idx, specs.layers)
         cfg = LossConfig(n_s=16, rng_seed=0)
-        assert height_loss(surf, surf, specs.identity_pose(), specs, cfg) == 0.0
+        assert height_loss(surf, surf, identity_pose(specs), specs, cfg) == 0.0
 
     def test_constant_offset_closed_form(self):
         specs = tiny_specs()
         a = SurfaceMap.from_index(np.full((4, 4), 4), specs.layers)
         b = SurfaceMap.from_index(np.full((4, 4), 5), specs.layers)
         cfg = LossConfig(n_s=16, rng_seed=0, k_norm=100.0)
-        loss = height_loss(a, b, specs.identity_pose(), specs, cfg)
+        loss = height_loss(a, b, identity_pose(specs), specs, cfg)
         assert loss == 1.0 / 100.0
 
     @pytest.mark.parametrize("offset", [2, 3])
@@ -190,7 +192,7 @@ class TestHeightLoss:
         a = SurfaceMap.from_index(np.full((4, 4), 2), specs.layers)
         b = SurfaceMap.from_index(np.full((4, 4), 2 + offset), specs.layers)
         cfg = LossConfig(n_s=16, rng_seed=0)
-        assert height_loss(a, b, specs.identity_pose(), specs, cfg) == offset / 100.0
+        assert height_loss(a, b, identity_pose(specs), specs, cfg) == offset / 100.0
 
     def test_matches_direct_loop_oracle(self):
         specs = tiny_specs()
@@ -200,7 +202,7 @@ class TestHeightLoss:
         a = SurfaceMap.from_index(ia, specs.layers)
         b = SurfaceMap.from_index(ib, specs.layers)
         cfg = LossConfig(n_s=16, rng_seed=0)
-        loss = height_loss(a, b, specs.identity_pose(), specs, cfg)
+        loss = height_loss(a, b, identity_pose(specs), specs, cfg)
         direct = np.mean([abs(float(ia[i, j]) - float(ib[i, j]))
                           for i in range(4) for j in range(4)]) / cfg.k_norm
         assert loss == pytest.approx(direct, abs=1e-9)
@@ -211,8 +213,8 @@ class TestHeightLoss:
         b = SurfaceMap.from_index(np.full((4, 4), 5), specs.layers)
         cfg_idx = LossConfig(n_s=16, rng_seed=0)
         cfg_m = LossConfig(n_s=16, rng_seed=0, height_in_meters=True)
-        li = height_loss(a, b, specs.identity_pose(), specs, cfg_idx)
-        lm = height_loss(a, b, specs.identity_pose(), specs, cfg_m)
+        li = height_loss(a, b, identity_pose(specs), specs, cfg_idx)
+        lm = height_loss(a, b, identity_pose(specs), specs, cfg_m)
         assert lm == pytest.approx(li * specs.layers.spacing_m, abs=1e-12)
 
 
@@ -261,7 +263,7 @@ class TestSmoothness:
         def f(delta):
             s = base.copy()
             s[3, 3] += delta
-            return matching_loss(SimilarityMatrix(s), specs.identity_pose(),
+            return matching_loss(SimilarityMatrix(s), identity_pose(specs),
                                  specs, cfg)
 
         s1 = self.central(f, 0.0, 1e-4)

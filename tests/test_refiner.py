@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +100,14 @@ def conv3d_naive(x, kernel, bias):
     return out
 
 
-def local_residual_naive(s, params):
+def local_residual_naive(s, params, conv=conv3d_naive):
+    """The conv stack run layer by layer over whole cubes, with ``conv`` per layer."""
     n2 = s.s.shape[0]
     n = math.isqrt(n2)
     x = s.s.reshape(n, n, n2)[None]
     last = len(params.conv_kernels) - 1
     for i, (k, b) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        x = conv3d_naive(x, k.astype(float), b.astype(float))
+        x = conv(x, k.astype(float), b.astype(float))
         if i < last:
             x = np.maximum(x, 0.0)
     return x[0].reshape(n2, n2)
@@ -163,6 +165,16 @@ class TestLocalResidual:
             local_residual(SimilarityMatrix(np.zeros((15, 15))), params)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("channels", [(1, 3, 2, 1), (1, 8, 8, 1)], ids=str)
+def test_streamed_stack_equals_layer_by_layer_conv3d(n, channels):
+    # n=1 is a single depth slice; n=2 and 3 cover the first and last ring steps
+    rng = np.random.default_rng(40 + n)
+    params = RefinerParams.random(n * n, conv_channels=channels, seed=41 + n)
+    s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
+    assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
+
+
 class TestConv3dShapes:
     """Against the naive oracle on shapes that exercise the padded-width span arithmetic."""
 
@@ -206,8 +218,10 @@ class TestPaperSizeRefiner:
         assert trans_m < 1e-6
         assert math.radians(yaw_deg) < 1e-8
 
-    def test_local_residual_matches_bench_reference(self, monkeypatch):
-        # reads the benchmark's recorded sketch; bench/ imports its modules by bare name
+    @staticmethod
+    def bench_reference_input(monkeypatch):
+        """(reference module, its record, similarity, params) of the benchmark's n=41 input."""
+        # bench/ imports its modules by bare name
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         reference = importlib.import_module("reference")
         record = json.loads(reference.REFERENCE_FILE.read_text())
@@ -218,7 +232,24 @@ class TestPaperSizeRefiner:
                                       scale=spec["scale"])
         inputs = bundle.inputs
         _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat, specs)
+        return reference, record, sim, params
+
+    def test_local_residual_matches_bench_reference(self, monkeypatch):
+        reference, record, sim, params = self.bench_reference_input(monkeypatch)
         assert reference.compare(local_residual(sim, params), record) is None
+
+    def test_local_residual_peak_memory(self, monkeypatch):
+        # a full 8-channel (41, 41, 1681) cube is 181 MB; the depth-streamed
+        # stack holds three-slice rings and the 1681 x 1681 result instead
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            local_residual(sim, params)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 150.0
 
 
 class TestGlobalResidual:
@@ -547,6 +578,18 @@ class TestParamsSerialization:
         manifest["tensors"]["dustbin_row"] = [5]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
+            RefinerParams.load(tmp_path / "params")
+
+    @pytest.mark.parametrize("count_key", ["num_conv_layers", "num_global_layers",
+                                           "num_gate_layers"])
+    def test_manifest_without_layer_count_rejected(self, tmp_path, count_key):
+        RefinerParams.random(9, seed=39).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[count_key]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError,
+                           match=f"params: manifest does not list layer count '{count_key}'"):
             RefinerParams.load(tmp_path / "params")
 
     def test_inconsistent_shapes_rejected(self):
