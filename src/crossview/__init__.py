@@ -15,7 +15,7 @@ from .losses import LossConfig, height_loss, matching_loss, total_loss, vce_loss
 from .pipeline import PipelineConfig, PipelineResult, run_localization
 from .refiner import (MatchProbabilities, RefinerParams, SimilarityMatrix,
                       dustbin_extend, extract_matches, initial_similarity,
-                      normalize_doubly_stochastic, refine)
+                      match_probabilities, normalize_doubly_stochastic, refine)
 from .solver import (CorrespondenceSet, pose_error, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,

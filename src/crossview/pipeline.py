@@ -16,9 +16,8 @@ import numpy as np
 from .geometry import Pose3DoF, SceneSpec
 from .losses import (LossConfig, height_loss, loss_report, matching_loss,
                      vce_loss)
-from .refiner import (RefinerParams, SimilarityMatrix, dustbin_extend,
-                      extract_matches, initial_similarity,
-                      normalize_doubly_stochastic, refine)
+from .refiner import (RefinerParams, SimilarityMatrix, extract_matches,
+                      initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, FeatureVolume, SurfaceMap,
@@ -86,7 +85,7 @@ def run_localization(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevF
         sim = refine(sim, params)
     else:
         log.warning("no refiner parameters given: skipping refinement (identity)")
-    probs = normalize_doubly_stochastic(dustbin_extend(sim, params))
+    probs = match_probabilities(sim, params)
     matches = extract_matches(probs, config.top_k)
     matches_m = matches_cells_to_metric(matches, specs)
 

@@ -383,6 +383,56 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
 _SINGLE_EXP_RANGE = 300.0
 
 
+def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
+               corner: float) -> MatchProbabilities:
+    """Row- x column-softmax of ``[[body, col_bin], [row_bin, corner]]``, restricted to ``body``.
+
+    The dustbin column, row and corner only add ``exp`` terms to the row
+    and column sums (and widen the entry range), so the (N^2+1)^2 matrix
+    is never built and the result needs no crop.
+    """
+    lo = min(body.min(), col_bin.min(), row_bin.min(), corner)
+    hi = max(body.max(), col_bin.max(), row_bin.max(), corner)
+    if hi - lo <= _SINGLE_EXP_RANGE:
+        # a global shift cancels inside each softmax, so one exp serves both:
+        # p = e^2(m-g) / (rowsum * colsum)
+        p = body - hi
+        np.exp(p, out=p)
+        rows = p.sum(axis=1) + np.exp(col_bin - hi)
+        cols = p.sum(axis=0) + np.exp(row_bin - hi)
+        np.multiply(p, p, out=p)
+        p /= rows[:, None]
+        p /= cols
+    else:
+        row_max = np.maximum(body.max(axis=1), col_bin)
+        col_max = np.maximum(body.max(axis=0), row_bin)
+        p = body - row_max[:, None]
+        np.exp(p, out=p)
+        p /= (p.sum(axis=1) + np.exp(col_bin - row_max))[:, None]
+        c = body - col_max
+        np.exp(c, out=c)
+        c /= c.sum(axis=0) + np.exp(row_bin - col_max)
+        p *= c
+    # saturated inputs can round the product onto 0 or 1; nudge back inside
+    # the open interval (at most one ulp of distortion)
+    np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=p)
+    return MatchProbabilities(p)
+
+
+def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> MatchProbabilities:
+    """Dustbin-augmented row- x column-softmax of ``s``; ``params=None`` uses zero bins.
+
+    Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
+    entries were checked finite when ``s`` and ``params`` were built.
+    """
+    if params is None:
+        zeros = np.zeros(s.num_patches)
+        return _normalize(s.s, zeros, zeros, 0.0)
+    _require_patch_count(s, params)
+    return _normalize(s.s, params.dustbin_col.astype(float), params.dustbin_row.astype(float),
+                      float(params.dustbin_theta))
+
+
 def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> MatchProbabilities:
     """Elementwise product of row- and column-softmax, cropped to drop the dustbin."""
     m = np.asarray(s_dustbin, dtype=float)
@@ -390,25 +440,7 @@ def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> MatchProbabilities:
         raise ValueError("expected a square dustbin-extended matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    lo, hi = m.min(), m.max()
-    if hi - lo <= _SINGLE_EXP_RANGE:
-        # a global shift cancels inside each softmax, so one exp serves both:
-        # p = e^2(m-g) / (rowsum * colsum)
-        e = m - hi
-        np.exp(e, out=e)
-        rows = e.sum(axis=1, keepdims=True)
-        cols = e.sum(axis=0, keepdims=True)
-        np.multiply(e, e, out=e)
-        e /= rows
-        e /= cols
-        p = e
-    else:
-        p = row_softmax(m)
-        p *= col_softmax(m)
-    # saturated inputs can round the product onto 0 or 1; nudge back inside
-    # the open interval (at most one ulp of distortion)
-    np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=p)
-    return MatchProbabilities(p[:-1, :-1].copy())
+    return _normalize(m[:-1, :-1], m[:-1, -1], m[-1, :-1], m[-1, -1])
 
 
 def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:

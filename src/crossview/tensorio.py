@@ -110,8 +110,12 @@ def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
     directory = Path(directory)
     with open(directory / MANIFEST) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{directory}: manifest is not a JSON object")
     if manifest.get("format") != fmt:
         raise ValueError(f"{directory}: unknown format {manifest.get('format')!r}, expected {fmt!r}")
+    if not isinstance(manifest.get("tensors"), dict):
+        raise ValueError(f"{directory}: manifest has no 'tensors' object")
     for name in manifest["tensors"]:
         if not name or "/" in name or "\\" in name or ".." in name:
             raise ValueError(f"{directory}: manifest tensor name {name!r} is not a bare file name")

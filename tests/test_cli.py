@@ -169,6 +169,25 @@ class TestSolve:
         assert "manifest does not list layer count 'num_conv_layers'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("edit", ["drop-tensors", "not-an-object"])
+    def test_refiner_params_manifest_without_tensors_is_input_error(self, tmp_path, edit):
+        out = generate_scene_dir(tmp_path, seed=5)
+        refiner.RefinerParams.random(81, seed=1).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if edit == "drop-tensors":
+            del manifest["tensors"]
+            expected = "manifest has no 'tensors' object"
+        else:
+            manifest = [manifest]
+            expected = "manifest is not a JSON object"
+        manifest_path.write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
+                       check=False)
+        assert proc.returncode == 2
+        assert f"error: {tmp_path / 'params'}: {expected}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_nan_azimuth_offset_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=5)
         spec = json.loads((out / "manifest.json").read_text())["spec"]

@@ -7,14 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossview import pipeline, refiner
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import ground_similarity, run_localization
-from crossview.refiner import (MatchProbabilities, RefinerParams,
-                               SimilarityMatrix, col_softmax, conv3d,
-                               dustbin_extend, extract_matches, gate_values,
-                               global_residual, initial_similarity,
-                               local_residual, normalize_doubly_stochastic,
-                               refine, row_softmax)
+from crossview.refiner import (_SINGLE_EXP_RANGE, MatchProbabilities,
+                               RefinerParams, SimilarityMatrix, col_softmax,
+                               conv3d, dustbin_extend, extract_matches,
+                               gate_values, global_residual,
+                               initial_similarity, local_residual,
+                               match_probabilities,
+                               normalize_doubly_stochastic, refine,
+                               row_softmax)
 from crossview.solver import pose_error
 from crossview.surface import BevFeatureMap
 from crossview.synthetic import make_scene_bundle
@@ -251,6 +254,21 @@ class TestPaperSizeRefiner:
             tracemalloc.stop()
         assert peak_mb < 150.0
 
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_match_probabilities_peak_memory(self, monkeypatch, with_params):
+        # one 1681 x 1681 float64 is 21.6 MB; extending to 1682 x 1682,
+        # normalizing that and cropping the result peaked near 65 MB
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        params = params if with_params else None
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            match_probabilities(sim, params)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 30.0
+
 
 class TestGlobalResidual:
     def test_zero_input_zero_bias_gives_zero(self):
@@ -451,6 +469,68 @@ class TestNormalization:
         m[0, 0] = np.inf
         with pytest.raises(ValueError):
             normalize_doubly_stochastic(m)
+
+
+def _extended_range(s, params):
+    ext = dustbin_extend(s, params)
+    return ext.max() - ext.min()
+
+
+class TestMatchProbabilities:
+    """The dustbin folded into the row and column sums, against the extended matrix."""
+
+    @pytest.mark.parametrize("spike", [0.0, 320.0], ids=["single-exp", "fallback"])
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_equals_extend_then_normalize(self, spike, with_params):
+        rng = np.random.default_rng(34)
+        m = rng.normal(0, 2, (16, 16))
+        m[3, 5] += spike
+        s = SimilarityMatrix(m)
+        params = RefinerParams.random(16, seed=35, scale=1.0) if with_params else None
+        assert (_extended_range(s, params) > _SINGLE_EXP_RANGE) == (spike > 0)
+        p = match_probabilities(s, params).p
+        assert np.array_equal(p, normalize_doubly_stochastic(dustbin_extend(s, params)).p)
+
+    @pytest.mark.parametrize("bin_entry", ["row", "col", "corner"])
+    def test_dustbin_entry_alone_selects_fallback(self, bin_entry):
+        rng = np.random.default_rng(36)
+        s = SimilarityMatrix(rng.normal(0, 2, (9, 9)))
+        row, col = rng.normal(size=9), rng.normal(size=9)
+        theta = 0.0
+        if bin_entry == "row":
+            row[4] = -400.0
+        elif bin_entry == "col":
+            col[2] = 400.0
+        else:
+            theta = 400.0
+        params = _with_dustbin(RefinerParams.random(9, seed=37), row, col, theta)
+        assert s.s.max() - s.s.min() <= _SINGLE_EXP_RANGE
+        assert _extended_range(s, params) > _SINGLE_EXP_RANGE
+        ext = dustbin_extend(s, params)
+        ref = (row_softmax(ext) * col_softmax(ext))[:-1, :-1]
+        assert np.allclose(match_probabilities(s, params).p, ref, rtol=1e-10, atol=0)
+
+    def test_wrong_patch_count_rejected(self):
+        with pytest.raises(ValueError, match="parameters sized for a different patch count"):
+            match_probabilities(SimilarityMatrix(np.zeros((9, 9))), RefinerParams.random(16))
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_localization_never_builds_the_extended_matrix(self, monkeypatch, small_specs,
+                                                            with_params):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("dustbin_extend ran inside run_localization")
+
+        monkeypatch.setattr(refiner, "dustbin_extend", must_not_run)
+        monkeypatch.setattr(pipeline, "dustbin_extend", must_not_run, raising=False)
+        bundle = make_scene_bundle(small_specs, seed=38)
+        n2 = small_specs.grid.num_cells
+        params = RefinerParams.random(n2, scale=0.03, seed=38) if with_params else None
+        inputs = bundle.inputs
+        res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, small_specs,
+                               params)
+        trans_m, _ = pose_error(res.pose_px, bundle.scene.gt_pose, small_specs.aerial)
+        assert not res.degenerate
+        assert trans_m < 1e-6
 
 
 def extract_matches_oracle(p, k):

@@ -40,6 +40,19 @@ def test_noise_sweep_prints_one_row_per_sigma():
     assert median_deg < 1e-6
 
 
+def test_noise_sweep_continuous_pose_lands_within_one_cell():
+    out = run_python(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
+                     "--seeds", "2", "--sigmas", "0.0", "--continuous")
+    _, *rows = out.strip().splitlines()
+    assert len(rows) == 1
+    sigma, median_m, mean_m, p90_m, _ = map(float, rows[0].split())
+    cell_m = 16.0 / (9 - 1)
+    assert sigma == 0.0
+    assert max(median_m, mean_m, p90_m) < cell_m
+    # continuous poses are not resampled exactly, so the error is not at numerical zero
+    assert max(median_m, mean_m, p90_m) > 1e-6
+
+
 def test_bench_smoke_passes():
     out = run_python(ROOT / "bench" / "run.py", "--smoke")
     assert "smoke: ok" in out.splitlines()

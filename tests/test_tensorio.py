@@ -125,6 +125,28 @@ def test_tensor_dir_name_outside_directory_rejected(tmp_path, name):
         load_tensor_dir(tmp_path / "d", "toy-v1")
 
 
+@pytest.mark.parametrize("tensors", [None, [["a", [3]]], "a"], ids=["missing", "list", "string"])
+def test_tensor_dir_without_tensors_object_rejected(tmp_path, tensors):
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    manifest_path = tmp_path / "d" / MANIFEST
+    manifest = json.loads(manifest_path.read_text())
+    if tensors is None:
+        del manifest["tensors"]
+    else:
+        manifest["tensors"] = tensors
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="d: manifest has no 'tensors' object"):
+        load_tensor_dir(tmp_path / "d", "toy-v1")
+
+
+@pytest.mark.parametrize("payload", [[], "toy-v1", 3, None])
+def test_tensor_dir_manifest_not_an_object_rejected(tmp_path, payload):
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    (tmp_path / "d" / MANIFEST).write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="d: manifest is not a JSON object"):
+        load_tensor_dir(tmp_path / "d", "toy-v1")
+
+
 def _write_scene_dir(directory):
     save_scene_dir(directory, make_scene_bundle(SceneSpec(grid=BevGridSpec(9)), seed=0))
 
