@@ -42,6 +42,18 @@ def _dump_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path, decode):
+    """Decode the JSON object in ``path``; a malformed one is a ``ValueError`` naming the file."""
+    d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        return decode(d)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") \
+            from exc
+
+
 def _write_csv_report(path: str, rows: list[tuple]) -> None:
     with open(path, "w") as fh:
         for row in rows:
@@ -49,8 +61,8 @@ def _write_csv_report(path: str, rows: list[tuple]) -> None:
 
 
 def cmd_generate(args) -> int:
-    specs = SceneSpec.from_json_dict(json.loads(Path(args.spec_json).read_text())) \
-        if args.spec_json else SceneSpec(grid=BevGridSpec(args.n))
+    specs = _read_json(args.spec_json, SceneSpec.from_json_dict) if args.spec_json \
+        else SceneSpec(grid=BevGridSpec(args.n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
                                channels=args.channels, snapped=not args.continuous_pose)
     save_scene_dir(args.out_dir, bundle)
@@ -65,7 +77,7 @@ def _load_solve_inputs(args):
     needed = (args.volume, args.conf_logits, args.f_sat, args.spec_json)
     if any(p is None for p in needed):
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
-    specs = SceneSpec.from_json_dict(json.loads(Path(args.spec_json).read_text()))
+    specs = _read_json(args.spec_json, SceneSpec.from_json_dict)
     volume = FeatureVolume(load_tensor(args.volume).astype(float), specs.layers, specs.grid)
     conf_logits = load_tensor(args.conf_logits).astype(float)
     f_sat = BevFeatureMap(load_tensor(args.f_sat).astype(float), specs.grid)
@@ -110,7 +122,7 @@ def cmd_eval(args) -> int:
         if len(pred_poses) != len(gt_poses):
             raise ValueError(
                 f"prediction count {len(pred_poses)} != ground-truth count {len(gt_poses)}")
-        specs = SceneSpec.from_json_dict(json.loads((gt_dir / "spec.json").read_text()))
+        specs = _read_json(gt_dir / "spec.json", SceneSpec.from_json_dict)
         errors = [pose_error(p, g, specs.aerial) for p, g in zip(pred_poses, gt_poses)]
         report = localization_stats(errors)
         report["mode"] = "localization"
@@ -125,9 +137,8 @@ def cmd_eval(args) -> int:
 def cmd_loss(args) -> int:
     config = PipelineConfig(surface_threshold=args.threshold, tau=args.tau)
     bundle = load_scene_dir(args.scene_dir)
-    cfg = LossConfig.from_json_dict(json.loads(Path(args.config).read_text())) \
-        if args.config else LossConfig()
-    pred = Pose3DoF.from_json_dict(json.loads(Path(args.pred_pose).read_text()))
+    cfg = _read_json(args.config, LossConfig.from_json_dict) if args.config else LossConfig()
+    pred = _read_json(args.pred_pose, Pose3DoF.from_json_dict)
     _dump_json(scene_loss_report(bundle, pred, cfg, config), args.out)
     return EXIT_OK
 

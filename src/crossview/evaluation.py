@@ -9,6 +9,7 @@ which predicted matches are scored.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,11 +154,6 @@ def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
     }
 
 
-def _median_low(values) -> float:
-    ordered = sorted(values)
-    return float(ordered[(len(ordered) - 1) // 2])
-
-
 def localization_stats(errors) -> dict:
     """Mean and median of (translation m, orientation deg) error pairs.
 
@@ -171,8 +167,8 @@ def localization_stats(errors) -> dict:
     orient = [float(e[1]) for e in errors]
     return {
         "mean_translation_m": float(np.mean(trans)),
-        "median_translation_m": _median_low(trans),
+        "median_translation_m": statistics.median_low(trans),
         "mean_orientation_deg": float(np.mean(orient)),
-        "median_orientation_deg": _median_low(orient),
+        "median_orientation_deg": statistics.median_low(orient),
         "count": len(errors),
     }

@@ -7,7 +7,7 @@ bit-reproducible for a fixed configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,23 +36,13 @@ class LossConfig:
             raise ValueError("sample counts must be positive")
 
     def to_json_dict(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2, "n_v": self.n_v,
-                "l_v_m": self.l_v_m, "n_s": self.n_s, "k_norm": self.k_norm,
-                "rng_seed": self.rng_seed, "height_in_meters": self.height_in_meters}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        defaults = cls()
-        return cls(
-            beta1=float(d.get("beta1", defaults.beta1)),
-            beta2=float(d.get("beta2", defaults.beta2)),
-            n_v=int(d.get("n_v", defaults.n_v)),
-            l_v_m=float(d.get("l_v_m", defaults.l_v_m)),
-            n_s=int(d.get("n_s", defaults.n_s)),
-            k_norm=float(d.get("k_norm", defaults.k_norm)),
-            rng_seed=int(d.get("rng_seed", defaults.rng_seed)),
-            height_in_meters=bool(d.get("height_in_meters", defaults.height_in_meters)),
-        )
+        """Each field cast to its default's type; a missing key takes the default."""
+        return cls(**{f.name: type(f.default)(d.get(f.name, f.default))
+                      for f in fields(cls)})
 
 
 def vce_loss(pred: Pose3DoF, gt: Pose3DoF, cfg: LossConfig) -> float:

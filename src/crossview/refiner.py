@@ -20,6 +20,18 @@ from .surface import BevFeatureMap
 from .tensorio import load_tensor_dir, save_tensor_dir
 
 _PARAMS_FORMAT = "refiner-params-v1"
+# The refiner-params-v1 layout: each layer stack's field, its tensor-name
+# pattern and the manifest key holding its layer count; then the single
+# tensors of the dustbin, stored under their field names.
+_STACKS = (
+    ("conv_kernels", "conv{}_kernel", "num_conv_layers"),
+    ("conv_biases", "conv{}_bias", "num_conv_layers"),
+    ("global_weights", "global{}_weight", "num_global_layers"),
+    ("global_biases", "global{}_bias", "num_global_layers"),
+    ("gate_weights", "gate{}_weight", "num_gate_layers"),
+    ("gate_biases", "gate{}_bias", "num_gate_layers"),
+)
+_DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
 
 
 @dataclass
@@ -27,7 +39,6 @@ class SimilarityMatrix:
     """N^2 x N^2 patch similarities; row i holds ground patch i against all aerial patches."""
 
     s: np.ndarray
-    tau: float = 0.1
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -35,8 +46,6 @@ class SimilarityMatrix:
             raise ValueError("similarity matrix must be square")
         if not np.all(np.isfinite(self.s)):
             raise ValueError("similarity matrix contains non-finite entries")
-        if not self.tau > 0:
-            raise ValueError("temperature must be positive")
 
     @property
     def num_patches(self) -> int:
@@ -82,15 +91,11 @@ class RefinerParams:
     dustbin_theta: np.ndarray  # scalar
 
     def __post_init__(self):
-        self.conv_kernels = tuple(_as_f32(k) for k in self.conv_kernels)
-        self.conv_biases = tuple(_as_f32(b) for b in self.conv_biases)
-        self.global_weights = tuple(_as_f32(w) for w in self.global_weights)
-        self.global_biases = tuple(_as_f32(b) for b in self.global_biases)
-        self.gate_weights = tuple(_as_f32(w) for w in self.gate_weights)
-        self.gate_biases = tuple(_as_f32(b) for b in self.gate_biases)
-        self.dustbin_row = _as_f32(self.dustbin_row)
-        self.dustbin_col = _as_f32(self.dustbin_col)
-        self.dustbin_theta = _as_f32(self.dustbin_theta).reshape(())
+        for field, _, _ in _STACKS:
+            setattr(self, field, tuple(_as_f32(t) for t in getattr(self, field)))
+        for field in _DUSTBIN_FIELDS:
+            setattr(self, field, _as_f32(getattr(self, field)))
+        self.dustbin_theta = self.dustbin_theta.reshape(())
         self._validate()
 
     def _validate(self):
@@ -152,47 +157,26 @@ class RefinerParams:
         )
 
     def _named_tensors(self) -> dict:
-        named = {}
-        for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            named[f"conv{i}_kernel"] = k
-            named[f"conv{i}_bias"] = b
-        for prefix, ws, bs in (("global", self.global_weights, self.global_biases),
-                               ("gate", self.gate_weights, self.gate_biases)):
-            for i, (w, b) in enumerate(zip(ws, bs)):
-                named[f"{prefix}{i}_weight"] = w
-                named[f"{prefix}{i}_bias"] = b
-        named["dustbin_row"] = self.dustbin_row
-        named["dustbin_col"] = self.dustbin_col
-        named["dustbin_theta"] = self.dustbin_theta
+        named = {pattern.format(i): t for field, pattern, _ in _STACKS
+                 for i, t in enumerate(getattr(self, field))}
+        named.update((field, getattr(self, field)) for field in _DUSTBIN_FIELDS)
         return named
 
     def save(self, directory) -> None:
-        save_tensor_dir(directory, _PARAMS_FORMAT, self._named_tensors(),
-                        num_conv_layers=len(self.conv_kernels),
-                        num_global_layers=len(self.global_weights),
-                        num_gate_layers=len(self.gate_weights))
+        counts = {key: len(getattr(self, field)) for field, _, key in _STACKS}
+        save_tensor_dir(directory, _PARAMS_FORMAT, self._named_tensors(), **counts)
 
     @classmethod
     def load(cls, directory) -> "RefinerParams":
         tensors, manifest = load_tensor_dir(directory, _PARAMS_FORMAT)
-
-        def stack(pattern, count_key):
-            count = manifest.get(count_key)
+        fields = {}
+        for field, pattern, key in _STACKS:
+            count = manifest.get(key)
             if not isinstance(count, int):
-                raise ValueError(f"{directory}: manifest does not list layer count {count_key!r}")
-            return tuple(tensors[pattern.format(i)] for i in range(count))
-
-        return cls(
-            conv_kernels=stack("conv{}_kernel", "num_conv_layers"),
-            conv_biases=stack("conv{}_bias", "num_conv_layers"),
-            global_weights=stack("global{}_weight", "num_global_layers"),
-            global_biases=stack("global{}_bias", "num_global_layers"),
-            gate_weights=stack("gate{}_weight", "num_gate_layers"),
-            gate_biases=stack("gate{}_bias", "num_gate_layers"),
-            dustbin_row=tensors["dustbin_row"],
-            dustbin_col=tensors["dustbin_col"],
-            dustbin_theta=tensors["dustbin_theta"],
-        )
+                raise ValueError(f"{directory}: manifest does not list layer count {key!r}")
+            fields[field] = tuple(tensors[pattern.format(i)] for i in range(count))
+        fields.update((field, tensors[field]) for field in _DUSTBIN_FIELDS)
+        return cls(**fields)
 
 
 def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
@@ -211,7 +195,7 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
     s = (fg / ng[:, None]) @ (fs / ns[:, None]).T
     s /= tau
-    return SimilarityMatrix(s, tau)
+    return SimilarityMatrix(s)
 
 
 def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
@@ -341,24 +325,19 @@ def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     delta += global_residual(s, params)
     delta *= alpha[:, None]
     delta += s.s
-    return SimilarityMatrix(delta, s.tau)
+    return SimilarityMatrix(delta)
 
 
 def dustbin_extend(s: SimilarityMatrix, params: RefinerParams | None) -> np.ndarray:
     """Append the dustbin column/row/corner; ``params=None`` uses zero bins."""
     n2 = s.num_patches
-    out = np.empty((n2 + 1, n2 + 1))
+    out = np.zeros((n2 + 1, n2 + 1))
+    if params is not None:
+        _require_patch_count(s, params)
+        out[:n2, n2] = params.dustbin_col
+        out[n2, :n2] = params.dustbin_row
+        out[n2, n2] = params.dustbin_theta
     out[:n2, :n2] = s.s
-    if params is None:
-        out[:n2, n2] = 0.0
-        out[n2, :n2] = 0.0
-        out[n2, n2] = 0.0
-        return out
-    if params.num_patches != n2:
-        raise ValueError("dustbin parameters sized for a different patch count")
-    out[:n2, n2] = params.dustbin_col.astype(float)
-    out[n2, :n2] = params.dustbin_row.astype(float)
-    out[n2, n2] = float(params.dustbin_theta)
     return out
 
 
@@ -443,14 +422,19 @@ def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> MatchProbabilities:
     return _normalize(m[:-1, :-1], m[:-1, -1], m[-1, :-1], m[-1, -1])
 
 
+def _ranked(p: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Index pairs by descending ``p[rows, cols]``; ties go to the lowest (row, col)."""
+    order = np.lexsort((cols, rows, -p[rows, cols]))
+    return rows[order], cols[order]
+
+
 def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
     A pair survives the mutual filter only when it is the argmax of both
-    its row and its column. Ordering ties break toward the lowest (row,
-    col) index. Coordinates come back in grid-cell units (row index ->
-    (ix, iy) ground cell, column index -> aerial cell); weights are the
-    probability values.
+    its row and its column; pairs are ordered by ``_ranked``. Coordinates
+    come back in grid-cell units (row index -> (ix, iy) ground cell, column
+    index -> aerial cell); weights are the probability values.
     """
     p = probs.p
     n2 = p.shape[0]
@@ -462,29 +446,20 @@ def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:
 
     row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties
     col_arg = p.argmax(axis=0)   # first occurrence = lowest row on ties
-    mutual_rows = np.nonzero(col_arg[row_arg] == np.arange(n2))[0]
-    mutual = [(int(i), int(row_arg[i])) for i in mutual_rows]
-    mutual.sort(key=lambda ij: (-p[ij[0], ij[1]], ij[0], ij[1]))
-    selected = mutual[:k]
-
-    if len(selected) < k:
+    rows = np.nonzero(col_arg[row_arg] == np.arange(n2))[0]
+    rows, cols = _ranked(p, rows, row_arg[rows])
+    rows, cols = rows[:k], cols[:k]
+    if len(rows) < k:
+        # pad with the best non-mutual entries among the global top-k
         flat = p.ravel()
         kth = np.partition(flat, flat.size - k)[flat.size - k]
-        cand = np.nonzero(flat >= kth)[0]
-        cand = cand[np.lexsort((cand, -flat[cand]))]
-        chosen = set(selected)
-        for f in cand:
-            pair = (int(f) // n2, int(f) % n2)
-            if pair in chosen:
-                continue
-            selected.append(pair)
-            chosen.add(pair)
-            if len(selected) == k:
-                break
-    selected.sort(key=lambda ij: (-p[ij[0], ij[1]], ij[0], ij[1]))
+        cand_r, cand_c = np.divmod(np.nonzero(flat >= kth)[0], n2)
+        other = (row_arg[cand_r] != cand_c) | (col_arg[cand_c] != cand_r)
+        pad_r, pad_c = _ranked(p, cand_r[other], cand_c[other])
+        need = k - len(rows)
+        rows, cols = _ranked(p, np.concatenate([rows, pad_r[:need]]),
+                             np.concatenate([cols, pad_c[:need]]))
 
-    rows = np.array([ij[0] for ij in selected])
-    cols = np.array([ij[1] for ij in selected])
     ground = np.stack([rows // n, rows % n], axis=1).astype(float)
     aerial = np.stack([cols // n, cols % n], axis=1).astype(float)
     return CorrespondenceSet(ground, aerial, p[rows, cols])

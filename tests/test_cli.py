@@ -437,3 +437,49 @@ class TestLoss:
         assert proc.returncode == 2
         assert "finite and positive" in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture(scope="module")
+def shared_scene_dir(tmp_path_factory):
+    return generate_scene_dir(tmp_path_factory.mktemp("json-inputs"))
+
+
+class TestMalformedJsonInput:
+    """A JSON input that is not an object, or lacks a field, is an input error naming the file."""
+
+    @pytest.mark.parametrize("which, text, detail", [
+        ("pred-pose", "[1, 2]", "expected a JSON object"),
+        ("pred-pose", '{"ty_px": 0.0, "yaw_deg": 0.0}', "'tx_px'"),
+        ("generate-spec", "[]", "expected a JSON object"),
+        ("solve-spec", "[]", "expected a JSON object"),
+        ("eval-spec", "[]", "expected a JSON object"),
+        ("loss-config", "[1]", "expected a JSON object"),
+        ("loss-config", '{"beta1": null}', "TypeError"),
+    ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
+            "eval-spec-list", "config-list", "config-null-field"])
+    def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
+        scene = shared_scene_dir
+        pose = tmp_path / "pose.json"
+        pose.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        bad = gt_dir / "spec.json" if which == "eval-spec" else tmp_path / "bad.json"
+        bad.write_text(text)
+        if which == "eval-spec":
+            (gt_dir / "poses.csv").write_text("tx_px,ty_px,yaw_deg\n100,100,0\n")
+        args = {
+            "pred-pose": ("loss", "--scene-dir", scene, "--pred-pose", bad),
+            "loss-config": ("loss", "--scene-dir", scene, "--pred-pose", pose, "--config", bad),
+            "generate-spec": ("generate", "--seed", 0, "--spec-json", bad,
+                              "--out-dir", tmp_path / "out"),
+            "solve-spec": ("solve", "--volume", scene / "volume.cvt",
+                           "--conf-logits", scene / "conf_logits.cvt",
+                           "--f-sat", scene / "f_sat.cvt", "--spec-json", bad),
+            "eval-spec": ("eval", "--pred-csv", gt_dir / "poses.csv", "--gt-dir", gt_dir,
+                          "--mode", "localization"),
+        }[which]
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert f"error: {bad}: " in proc.stderr
+        assert detail in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -407,6 +407,10 @@ class TestDustbin:
         assert np.array_equal(out[:4, :4], s)
         assert np.all(out[4, :] == 0) and np.all(out[:, 4] == 0)
 
+    def test_wrong_patch_count_rejected(self):
+        with pytest.raises(ValueError, match="^parameters sized for a different patch count$"):
+            dustbin_extend(SimilarityMatrix(np.zeros((4, 4))), RefinerParams.random(9))
+
 
 def _with_dustbin(params, row, col, theta):
     return RefinerParams(
@@ -599,6 +603,22 @@ class TestExtractMatches:
                 for g, a in zip(cs.ground_xy, cs.aerial_xy)]
         assert flat == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ordered_pairs_match_oracle_on_tied_levels(self, n, seed):
+        # three levels make ties in rows, columns and the global top-k common;
+        # the whole ordered list must agree, not only the set of pairs
+        rng = np.random.default_rng(40 + 10 * n + seed)
+        n2 = n * n
+        p = rng.choice([0.2, 0.4, 0.6], size=(n2, n2))
+        ks = {1, 2, n2, n2 + 1, n2 * n2 // 2, n2 * n2} | set(rng.integers(1, n2 * n2 + 1, 6))
+        for k in sorted(int(k) for k in ks):
+            cs = extract_matches(self._probs(p), k)
+            got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
+                   for g, a in zip(cs.ground_xy, cs.aerial_xy)]
+            assert got == extract_matches_oracle(p, k), f"k={k}"
+            assert np.array_equal(cs.weights, [p[i, j] for i, j in got])
+
     def test_bad_k_rejected(self):
         p = self._probs(np.full((4, 4), 0.5))
         with pytest.raises(ValueError):
@@ -648,6 +668,38 @@ class TestParamsSerialization:
                         back._named_tensors().values()):
             assert a.dtype == np.float32 and b.dtype == np.float32
             assert np.array_equal(a, b)
+
+    def test_round_trip_keeps_stack_depths(self, tmp_path):
+        # random() builds depth-2 stacks only; a three-layer global stack and
+        # a one-layer gate stack pin the layer counts and names per stack
+        rng = np.random.default_rng(41)
+        base = RefinerParams.random(9, seed=41)
+        widths = (9, 5, 4, 9)
+        params = RefinerParams(
+            conv_kernels=base.conv_kernels, conv_biases=base.conv_biases,
+            global_weights=tuple(rng.normal(size=(a, b)) for a, b in zip(widths, widths[1:])),
+            global_biases=tuple(rng.normal(size=b) for b in widths[1:]),
+            gate_weights=(rng.normal(size=(9, 1)),), gate_biases=(rng.normal(size=1),),
+            dustbin_row=base.dustbin_row, dustbin_col=base.dustbin_col,
+            dustbin_theta=base.dustbin_theta)
+        params.save(tmp_path / "params")
+        manifest = json.loads((tmp_path / "params" / "manifest.json").read_text())
+        assert (manifest["num_conv_layers"], manifest["num_global_layers"],
+                manifest["num_gate_layers"]) == (3, 3, 1)
+        assert set(manifest["tensors"]) == {
+            *(f"conv{i}_{kind}" for i in range(3) for kind in ("kernel", "bias")),
+            *(f"global{i}_{kind}" for i in range(3) for kind in ("weight", "bias")),
+            "gate0_weight", "gate0_bias", "dustbin_row", "dustbin_col", "dustbin_theta"}
+        back = RefinerParams.load(tmp_path / "params")
+        for field in params.__dataclass_fields__:
+            a, b = getattr(params, field), getattr(back, field)
+            if isinstance(a, tuple):
+                assert len(a) == len(b), field
+            else:
+                a, b = (a,), (b,)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype == np.float32 and x.shape == y.shape, field
+                assert np.array_equal(x, y), field
 
     def test_manifest_shape_mismatch_rejected(self, tmp_path):
         import json

@@ -9,14 +9,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
+def run_python_proc(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def run_python(*args):
+    return run_python_proc(*args).stdout
 
 
 def test_demo_pipeline_noise_free_is_exact():
@@ -38,6 +42,12 @@ def test_noise_sweep_prints_one_row_per_sigma():
     assert sigma == 0.0
     assert max(median_m, mean_m, p90_m) < 1e-6
     assert median_deg < 1e-6
+
+
+def test_noise_sweep_keeps_stderr_free_of_refinement_warnings():
+    proc = run_python_proc(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
+                           "--seeds", "2", "--sigmas", "0.0")
+    assert "skipping refinement" not in proc.stderr
 
 
 def test_noise_sweep_continuous_pose_lands_within_one_cell():
