@@ -25,7 +25,7 @@ from .refiner import RefinerParams
 from .solver import pose_error
 from .surface import BevFeatureMap, FeatureVolume
 from .synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
-from .tensorio import load_tensor
+from .tensorio import json_text, load_tensor
 
 log = logging.getLogger("crossview")
 
@@ -35,7 +35,7 @@ EXIT_DEGENERATE = 3
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json_text(payload)
     if out:
         Path(out).write_text(text)
     else:
@@ -49,7 +49,7 @@ def _read_json(path, decode):
         raise ValueError(f"{path}: expected a JSON object")
     try:
         return decode(d)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") \
             from exc
 

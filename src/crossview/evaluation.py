@@ -111,8 +111,7 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
         ranges = depth * np.hypot(dx, dy) if planar_distance else depth
         in_range = present & (ranges <= max_range_m)
         xs, ys = metric_to_aerial_px(meta, gt, x, y)
-        size = meta.image_size_px
-        in_image = (xs >= 0) & (xs <= size - 1) & (ys >= 0) & (ys <= size - 1)
+        in_image = meta.contains(xs) & meta.contains(ys)
     valid = present & in_range & in_image
     sat = np.stack([xs, ys], axis=-1)
     sat[~valid] = np.nan

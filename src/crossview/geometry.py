@@ -34,6 +34,12 @@ def rotation_matrix(yaw_rad: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _rotate(yaw_rad: float, x, y):
+    """Rotate points (x, y) counterclockwise by ``yaw_rad``, elementwise; ``-yaw`` undoes it."""
+    c, s = math.cos(yaw_rad), math.sin(yaw_rad)
+    return c * x - s * y, s * x + c * y
+
+
 @dataclass(frozen=True)
 class BevGridSpec:
     """Uniform square BEV grid centered on the camera ground position.
@@ -65,6 +71,19 @@ class BevGridSpec:
     @property
     def num_cells(self) -> int:
         return self.n_points_per_side * self.n_points_per_side
+
+    def cell_m(self, index):
+        """Camera-relative meters of (fractional) cell indices, elementwise; the center -> 0."""
+        return (np.asarray(index) - self.center_index) * self.spacing_m
+
+    def m_cell(self, x_m):
+        """Inverse of :meth:`cell_m`: (fractional) cell index of camera-relative meters."""
+        return np.asarray(x_m) / self.spacing_m + self.center_index
+
+    def contains(self, index):
+        """Elementwise: whether a (fractional) cell index lies in [0, n - 1]."""
+        index = np.asarray(index)
+        return (index >= 0) & (index <= self.n_points_per_side - 1)
 
 
 @dataclass(frozen=True)
@@ -127,6 +146,11 @@ class AerialMeta:
         if self.image_size_px < 1:
             raise ValueError("image size must be positive")
 
+    def contains(self, px):
+        """Elementwise: whether a pixel coordinate lies in [0, image_size - 1]."""
+        px = np.asarray(px)
+        return (px >= 0) & (px <= self.image_size_px - 1)
+
 
 @dataclass(frozen=True, eq=False)
 class Pose3DoF:
@@ -159,10 +183,7 @@ class Pose3DoF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Pose3DoF":
-        if "yaw_rad" in d:
-            yaw = float(d["yaw_rad"])
-        else:
-            yaw = math.radians(float(d["yaw_deg"]))
+        yaw = float(d["yaw_rad"]) if "yaw_rad" in d else math.radians(float(d["yaw_deg"]))
         return cls(np.array([d["tx_px"], d["ty_px"]]), yaw)
 
 
@@ -197,6 +218,11 @@ class SceneSpec:
         center = self.grid_center_px if center_px is None else center_px
         return center + (np.asarray(cells) - self.grid.center_index) * self.cell_spacing_px
 
+    def aerial_px_cell(self, px) -> np.ndarray:
+        """Inverse of :meth:`aerial_cell_px` about :attr:`grid_center_px`."""
+        return ((np.asarray(px) - self.grid_center_px) / self.cell_spacing_px
+                + self.grid.center_index)
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.grid.n_points_per_side,
@@ -228,17 +254,9 @@ class SceneSpec:
 
 def bev_cell_to_metric(spec: BevGridSpec, ix, iy):
     """Camera-relative metric coordinates of grid cell (ix, iy); center cell -> (0, 0)."""
-    ix_a = np.asarray(ix)
-    iy_a = np.asarray(iy)
-    n = spec.n_points_per_side
-    if np.any(ix_a < 0) or np.any(ix_a >= n) or np.any(iy_a < 0) or np.any(iy_a >= n):
-        raise IndexError(f"cell index outside [0, {n})")
-    c = spec.center_index
-    x = (ix_a - c) * spec.spacing_m
-    y = (iy_a - c) * spec.spacing_m
-    if np.ndim(ix) == 0 and np.ndim(iy) == 0:
-        return float(x), float(y)
-    return x, y
+    if not (np.all(spec.contains(ix)) and np.all(spec.contains(iy))):
+        raise IndexError(f"cell index outside [0, {spec.n_points_per_side - 1}]")
+    return spec.cell_m(ix), spec.cell_m(iy)
 
 
 def grid_cells(spec: BevGridSpec) -> np.ndarray:
@@ -281,28 +299,14 @@ def panorama_pixel_ray(intr: CameraIntrinsics, u, v):
 
 def metric_to_aerial_px(meta: AerialMeta, pose: Pose3DoF, x_m, y_m):
     """Map BEV metric coordinates to aerial pixel coordinates under a pose."""
-    c, s = math.cos(pose.yaw_rad), math.sin(pose.yaw_rad)
-    x = np.asarray(x_m)
-    y = np.asarray(y_m)
-    xr = c * x - s * y
-    yr = s * x + c * y
-    xs = pose.t_px[0] + xr / meta.gsd_m_per_px
-    ys = pose.t_px[1] + yr / meta.gsd_m_per_px
-    if np.ndim(x_m) == 0 and np.ndim(y_m) == 0:
-        return float(xs), float(ys)
-    return xs, ys
+    xr, yr = _rotate(pose.yaw_rad, np.asarray(x_m), np.asarray(y_m))
+    return pose.t_px[0] + xr / meta.gsd_m_per_px, pose.t_px[1] + yr / meta.gsd_m_per_px
 
 
 def aerial_px_to_metric(meta: AerialMeta, pose: Pose3DoF, x_px, y_px):
     """Inverse of :func:`metric_to_aerial_px`."""
-    c, s = math.cos(pose.yaw_rad), math.sin(pose.yaw_rad)
-    dx = (np.asarray(x_px) - pose.t_px[0]) * meta.gsd_m_per_px
-    dy = (np.asarray(y_px) - pose.t_px[1]) * meta.gsd_m_per_px
-    x = c * dx + s * dy
-    y = -s * dx + c * dy
-    if np.ndim(x_px) == 0 and np.ndim(y_px) == 0:
-        return float(x), float(y)
-    return x, y
+    return _rotate(-pose.yaw_rad, (np.asarray(x_px) - pose.t_px[0]) * meta.gsd_m_per_px,
+                   (np.asarray(y_px) - pose.t_px[1]) * meta.gsd_m_per_px)
 
 
 def aerial_bev_sample_coords(spec: BevGridSpec, meta: AerialMeta, center_px):
@@ -313,20 +317,17 @@ def aerial_bev_sample_coords(spec: BevGridSpec, meta: AerialMeta, center_px):
     coordinates stay within [0, image_size - 1] on both axes.
     """
     center = np.asarray(center_px, dtype=float).reshape(2)
-    size = meta.image_size_px
-    if not (0 <= center[0] <= size - 1 and 0 <= center[1] <= size - 1):
+    if not np.all(meta.contains(center)):
         raise ValueError("grid center outside the aerial image")
     coords = SceneSpec(grid=spec, aerial=meta).aerial_cell_px(grid_cells(spec), center)
-    in_bounds = np.all((coords >= 0.0) & (coords <= size - 1), axis=-1)
-    return coords, in_bounds
+    return coords, np.all(meta.contains(coords), axis=-1)
 
 
 def _nearest_cells(specs: SceneSpec, fx, fy):
     """Round fractional cell coordinates to cells; returns (cells (..., 2), in-grid mask)."""
     # round-half-up keeps the rule deterministic for points on cell borders
     tgt = np.stack([np.floor(fx + 0.5), np.floor(fy + 0.5)], axis=-1).astype(np.int64)
-    valid = np.all((tgt >= 0) & (tgt < specs.grid.n_points_per_side), axis=-1)
-    return tgt, valid
+    return tgt, np.all(specs.grid.contains(tgt), axis=-1)
 
 
 def ground_cell_to_aerial_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarray):
@@ -335,21 +336,17 @@ def ground_cell_to_aerial_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarr
     ``cells`` is (K, 2) integer ground indices; returns (targets (K, 2),
     valid (K,)) where valid marks targets inside the aerial grid.
     """
-    c = specs.grid.center_index
-    g = (np.asarray(cells) - c) * specs.grid.spacing_m
+    g = specs.grid.cell_m(cells)
     ax, ay = metric_to_aerial_px(specs.aerial, pose, g[..., 0], g[..., 1])
-    center = specs.grid_center_px
-    spacing_px = specs.cell_spacing_px
-    return _nearest_cells(specs, (ax - center[0]) / spacing_px + c,
-                          (ay - center[1]) / spacing_px + c)
+    f = specs.aerial_px_cell(np.stack([ax, ay], axis=-1))
+    return _nearest_cells(specs, f[..., 0], f[..., 1])
 
 
 def aerial_cell_in_ground_grid(specs: SceneSpec, pose: Pose3DoF, cells):
     """Fractional ground-grid coordinates (fx, fy) of aerial grid cells (..., 2) under ``pose``."""
     px = specs.aerial_cell_px(cells)
     gx, gy = aerial_px_to_metric(specs.aerial, pose, px[..., 0], px[..., 1])
-    c = specs.grid.center_index
-    return gx / specs.grid.spacing_m + c, gy / specs.grid.spacing_m + c
+    return specs.grid.m_cell(gx), specs.grid.m_cell(gy)
 
 
 def aerial_cell_to_ground_cell(specs: SceneSpec, pose: Pose3DoF, cells: np.ndarray):

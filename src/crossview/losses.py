@@ -40,9 +40,15 @@ class LossConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        """Each field cast to its default's type; a missing key takes the default."""
-        return cls(**{f.name: type(f.default)(d.get(f.name, f.default))
-                      for f in fields(cls)})
+        """A missing key takes the default; a value of the wrong JSON kind is a ``TypeError``."""
+        values = {}
+        for f in fields(cls):
+            kind, v = type(f.default), d.get(f.name, f.default)
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(v, accepted) or isinstance(v, bool) != (kind is bool):
+                raise TypeError(f"{f.name}: expected {kind.__name__}, got {v!r}")
+            values[f.name] = kind(v)
+        return cls(**values)
 
 
 def vce_loss(pred: Pose3DoF, gt: Pose3DoF, cfg: LossConfig) -> float:

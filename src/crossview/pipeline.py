@@ -59,7 +59,7 @@ def matches_cells_to_metric(matches: CorrespondenceSet, specs: SceneSpec) -> Cor
     aerial pixel coordinates scaled by the GSD, so the recovered
     translation divided by the GSD is the pose translation in pixels.
     """
-    ground = (matches.ground_xy - specs.grid.center_index) * specs.grid.spacing_m
+    ground = specs.grid.cell_m(matches.ground_xy)
     aerial_px = specs.aerial_cell_px(matches.aerial_xy)
     return CorrespondenceSet(ground, aerial_px * specs.aerial.gsd_m_per_px, matches.weights)
 

@@ -113,7 +113,7 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
 
 def _is_snapped(scene: SyntheticScene, specs: SceneSpec) -> bool:
     """Whether the true pose translates by whole cells and rotates by quarter turns."""
-    k = (scene.gt_pose.t_px - specs.grid_center_px) / specs.cell_spacing_px
+    k = specs.aerial_px_cell(scene.gt_pose.t_px)
     turns = scene.gt_pose.yaw_rad / (np.pi / 2.0)
     return bool(np.max(np.abs(k - np.rint(k))) < 1e-6 and abs(turns - np.rint(turns)) < 1e-6)
 
@@ -150,7 +150,7 @@ def _resample_to_aerial(scene: SyntheticScene, specs: SceneSpec):
         hgt = scene.height_field_m[sx, sy]
     else:
         fx, fy = aerial_cell_in_ground_grid(specs, scene.gt_pose, cells)
-        inside = (fx >= 0) & (fx <= n - 1) & (fy >= 0) & (fy <= n - 1)
+        inside = specs.grid.contains(fx) & specs.grid.contains(fy)
         tex = _bilinear(scene.feature_texture, fx, fy)
         hgt = _bilinear(scene.height_field_m, fx, fy)
     return tex, np.where(inside, hgt, GROUND_LEVEL_M), inside

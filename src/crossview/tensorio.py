@@ -30,10 +30,9 @@ class TensorFormatError(ValueError):
     pass
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def json_text(payload: dict) -> str:
+    """The package's JSON text: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def save_tensor(path, array) -> None:
@@ -85,7 +84,7 @@ def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
     for name, tensor in tensors.items():
         save_tensor(directory / f"{name}.cvt", tensor)
     shapes = {name: list(np.shape(tensor)) for name, tensor in tensors.items()}
-    _write_json(directory / MANIFEST, {**fields, "format": fmt, "tensors": shapes})
+    (directory / MANIFEST).write_text(json_text({**fields, "format": fmt, "tensors": shapes}))
 
 
 class _ListedTensors(dict):

@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,17 @@ from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
 
 logging.getLogger("crossview").setLevel(logging.ERROR)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def python_subprocess(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's ``src/`` first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
 
 
 def identity_pose(specs: SceneSpec) -> Pose3DoF:

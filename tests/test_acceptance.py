@@ -6,8 +6,6 @@ criterion.
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -25,7 +23,7 @@ from crossview.surface import (SurfaceMap, normalize_confidence,
                                surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
-from conftest import identity_pose
+from conftest import identity_pose, python_subprocess
 from test_refiner import conv3d_naive
 
 CELL_M = 71.0 / 40.0  # default grid spacing
@@ -264,9 +262,7 @@ def test_metric_fixtures():
 
 
 def _run(*args):
-    proc = subprocess.run([sys.executable, "-m", "crossview", *map(str, args)],
-                          capture_output=True, text=True)
-    return proc
+    return python_subprocess("-m", "crossview", *args)
 
 
 def test_cli_determinism(tmp_path):

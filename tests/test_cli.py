@@ -1,7 +1,5 @@
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +11,11 @@ from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.synthetic import load_scene_dir
 from crossview.tensorio import load_tensor, save_tensor
 
+from conftest import python_subprocess
+
 
 def run_cli(*args, check=True):
-    proc = subprocess.run([sys.executable, "-m", "crossview", *map(str, args)],
-                          capture_output=True, text=True)
+    proc = python_subprocess("-m", "crossview", *args)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -455,8 +454,14 @@ class TestMalformedJsonInput:
         ("eval-spec", "[]", "expected a JSON object"),
         ("loss-config", "[1]", "expected a JSON object"),
         ("loss-config", '{"beta1": null}', "TypeError"),
+        ("pred-pose", '{"tx_px": "a", "ty_px": 0.0, "yaw_deg": 0.0}', "ValueError"),
+        ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
+                                      "n": "nine"}), "ValueError"),
+        ("loss-config", '{"n_v": 2.7}', "n_v: expected int, got 2.7"),
+        ("loss-config", '{"height_in_meters": "false"}', "height_in_meters"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
-            "eval-spec-list", "config-list", "config-null-field"])
+            "eval-spec-list", "config-list", "config-null-field", "pose-tx-not-a-number",
+            "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"

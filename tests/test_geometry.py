@@ -72,6 +72,52 @@ class TestBevCellToMetric:
                 assert tuple(coords[ix, iy]) == bev_cell_to_metric(spec, ix, iy)
 
 
+class TestFrameRuleOwners:
+    """The cell <-> meter, pixel <-> cell, in-grid and in-image rules each have one owner."""
+
+    @pytest.mark.parametrize("n", [9, 41])
+    def test_cell_meter_round_trip(self, n):
+        spec = BevGridSpec(n, 71.0)
+        idx = np.linspace(-2.0, n + 1.0, 97)
+        assert np.max(np.abs(spec.m_cell(spec.cell_m(idx)) - idx)) < 1e-12
+        assert spec.cell_m(spec.center_index) == 0.0
+
+    @pytest.mark.parametrize("n", [9, 41])
+    def test_pixel_cell_round_trip(self, n):
+        specs = SceneSpec(grid=BevGridSpec(n, 71.0))
+        cells = np.random.default_rng(n).uniform(-2.0, n + 1.0, (50, 2))
+        back = specs.aerial_px_cell(specs.aerial_cell_px(cells))
+        assert np.max(np.abs(back - cells)) < 1e-12
+
+    @pytest.mark.parametrize("n", [9, 41])
+    def test_grid_contains_endpoints(self, n):
+        spec = BevGridSpec(n, 71.0)
+        assert spec.contains(np.array([0, n - 1, 0.0, n - 1.0])).all()
+        assert not spec.contains(np.array([-1e-9, n - 1 + 1e-9])).any()
+        idx = np.arange(-3, n + 3)
+        assert np.array_equal(spec.contains(idx), (idx >= 0) & (idx < n))
+
+    def test_image_contains_endpoints(self):
+        meta = AerialMeta(gsd_m_per_px=0.12, image_size_px=640)
+        assert meta.contains(np.array([0, 639, 0.0, 639.0])).all()
+        assert not meta.contains(np.array([-1e-9, 639 + 1e-9])).any()
+
+    def test_fractional_index_past_last_cell_rejected(self):
+        spec = BevGridSpec(3, 2.0)
+        assert bev_cell_to_metric(spec, 2.0, 0.5) == (1.0, -0.5)
+        with pytest.raises(IndexError, match=r"outside \[0, 2\]"):
+            bev_cell_to_metric(spec, 2.5, 0)
+
+    def test_scalar_calls_return_floats(self):
+        meta = AerialMeta()
+        pose = Pose3DoF(np.array([100.0, 200.0]), 0.3)
+        for pair in (bev_cell_to_metric(BevGridSpec(41, 71.0), 3, 7),
+                     metric_to_aerial_px(meta, pose, 1.5, -2.0),
+                     aerial_px_to_metric(meta, pose, 101.0, 190.0)):
+            assert len(pair) == 2
+            assert all(isinstance(v, float) for v in pair)
+
+
 class TestHeightLayerSpec:
     def test_endpoints_and_midpoint(self):
         spec = HeightLayerSpec(11, -10.0, 10.0)

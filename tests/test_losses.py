@@ -287,3 +287,17 @@ class TestLossConfig:
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,
                          k_norm=50.0, rng_seed=9, height_in_meters=True)
         assert LossConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("height_in_meters", "false"), ("height_in_meters", 1), ("height_in_meters", None),
+        ("n_v", 2.7), ("n_v", 2.0), ("n_v", True), ("rng_seed", True), ("n_s", "16"),
+        ("beta1", "2"), ("beta1", True), ("beta1", None), ("k_norm", [1.0]),
+    ])
+    def test_json_value_of_wrong_kind_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field}: expected "):
+            LossConfig.from_json_dict({field: value})
+
+    def test_json_takes_int_for_float_and_defaults_for_missing_keys(self):
+        cfg = LossConfig.from_json_dict({"beta1": 2, "n_v": 7, "unknown": "x"})
+        assert cfg == LossConfig(beta1=2.0, n_v=7)
+        assert type(cfg.beta1) is float

@@ -1,20 +1,12 @@
 """Smoke tests of the experiment scripts and the benchmark's own smoke run."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, python_subprocess
 
 
 def run_python_proc(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    proc = python_subprocess(*args, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     return proc
 
