@@ -25,7 +25,7 @@ from .refiner import RefinerParams
 from .solver import pose_error
 from .surface import BevFeatureMap, FeatureVolume
 from .synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
-from .tensorio import json_text, load_tensor
+from .tensorio import decode_json, json_text, load_tensor
 
 log = logging.getLogger("crossview")
 
@@ -44,14 +44,7 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 def _read_json(path, decode):
     """Decode the JSON object in ``path``; a malformed one is a ``ValueError`` naming the file."""
-    d = json.loads(Path(path).read_text())
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    try:
-        return decode(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") \
-            from exc
+    return decode_json(path, json.loads(Path(path).read_text()), decode)
 
 
 def _write_csv_report(path: str, rows: list[tuple]) -> None:

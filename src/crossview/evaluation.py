@@ -87,15 +87,14 @@ class GroundTruthProjection:
 
 
 def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3DoF,
-                        meta: AerialMeta, max_range_m: float = DEFAULT_MAX_RANGE_M,
-                        planar_distance: bool = False) -> GroundTruthProjection:
+                        meta: AerialMeta, max_range_m: float = DEFAULT_MAX_RANGE_M
+                        ) -> GroundTruthProjection:
     """Project every panorama pixel into the aerial image via its depth.
 
     ``depth_grd`` holds the range along each pixel ray in meters (NaN or
-    non-positive = missing). A pixel is valid when its range threshold
-    holds (3D range by default, horizontal distance with
-    ``planar_distance``) and the projection lands inside the image, i.e.
-    within [0, size - 1] on both axes.
+    non-positive = missing). A pixel is valid when that range is at most
+    ``max_range_m`` and the projection lands inside the image, i.e. within
+    [0, size - 1] on both axes.
     """
     depth = np.asarray(depth_grd, dtype=float)
     h, w = intr.panorama_height, intr.panorama_width
@@ -105,14 +104,10 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     dx, dy, _ = panorama_pixel_ray(intr, uu, vv)
     with np.errstate(invalid="ignore"):
-        present = np.isfinite(depth) & (depth > 0)
-        x = depth * dx
-        y = depth * dy
-        ranges = depth * np.hypot(dx, dy) if planar_distance else depth
-        in_range = present & (ranges <= max_range_m)
-        xs, ys = metric_to_aerial_px(meta, gt, x, y)
+        in_range = np.isfinite(depth) & (depth > 0) & (depth <= max_range_m)
+        xs, ys = metric_to_aerial_px(meta, gt, depth * dx, depth * dy)
         in_image = meta.contains(xs) & meta.contains(ys)
-    valid = present & in_range & in_image
+    valid = in_range & in_image
     sat = np.stack([xs, ys], axis=-1)
     sat[~valid] = np.nan
     return GroundTruthProjection(sat, valid)

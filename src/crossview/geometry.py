@@ -15,10 +15,13 @@ Coordinate conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensorio import json_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,8 +186,10 @@ class Pose3DoF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Pose3DoF":
-        yaw = float(d["yaw_rad"]) if "yaw_rad" in d else math.radians(float(d["yaw_deg"]))
-        return cls(np.array([d["tx_px"], d["ty_px"]]), yaw)
+        """Yaw from ``yaw_rad``, else ``yaw_deg``; a non-number field is a ``ValueError``."""
+        num = functools.partial(json_number, d)
+        yaw = num("yaw_rad") if "yaw_rad" in d else math.radians(num("yaw_deg"))
+        return cls(np.array([num("tx_px"), num("ty_px")]), yaw)
 
 
 @dataclass(frozen=True)
@@ -207,16 +212,15 @@ class SceneSpec:
         """Aerial pixels between adjacent grid cells: ``spacing_m / gsd``."""
         return self.grid.spacing_m / self.aerial.gsd_m_per_px
 
-    def aerial_cell_px(self, cells, center_px=None) -> np.ndarray:
+    def aerial_cell_px(self, cells) -> np.ndarray:
         """Aerial pixel position of (fractional) grid cells shaped (..., 2).
 
-        Cell ``(i, j)`` sits at ``center_px + ((i, j) - c) * cell_spacing_px``
-        with ``c`` the grid's center index; ``center_px`` defaults to
-        :attr:`grid_center_px`. This is the one cell <-> pixel rule of the
-        aerial grid.
+        Cell ``(i, j)`` sits at ``grid_center_px + ((i, j) - c) * cell_spacing_px``
+        with ``c`` the grid's center index. This is the one cell <-> pixel
+        rule of the aerial grid.
         """
-        center = self.grid_center_px if center_px is None else center_px
-        return center + (np.asarray(cells) - self.grid.center_index) * self.cell_spacing_px
+        return (self.grid_center_px
+                + (np.asarray(cells) - self.grid.center_index) * self.cell_spacing_px)
 
     def aerial_px_cell(self, px) -> np.ndarray:
         """Inverse of :meth:`aerial_cell_px` about :attr:`grid_center_px`."""
@@ -240,23 +244,18 @@ class SceneSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SceneSpec":
+        """Counts take an integer, other fields any number; another kind is a ``ValueError``."""
+        num = functools.partial(json_number, d)
         return cls(
-            grid=BevGridSpec(int(d["n"]), float(d["extent_m"])),
-            layers=HeightLayerSpec(int(d["m_layers"]), float(d["z_min"]), float(d["z_max"])),
+            grid=BevGridSpec(num("n", integer=True), num("extent_m")),
+            layers=HeightLayerSpec(num("m_layers", integer=True), num("z_min"), num("z_max")),
             intrinsics=CameraIntrinsics(
-                int(d["pano_w"]), int(d["pano_h"]),
-                float(d.get("camera_height", 2.5)),
-                float(d.get("azimuth_offset", 0.0)),
+                num("pano_w", integer=True), num("pano_h", integer=True),
+                num("camera_height", default=2.5),
+                num("azimuth_offset", default=0.0),
             ),
-            aerial=AerialMeta(float(d["gsd"]), int(d.get("image_size", 640))),
+            aerial=AerialMeta(num("gsd"), num("image_size", integer=True, default=640)),
         )
-
-
-def bev_cell_to_metric(spec: BevGridSpec, ix, iy):
-    """Camera-relative metric coordinates of grid cell (ix, iy); center cell -> (0, 0)."""
-    if not (np.all(spec.contains(ix)) and np.all(spec.contains(iy))):
-        raise IndexError(f"cell index outside [0, {spec.n_points_per_side - 1}]")
-    return spec.cell_m(ix), spec.cell_m(iy)
 
 
 def grid_cells(spec: BevGridSpec) -> np.ndarray:
@@ -307,20 +306,6 @@ def aerial_px_to_metric(meta: AerialMeta, pose: Pose3DoF, x_px, y_px):
     """Inverse of :func:`metric_to_aerial_px`."""
     return _rotate(-pose.yaw_rad, (np.asarray(x_px) - pose.t_px[0]) * meta.gsd_m_per_px,
                    (np.asarray(y_px) - pose.t_px[1]) * meta.gsd_m_per_px)
-
-
-def aerial_bev_sample_coords(spec: BevGridSpec, meta: AerialMeta, center_px):
-    """Axis-aligned N x N aerial sampling grid around ``center_px``.
-
-    Returns (coords, in_bounds): coords has shape (N, N, 2) in pixels,
-    placed by :meth:`SceneSpec.aerial_cell_px`; in_bounds flags cells whose
-    coordinates stay within [0, image_size - 1] on both axes.
-    """
-    center = np.asarray(center_px, dtype=float).reshape(2)
-    if not np.all(meta.contains(center)):
-        raise ValueError("grid center outside the aerial image")
-    coords = SceneSpec(grid=spec, aerial=meta).aerial_cell_px(grid_cells(spec), center)
-    return coords, np.all(meta.contains(coords), axis=-1)
 
 
 def _nearest_cells(specs: SceneSpec, fx, fy):

@@ -39,6 +39,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("temperature must be finite and positive")
         if self.known_yaw_rad is not None and not math.isfinite(self.known_yaw_rad):
             raise ValueError("known yaw must be finite")
 

@@ -184,8 +184,8 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     """Scaled cosine similarity between flattened ground and aerial patches."""
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
-    if not tau > 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("temperature must be finite and positive")
     n2 = f_grd.data.shape[0] * f_grd.data.shape[1]
     fg = f_grd.data.reshape(n2, -1)
     fs = f_sat.data.reshape(n2, -1)

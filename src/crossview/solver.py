@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AerialMeta, Pose3DoF, rotation_matrix, wrap_angle
-from .tensorio import read_csv, write_csv
 
 # below this cross-covariance Frobenius norm the rotation is unobservable
 DEGENERACY_EPS = 1e-12
-
-CSV_FIELDS = ("gx", "gy", "ax", "ay", "w")
 
 
 @dataclass(eq=False)
@@ -54,14 +51,6 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, CSV_FIELDS, np.column_stack([self.ground_xy, self.aerial_xy, self.weights]))
-
-    @classmethod
-    def from_csv(cls, path) -> "CorrespondenceSet":
-        rows = read_csv(path, CSV_FIELDS, "correspondence")
-        return cls(rows[:, 0:2], rows[:, 2:4], rows[:, 4])
-
 
 def solve_weighted_procrustes(c: CorrespondenceSet) -> tuple[Pose3DoF, bool]:
     """Globally optimal weighted rigid alignment a ~ R g + T.
@@ -90,11 +79,8 @@ def solve_weighted_procrustes(c: CorrespondenceSet) -> tuple[Pose3DoF, bool]:
 def solve_translation_only(c: CorrespondenceSet, yaw_fixed: float) -> Pose3DoF:
     """Optimal translation for a known yaw: the weighted mean residual."""
     w = c.weights
-    wsum = w.sum()
-    if not wsum > 0:
-        raise ValueError("translation fit needs a positive total weight")
     rotated = c.ground_xy @ rotation_matrix(yaw_fixed).T
-    t = (w[:, None] * (c.aerial_xy - rotated)).sum(axis=0) / wsum
+    t = (w[:, None] * (c.aerial_xy - rotated)).sum(axis=0) / w.sum()
     return Pose3DoF(t, yaw_fixed)
 
 

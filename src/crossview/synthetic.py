@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
 from .surface import BevFeatureMap, FeatureVolume, SurfaceMap
-from .tensorio import load_tensor_dir, save_tensor_dir
+from .tensorio import decode_json, json_number, load_tensor_dir, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
@@ -79,7 +79,7 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     rng = np.random.default_rng([seed, 0])
     n = specs.grid.n_points_per_side
 
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ii, jj = np.moveaxis(grid_cells(specs.grid), -1, 0)
     bumps = np.zeros((n, n))
     for _ in range(NUM_BUMPS):
         cx, cy = rng.uniform(0, n - 1, size=2)
@@ -174,7 +174,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
     gt_index = specs.layers.nearest_index(scene.height_field_m)
 
     vol = sigma * rng.standard_normal((m, n, n, c))
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ii, jj = np.moveaxis(grid_cells(specs.grid), -1, 0)
     vol[gt_index, ii, jj] = scene.feature_texture
     volume = FeatureVolume(vol, specs.layers, specs.grid)
 
@@ -227,16 +227,26 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
                     channels=bundle.scene.feature_texture.shape[2])
 
 
+def _manifest_fields(m: dict) -> dict:
+    """The scene manifest's fields, decoded; ``spec`` and ``gt_pose`` are JSON objects."""
+    return {"specs": decode_json("spec", m["spec"], SceneSpec.from_json_dict),
+            "gt_pose": decode_json("gt_pose", m["gt_pose"], Pose3DoF.from_json_dict),
+            "seed": json_number(m, "seed", integer=True),
+            **{k: json_number(m, k) for k in ("noise_sigma", "depth_anchor_m", "depth_scale")}}
+
+
 def load_scene_dir(directory) -> SceneBundle:
+    """Read a scene directory; a missing or malformed manifest field is a ``ValueError`` naming it."""
     raw, manifest = load_tensor_dir(directory, _SCENE_FORMAT)
     tensors = {name: raw[name].astype(float) for name in _TENSOR_NAMES}
-    specs = SceneSpec.from_json_dict(manifest["spec"])
+    fields = decode_json(directory, manifest, _manifest_fields)
+    specs = fields["specs"]
     scene = SyntheticScene(
         height_field_m=tensors["height_field"],
         feature_texture=tensors["texture"],
-        gt_pose=Pose3DoF.from_json_dict(manifest["gt_pose"]),
-        noise_sigma=float(manifest["noise_sigma"]),
-        seed=int(manifest["seed"]),
+        gt_pose=fields["gt_pose"],
+        noise_sigma=fields["noise_sigma"],
+        seed=fields["seed"],
     )
     inputs = RenderedInputs(
         volume=FeatureVolume(tensors["volume"], specs.layers, specs.grid),
@@ -246,8 +256,8 @@ def load_scene_dir(directory) -> SceneBundle:
         depth_sat=tensors["depth_sat"],
     )
     return SceneBundle(specs=specs, scene=scene, inputs=inputs,
-                       depth_anchor_m=float(manifest["depth_anchor_m"]),
-                       depth_scale=float(manifest["depth_scale"]))
+                       depth_anchor_m=fields["depth_anchor_m"],
+                       depth_scale=fields["depth_scale"])
 
 
 def make_scene_bundle(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,

@@ -35,6 +35,33 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def json_number(d: dict, key: str, integer: bool = False, default=None):
+    """``d[key]`` (``default`` when absent and given) as an int or a float.
+
+    An integer field takes a non-bool int; a float field an int or a float,
+    not a bool. Any other kind is a ``ValueError`` naming ``key``.
+    """
+    v = d[key] if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ValueError(f"{key}: expected {'an integer' if integer else 'a number'}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def decode_json(source, d, decode):
+    """``decode(d)`` for a JSON value read from ``source`` (a file or directory).
+
+    A non-object, or a missing or malformed field, is a ``ValueError``
+    naming ``source``.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{source}: expected a JSON object")
+    try:
+        return decode(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: missing or malformed field ({type(exc).__name__}: {exc})") \
+            from exc
+
+
 def save_tensor(path, array) -> None:
     """Write ``array`` as a float32 tensor file (casting if needed)."""
     arr = np.asarray(array, dtype=np.float32)  # tobytes(order="C") handles layout

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,15 @@ class TestLoss:
                        "--pred-pose", pose_path, check=False)
         assert proc.returncode == 2
 
+    def test_infinite_tau_fails_before_reading_the_scene(self, tmp_path):
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
+                       "--tau", "inf", check=False)
+        assert proc.returncode == 2
+        assert "error: temperature must be finite and positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_config_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=12)
         pose_path = tmp_path / "pose.json"
@@ -459,9 +469,14 @@ class TestMalformedJsonInput:
                                       "n": "nine"}), "ValueError"),
         ("loss-config", '{"n_v": 2.7}', "n_v: expected int, got 2.7"),
         ("loss-config", '{"height_in_meters": "false"}', "height_in_meters"),
+        ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
+                                      "n": 9.7}), "n: expected an integer, got 9.7"),
+        ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_deg": 0.0}',
+         "tx_px: expected a number, got True"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-spec-list", "config-list", "config-null-field", "pose-tx-not-a-number",
-            "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string"])
+            "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
+            "spec-n-fractional", "pose-tx-bool"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"
@@ -486,5 +501,29 @@ class TestMalformedJsonInput:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2
         assert f"error: {bad}: " in proc.stderr
+        assert detail in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestSceneManifestFields:
+    """A scene manifest field that is missing or of the wrong kind is an input error naming it."""
+
+    @pytest.mark.parametrize("key, value, detail", [
+        ("spec", [], "spec: expected a JSON object"),
+        ("spec", None, "KeyError: 'spec'"),
+        ("seed", "x", "seed: expected an integer, got 'x'"),
+    ], ids=["spec-list", "spec-missing", "seed-not-integer"])
+    def test_is_input_error(self, tmp_path, shared_scene_dir, key, value, detail):
+        scene = tmp_path / "scene"
+        shutil.copytree(shared_scene_dir, scene)
+        manifest = json.loads((scene / "manifest.json").read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (scene / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", scene, check=False)
+        assert proc.returncode == 2
+        assert f"error: {scene}: missing or malformed field" in proc.stderr
         assert detail in proc.stderr
         assert "Traceback" not in proc.stderr

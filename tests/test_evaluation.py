@@ -86,19 +86,6 @@ class TestBuildGtProjection:
                     assert proj.sat_xy[v, u, 0] == pytest.approx(xs, abs=1e-9)
                     assert proj.sat_xy[v, u, 1] == pytest.approx(ys, abs=1e-9)
 
-    def test_planar_distance_mode(self):
-        # a steep downward ray: 3D range exceeds the planar distance
-        depth = flat_depth(np.nan)
-        u, v = 64, 60
-        depth[v, u] = 29.0
-        by_range = build_gt_projection(depth, INTR, POSE, META)
-        by_planar = build_gt_projection(depth, INTR, POSE, META, planar_distance=True)
-        assert by_range.valid[v, u] and by_planar.valid[v, u]
-        depth[v, u] = 31.0
-        assert not build_gt_projection(depth, INTR, POSE, META).valid[v, u]
-        assert build_gt_projection(depth, INTR, POSE, META,
-                                   planar_distance=True).valid[v, u]
-
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         depth = rng.uniform(1.0, 40.0, (INTR.panorama_height, INTR.panorama_width))

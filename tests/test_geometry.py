@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec, _nearest_cells,
-                                aerial_bev_sample_coords, aerial_px_to_metric,
-                                bev_cell_to_metric,
-                                aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
+                                aerial_px_to_metric, aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
                                 grid_cells, ground_cell_to_aerial_cell, metric_to_aerial_px,
                                 panorama_pixel_ray, project_point_to_panorama,
                                 wrap_angle)
@@ -31,27 +29,22 @@ class TestBevGridSpec:
 
 
 class TestBevCellToMetric:
+    """Grid cell -> camera-relative meters through its owner, ``BevGridSpec.cell_m``."""
+
     def test_center_cell_is_origin(self):
         spec = BevGridSpec(41, 71.0)
-        assert bev_cell_to_metric(spec, 20, 20) == (0.0, 0.0)
+        assert tuple(spec.cell_m([20, 20])) == (0.0, 0.0)
 
     def test_east_edge_cell(self):
         # 20 cells out at 71/40 m spacing
         spec = BevGridSpec(41, 71.0)
-        x, y = bev_cell_to_metric(spec, 40, 20)
+        x, y = spec.cell_m([40, 20])
         assert x == pytest.approx(20 * 71.0 / 40.0, abs=1e-12)
         assert y == 0.0
 
     def test_corner_of_unit_extent_grid(self):
         spec = BevGridSpec(3, 2.0)
-        assert bev_cell_to_metric(spec, 0, 0) == (-1.0, -1.0)
-
-    def test_out_of_range_raises(self):
-        spec = BevGridSpec(3, 2.0)
-        with pytest.raises(IndexError):
-            bev_cell_to_metric(spec, 3, 0)
-        with pytest.raises(IndexError):
-            bev_cell_to_metric(spec, 0, -1)
+        assert tuple(spec.cell_m([0, 0])) == (-1.0, -1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 15), extent=st.floats(0.5, 200.0),
@@ -59,17 +52,14 @@ class TestBevCellToMetric:
     def test_point_symmetry_about_center(self, n, extent, ix, iy):
         ix, iy = ix % n, iy % n
         spec = BevGridSpec(n, extent)
-        a = bev_cell_to_metric(spec, ix, iy)
-        b = bev_cell_to_metric(spec, n - 1 - ix, n - 1 - iy)
+        a = spec.cell_m([ix, iy])
+        b = spec.cell_m([n - 1 - ix, n - 1 - iy])
         assert a[0] == pytest.approx(-b[0], abs=1e-9)
         assert a[1] == pytest.approx(-b[1], abs=1e-9)
 
     def test_matches_dense_grid(self):
         spec = BevGridSpec(5, 8.0)
-        coords = cell_center_coords(spec)
-        for ix in range(5):
-            for iy in range(5):
-                assert tuple(coords[ix, iy]) == bev_cell_to_metric(spec, ix, iy)
+        assert np.array_equal(spec.cell_m(grid_cells(spec)), cell_center_coords(spec))
 
 
 class TestFrameRuleOwners:
@@ -104,14 +94,15 @@ class TestFrameRuleOwners:
 
     def test_fractional_index_past_last_cell_rejected(self):
         spec = BevGridSpec(3, 2.0)
-        assert bev_cell_to_metric(spec, 2.0, 0.5) == (1.0, -0.5)
-        with pytest.raises(IndexError, match=r"outside \[0, 2\]"):
-            bev_cell_to_metric(spec, 2.5, 0)
+        assert spec.contains([2.0, 0.5]).all()
+        assert tuple(spec.cell_m([2.0, 0.5])) == (1.0, -0.5)
+        assert not spec.contains(2.5)
 
     def test_scalar_calls_return_floats(self):
         meta = AerialMeta()
         pose = Pose3DoF(np.array([100.0, 200.0]), 0.3)
-        for pair in (bev_cell_to_metric(BevGridSpec(41, 71.0), 3, 7),
+        spec = BevGridSpec(41, 71.0)
+        for pair in ((spec.cell_m(3), spec.cell_m(7)),
                      metric_to_aerial_px(meta, pose, 1.5, -2.0),
                      aerial_px_to_metric(meta, pose, 101.0, 190.0)):
             assert len(pair) == 2
@@ -282,22 +273,28 @@ class TestAerialMapping:
 
 
 class TestAerialSampleCoords:
+    """The N x N aerial sampling grid: ``aerial_cell_px`` of ``grid_cells``, in-image per cell."""
+
+    @staticmethod
+    def sample(spec, meta):
+        coords = SceneSpec(grid=spec, aerial=meta).aerial_cell_px(grid_cells(spec))
+        return coords, np.all(meta.contains(coords), axis=-1)
+
     def test_pixel_spacing(self):
         spec = BevGridSpec(41, 71.0)
-        meta = AerialMeta(0.12, 1024)
-        coords, _ = aerial_bev_sample_coords(spec, meta, (512.0, 512.0))
+        coords, _ = self.sample(spec, AerialMeta(0.12, 1024))
         spacing = coords[1, 0, 0] - coords[0, 0, 0]
         assert spacing == pytest.approx(71.0 / 40.0 / 0.12)
 
     def test_center_cell_hits_center(self):
         spec = BevGridSpec(41, 71.0)
-        coords, _ = aerial_bev_sample_coords(spec, AerialMeta(0.12, 1024), (512.0, 500.0))
-        assert tuple(coords[20, 20]) == (512.0, 500.0)
+        coords, _ = self.sample(spec, AerialMeta(0.12, 1024))
+        assert tuple(coords[20, 20]) == (511.5, 511.5)
 
     def test_two_point_grid_one_pixel_apart(self):
         meta = AerialMeta(0.12, 64)
         spec = BevGridSpec(2, meta.gsd_m_per_px)
-        coords, inb = aerial_bev_sample_coords(spec, meta, (32.0, 32.0))
+        coords, inb = self.sample(spec, meta)
         assert coords[1, 0, 0] - coords[0, 0, 0] == pytest.approx(1.0)
         assert coords[0, 1, 1] - coords[0, 0, 1] == pytest.approx(1.0)
         assert inb.all()
@@ -305,16 +302,12 @@ class TestAerialSampleCoords:
     def test_out_of_bounds_flagged_per_cell(self):
         spec = BevGridSpec(41, 71.0)
         meta = AerialMeta(0.12, 400)
-        coords, inb = aerial_bev_sample_coords(spec, meta, (10.0, 200.0))
+        coords, inb = self.sample(spec, meta)
         assert not inb[0, 20]      # far west cell falls off the image
         assert inb[20, 20]
         outside = ~((coords[..., 0] >= 0) & (coords[..., 0] <= 399)
                     & (coords[..., 1] >= 0) & (coords[..., 1] <= 399))
         assert np.array_equal(inb, ~outside)
-
-    def test_center_outside_image_raises(self):
-        with pytest.raises(ValueError):
-            aerial_bev_sample_coords(BevGridSpec(3, 2.0), AerialMeta(0.12, 64), (100.0, 0.0))
 
 
 class TestSceneSpecJson:
@@ -329,6 +322,44 @@ class TestSceneSpecJson:
         specs = SceneSpec.from_json_dict(d)
         assert specs.aerial.image_size_px == 640
         assert specs.intrinsics.camera_height_m == 2.5
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 9.7), ("n", 9.0), ("n", True), ("n", "9"), ("m_layers", None),
+        ("pano_w", False), ("pano_h", 128.0), ("image_size", "640"),
+        ("extent_m", True), ("gsd", "0.12"), ("z_min", None), ("z_max", [10.0]),
+        ("camera_height", False), ("azimuth_offset", "0"),
+    ])
+    def test_field_of_wrong_kind_rejected(self, key, value):
+        d = {**SceneSpec(grid=BevGridSpec(9)).to_json_dict(), key: value}
+        with pytest.raises(ValueError, match=f"^{key}: expected an? "):
+            SceneSpec.from_json_dict(d)
+
+    def test_integer_taken_for_a_float_field(self):
+        d = {**SceneSpec(grid=BevGridSpec(9)).to_json_dict(), "extent_m": 16, "gsd": 1}
+        specs = SceneSpec.from_json_dict(d)
+        assert specs.grid.extent_m == 16.0 and isinstance(specs.grid.extent_m, float)
+        assert specs.aerial.gsd_m_per_px == 1.0 and isinstance(specs.aerial.gsd_m_per_px, float)
+
+
+class TestPoseJson:
+    def test_round_trip(self):
+        pose = Pose3DoF(np.array([12.5, -3.25]), 0.75)
+        back = Pose3DoF.from_json_dict(json.loads(json.dumps(pose.to_json_dict())))
+        assert np.array_equal(back.t_px, pose.t_px) and back.yaw_rad == pose.yaw_rad
+
+    def test_integers_and_degrees_accepted(self):
+        pose = Pose3DoF.from_json_dict({"tx_px": 200, "ty_px": 100, "yaw_deg": 90})
+        assert np.array_equal(pose.t_px, [200.0, 100.0])
+        assert pose.yaw_rad == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx_px", True), ("tx_px", "1.5"), ("ty_px", None), ("ty_px", [2.0]),
+        ("yaw_deg", "90"), ("yaw_rad", False),
+    ])
+    def test_field_of_wrong_kind_rejected(self, key, value):
+        d = {"tx_px": 1.0, "ty_px": 2.0, "yaw_deg": 0.0, key: value}
+        with pytest.raises(ValueError, match=f"^{key}: expected a number"):
+            Pose3DoF.from_json_dict(d)
 
 
 class TestCellMappings:

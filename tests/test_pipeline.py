@@ -20,6 +20,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="top_k"):
             PipelineConfig(top_k=top_k)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.1])
+    def test_non_finite_or_non_positive_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            PipelineConfig(tau=tau)
+
     @pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
     def test_non_finite_known_yaw_rejected(self, yaw):
         with pytest.raises(ValueError, match="known yaw"):

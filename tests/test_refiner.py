@@ -86,6 +86,13 @@ class TestInitialSimilarity:
             initial_similarity(feature_map(np.ones((2, 2, 3))),
                                feature_map(np.ones((3, 3, 3))))
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_tau_rejected(self, tau):
+        # tau = inf would otherwise divide every entry to zero without an error
+        f = feature_map(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            initial_similarity(f, f, tau=tau)
+
 
 def conv3d_naive(x, kernel, bias):
     """Triple spatial loop reference for the 3x3x3 cross-correlation."""
@@ -367,6 +374,15 @@ class TestRefine:
         oracle = s.s + alpha[:, None] * (local_residual(s, params)
                                          + global_residual(s, params))
         assert np.allclose(refined.s, oracle, atol=1e-6)
+
+    def test_overflow_from_finite_inputs_is_caught(self):
+        # finite similarity and parameters whose residual overflows: only the
+        # finiteness scan of the refined SimilarityMatrix stops the inf
+        s = SimilarityMatrix(np.full((16, 16), 1e306))
+        params = RefinerParams.random(16, seed=0, scale=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="similarity matrix contains non-finite entries"):
+            refine(s, params)
 
     def test_gate_values_lie_in_unit_interval(self):
         rng = np.random.default_rng(21)

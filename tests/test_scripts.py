@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts and the benchmark's own smoke run."""
 
 import json
+import re
 
 from conftest import ROOT, python_subprocess
 
@@ -13,6 +14,14 @@ def run_python_proc(*args):
 
 def run_python(*args):
     return run_python_proc(*args).stdout
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert example, "README has no python block under 'Library example'"
+    out = run_python("-c", example.group(1))
+    assert out.splitlines()[0] == "(0.0, 0.0)"
 
 
 def test_demo_pipeline_noise_free_is_exact():

@@ -176,27 +176,3 @@ class TestCorrespondenceSetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             CorrespondenceSet([[np.nan, 0]], [[1, 1]], [1.0])
-
-
-class TestCorrespondenceCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        c = planted_set(rng, 9, 0.3, np.array([1.0, 1.0]), noise=0.1)
-        path = tmp_path / "pairs.csv"
-        c.to_csv(path)
-        back = CorrespondenceSet.from_csv(path)
-        assert np.array_equal(back.ground_xy, c.ground_xy)
-        assert np.array_equal(back.aerial_xy, c.aerial_xy)
-        assert np.array_equal(back.weights, c.weights)
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("gx,gy,ax,ay,w\n1,2,3,4,5\n1,2,oops,4,5\n")
-        with pytest.raises(ValueError, match="line 3"):
-            CorrespondenceSet.from_csv(path)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c,d,e\n1,2,3,4,5\n")
-        with pytest.raises(ValueError, match="header"):
-            CorrespondenceSet.from_csv(path)

@@ -8,7 +8,6 @@ import pytest
 from crossview.evaluation import GroundTruthProjection, MatchPrediction, read_pose_csv
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
-from crossview.solver import CorrespondenceSet
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor,
                                 load_tensor_dir, save_tensor, save_tensor_dir)
@@ -195,7 +194,6 @@ def test_reader_names_a_tensor_the_manifest_does_not_list(tmp_path, write, read,
 
 # one case per CSV format: reader, header, a good row, a row that does not parse, row kind
 CSV_READERS = {
-    "correspondence": (CorrespondenceSet.from_csv, "gx,gy,ax,ay,w", "1,2,3,4,5", "1,2,oops,4,5"),
     "prediction": (MatchPrediction.from_csv, "xg,yg,xs,ys", "1,2,3,4", "bad,2,3,4"),
     "pose": (read_pose_csv, "tx_px,ty_px,yaw_deg", "100,100,0", "100,nope,0"),
 }
