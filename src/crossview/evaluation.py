@@ -101,8 +101,9 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     if depth.shape != (h, w):
         raise ValueError(f"depth map shape {depth.shape} disagrees with intrinsics ({h}, {w})")
 
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dx, dy, _ = panorama_pixel_ray(intr, uu, vv)
+    # azimuth depends on u alone and elevation on v alone, so the rays of a
+    # (W,) column range against an (H, 1) row range broadcast to (H, W)
+    dx, dy, _ = panorama_pixel_ray(intr, np.arange(w), np.arange(h)[:, None])
     with np.errstate(invalid="ignore"):
         in_range = np.isfinite(depth) & (depth > 0) & (depth <= max_range_m)
         xs, ys = metric_to_aerial_px(meta, gt, depth * dx, depth * dy)

@@ -244,7 +244,11 @@ class SceneSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SceneSpec":
-        """Counts take an integer, other fields any number; another kind is a ``ValueError``."""
+        """Counts take an integer, other fields any number; another kind, or a key
+        that :meth:`to_json_dict` does not write, is a ``ValueError``."""
+        unknown = sorted(set(d) - set(cls().to_json_dict()))
+        if unknown:
+            raise ValueError(f"unknown scene spec key(s): {', '.join(map(repr, unknown))}")
         num = functools.partial(json_number, d)
         return cls(
             grid=BevGridSpec(num("n", integer=True), num("extent_m")),

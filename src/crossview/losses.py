@@ -104,7 +104,8 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
 
     Targets are the nearest-cell projections of each sampled patch under
     the true pose: row-wise cross-entropy for ground -> aerial, column-wise
-    for aerial -> ground.
+    for aerial -> ground. Only the sampled rows and columns enter a
+    log-sum-exp.
     """
     n = specs.grid.n_points_per_side
     if s_orig.num_patches != n * n:
@@ -113,12 +114,13 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
     s = s_orig.s
 
     g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
-    lse_rows = _logsumexp(s, axis=1)
-    loss_g2s = float(np.mean(lse_rows[g_src] - s[g_src, g_tgt]))
+    loss_g2s = float(np.mean(_logsumexp(s[g_src], axis=1) - s[g_src, g_tgt]))
 
     a_src, a_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=True)
-    lse_cols = _logsumexp(s, axis=0)
-    loss_s2g = float(np.mean(lse_cols[a_src] - s[a_tgt, a_src]))
+    # take() keeps the sampled columns C-ordered; s[:, a_src] is Fortran-ordered,
+    # which numpy sums pairwise rather than row by row, one ulp off the full matrix
+    lse_cols = _logsumexp(s.take(a_src, axis=1), axis=0)
+    loss_s2g = float(np.mean(lse_cols - s[a_tgt, a_src]))
 
     return 0.5 * (loss_g2s + loss_s2g)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
-from .tensorio import load_tensor_dir, save_tensor_dir
+from .tensorio import json_number, load_tensor_dir, save_tensor_dir
 
 _PARAMS_FORMAT = "refiner-params-v1"
 # The refiner-params-v1 layout: each layer stack's field, its tensor-name
@@ -32,6 +32,7 @@ _STACKS = (
     ("gate_biases", "gate{}_bias", "num_gate_layers"),
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
+_ARGMAX_BLOCK = 128   # rows per block of the column argmax
 
 
 @dataclass
@@ -171,9 +172,12 @@ class RefinerParams:
         tensors, manifest = load_tensor_dir(directory, _PARAMS_FORMAT)
         fields = {}
         for field, pattern, key in _STACKS:
-            count = manifest.get(key)
-            if not isinstance(count, int):
+            if key not in manifest:
                 raise ValueError(f"{directory}: manifest does not list layer count {key!r}")
+            try:
+                count = json_number(manifest, key, integer=True)
+            except ValueError as exc:
+                raise ValueError(f"{directory}: manifest layer count {exc}") from exc
             fields[field] = tuple(tensors[pattern.format(i)] for i in range(count))
         fields.update((field, tensors[field]) for field in _DUSTBIN_FIELDS)
         return cls(**fields)
@@ -428,6 +432,25 @@ def _ranked(p: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return rows[order], cols[order]
 
 
+def _col_argmax(p: np.ndarray) -> np.ndarray:
+    """``p.argmax(axis=0)`` as a running max/argmax over blocks of rows.
+
+    ``argmax(axis=0)`` copies the whole matrix into a transposed buffer.
+    Here each block gives its column maxima in a row-wise pass, and only the
+    columns it improves search it for their first maximal row. The strict
+    ``>`` keeps the earlier block on ties, so ties go to the lowest row.
+    """
+    best = np.full(p.shape[1], -np.inf)
+    arg = np.zeros(p.shape[1], dtype=np.intp)
+    for start in range(0, p.shape[0], _ARGMAX_BLOCK):
+        block = p[start:start + _ARGMAX_BLOCK]
+        block_max = block.max(axis=0)
+        better = np.nonzero(block_max > best)[0]
+        arg[better] = (block[:, better] == block_max[better]).argmax(axis=0) + start
+        best[better] = block_max[better]
+    return arg
+
+
 def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
@@ -445,7 +468,7 @@ def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:
     n = _cube_side(n2)
 
     row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties
-    col_arg = p.argmax(axis=0)   # first occurrence = lowest row on ties
+    col_arg = _col_argmax(p)     # lowest row on ties
     rows = np.nonzero(col_arg[row_arg] == np.arange(n2))[0]
     rows, cols = _ranked(p, rows, row_arg[rows])
     rows, cols = rows[:k], cols[:k]

@@ -169,6 +169,20 @@ class TestSolve:
         assert "manifest does not list layer count 'num_conv_layers'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_refiner_params_with_bool_layer_count_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        refiner.RefinerParams.random(81, seed=1).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_gate_layers"] = True
+        manifest_path.write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
+                       check=False)
+        assert proc.returncode == 2
+        assert "params: manifest layer count num_gate_layers: expected an integer, got True" \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("edit", ["drop-tensors", "not-an-object"])
     def test_refiner_params_manifest_without_tensors_is_input_error(self, tmp_path, edit):
         out = generate_scene_dir(tmp_path, seed=5)

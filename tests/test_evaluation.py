@@ -86,6 +86,28 @@ class TestBuildGtProjection:
                     assert proj.sat_xy[v, u, 0] == pytest.approx(xs, abs=1e-9)
                     assert proj.sat_xy[v, u, 1] == pytest.approx(ys, abs=1e-9)
 
+    def test_matches_meshgrid_ray_oracle_exactly(self):
+        # rays of every pixel from a full (H, W) meshgrid, the unfactored form
+        intr = CameraIntrinsics(panorama_width=256, panorama_height=128, camera_height_m=2.5,
+                                azimuth_offset_rad=0.7)
+        pose = Pose3DoF(np.array([231.5, 270.25]), -2.1)
+        rng = np.random.default_rng(3)
+        depth = rng.uniform(-5.0, 45.0, (intr.panorama_height, intr.panorama_width))
+        depth[rng.uniform(size=depth.shape) < 0.05] = np.nan
+        proj = build_gt_projection(depth, intr, pose, META)
+
+        vv, uu = np.meshgrid(np.arange(intr.panorama_height), np.arange(intr.panorama_width),
+                             indexing="ij")
+        dx, dy, _ = panorama_pixel_ray(intr, uu, vv)
+        with np.errstate(invalid="ignore"):
+            xs, ys = metric_to_aerial_px(META, pose, depth * dx, depth * dy)
+            valid = (np.isfinite(depth) & (depth > 0) & (depth <= 30.0)
+                     & META.contains(xs) & META.contains(ys))
+        sat = np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
+        assert valid.any() and not valid.all()
+        assert np.array_equal(proj.valid, valid)
+        assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         depth = rng.uniform(1.0, 40.0, (INTR.panorama_height, INTR.panorama_width))

@@ -334,6 +334,11 @@ class TestSceneSpecJson:
         with pytest.raises(ValueError, match=f"^{key}: expected an? "):
             SceneSpec.from_json_dict(d)
 
+    def test_unknown_key_rejected(self):
+        d = {**SceneSpec(grid=BevGridSpec(9)).to_json_dict(), "camera_heigth": 3.0}
+        with pytest.raises(ValueError, match="unknown scene spec key.*'camera_heigth'"):
+            SceneSpec.from_json_dict(d)
+
     def test_integer_taken_for_a_float_field(self):
         d = {**SceneSpec(grid=BevGridSpec(9)).to_json_dict(), "extent_m": 16, "gsd": 1}
         specs = SceneSpec.from_json_dict(d)

@@ -6,10 +6,12 @@ import pytest
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec,
                                 rotation_matrix)
-from crossview.losses import (LossConfig, height_loss, matching_loss,
-                              total_loss, vce_loss)
+from crossview.losses import (LossConfig, _logsumexp, _sample_pairs, height_loss,
+                              matching_loss, total_loss, vce_loss)
+from crossview.pipeline import ground_similarity
 from crossview.refiner import SimilarityMatrix
 from crossview.surface import SurfaceMap
+from crossview.synthetic import make_scene_bundle
 
 from conftest import identity_pose
 
@@ -82,6 +84,42 @@ def matching_loss_oracle(s, specs, pose, pairs_fwd, pairs_rev):
         col = s[:, src]
         terms_rev.append(math.log(np.exp(col).sum()) - col[tgt])
     return 0.5 * (np.mean(terms_fwd) + np.mean(terms_rev))
+
+
+def matching_loss_full_matrix_oracle(s, gt, specs, cfg):
+    """The loss with the log-sum-exp of every row and column, indexed afterwards."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
+    loss_g2s = float(np.mean(_logsumexp(s, axis=1)[g_src] - s[g_src, g_tgt]))
+    a_src, a_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=True)
+    loss_s2g = float(np.mean(_logsumexp(s, axis=0)[a_src] - s[a_tgt, a_src]))
+    return 0.5 * (loss_g2s + loss_s2g)
+
+
+class TestMatchingLossExactness:
+    """Reducing only the sampled rows and columns gives the full-matrix floats."""
+
+    # on these scenes summing the sampled columns pairwise (the layout of
+    # s[:, idx]) instead of row by row moves the loss by one ulp
+    @pytest.mark.parametrize("seed", [7, 24])
+    def test_paper_size_noisy_scene(self, default_specs, seed):
+        bundle = make_scene_bundle(default_specs, seed, noise_sigma=0.3)
+        inputs, gt = bundle.inputs, bundle.scene.gt_pose
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
+                                   default_specs)
+        cfg = LossConfig(rng_seed=seed)
+        assert matching_loss(sim, gt, default_specs, cfg) \
+            == matching_loss_full_matrix_oracle(sim.s, gt, default_specs, cfg)
+
+    def test_fewer_valid_pairs_than_samples(self):
+        # a one-cell shift and a small turn leave 13 and 12 valid pairs for n_s = 16
+        specs = tiny_specs()
+        spacing_px = specs.grid.spacing_m / specs.aerial.gsd_m_per_px
+        pose = Pose3DoF(specs.grid_center_px + [spacing_px, 0.0], 0.3)
+        s = np.random.default_rng(17).normal(0, 3, (16, 16))
+        cfg = LossConfig(n_s=16, rng_seed=4)
+        assert matching_loss(SimilarityMatrix(s), pose, specs, cfg) \
+            == matching_loss_full_matrix_oracle(s, pose, specs, cfg)
 
 
 class TestMatchingLoss:

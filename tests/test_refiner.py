@@ -10,9 +10,9 @@ import pytest
 from crossview import pipeline, refiner
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import ground_similarity, run_localization
-from crossview.refiner import (_SINGLE_EXP_RANGE, MatchProbabilities,
-                               RefinerParams, SimilarityMatrix, col_softmax,
-                               conv3d, dustbin_extend, extract_matches,
+from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, MatchProbabilities,
+                               RefinerParams, SimilarityMatrix, _col_argmax,
+                               col_softmax, conv3d, dustbin_extend, extract_matches,
                                gate_values, global_residual,
                                initial_similarity, local_residual,
                                match_probabilities,
@@ -635,12 +635,52 @@ class TestExtractMatches:
             assert got == extract_matches_oracle(p, k), f"k={k}"
             assert np.array_equal(cs.weights, [p[i, j] for i, j in got])
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ordered_pairs_match_oracle_across_argmax_blocks(self, seed):
+        # 144 rows span two column-argmax blocks; tied levels put equal
+        # maxima of one column on both sides of the block border
+        rng = np.random.default_rng(70 + seed)
+        n = 12
+        p = rng.choice([0.2, 0.4, 0.6], size=(n * n, n * n))
+        for k in (1, 30, 200):
+            cs = extract_matches(self._probs(p), k)
+            got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
+                   for g, a in zip(cs.ground_xy, cs.aerial_xy)]
+            assert got == extract_matches_oracle(p, k), f"k={k}"
+
     def test_bad_k_rejected(self):
         p = self._probs(np.full((4, 4), 0.5))
         with pytest.raises(ValueError):
             extract_matches(p, 0)
         with pytest.raises(ValueError):
             extract_matches(p, 17)
+
+
+class TestColumnArgmax:
+    """The blocked column argmax equals ``argmax(axis=0)``, lowest row on ties."""
+
+    @pytest.mark.parametrize("shape", [(1681, 1681), (1, 7), (_ARGMAX_BLOCK, 5),
+                                       (_ARGMAX_BLOCK + 1, 9), (300, 300)])
+    def test_tied_levels(self, shape):
+        p = np.round(np.random.default_rng(shape[0]).uniform(size=shape), 1)
+        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+
+    def test_all_zero(self):
+        p = np.zeros((1681, 1681))
+        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+
+    def test_random_and_near_identity(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(size=(1681, 1681))
+        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+        near = 0.5 * np.eye(1681)[rng.permutation(1681)] + 1e-3 * p
+        assert np.array_equal(_col_argmax(near), near.argmax(axis=0))
+
+    def test_tie_across_blocks_keeps_lowest_row(self):
+        p = np.zeros((3 * _ARGMAX_BLOCK, 4))
+        p[[5, _ARGMAX_BLOCK + 2, 2 * _ARGMAX_BLOCK], 1] = 1.0
+        p[[_ARGMAX_BLOCK + 9, 2 * _ARGMAX_BLOCK + 1], 2] = 1.0
+        assert list(_col_argmax(p)) == [0, 5, _ARGMAX_BLOCK + 9, 0]
 
 
 class TestPermutationEquivariance:
@@ -738,6 +778,17 @@ class TestParamsSerialization:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError,
                            match=f"params: manifest does not list layer count '{count_key}'"):
+            RefinerParams.load(tmp_path / "params")
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3"])
+    def test_manifest_layer_count_of_wrong_kind_rejected(self, tmp_path, value):
+        RefinerParams.random(9, seed=39).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_gate_layers"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError,
+                           match="params: manifest layer count num_gate_layers: expected an integer"):
             RefinerParams.load(tmp_path / "params")
 
     def test_inconsistent_shapes_rejected(self):
