@@ -8,8 +8,7 @@ metrics, and a synthetic oracle harness tying them together.
 
 from .geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                        HeightLayerSpec, Pose3DoF, SceneSpec,
-                       aerial_px_to_metric, metric_to_aerial_px,
-                       project_point_to_panorama, wrap_angle)
+                       aerial_px_to_metric, metric_to_aerial_px, wrap_angle)
 from .losses import LossConfig, height_loss, matching_loss, total_loss, vce_loss
 from .pipeline import PipelineConfig, PipelineResult, run_localization
 from .refiner import (MatchProbabilities, RefinerParams, SimilarityMatrix,

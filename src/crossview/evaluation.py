@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_px, panorama_pixel_ray
-from .tensorio import load_tensor_dir, read_csv, save_tensor_dir, write_csv
+from .tensorio import load_tensor_dir, read_csv, save_tensor_dir
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 POSE_CSV_FIELDS = ("tx_px", "ty_px", "yaw_deg")
@@ -36,6 +36,8 @@ class MatchPrediction:
         self.sat_px = np.asarray(self.sat_px, dtype=float).reshape(-1, 2)
         if self.grd_px.shape != self.sat_px.shape:
             raise ValueError("prediction arrays disagree in length")
+        if not (np.isfinite(self.grd_px).all() and np.isfinite(self.sat_px).all()):
+            raise ValueError("prediction pixel coordinates must be finite")
 
     def __len__(self) -> int:
         return self.grd_px.shape[0]
@@ -44,9 +46,6 @@ class MatchPrediction:
     def from_csv(cls, path) -> "MatchPrediction":
         rows = read_csv(path, PRED_CSV_FIELDS, "prediction")
         return cls(rows[:, 0:2], rows[:, 2:4])
-
-    def to_csv(self, path) -> None:
-        write_csv(path, PRED_CSV_FIELDS, np.hstack([self.grd_px, self.sat_px]))
 
 
 def read_pose_csv(path) -> list[Pose3DoF]:

@@ -177,9 +177,6 @@ class Pose3DoF:
     def yaw_deg(self) -> float:
         return math.degrees(self.yaw_rad)
 
-    def rotation(self) -> np.ndarray:
-        return rotation_matrix(self.yaw_rad)
-
     def to_json_dict(self) -> dict:
         return {"tx_px": float(self.t_px[0]), "ty_px": float(self.t_px[1]),
                 "yaw_rad": self.yaw_rad}
@@ -268,31 +265,10 @@ def grid_cells(spec: BevGridSpec) -> np.ndarray:
     return np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)
 
 
-def project_point_to_panorama(intr: CameraIntrinsics, x_m, y_m, z_m):
-    """Project a camera-relative 3D point into panorama pixel coordinates.
-
-    ``z_m`` is measured from ground level (the camera sits at
-    ``camera_height_m``). Returns (u, v) or None when the elevation falls
-    outside the image (exact nadir). Raises on the degenerate point at the
-    optical center.
-    """
-    r = math.hypot(x_m, y_m)
-    dz = z_m - intr.camera_height_m
-    if r == 0.0 and dz == 0.0:
-        raise ValueError("point coincides with the optical center")
-    azimuth = math.atan2(y_m, x_m) - intr.azimuth_offset_rad
-    elevation = math.atan2(dz, r)
-    u = (azimuth / TWO_PI + 0.5) * intr.panorama_width % intr.panorama_width
-    v = (0.5 - elevation / math.pi) * intr.panorama_height
-    if not 0.0 <= v < intr.panorama_height:
-        return None
-    return u, v
-
-
 def panorama_pixel_ray(intr: CameraIntrinsics, u, v):
     """Unit ray direction(s) (dx, dy, dz) through panorama pixel coordinates.
 
-    Inverse of :func:`project_point_to_panorama`; accepts arrays.
+    Follows the panorama convention of the module docstring; accepts arrays.
     """
     azimuth = (np.asarray(u) / intr.panorama_width - 0.5) * TWO_PI + intr.azimuth_offset_rad
     elevation = (0.5 - np.asarray(v) / intr.panorama_height) * np.pi

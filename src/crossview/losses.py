@@ -7,12 +7,12 @@ bit-reproducible for a fixed configuration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_to_ground_cell,
-                       ground_cell_to_aerial_cell, grid_cells)
+                       ground_cell_to_aerial_cell, grid_cells, rotation_matrix)
 from .refiner import SimilarityMatrix
 from .surface import SurfaceMap
 
@@ -34,9 +34,6 @@ class LossConfig:
             raise ValueError("loss weights and scales must be finite and positive")
         if self.n_v < 1 or self.n_s < 1:
             raise ValueError("sample counts must be positive")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
@@ -60,8 +57,8 @@ def vce_loss(pred: Pose3DoF, gt: Pose3DoF, cfg: LossConfig) -> float:
     rng = np.random.default_rng(cfg.rng_seed)
     half = cfg.l_v_m / 2.0
     pts = rng.uniform(-half, half, size=(cfg.n_v, 2))
-    moved_pred = pts @ pred.rotation().T + pred.t_px
-    moved_gt = pts @ gt.rotation().T + gt.t_px
+    moved_pred = pts @ rotation_matrix(pred.yaw_rad).T + pred.t_px
+    moved_gt = pts @ rotation_matrix(gt.yaw_rad).T + gt.t_px
     diff = moved_pred - moved_gt
     return float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
 

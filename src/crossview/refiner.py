@@ -252,20 +252,6 @@ def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
         yield out
 
 
-def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3x3 cross-correlation with zero padding 1 (shape-preserving), in float64.
-
-    ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3).
-    """
-    in_c, d, h, w = x.shape
-    if kernel.shape[1] != in_c:
-        raise ValueError("kernel input channels disagree with the volume")
-    out = np.empty((kernel.shape[0], d, h, w))
-    for z, sl in enumerate(_conv_slices(x.transpose(1, 0, 2, 3), kernel, bias, relu=False)):
-        out[:, z] = sl
-    return out
-
-
 def _cube_side(n2: int) -> int:
     n = math.isqrt(n2)
     if n * n != n2:
@@ -343,23 +329,6 @@ def dustbin_extend(s: SimilarityMatrix, params: RefinerParams | None) -> np.ndar
         out[n2, n2] = params.dustbin_theta
     out[:n2, :n2] = s.s
     return out
-
-
-def _softmax(m: np.ndarray, axis: int) -> np.ndarray:
-    # max-subtraction guards the exp against overflow; in-place ops keep
-    # the large temporaries down to a single allocation
-    e = m - m.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
-
-
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    return _softmax(np.asarray(m, dtype=float), axis=1)
-
-
-def col_softmax(m: np.ndarray) -> np.ndarray:
-    return _softmax(np.asarray(m, dtype=float), axis=0)
 
 
 # entry ranges below this bound allow the single-exp product path without underflow

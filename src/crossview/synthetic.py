@@ -74,8 +74,10 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     resampling exact; ``snapped=False`` draws a continuous pose instead.
     """
     _require_camera_centered(specs)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0 <= noise_sigma < np.inf:   # also catches NaN
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
     rng = np.random.default_rng([seed, 0])
     n = specs.grid.n_points_per_side
 
@@ -197,12 +199,6 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
         surf_gt=SurfaceMap.from_index(gt_index, specs.layers),
         depth_sat=depth_sat,
     )
-
-
-def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> SurfaceMap:
-    """True aerial-frame surface map (the transformed height field, discretized)."""
-    height_sat = _resample_to_aerial(scene, specs)[1]
-    return SurfaceMap.from_index(specs.layers.nearest_index(height_sat), specs.layers)
 
 
 def save_scene_dir(directory, bundle: SceneBundle) -> None:

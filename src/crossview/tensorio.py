@@ -8,7 +8,7 @@ data.
 A tensor directory holds ``<name>.cvt`` files next to a ``manifest.json``
 carrying the directory's ``format`` tag, the shape of every tensor and any
 format-specific fields. A float CSV has an exact header line and one row
-of ``repr`` floats per record.
+of finite ``repr`` floats per record.
 """
 
 from __future__ import annotations
@@ -154,19 +154,11 @@ def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
     return tensors, manifest
 
 
-def write_csv(path, fields, rows) -> None:
-    """Write the header ``fields`` then each row as ``repr`` floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
-
-
 def read_csv(path, fields, what: str) -> np.ndarray:
     """Read a float CSV whose header is exactly ``fields``; returns (rows, len(fields)).
 
-    Errors name the file and, for an unparsable row, its line number; a
-    file with no rows is an error naming ``what`` the rows hold.
+    Errors name the file and, for an unparsable or non-finite row, its line
+    number; a file with no rows is an error naming ``what`` the rows hold.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -178,6 +170,8 @@ def read_csv(path, fields, what: str) -> np.ndarray:
                 rows.append([float(row[f]) for f in fields])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed row at line {line_no}") from exc
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}: non-finite value at line {line_no}")
     if not rows:
         raise ValueError(f"{path}: no {what} rows")
     return np.array(rows)

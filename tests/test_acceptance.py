@@ -13,17 +13,16 @@ import numpy as np
 from crossview.geometry import Pose3DoF, SceneSpec, rotation_matrix
 from crossview.losses import LossConfig, height_loss, matching_loss, vce_loss
 from crossview.pipeline import run_localization
-from crossview.refiner import (RefinerParams, SimilarityMatrix, col_softmax,
+from crossview.refiner import (RefinerParams, SimilarityMatrix,
                                global_residual, local_residual,
-                               normalize_doubly_stochastic, refine,
-                               row_softmax)
+                               normalize_doubly_stochastic, refine)
 from crossview.solver import (CorrespondenceSet, pose_error,
                               solve_weighted_procrustes)
 from crossview.surface import (SurfaceMap, normalize_confidence,
                                surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
-from conftest import identity_pose, python_subprocess
+from conftest import col_softmax, identity_pose, python_subprocess, row_softmax
 from test_refiner import conv3d_naive
 
 CELL_M = 71.0 / 40.0  # default grid spacing

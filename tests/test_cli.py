@@ -58,6 +58,18 @@ class TestGenerate:
                        "--out-dir", tmp_path / "bad", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--channels", "0", "channels must be at least 1"),
+        ("--noise", "nan", "noise_sigma must be finite and non-negative"),
+    ])
+    def test_bad_scene_argument_is_input_error_and_writes_nothing(self, tmp_path, flag, value,
+                                                                  detail):
+        proc = run_cli("generate", "--seed", "0", "--n", "9", flag, value,
+                       "--out-dir", tmp_path / "bad", check=False)
+        assert proc.returncode == 2
+        assert detail in proc.stderr
+        assert not (tmp_path / "bad").exists()
+
 
 class TestSolve:
     def test_recovers_planted_pose(self, tmp_path):
@@ -155,6 +167,20 @@ class TestSolve:
                        check=False)
         assert proc.returncode == 2
         assert "error: parameters sized for a different patch count" in proc.stderr
+
+    def test_refiner_params_with_mis_chained_conv_is_input_error(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        params_dir = tmp_path / "params"
+        refiner.RefinerParams.random(81, seed=1).save(params_dir)
+        save_tensor(params_dir / "conv1_kernel.cvt", np.zeros((8, 4, 3, 3, 3)))
+        manifest = json.loads((params_dir / "manifest.json").read_text())
+        manifest["tensors"]["conv1_kernel"] = [8, 4, 3, 3, 3]
+        (params_dir / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", params_dir,
+                       check=False)
+        assert proc.returncode == 2
+        assert "error: convolution channel chain is inconsistent" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_refiner_params_without_layer_count_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=5)
@@ -315,6 +341,16 @@ class TestEvalMatching:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
+    def test_non_finite_row_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, ["1,5,101,55", "nan,2,3,4"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "pred.csv: non-finite value at line 3" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_nan_threshold_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
@@ -394,6 +430,14 @@ class TestEvalLocalization:
         proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--mode", "localization", check=False)
         assert proc.returncode == 2
+
+    def test_non_finite_pose_names_the_file(self, tmp_path):
+        gt_dir, pred = self.setup_dirs(tmp_path)
+        pred.write_text("tx_px,ty_px,yaw_deg\n110,100,10\n200,inf,45\n")
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
+                       "--mode", "localization", check=False)
+        assert proc.returncode == 2
+        assert "pred.csv: non-finite value at line 3" in proc.stderr
 
 
 class TestLoss:

@@ -211,6 +211,15 @@ class TestMatchingSuccessRatio:
             with pytest.raises(ValueError, match="finite and positive"):
                 matching_success_ratio(pred, gt, bad)
 
+    @pytest.mark.parametrize("side", ["grd", "sat"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prediction_rejected(self, side, value):
+        # rint(nan).astype(int) would otherwise pick a platform-defined pixel
+        px = {"grd": np.array([[1.0, 1.0], [2.0, 2.0]]), "sat": np.array([[1.0, 1.0], [2.0, 2.0]])}
+        px[side][1, 0] = value
+        with pytest.raises(ValueError, match="prediction pixel coordinates must be finite"):
+            MatchPrediction(px["grd"], px["sat"])
+
 
 class TestLocalizationStats:
     def test_even_count_uses_lower_middle(self):
@@ -245,7 +254,9 @@ class TestPredictionCsv:
         rng = np.random.default_rng(5)
         pred = MatchPrediction(rng.uniform(0, 100, (7, 2)), rng.uniform(0, 500, (7, 2)))
         path = tmp_path / "pred.csv"
-        pred.to_csv(path)
+        lines = ["xg,yg,xs,ys"] + [",".join(repr(float(v)) for v in row)
+                                   for row in np.hstack([pred.grd_px, pred.sat_px])]
+        path.write_text("\n".join(lines) + "\n")
         back = MatchPrediction.from_csv(path)
         assert np.array_equal(back.grd_px, pred.grd_px)
         assert np.array_equal(back.sat_px, pred.sat_px)
@@ -262,6 +273,13 @@ class TestPredictionCsv:
         with pytest.raises(ValueError, match="no prediction rows"):
             MatchPrediction.from_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_file_and_line(self, tmp_path, value):
+        path = tmp_path / "pred.csv"
+        path.write_text(f"xg,yg,xs,ys\n1,2,3,4\n1,2,{value},4\n")
+        with pytest.raises(ValueError, match=r"pred\.csv: non-finite value at line 3"):
+            MatchPrediction.from_csv(path)
+
 
 class TestPoseCsv:
     def test_reads_degrees_as_radians(self, tmp_path):
@@ -273,3 +291,9 @@ class TestPoseCsv:
         assert poses[0].yaw_rad == math.pi / 2
         assert np.array_equal(poses[1].t_px, [-2.0, 3.0])
         assert poses[1].yaw_rad == math.pi   # wrapped into (-pi, pi]
+
+    def test_non_finite_field_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text("tx_px,ty_px,yaw_deg\n1,2,3\ninf,2,3\n")
+        with pytest.raises(ValueError, match=r"poses\.csv: non-finite value at line 3"):
+            read_pose_csv(path)

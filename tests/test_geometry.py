@@ -10,10 +10,10 @@ from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec, _nearest_cells,
                                 aerial_px_to_metric, aerial_cell_in_ground_grid, aerial_cell_to_ground_cell,
                                 grid_cells, ground_cell_to_aerial_cell, metric_to_aerial_px,
-                                panorama_pixel_ray, project_point_to_panorama,
-                                wrap_angle)
+                                panorama_pixel_ray, wrap_angle)
 
-from conftest import cell_center_coords, identity_pose, layer_heights
+from conftest import (cell_center_coords, identity_pose, layer_heights,
+                      project_point_to_panorama)
 
 INTR = CameraIntrinsics(panorama_width=1024, panorama_height=512, camera_height_m=2.5)
 

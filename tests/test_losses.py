@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestLossConfig:
     def test_json_round_trip(self):
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,
                          k_norm=50.0, rng_seed=9, height_in_meters=True)
-        assert LossConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert LossConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("field, value", [
         ("height_in_meters", "false"), ("height_in_meters", 1), ("height_in_meters", None),

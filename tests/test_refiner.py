@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,16 +14,17 @@ from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import ground_similarity, run_localization
 from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, MatchProbabilities,
                                RefinerParams, SimilarityMatrix, _col_argmax,
-                               col_softmax, conv3d, dustbin_extend, extract_matches,
+                               dustbin_extend, extract_matches,
                                gate_values, global_residual,
                                initial_similarity, local_residual,
                                match_probabilities,
-                               normalize_doubly_stochastic, refine,
-                               row_softmax)
+                               normalize_doubly_stochastic, refine)
 from crossview.solver import pose_error
 from crossview.surface import BevFeatureMap
 from crossview.synthetic import make_scene_bundle
 from crossview.tensorio import save_tensor
+
+from conftest import col_softmax, conv3d, row_softmax
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -715,6 +718,31 @@ class TestPermutationEquivariance:
         assert np.allclose(p_perm, p[:, perm], atol=1e-12)
 
 
+# one broken layer layout per RefinerParams._validate rule: (field edits, message)
+_LAYOUT_BREAKS = {
+    "conv-layer-count": (lambda p: {"conv_kernels": p.conv_kernels[:2],
+                                    "conv_biases": p.conv_biases[:2]},
+                         "expected exactly three convolution layers"),
+    "kernel-shape": (lambda p: {"conv_kernels": (np.zeros((8, 1, 3, 3, 2)),
+                                                 *p.conv_kernels[1:])},
+                     "convolution kernels must be (out_c, in_c, 3, 3, 3)"),
+    "channel-chain": (lambda p: {"conv_kernels": (p.conv_kernels[0], np.zeros((8, 4, 3, 3, 3)),
+                                                  p.conv_kernels[2])},
+                      "convolution channel chain is inconsistent"),
+    "final-channels": (lambda p: {"conv_kernels": (*p.conv_kernels[:2],
+                                                   np.zeros((2, 8, 3, 3, 3))),
+                                  "conv_biases": (*p.conv_biases[:2], np.zeros(2))},
+                       "final convolution layer must emit one channel"),
+    "stack-lengths": (lambda p: {"global_biases": p.global_biases[:1]},
+                      "affine stacks need matching weights and biases"),
+    "stack-shapes": (lambda p: {"global_weights": (p.global_weights[0], np.zeros((128, 9)))},
+                     "affine stack shapes are inconsistent"),
+    "stack-output": (lambda p: {"gate_weights": (p.gate_weights[0], np.zeros((64, 2))),
+                                "gate_biases": (p.gate_biases[0], np.zeros(2))},
+                     "affine stack output width is wrong"),
+}
+
+
 class TestParamsSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = RefinerParams.random(16, seed=34)
@@ -795,6 +823,14 @@ class TestParamsSerialization:
         params = RefinerParams.random(9, seed=36)
         with pytest.raises(ValueError):
             _with_dustbin(params, np.zeros(5), np.zeros(9), 0.0)
+
+    @pytest.mark.parametrize("case", sorted(_LAYOUT_BREAKS))
+    def test_layer_layout_rule_rejected(self, case):
+        # RefinerParams.random(9): conv channels 1-8-8-1, global 9-256-9, gate 9-64-1
+        params = RefinerParams.random(9, seed=36)
+        edit, message = _LAYOUT_BREAKS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(params, **edit(params))
 
 
 # one tensor per parameter group: (constructor field, tensor file name)

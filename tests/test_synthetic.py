@@ -13,8 +13,10 @@ from crossview.surface import (aerial_depth_to_height_index,
                                normalize_confidence,
                                surface_from_accumulation)
 from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, _resample_to_aerial,
-                                 aerial_gt_surface, generate_scene, load_scene_dir,
+                                 generate_scene, load_scene_dir,
                                  make_scene_bundle, render_inputs, save_scene_dir)
+
+from conftest import aerial_gt_surface
 
 # Ground offset (in cells) seen by an aerial cell offset under k quarter turns:
 # the inverse rotation, written out by hand as an independent oracle.
@@ -81,6 +83,17 @@ class TestGenerateScene:
     def test_negative_noise_rejected(self, small_specs):
         with pytest.raises(ValueError):
             generate_scene(small_specs, seed=0, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, small_specs, noise):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            generate_scene(small_specs, seed=0, noise_sigma=noise)
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_channels_below_one_rejected(self, small_specs, channels):
+        # zero channels would give zero-norm features that no solve can normalize
+        with pytest.raises(ValueError, match="channels must be at least 1"):
+            generate_scene(small_specs, seed=0, channels=channels)
 
 
 class TestRenderInputs:
