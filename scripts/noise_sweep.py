@@ -8,7 +8,6 @@ whole-cell, quarter-turn ones, so nearest-cell resampling is no longer exact.
 """
 
 import argparse
-import logging
 
 import numpy as np
 
@@ -27,8 +26,6 @@ def main():
     parser.add_argument("--continuous", action="store_true",
                         help="draw continuous poses instead of snapped ones")
     args = parser.parse_args()
-    # every solve runs without refiner parameters on purpose; keep the per-solve warning quiet
-    logging.getLogger("crossview").setLevel(logging.ERROR)
 
     specs = SceneSpec(
         grid=BevGridSpec(n_points_per_side=args.n, extent_m=args.extent),

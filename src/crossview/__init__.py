@@ -17,9 +17,8 @@ from .refiner import (MatchProbabilities, RefinerParams, SimilarityMatrix,
 from .solver import (CorrespondenceSet, pose_error, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,
-                      SurfaceMap, aerial_depth_to_height_index,
-                      fuse_height_features, normalize_confidence,
-                      surface_from_accumulation)
+                      aerial_depth_to_height_index, fuse_height_features,
+                      normalize_confidence, surface_from_accumulation)
 from .synthetic import (SceneBundle, SyntheticScene, generate_scene,
                         load_scene_dir, make_scene_bundle, render_inputs,
                         save_scene_dir)

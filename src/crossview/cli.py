@@ -86,6 +86,8 @@ def cmd_solve(args) -> int:
     volume, conf_logits, f_sat, specs = _load_solve_inputs(args)
     params = RefinerParams.load(args.refiner_params) if args.refiner_params else None
     result = run_localization(volume, conf_logits, f_sat, specs, params, config)
+    if params is None:
+        log.warning("no refiner parameters given: skipping refinement (identity)")
     payload = {
         "tx_px": float(result.pose_px.t_px[0]),
         "ty_px": float(result.pose_px.t_px[1]),
@@ -101,8 +103,11 @@ def cmd_eval(args) -> int:
     if args.mode == "matching":
         pred = MatchPrediction.from_csv(args.pred_csv)
         gt = GroundTruthProjection.load(args.gt_dir)
-        thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds \
-            else list(DEFAULT_THRESHOLDS_PX)
+        try:
+            thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds \
+                else list(DEFAULT_THRESHOLDS_PX)
+        except ValueError as exc:
+            raise ValueError(f"--thresholds: {exc}") from None
         report = matching_success_ratio(pred, gt, thresholds)
         report["mode"] = "matching"
         rows = [("threshold_px", "ratio")]

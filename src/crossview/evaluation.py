@@ -128,11 +128,12 @@ def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
         raise ValueError("thresholds must be finite and positive")
 
     h, w = gt.valid.shape
-    u = np.rint(pred.grd_px[:, 0]).astype(int)
-    v = np.rint(pred.grd_px[:, 1]).astype(int)
+    # in_pano is decided on the rounded floats: casting a huge pixel to int is platform-defined
+    u = np.rint(pred.grd_px[:, 0])
+    v = np.rint(pred.grd_px[:, 1])
     in_pano = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
+    uc = np.clip(u, 0, w - 1).astype(int)
+    vc = np.clip(v, 0, h - 1).astype(int)
     valid = in_pano & gt.valid[vc, uc]
 
     target = gt.sat_xy[vc, uc]

@@ -14,7 +14,6 @@ import numpy as np
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_to_ground_cell,
                        ground_cell_to_aerial_cell, grid_cells, rotation_matrix)
 from .refiner import SimilarityMatrix
-from .surface import SurfaceMap
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,11 @@ class LossConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        """A missing key takes the default; a value of the wrong JSON kind is a ``TypeError``."""
+        """A missing key takes the default; a value of the wrong JSON kind is a ``TypeError``
+        and a key that names no field a ``ValueError``."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown loss config key(s): {', '.join(map(repr, unknown))}")
         values = {}
         for f in fields(cls):
             kind, v = type(f.default), d.get(f.name, f.default)
@@ -122,25 +125,24 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
     return 0.5 * (loss_g2s + loss_s2g)
 
 
-def height_loss(surf_grd: SurfaceMap, surf_sat: SurfaceMap, gt: Pose3DoF,
+def height_loss(surf_grd: np.ndarray, surf_sat: np.ndarray, gt: Pose3DoF,
                 specs: SceneSpec, cfg: LossConfig) -> float:
-    """Mean normalized L1 gap between ground and aerial surface estimates.
+    """Mean normalized L1 gap between ground and aerial (N, N) surface layer indices.
 
     Pairs follow the same ground -> aerial sampling as the matching loss.
     Heights compare in layer-index units by default (``height_in_meters``
-    switches to meters) and are scaled by 1/k_norm.
+    switches to meters through ``HeightLayerSpec.height_of``) and are
+    scaled by 1/k_norm.
     """
     n = specs.grid.n_points_per_side
-    if surf_grd.index.shape != (n, n) or surf_sat.index.shape != (n, n):
+    if surf_grd.shape != (n, n) or surf_sat.shape != (n, n):
         raise ValueError("surface maps disagree with the grid spec")
     rng = np.random.default_rng(cfg.rng_seed)
     g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
+    a = surf_grd.reshape(-1)[g_src].astype(float)
+    b = surf_sat.reshape(-1)[g_tgt].astype(float)
     if cfg.height_in_meters:
-        a = surf_grd.height_m.reshape(-1)[g_src]
-        b = surf_sat.height_m.reshape(-1)[g_tgt]
-    else:
-        a = surf_grd.index.reshape(-1)[g_src].astype(float)
-        b = surf_sat.index.reshape(-1)[g_tgt].astype(float)
+        a, b = specs.layers.height_of(a), specs.layers.height_of(b)
     return float(np.mean(np.abs(a - b)) / cfg.k_norm)
 
 

@@ -7,7 +7,6 @@ fusion -> initial similarity) lives here once and serves both
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,12 +19,10 @@ from .refiner import (RefinerParams, SimilarityMatrix, extract_matches,
                       initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
-from .surface import (BevFeatureMap, FeatureVolume, SurfaceMap,
-                      aerial_depth_to_height_index, fuse_height_features,
-                      normalize_confidence, surface_from_accumulation)
+from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,
+                      fuse_height_features, normalize_confidence,
+                      surface_from_accumulation)
 from .synthetic import SceneBundle
-
-log = logging.getLogger("crossview")
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class PipelineResult:
     pose_px: Pose3DoF
     degenerate: bool
     num_matches: int
-    surface: SurfaceMap
+    surface: np.ndarray  # (N, N) int64 ground surface layer index
     matches_m: CorrespondenceSet
 
 
@@ -68,7 +65,7 @@ def matches_cells_to_metric(matches: CorrespondenceSet, specs: SceneSpec) -> Cor
 
 def ground_similarity(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevFeatureMap,
                       specs: SceneSpec, config: PipelineConfig = PipelineConfig()
-                      ) -> tuple[SurfaceMap, SimilarityMatrix]:
+                      ) -> tuple[np.ndarray, SimilarityMatrix]:
     """Confidence softmax -> ground surface -> height fusion -> initial similarity."""
     conf = normalize_confidence(conf_logits)
     surf = surface_from_accumulation(conf, config.surface_threshold, specs.layers)
@@ -85,8 +82,6 @@ def run_localization(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevF
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)
     if params is not None:
         sim = refine(sim, params)
-    else:
-        log.warning("no refiner parameters given: skipping refinement (identity)")
     probs = match_probabilities(sim, params)
     matches = extract_matches(probs, config.top_k)
     matches_m = matches_cells_to_metric(matches, specs)

@@ -52,25 +52,6 @@ class ConfidenceVolume:
 
 
 @dataclass
-class SurfaceMap:
-    """Chosen surface layer per BEV cell, as index and meters."""
-
-    index: np.ndarray
-    height_m: np.ndarray
-
-    def __post_init__(self):
-        self.index = np.asarray(self.index, dtype=np.int64)
-        self.height_m = np.asarray(self.height_m, dtype=float)
-        if self.index.shape != self.height_m.shape:
-            raise ValueError("index and height maps disagree in shape")
-
-    @classmethod
-    def from_index(cls, index: np.ndarray, layer_spec: HeightLayerSpec) -> "SurfaceMap":
-        index = np.asarray(index, dtype=np.int64)
-        return cls(index=index, height_m=layer_spec.height_of(index))
-
-
-@dataclass
 class BevFeatureMap:
     """Flat N x N x c BEV feature grid."""
 
@@ -99,35 +80,38 @@ def normalize_confidence(raw: np.ndarray) -> ConfidenceVolume:
 
 
 def surface_from_accumulation(conf: ConfidenceVolume, threshold: float,
-                              layer_spec: HeightLayerSpec) -> SurfaceMap:
+                              layer_spec: HeightLayerSpec) -> np.ndarray:
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
 
-    Cells that never cross (possible only through numerical loss, since the
-    columns sum to 1) fall back to the top layer M - 1.
+    Returns the (N, N) int64 layer index. Cells that never cross (possible only
+    through numerical loss, since the columns sum to 1) fall back to the top layer.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
+    m = conf.conf.shape[0]
+    if m != layer_spec.num_layers:
+        raise ValueError(f"confidence volume has {m} layers, layer spec has {layer_spec.num_layers}")
     cum = np.cumsum(conf.conf, axis=0)
     above = cum > threshold
     index = np.argmax(above, axis=0)
     never = ~above.any(axis=0)
     if never.any():
-        index = np.where(never, conf.conf.shape[0] - 1, index)
-    return SurfaceMap.from_index(index, layer_spec)
+        index = np.where(never, m - 1, index)
+    return index.astype(np.int64, copy=False)
 
 
-def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: SurfaceMap,
+def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: np.ndarray,
                          window: int | None = None) -> BevFeatureMap:
     """Confidence-weighted fusion of features across height layers.
 
-    Layers within ``window`` of the surface index contribute, weighted by
+    Layers within ``window`` of the (N, N) surface index contribute, weighted by
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
     count is unchanged.
     """
     m, n = vol.data.shape[0], vol.data.shape[1]
-    if conf.conf.shape != (m, n, n) or surf.index.shape != (n, n):
+    if conf.conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
     if window is not None and window < 0:
         raise ValueError("window must be >= 0")
@@ -136,7 +120,7 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: Surfa
         mask = np.ones((m, n, n))
     else:
         layer_idx = np.arange(m)[:, None, None]
-        mask = (np.abs(layer_idx - surf.index[None, :, :]) <= window).astype(float)
+        mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)
     weights = conf.conf * mask
     totals = weights.sum(axis=0, keepdims=True)
     uniform = mask / mask.sum(axis=0, keepdims=True)
@@ -146,8 +130,8 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: Surfa
 
 def aerial_depth_to_height_index(depth: np.ndarray, layer_spec: HeightLayerSpec,
                                  ground_anchor_m: float = -3.0,
-                                 scale: float | None = None) -> SurfaceMap:
-    """Convert an aerial depth prediction into surface layer indices.
+                                 scale: float | None = None) -> np.ndarray:
+    """Convert an aerial depth prediction into (N, N) int64 surface layer indices.
 
     The minimum depth is anchored to ``ground_anchor_m``; remaining values
     scale linearly to meters (``scale=None`` maps the maximum depth to the
@@ -169,4 +153,4 @@ def aerial_depth_to_height_index(depth: np.ndarray, layer_spec: HeightLayerSpec,
     else:
         effective_scale = float(scale)
     height = ground_anchor_m + effective_scale * (depth - dmin)
-    return SurfaceMap.from_index(layer_spec.nearest_index(height), layer_spec)
+    return layer_spec.nearest_index(height)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
-from .surface import BevFeatureMap, FeatureVolume, SurfaceMap
+from .surface import BevFeatureMap, FeatureVolume
 from .tensorio import decode_json, json_number, load_tensor_dir, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
@@ -46,7 +46,7 @@ class RenderedInputs:
     volume: FeatureVolume
     conf_logits: np.ndarray   # (M, N, N)
     f_sat: BevFeatureMap
-    surf_gt: SurfaceMap       # ground-frame surface
+    surf_gt: np.ndarray       # (N, N) int64 ground-frame surface layer index
     depth_sat: np.ndarray     # (N, N) aerial pseudo-depth
 
 
@@ -196,7 +196,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
         volume=volume,
         conf_logits=conf_logits,
         f_sat=BevFeatureMap(f_sat, specs.grid),
-        surf_gt=SurfaceMap.from_index(gt_index, specs.layers),
+        surf_gt=gt_index,
         depth_sat=depth_sat,
     )
 
@@ -210,7 +210,7 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
         "volume": inputs.volume.data,
         "conf_logits": inputs.conf_logits,
         "f_sat": inputs.f_sat.data,
-        "surf_gt_index": inputs.surf_gt.index.astype(np.float32),
+        "surf_gt_index": inputs.surf_gt.astype(np.float32),
         "depth_sat": inputs.depth_sat,
     }
     save_tensor_dir(directory, _SCENE_FORMAT, tensors,
@@ -248,7 +248,7 @@ def load_scene_dir(directory) -> SceneBundle:
         volume=FeatureVolume(tensors["volume"], specs.layers, specs.grid),
         conf_logits=tensors["conf_logits"],
         f_sat=BevFeatureMap(tensors["f_sat"], specs.grid),
-        surf_gt=SurfaceMap.from_index(tensors["surf_gt_index"].astype(np.int64), specs.layers),
+        surf_gt=tensors["surf_gt_index"].astype(np.int64),
         depth_sat=tensors["depth_sat"],
     )
     return SceneBundle(specs=specs, scene=scene, inputs=inputs,

@@ -1,4 +1,3 @@
-import logging
 import math
 import os
 import subprocess
@@ -11,10 +10,7 @@ import pytest
 from crossview.geometry import (TWO_PI, AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
 from crossview.refiner import _conv_slices
-from crossview.surface import SurfaceMap
 from crossview.synthetic import SyntheticScene, _resample_to_aerial
-
-logging.getLogger("crossview").setLevel(logging.ERROR)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,10 +75,10 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> SurfaceMap:
-    """True aerial-frame surface map (the transformed height field, discretized)."""
+def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:
+    """True aerial-frame surface layer index (the transformed height field, discretized)."""
     height_sat = _resample_to_aerial(scene, specs)[1]
-    return SurfaceMap.from_index(specs.layers.nearest_index(height_sat), specs.layers)
+    return specs.layers.nearest_index(height_sat)
 
 
 def project_point_to_panorama(intr: CameraIntrinsics, x_m, y_m, z_m):

@@ -18,8 +18,7 @@ from crossview.refiner import (RefinerParams, SimilarityMatrix,
                                normalize_doubly_stochastic, refine)
 from crossview.solver import (CorrespondenceSet, pose_error,
                               solve_weighted_procrustes)
-from crossview.surface import (SurfaceMap, normalize_confidence,
-                               surface_from_accumulation)
+from crossview.surface import normalize_confidence, surface_from_accumulation
 from crossview.synthetic import make_scene_bundle
 
 from conftest import col_softmax, identity_pose, python_subprocess, row_softmax
@@ -115,7 +114,7 @@ def test_surface_accumulation_matches_oracle():
     for threshold in [round(0.1 * i, 1) for i in range(1, 10)]:
         surf = surface_from_accumulation(conf, threshold, layers)
         oracle = scan_oracle_batch(flat, threshold)
-        disagreements += int(np.count_nonzero(surf.index.reshape(-1) != oracle))
+        disagreements += int(np.count_nonzero(surf.reshape(-1) != oracle))
     # spot-check a slice with a pure-python per-column scan as well
     for threshold in (0.1, 0.5, 0.9):
         surf = surface_from_accumulation(conf, threshold, layers)
@@ -127,7 +126,7 @@ def test_surface_accumulation_matches_oracle():
                 if running > threshold:
                     expected = i
                     break
-            if surf.index.reshape(-1)[col] != expected:
+            if surf.reshape(-1)[col] != expected:
                 disagreements += 1
     ok = disagreements == 0
     report("surface-accumulation-oracle", ok,
@@ -218,8 +217,8 @@ def test_loss_closed_forms():
                             identity_pose(specs), specs, mcfg)
     matching_dev = abs(uniform - math.log(n2))
 
-    a = SurfaceMap.from_index(np.full((5, 5), 2), specs.layers)
-    b = SurfaceMap.from_index(np.full((5, 5), 5), specs.layers)
+    a = np.full((5, 5), 2)
+    b = np.full((5, 5), 5)
     height = height_loss(a, b, identity_pose(specs), specs, mcfg)
     height_exact = height == 3.0 / mcfg.k_norm
 

@@ -361,6 +361,15 @@ class TestEvalMatching:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_unparsable_threshold_names_the_flag(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--thresholds", "5,x", "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "error: --thresholds: could not convert string to float: 'x'" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         (gt_dir / "manifest.json").unlink()
@@ -527,6 +536,7 @@ class TestMalformedJsonInput:
                                       "n": "nine"}), "ValueError"),
         ("loss-config", '{"n_v": 2.7}', "n_v: expected int, got 2.7"),
         ("loss-config", '{"height_in_meters": "false"}', "height_in_meters"),
+        ("loss-config", '{"beta_1": 5.0}', "unknown loss config key(s): 'beta_1'"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": 9.7}), "n: expected an integer, got 9.7"),
         ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_deg": 0.0}',
@@ -534,6 +544,7 @@ class TestMalformedJsonInput:
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-spec-list", "config-list", "config-null-field", "pose-tx-not-a-number",
             "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
+            "config-unknown-key",
             "spec-n-fractional", "pose-tx-bool"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir

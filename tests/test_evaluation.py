@@ -211,6 +211,17 @@ class TestMatchingSuccessRatio:
             with pytest.raises(ValueError, match="finite and positive"):
                 matching_success_ratio(pred, gt, bad)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e300, -1e300])
+    def test_huge_finite_pixel_is_outside_the_panorama(self, value):
+        # casting rint(1e300) to int is platform-defined; only clipped pixels are cast
+        gt = make_gt()
+        grd = np.array([[value, 2.0], [2.0, value], [1.0, 1.0]])
+        sat = np.array([[3.0, 4.0], [3.0, 4.0], [101.0, 51.0]])
+        report = matching_success_ratio(MatchPrediction(grd, sat), gt, (5.0,))
+        assert report["ratios"] == [1 / 3]
+        assert report["valid_ratio"] == 1 / 3
+
     @pytest.mark.parametrize("side", ["grd", "sat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_prediction_rejected(self, side, value):

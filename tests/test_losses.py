@@ -11,7 +11,6 @@ from crossview.losses import (LossConfig, _logsumexp, _sample_pairs, height_loss
                               matching_loss, total_loss, vce_loss)
 from crossview.pipeline import ground_similarity
 from crossview.refiner import SimilarityMatrix
-from crossview.surface import SurfaceMap
 from crossview.synthetic import make_scene_bundle
 
 from conftest import identity_pose
@@ -212,15 +211,14 @@ class TestHeightLoss:
     def test_identical_maps_identity_pose(self):
         specs = tiny_specs()
         rng = np.random.default_rng(17)
-        idx = rng.integers(0, 11, (4, 4))
-        surf = SurfaceMap.from_index(idx, specs.layers)
+        surf = rng.integers(0, 11, (4, 4))
         cfg = LossConfig(n_s=16, rng_seed=0)
         assert height_loss(surf, surf, identity_pose(specs), specs, cfg) == 0.0
 
     def test_constant_offset_closed_form(self):
         specs = tiny_specs()
-        a = SurfaceMap.from_index(np.full((4, 4), 4), specs.layers)
-        b = SurfaceMap.from_index(np.full((4, 4), 5), specs.layers)
+        a = np.full((4, 4), 4)
+        b = np.full((4, 4), 5)
         cfg = LossConfig(n_s=16, rng_seed=0, k_norm=100.0)
         loss = height_loss(a, b, identity_pose(specs), specs, cfg)
         assert loss == 1.0 / 100.0
@@ -228,28 +226,26 @@ class TestHeightLoss:
     @pytest.mark.parametrize("offset", [2, 3])
     def test_larger_offsets_scale_exactly(self, offset):
         specs = tiny_specs()
-        a = SurfaceMap.from_index(np.full((4, 4), 2), specs.layers)
-        b = SurfaceMap.from_index(np.full((4, 4), 2 + offset), specs.layers)
+        a = np.full((4, 4), 2)
+        b = np.full((4, 4), 2 + offset)
         cfg = LossConfig(n_s=16, rng_seed=0)
         assert height_loss(a, b, identity_pose(specs), specs, cfg) == offset / 100.0
 
     def test_matches_direct_loop_oracle(self):
         specs = tiny_specs()
         rng = np.random.default_rng(18)
-        ia = rng.integers(0, 11, (4, 4))
-        ib = rng.integers(0, 11, (4, 4))
-        a = SurfaceMap.from_index(ia, specs.layers)
-        b = SurfaceMap.from_index(ib, specs.layers)
+        a = rng.integers(0, 11, (4, 4))
+        b = rng.integers(0, 11, (4, 4))
         cfg = LossConfig(n_s=16, rng_seed=0)
         loss = height_loss(a, b, identity_pose(specs), specs, cfg)
-        direct = np.mean([abs(float(ia[i, j]) - float(ib[i, j]))
+        direct = np.mean([abs(float(a[i, j]) - float(b[i, j]))
                           for i in range(4) for j in range(4)]) / cfg.k_norm
         assert loss == pytest.approx(direct, abs=1e-9)
 
     def test_meter_units_scale_by_layer_spacing(self):
         specs = tiny_specs()
-        a = SurfaceMap.from_index(np.full((4, 4), 4), specs.layers)
-        b = SurfaceMap.from_index(np.full((4, 4), 5), specs.layers)
+        a = np.full((4, 4), 4)
+        b = np.full((4, 4), 5)
         cfg_idx = LossConfig(n_s=16, rng_seed=0)
         cfg_m = LossConfig(n_s=16, rng_seed=0, height_in_meters=True)
         li = height_loss(a, b, identity_pose(specs), specs, cfg_idx)
@@ -337,6 +333,10 @@ class TestLossConfig:
             LossConfig.from_json_dict({field: value})
 
     def test_json_takes_int_for_float_and_defaults_for_missing_keys(self):
-        cfg = LossConfig.from_json_dict({"beta1": 2, "n_v": 7, "unknown": "x"})
+        cfg = LossConfig.from_json_dict({"beta1": 2, "n_v": 7})
         assert cfg == LossConfig(beta1=2.0, n_v=7)
         assert type(cfg.beta1) is float
+
+    def test_json_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="^unknown loss config key\\(s\\): 'beta_1', 'x'$"):
+            LossConfig.from_json_dict({"beta_1": 5.0, "x": 1, "n_v": 7})

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -50,6 +51,16 @@ class TestConfigValidation:
                              bundle.inputs.f_sat, small_specs, RefinerParams.random(16, seed=0))
 
 
+class TestLogging:
+    def test_solve_without_refiner_params_logs_nothing(self, small_specs, caplog):
+        bundle = make_scene_bundle(small_specs, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="crossview"):
+            result = run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
+                                      bundle.inputs.f_sat, small_specs)
+        assert result.num_matches == PipelineConfig().top_k
+        assert caplog.records == []
+
+
 class TestSharedChain:
     def test_ground_similarity_matches_stage_by_stage_chain(self, small_specs):
         bundle = make_scene_bundle(small_specs, seed=2, noise_sigma=0.2)
@@ -61,7 +72,7 @@ class TestSharedChain:
         surf_ref = surface_from_accumulation(conf, 0.3, small_specs.layers)
         f_grd = fuse_height_features(inputs.volume, conf, surf_ref, window=1)
         sim_ref = initial_similarity(f_grd, inputs.f_sat, 0.2)
-        assert np.array_equal(surf.index, surf_ref.index)
+        assert np.array_equal(surf, surf_ref)
         assert np.array_equal(sim.s, sim_ref.s)
 
     def test_scene_loss_report_matches_hand_chain(self, small_specs):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from crossview.geometry import BevGridSpec, HeightLayerSpec
 from crossview.surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,
-                               SurfaceMap,
                                aerial_depth_to_height_index,
                                fuse_height_features, normalize_confidence,
                                surface_from_accumulation)
@@ -71,25 +70,34 @@ class TestSurfaceFromAccumulation:
         col[4] = 1.0
         conf = ConfidenceVolume(column_volume(col))
         surf = surface_from_accumulation(conf, 0.5, LAYERS)
-        assert surf.index[0, 0] == 4
-        assert surf.height_m[0, 0] == LAYERS.height_of(4)
+        assert surf[0, 0] == 4
 
     def test_uniform_column(self):
         # cumulative first exceeds 0.5 at 6/11
         conf = ConfidenceVolume(column_volume(np.full(11, 1.0 / 11.0)))
-        assert surface_from_accumulation(conf, 0.5, LAYERS).index[0, 0] == 5
+        assert surface_from_accumulation(conf, 0.5, LAYERS)[0, 0] == 5
 
     def test_boundary_is_strict(self):
         # cumulative hits exactly 0.5 at layer 0, strict ">" postpones to layer 1
         layers = HeightLayerSpec(2, 0.0, 1.0)
         conf = ConfidenceVolume(column_volume([0.5, 0.5]))
-        assert surface_from_accumulation(conf, 0.5, layers).index[0, 0] == 1
+        assert surface_from_accumulation(conf, 0.5, layers)[0, 0] == 1
 
     def test_never_exceeded_falls_back_to_top(self):
         layers = HeightLayerSpec(2, 0.0, 1.0)
         # sums to slightly under 1 (within validation tolerance)
         conf = ConfidenceVolume(column_volume([0.4999990, 0.4999990]))
-        assert surface_from_accumulation(conf, 0.9999995, layers).index[0, 0] == 1
+        assert surface_from_accumulation(conf, 0.9999995, layers)[0, 0] == 1
+
+    def test_returns_n_by_n_int64_layer_index(self):
+        conf = normalize_confidence(np.random.default_rng(5).normal(size=(11, 6, 6)))
+        surf = surface_from_accumulation(conf, 0.5, LAYERS)
+        assert surf.shape == (6, 6) and surf.dtype == np.int64
+
+    def test_layer_count_must_match_spec(self):
+        conf = ConfidenceVolume(column_volume(np.full(11, 1.0 / 11.0)))
+        with pytest.raises(ValueError, match="confidence volume has 11 layers, layer spec has 2"):
+            surface_from_accumulation(conf, 0.5, HeightLayerSpec(2, 0.0, 1.0))
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
     def test_threshold_domain(self, threshold):
@@ -105,7 +113,7 @@ class TestSurfaceFromAccumulation:
             surf = surface_from_accumulation(conf, threshold, LAYERS)
             for i in range(40):
                 for j in range(50):
-                    assert surf.index[i, j] == scan_oracle(conf.conf[:, i, j], threshold)
+                    assert surf[i, j] == scan_oracle(conf.conf[:, i, j], threshold)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), below=st.integers(0, 9),
@@ -114,14 +122,14 @@ class TestSurfaceFromAccumulation:
         rng = np.random.default_rng(seed)
         col = rng.dirichlet(np.ones(11))
         conf = ConfidenceVolume(column_volume(col))
-        idx = surface_from_accumulation(conf, threshold, LAYERS).index[0, 0]
+        idx = surface_from_accumulation(conf, threshold, LAYERS)[0, 0]
         if below >= idx:
             return
         bumped = col.copy()
         bumped[below] += 0.5
         bumped /= bumped.sum()
         conf2 = ConfidenceVolume(column_volume(bumped))
-        idx2 = surface_from_accumulation(conf2, threshold, LAYERS).index[0, 0]
+        idx2 = surface_from_accumulation(conf2, threshold, LAYERS)[0, 0]
         assert idx2 <= idx
 
 
@@ -137,7 +145,7 @@ class TestFuseHeightFeatures:
         rng = np.random.default_rng(0)
         vol = make_volume(rng.normal(size=(4, 3, 3, 5)))
         conf = ConfidenceVolume(np.full((4, 3, 3), 0.25))
-        surf = SurfaceMap.from_index(np.ones((3, 3), dtype=int), vol.layer_spec)
+        surf = np.ones((3, 3), dtype=int)
         fused = fuse_height_features(vol, conf, surf, window=None)
         assert np.allclose(fused.data, vol.data.mean(axis=0), atol=1e-12)
 
@@ -145,11 +153,10 @@ class TestFuseHeightFeatures:
         rng = np.random.default_rng(1)
         vol = make_volume(rng.normal(size=(5, 3, 3, 4)))
         conf = normalize_confidence(rng.normal(size=(5, 3, 3)))
-        surf_idx = rng.integers(0, 5, size=(3, 3))
-        surf = SurfaceMap.from_index(surf_idx, vol.layer_spec)
+        surf = rng.integers(0, 5, size=(3, 3))
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-        assert np.array_equal(fused.data, vol.data[surf_idx, ii, jj])
+        assert np.array_equal(fused.data, vol.data[surf, ii, jj])
 
     def test_hand_computed_window(self):
         # conf (0.2, 0.3, 0.5), surface 2, window 1 -> (0.3 v1 + 0.5 v2) / 0.8
@@ -157,7 +164,7 @@ class TestFuseHeightFeatures:
         vol = make_volume(rng.normal(size=(3, 2, 2, 4)))
         conf = ConfidenceVolume(np.broadcast_to(
             np.array([0.2, 0.3, 0.5])[:, None, None], (3, 2, 2)).copy())
-        surf = SurfaceMap.from_index(np.full((2, 2), 2), vol.layer_spec)
+        surf = np.full((2, 2), 2)
         fused = fuse_height_features(vol, conf, surf, window=1)
         expected = (0.3 * vol.data[1] + 0.5 * vol.data[2]) / 0.8
         assert np.allclose(fused.data, expected, atol=1e-12)
@@ -167,16 +174,16 @@ class TestFuseHeightFeatures:
         vol = make_volume(rng.normal(size=(3, 2, 2, 2)))
         conf = ConfidenceVolume(np.broadcast_to(
             np.array([1.0, 0.0, 0.0])[:, None, None], (3, 2, 2)).copy())
-        surf = SurfaceMap.from_index(np.full((2, 2), 2), vol.layer_spec)
+        surf = np.full((2, 2), 2)
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
-        assert np.array_equal(fused.data, vol.data[surf.index, ii, jj])
+        assert np.array_equal(fused.data, vol.data[surf, ii, jj])
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         vol = make_volume(rng.normal(size=(3, 2, 2, 6)))
         conf = ConfidenceVolume(np.full((4, 2, 2), 0.25))
-        surf = SurfaceMap.from_index(np.zeros((2, 2), dtype=int), vol.layer_spec)
+        surf = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValueError):
             fuse_height_features(vol, conf, surf)
 
@@ -186,29 +193,33 @@ class TestAerialDepthToHeightIndex:
         # h = -3 sits halfway between the -4 and -2 layers; ties round down
         depth = np.array([[0.0, 13.0], [5.0, 7.0]])
         surf = aerial_depth_to_height_index(depth, LAYERS)
-        assert surf.index[0, 0] == 3
+        assert surf[0, 0] == 3
 
     def test_max_depth_hits_top_layer(self):
         depth = np.array([[0.0, 13.0], [5.0, 7.0]])
         surf = aerial_depth_to_height_index(depth, LAYERS)
-        assert surf.index[0, 1] == LAYERS.num_layers - 1
+        assert surf[0, 1] == LAYERS.num_layers - 1
 
     def test_constant_map_flagged_and_grounded(self):
         with pytest.warns(RuntimeWarning):
             surf = aerial_depth_to_height_index(np.full((3, 3), 7.0), LAYERS)
-        assert np.all(surf.index == LAYERS.nearest_index(-3.0))
+        assert np.all(surf == LAYERS.nearest_index(-3.0))
+
+    def test_returns_n_by_n_int64_layer_index(self):
+        surf = aerial_depth_to_height_index(np.random.default_rng(6).uniform(0, 40, (5, 5)), LAYERS)
+        assert surf.shape == (5, 5) and surf.dtype == np.int64
 
     def test_invariant_to_constant_shift(self):
         rng = np.random.default_rng(8)
         depth = rng.uniform(0, 40, (6, 6))
         a = aerial_depth_to_height_index(depth, LAYERS)
         b = aerial_depth_to_height_index(depth + 123.4, LAYERS)
-        assert np.array_equal(a.index, b.index)
+        assert np.array_equal(a, b)
 
     def test_explicit_scale(self):
         depth = np.array([[0.0, 2.0, 4.0]])
         surf = aerial_depth_to_height_index(depth, LAYERS, scale=1.0)
-        assert np.array_equal(surf.index[0], LAYERS.nearest_index(np.array([-3.0, -1.0, 1.0])))
+        assert np.array_equal(surf[0], LAYERS.nearest_index(np.array([-3.0, -1.0, 1.0])))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

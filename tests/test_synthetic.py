@@ -106,12 +106,16 @@ class TestRenderInputs:
         assert np.array_equal(a.f_sat.data, b.f_sat.data)
         assert np.array_equal(a.depth_sat, b.depth_sat)
 
+    def test_surf_gt_is_n_by_n_int64_layer_index(self, small_specs):
+        surf = render_inputs(generate_scene(small_specs, seed=4), small_specs).surf_gt
+        assert surf.shape == (9, 9) and surf.dtype == np.int64
+
     def test_noise_free_confidences_recover_gt_surface(self, small_specs):
         scene = generate_scene(small_specs, seed=4)
         inputs = render_inputs(scene, small_specs)
         conf = normalize_confidence(inputs.conf_logits)
         surf = surface_from_accumulation(conf, 0.5, small_specs.layers)
-        assert np.array_equal(surf.index, inputs.surf_gt.index)
+        assert np.array_equal(surf, inputs.surf_gt)
 
     def test_noise_free_aerial_features_equal_transformed_texture(self, small_specs):
         scene = generate_scene(small_specs, seed=5)
@@ -151,10 +155,10 @@ class TestRenderInputs:
             rec = aerial_depth_to_height_index(
                 bundle.inputs.depth_sat, small_specs.layers,
                 ground_anchor_m=bundle.depth_anchor_m, scale=bundle.depth_scale)
-            assert np.array_equal(rec.index, gt_sat.index)
+            assert np.array_equal(rec, gt_sat)
             rec_auto = aerial_depth_to_height_index(bundle.inputs.depth_sat,
                                                     small_specs.layers)
-            assert np.array_equal(rec_auto.index, gt_sat.index)
+            assert np.array_equal(rec_auto, gt_sat)
 
 
 class TestSnappedRenderOracle:
@@ -177,7 +181,7 @@ class TestSnappedRenderOracle:
             inputs = render_inputs(scene, specs)
             assert np.array_equal(inputs.f_sat.data[inside], tex[inside])
             assert np.array_equal(inputs.depth_sat, (height - GROUND_LEVEL_M) / DEPTH_SCALE)
-            assert np.array_equal(aerial_gt_surface(scene, specs).index,
+            assert np.array_equal(aerial_gt_surface(scene, specs),
                                   specs.layers.nearest_index(height))
 
 
@@ -247,7 +251,12 @@ class TestSceneIo:
                               bundle.inputs.volume.data.astype(np.float32))
         assert np.array_equal(back.inputs.f_sat.data,
                               bundle.inputs.f_sat.data.astype(np.float32))
-        assert np.array_equal(back.inputs.surf_gt.index, bundle.inputs.surf_gt.index)
+        assert np.array_equal(back.inputs.surf_gt, bundle.inputs.surf_gt)
+
+    def test_surf_gt_loads_as_n_by_n_int64_layer_index(self, tmp_path, small_specs):
+        save_scene_dir(tmp_path / "scene", make_scene_bundle(small_specs, seed=8))
+        surf = load_scene_dir(tmp_path / "scene").inputs.surf_gt
+        assert surf.shape == (9, 9) and surf.dtype == np.int64
 
     def test_loaded_scene_still_recovers_pose(self, tmp_path, small_specs):
         bundle = make_scene_bundle(small_specs, seed=9)
