@@ -104,8 +104,8 @@ def cmd_eval(args) -> int:
         pred = MatchPrediction.from_csv(args.pred_csv)
         gt = GroundTruthProjection.load(args.gt_dir)
         try:
-            thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds \
-                else list(DEFAULT_THRESHOLDS_PX)
+            thresholds = list(DEFAULT_THRESHOLDS_PX) if args.thresholds is None \
+                else [float(t) for t in args.thresholds.split(",")]
         except ValueError as exc:
             raise ValueError(f"--thresholds: {exc}") from None
         report = matching_success_ratio(pred, gt, thresholds)
@@ -114,6 +114,8 @@ def cmd_eval(args) -> int:
         rows += list(zip(report["thresholds_px"], report["ratios"]))
         rows += [("valid_ratio", report["valid_ratio"])]
     else:
+        if args.thresholds is not None:
+            raise ValueError("--thresholds applies only to --mode matching")
         pred_poses = read_pose_csv(args.pred_csv)
         gt_dir = Path(args.gt_dir)
         gt_poses = read_pose_csv(gt_dir / "poses.csv")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
@@ -33,6 +34,8 @@ _STACKS = (
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
 _ARGMAX_BLOCK = 128   # rows per block of the column argmax
+_IM2COL_CHUNK = 16384   # output positions per im2col GEMM of a one-channel conv layer
+_TAP_ROWS = 8   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
 
 
 @dataclass
@@ -42,7 +45,8 @@ class SimilarityMatrix:
     s: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
+        # C order, so reductions over it (and the losses) depend on the values alone
+        self.s = np.ascontiguousarray(self.s, dtype=float)
         if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
             raise ValueError("similarity matrix must be square")
         if not np.all(np.isfinite(self.s)):
@@ -211,10 +215,15 @@ def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
     input slices instead of the whole volume. Each yielded (out_c, H, W)
     slice is a view of a buffer that the following slice overwrites.
 
-    Each output slice is nine GEMMs, one per (dy, dx) tap, over the flattened
-    ring. Output rows are computed at the padded width W + 2, so every tap's
-    input is one contiguous-row slice of the ring, which BLAS reads without
-    a copy; the two pad columns of each row are dropped from the view.
+    Output rows are computed at the padded width W + 2, so tap (dy, dx)
+    reads the flattened ring at a fixed offset dy * (W + 2) + dx; the two
+    pad columns of each row are dropped from the view. A one-channel input
+    is lowered to im2col: per chunk of output positions, the 27 shifted
+    ring rows are copied into one (27, chunk) buffer and one
+    (out_c, 27) GEMM writes the outputs. A multi-channel input stacks the
+    nine taps into one (9 * out_c, 3 * in_c) GEMM over a chunk of padded
+    input rows, and each tap's rows are added into the outputs at minus
+    its offset.
     """
     slices = iter(slices)
     first = next(slices, None)
@@ -223,29 +232,52 @@ def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
     in_c, h, w = first.shape
     out_c = kernel.shape[0]
     wp = w + 2
+    size = (h + 2) * wp
     # ring[k] holds input depth z - 1 + k while output depth z is computed
     ring = np.zeros((3, in_c, h + 2, wp))
     interior = ring[:, :, 1:-1, 1:-1]
-    slab = ring.reshape(3 * in_c, (h + 2) * wp)
-    # taps[3 * dy + dx] is (out_c, 3 * in_c), columns ordered (dz, ic) like the slab's rows
-    taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1).reshape(9, out_c, 3 * in_c)
+    slab = ring.reshape(3 * in_c, size)
+    # axes (dy, dx, out_c, dz, in_c): the inner two match the order of the slab's rows
+    taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1)
     offsets = [dy * wp + dx for dy in range(3) for dx in range(3)]
     bias = np.asarray(bias, dtype=float)[:, None, None]
     span = (h - 1) * wp + w   # padded-width output positions from (0, 0) to (h-1, w-1)
     acc = np.empty((out_c, h * wp))
     head = acc[:, :span]
-    part = np.empty((out_c, span))
     out = acc.reshape(out_c, h, wp)[:, :, :w]
+    if in_c == 1:
+        weights = taps.transpose(2, 0, 1, 3, 4).reshape(out_c, 27)
+        chunk = min(_IM2COL_CHUNK, span)
+        cols = np.empty((3, 3, 3, chunk))
+        # column p of the (dy, dx, dz) row is the slab's row dz at p + dy * wp + dx
+        item = slab.itemsize
+        shifts = (wp * item, item, size * item, item)
+    else:
+        weights = taps.reshape(9 * out_c, 3 * in_c)
+        step = _TAP_ROWS * wp
+        stacked = np.empty((9, out_c, min(step, size)))
     interior[2] = first
     for nxt in itertools.chain(slices, [None]):
-        # advance by copying slots, not rotating them, so the taps meet the slab in a fixed order
+        # advance by copying slots, not rotating them, so the GEMMs meet the slab in a fixed order
         ring[0] = ring[1]
         ring[1] = ring[2]
         interior[2] = 0.0 if nxt is None else nxt
-        np.matmul(taps[0], slab[:, :span], out=head)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            np.matmul(tap, slab[:, off:off + span], out=part)
-            head += part
+        if in_c == 1:
+            for p0 in range(0, span, chunk):
+                m = min(chunk, span - p0)
+                cols[..., :m] = as_strided(slab[:, p0:], (3, 3, 3, m), shifts)
+                np.matmul(weights, cols.reshape(-1, chunk)[:, :m], out=head[:, p0:p0 + m])
+        else:
+            head.fill(0.0)
+            for q0 in range(0, size, step):
+                q1 = min(q0 + step, size)
+                np.matmul(weights, slab[:, q0:q1],
+                          out=stacked.reshape(9 * out_c, -1)[:, :q1 - q0])
+                # input position q feeds output q - off of the tap at offset off
+                for part, off in zip(stacked, offsets):
+                    p0, p1 = max(q0 - off, 0), min(q1 - off, span)
+                    if p0 < p1:
+                        head[:, p0:p1] += part[:, p0 + off - q0:p1 + off - q0]
         out += bias
         if relu:
             np.maximum(out, 0.0, out=out)

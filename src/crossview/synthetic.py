@@ -237,6 +237,12 @@ def load_scene_dir(directory) -> SceneBundle:
     tensors = {name: raw[name].astype(float) for name in _TENSOR_NAMES}
     fields = decode_json(directory, manifest, _manifest_fields)
     specs = fields["specs"]
+    surf_gt = tensors["surf_gt_index"]
+    m = specs.layers.num_layers
+    bad = (surf_gt != np.floor(surf_gt)) | (surf_gt < 0) | (surf_gt >= m)
+    if bad.any():
+        raise ValueError(f"{directory}: surf_gt_index must hold whole layer indices in "
+                         f"[0, {m}), found {surf_gt[bad][0]:g}")
     scene = SyntheticScene(
         height_field_m=tensors["height_field"],
         feature_texture=tensors["texture"],
@@ -248,7 +254,7 @@ def load_scene_dir(directory) -> SceneBundle:
         volume=FeatureVolume(tensors["volume"], specs.layers, specs.grid),
         conf_logits=tensors["conf_logits"],
         f_sat=BevFeatureMap(tensors["f_sat"], specs.grid),
-        surf_gt=tensors["surf_gt_index"].astype(np.int64),
+        surf_gt=surf_gt.astype(np.int64),
         depth_sat=tensors["depth_sat"],
     )
     return SceneBundle(specs=specs, scene=scene, inputs=inputs,

@@ -370,6 +370,15 @@ class TestEvalMatching:
         assert "error: --thresholds: could not convert string to float: 'x'" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_empty_thresholds_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--thresholds", "", "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "error: --thresholds: could not convert string to float: ''" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         (gt_dir / "manifest.json").unlink()
@@ -439,6 +448,14 @@ class TestEvalLocalization:
         proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--mode", "localization", check=False)
         assert proc.returncode == 2
+
+    def test_thresholds_flag_is_input_error(self, tmp_path):
+        gt_dir, pred = self.setup_dirs(tmp_path)
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "localization",
+                       "--thresholds", "5,x", "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert "error: --thresholds applies only to --mode matching" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_pose_names_the_file(self, tmp_path):
         gt_dir, pred = self.setup_dirs(tmp_path)
@@ -596,3 +613,16 @@ class TestSceneManifestFields:
         assert f"error: {scene}: missing or malformed field" in proc.stderr
         assert detail in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_bad_surface_index_is_input_error(tmp_path, shared_scene_dir):
+    scene = tmp_path / "scene"
+    shutil.copytree(shared_scene_dir, scene)
+    surf = load_tensor(scene / "surf_gt_index.cvt")
+    surf[0, 0] = 2.7
+    save_tensor(scene / "surf_gt_index.cvt", surf)
+    proc = run_cli("solve", "--scene-dir", scene, check=False)
+    assert proc.returncode == 2
+    assert f"error: {scene}: surf_gt_index must hold whole layer indices in [0, 11), " \
+           "found 2.7" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -111,6 +111,17 @@ class TestMatchingLossExactness:
         assert matching_loss(sim, gt, default_specs, cfg) \
             == matching_loss_full_matrix_oracle(sim.s, gt, default_specs, cfg)
 
+    def test_fortran_ordered_matrix_gives_the_same_loss(self, default_specs):
+        bundle = make_scene_bundle(default_specs, 24, noise_sigma=0.3)
+        inputs, gt = bundle.inputs, bundle.scene.gt_pose
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
+                                   default_specs)
+        fortran = SimilarityMatrix(np.asfortranarray(sim.s))
+        assert fortran.s.flags.c_contiguous
+        cfg = LossConfig(rng_seed=24)
+        assert matching_loss(fortran, gt, default_specs, cfg) \
+            == matching_loss(sim, gt, default_specs, cfg)
+
     def test_fewer_valid_pairs_than_samples(self):
         # a one-cell shift and a small turn leave 13 and 12 valid pairs for n_s = 16
         specs = tiny_specs()

@@ -204,6 +204,23 @@ class TestConv3dShapes:
         assert out.shape == (out_c, *dhw)
         assert np.allclose(out, conv3d_naive(x, kernel, bias), atol=1e-10)
 
+    @pytest.mark.parametrize("chunk,rows", [(7, 3), (1, 1)], ids=lambda c: str(c))
+    @pytest.mark.parametrize("dhw", [(3, 6, 5), (2, 8, 3)],
+                             ids=lambda dhw: "x".join(map(str, dhw)))
+    @pytest.mark.parametrize("in_c,out_c", [(1, 3), (3, 1), (2, 4), (1, 1)],
+                             ids=lambda c: str(c))
+    def test_chunk_boundaries_match_naive(self, monkeypatch, dhw, in_c, out_c, chunk, rows):
+        # the one-channel layer's im2col chunks and the stacked taps' row chunks shrunk:
+        # spans of 40 and 38 output positions and 8 and 10 padded input rows end on a
+        # partial chunk of 7 positions and 3 rows, and a 1-row chunk is shorter than a tap offset
+        monkeypatch.setattr(refiner, "_IM2COL_CHUNK", chunk)
+        monkeypatch.setattr(refiner, "_TAP_ROWS", rows)
+        rng = np.random.default_rng(sum(dhw) * 10 + in_c * 3 + out_c)
+        x = rng.normal(size=(in_c, *dhw))
+        kernel = rng.normal(size=(out_c, in_c, 3, 3, 3))
+        bias = rng.normal(size=out_c)
+        assert np.allclose(conv3d(x, kernel, bias), conv3d_naive(x, kernel, bias), atol=1e-10)
+
     def test_zero_kernel_returns_exactly_the_bias(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 3, 4, 5))
@@ -253,7 +270,8 @@ class TestPaperSizeRefiner:
 
     def test_local_residual_peak_memory(self, monkeypatch):
         # a full 8-channel (41, 41, 1681) cube is 181 MB; the depth-streamed
-        # stack holds three-slice rings and the 1681 x 1681 result instead
+        # stack holds three-slice rings, the GEMM chunk buffers and the
+        # 1681 x 1681 result instead (about 74 MB)
         _, _, sim, params = self.bench_reference_input(monkeypatch)
         tracemalloc.start()
         try:
@@ -262,7 +280,7 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 150.0
+        assert peak_mb < 100.0
 
     @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
     def test_match_probabilities_peak_memory(self, monkeypatch, with_params):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crossview.surface import (aerial_depth_to_height_index,
 from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, _resample_to_aerial,
                                  generate_scene, load_scene_dir,
                                  make_scene_bundle, render_inputs, save_scene_dir)
+from crossview.tensorio import load_tensor, save_tensor
 
 from conftest import aerial_gt_surface
 
@@ -257,6 +259,18 @@ class TestSceneIo:
         save_scene_dir(tmp_path / "scene", make_scene_bundle(small_specs, seed=8))
         surf = load_scene_dir(tmp_path / "scene").inputs.surf_gt
         assert surf.shape == (9, 9) and surf.dtype == np.int64
+
+    @pytest.mark.parametrize("value", [2.7, -4.0, 99.0], ids=["fraction", "negative", "too-high"])
+    def test_bad_surface_index_rejected(self, tmp_path, small_specs, value):
+        scene = tmp_path / "scene"
+        save_scene_dir(scene, make_scene_bundle(small_specs, seed=8))
+        surf = load_tensor(scene / "surf_gt_index.cvt")
+        surf[3, 4] = value
+        save_tensor(scene / "surf_gt_index.cvt", surf)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{scene}: surf_gt_index must hold whole layer indices in [0, 11), "
+                f"found {value:g}")):
+            load_scene_dir(scene)
 
     def test_loaded_scene_still_recovers_pose(self, tmp_path, small_specs):
         bundle = make_scene_bundle(small_specs, seed=9)
