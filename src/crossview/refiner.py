@@ -9,7 +9,6 @@ product of its row-wise and column-wise softmax.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,82 +205,132 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     return SimilarityMatrix(s)
 
 
-def _conv_slices(slices, kernel: np.ndarray, bias: np.ndarray, relu: bool):
-    """Output depth slices of a 3x3x3 cross-correlation with zero padding 1, in float64.
+class _ConvLayer:
+    """One 3x3x3 cross-correlation layer (zero padding 1, float64) of a depth wavefront.
 
-    ``slices`` yields the input depth slices (in_c, H, W) in order; each is
-    copied before the next is requested. Output slice z reads only input
-    slices z-1, z and z+1, so the layer keeps a ring of three zero-padded
-    input slices instead of the whole volume. Each yielded (out_c, H, W)
-    slice is a view of a buffer that the following slice overwrites.
+    The layer keeps a ring of three zero-padded input depth slices
+    (in_c, H + 2, W + 2). While output slice z is computed, logical slot k
+    holds input slice z - 1 + k in physical slot (base + k) % 3; advancing
+    turns ``base`` instead of moving slices, and one weight matrix per
+    rotation phase lets the GEMMs read the slots in physical order.
+    ``incoming`` is the slot that the next input slice goes to.
 
     Output rows are computed at the padded width W + 2, so tap (dy, dx)
-    reads the flattened ring at a fixed offset dy * (W + 2) + dx; the two
-    pad columns of each row are dropped from the view. A one-channel input
-    is lowered to im2col: per chunk of output positions, the 27 shifted
-    ring rows are copied into one (27, chunk) buffer and one
+    reads the flattened ring at a fixed offset dy * (W + 2) + dx, and
+    output (y, x) lands at flat position y * (W + 2) + x of ``dst``; the
+    two positions past the end of each row are garbage. A one-channel
+    input is lowered to im2col: per chunk of output positions, the 27
+    shifted ring rows are copied into one (27, chunk) buffer and one
     (out_c, 27) GEMM writes the outputs. A multi-channel input stacks the
     nine taps into one (9 * out_c, 3 * in_c) GEMM over a chunk of padded
     input rows, and each tap's rows are added into the outputs at minus
-    its offset.
+    its offset; tap offset 0 is the first to reach each output, so it
+    writes part + bias instead of adding.
     """
-    slices = iter(slices)
-    first = next(slices, None)
-    if first is None:   # zero depth: nothing to yield
-        return
-    in_c, h, w = first.shape
-    out_c = kernel.shape[0]
-    wp = w + 2
-    size = (h + 2) * wp
-    # ring[k] holds input depth z - 1 + k while output depth z is computed
-    ring = np.zeros((3, in_c, h + 2, wp))
-    interior = ring[:, :, 1:-1, 1:-1]
-    slab = ring.reshape(3 * in_c, size)
-    # axes (dy, dx, out_c, dz, in_c): the inner two match the order of the slab's rows
-    taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1)
-    offsets = [dy * wp + dx for dy in range(3) for dx in range(3)]
-    bias = np.asarray(bias, dtype=float)[:, None, None]
-    span = (h - 1) * wp + w   # padded-width output positions from (0, 0) to (h-1, w-1)
-    acc = np.empty((out_c, h * wp))
-    head = acc[:, :span]
-    out = acc.reshape(out_c, h, wp)[:, :, :w]
-    if in_c == 1:
-        weights = taps.transpose(2, 0, 1, 3, 4).reshape(out_c, 27)
-        chunk = min(_IM2COL_CHUNK, span)
-        cols = np.empty((3, 3, 3, chunk))
-        # column p of the (dy, dx, dz) row is the slab's row dz at p + dy * wp + dx
-        item = slab.itemsize
-        shifts = (wp * item, item, size * item, item)
-    else:
-        weights = taps.reshape(9 * out_c, 3 * in_c)
-        step = _TAP_ROWS * wp
-        stacked = np.empty((9, out_c, min(step, size)))
-    interior[2] = first
-    for nxt in itertools.chain(slices, [None]):
-        # advance by copying slots, not rotating them, so the GEMMs meet the slab in a fixed order
-        ring[0] = ring[1]
-        ring[1] = ring[2]
-        interior[2] = 0.0 if nxt is None else nxt
+
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray, h: int, w: int):
+        out_c, in_c = kernel.shape[:2]
+        self.wp = w + 2
+        self.size = (h + 2) * self.wp
+        self.span = (h - 1) * self.wp + w   # padded-width outputs from (0, 0) to (h-1, w-1)
+        self.ring = np.zeros((3, in_c, h + 2, self.wp))
+        self.base = 0
+        self.bias = np.asarray(bias, dtype=float)[:, None]
+        # axes (dy, dx, out_c, dz, in_c); phase b reads logical dz from physical slot (b + dz) % 3
+        taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1)
+        phases = [np.roll(taps, b, axis=3) for b in range(3)]
         if in_c == 1:
-            for p0 in range(0, span, chunk):
-                m = min(chunk, span - p0)
-                cols[..., :m] = as_strided(slab[:, p0:], (3, 3, 3, m), shifts)
-                np.matmul(weights, cols.reshape(-1, chunk)[:, :m], out=head[:, p0:p0 + m])
+            self.weights = [t.transpose(2, 0, 1, 3, 4).reshape(out_c, 27) for t in phases]
+            self.chunk = min(_IM2COL_CHUNK, self.span)
+            self.cols = np.empty((3, 3, 3, self.chunk))
         else:
-            head.fill(0.0)
-            for q0 in range(0, size, step):
-                q1 = min(q0 + step, size)
-                np.matmul(weights, slab[:, q0:q1],
-                          out=stacked.reshape(9 * out_c, -1)[:, :q1 - q0])
-                # input position q feeds output q - off of the tap at offset off
-                for part, off in zip(stacked, offsets):
-                    p0, p1 = max(q0 - off, 0), min(q1 - off, span)
-                    if p0 < p1:
-                        head[:, p0:p1] += part[:, p0 + off - q0:p1 + off - q0]
-        out += bias
-        if relu:
-            np.maximum(out, 0.0, out=out)
-        yield out
+            self.weights = [t.reshape(9 * out_c, 3 * in_c) for t in phases]
+            self.rows_step = _TAP_ROWS * self.wp
+            self.stacked = np.empty((9, out_c, min(self.rows_step, self.size)))
+            self.offsets = [dy * self.wp + dx for dy in range(3) for dx in range(3)]
+
+    @property
+    def incoming(self) -> np.ndarray:
+        return self.ring[(self.base + 2) % 3]
+
+    def advance(self, dst: np.ndarray | None) -> None:
+        """Write the output slice into ``dst`` (out_c, span) unless it is None, then rotate."""
+        if dst is not None:
+            slab = self.ring.reshape(-1, self.size)
+            weights = self.weights[self.base]
+            if self.ring.shape[1] == 1:
+                self._im2col(slab, weights, dst)
+            else:
+                self._stacked_taps(slab, weights, dst)
+        self.base = (self.base + 1) % 3
+
+    def _im2col(self, slab, weights, dst):
+        chunk, span = self.chunk, self.span
+        item = slab.itemsize
+        # column p of the (dy, dx, dz) row is the slab's row dz at p + dy * wp + dx
+        shifts = (self.wp * item, item, self.size * item, item)
+        for p0 in range(0, span, chunk):
+            m = min(chunk, span - p0)
+            self.cols[..., :m] = as_strided(slab[:, p0:], (3, 3, 3, m), shifts)
+            out = dst[:, p0:p0 + m]
+            np.matmul(weights, self.cols.reshape(-1, chunk)[:, :m], out=out)
+            out += self.bias
+
+    def _stacked_taps(self, slab, weights, dst):
+        size, span, step = self.size, self.span, self.rows_step
+        stacked = self.stacked
+        for q0 in range(0, size, step):
+            q1 = min(q0 + step, size)
+            np.matmul(weights, slab[:, q0:q1], out=stacked.reshape(len(weights), -1)[:, :q1 - q0])
+            # input position q feeds output q - off of the tap at offset off
+            for part, off in zip(stacked, self.offsets):
+                p0, p1 = max(q0 - off, 0), min(q1 - off, span)
+                if p0 >= p1:
+                    continue
+                src = part[:, p0 + off - q0:p1 + off - q0]
+                if off == 0:
+                    np.add(src, self.bias, out=dst[:, p0:p1])
+                else:
+                    dst[:, p0:p1] += src
+
+
+def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
+    """3x3x3 conv layers with a ReLU between them, from ``x`` (D, in_c, H, W) into ``out``.
+
+    ``out`` is (D, out_c, H, W). The layers form a wavefront over depth:
+    at step t layer i takes in its input slice t - i and emits its output
+    slice t - i - 1, written straight into the next layer's incoming ring
+    slot at flat offset W + 3, so that output (y, x) lands on the slot's
+    interior cell (y + 1, x + 1). The garbage past each row's end falls on
+    the slot's left and right pad columns, which are zeroed again. Only
+    the last layer goes through a one-slice buffer into ``out``.
+    """
+    d, _, h, w = x.shape
+    layers = [_ConvLayer(k, b, h, w) for k, b in zip(kernels, biases)]
+    wp, span = w + 2, layers[0].span
+    last = np.empty((out.shape[1], h * wp))
+    for t in range(d + len(layers)):
+        for i, layer in enumerate(layers):
+            z = t - i
+            if z < 0:
+                break
+            if z > d:
+                continue
+            if z == d:   # the zero slice past the end
+                layer.incoming.fill(0.0)
+            elif i == 0:
+                layer.incoming[:, 1:-1, 1:-1] = x[z]
+            # else the layer before has just written input slice z into the incoming slot
+            if z == 0:
+                layer.advance(None)
+            elif i + 1 < len(layers):
+                nxt = layers[i + 1].incoming
+                layer.advance(nxt.reshape(len(nxt), -1)[:, wp + 1:wp + 1 + span])
+                np.maximum(nxt, 0.0, out=nxt)
+                nxt[:, 1:-1, ::wp - 1] = 0.0
+            else:
+                layer.advance(last[:, :span])
+                out[z - 1] = last.reshape(-1, h, wp)[:, :, :w]
 
 
 def _cube_side(n2: int) -> int:
@@ -299,20 +348,18 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from three 3D convolutions over the (N, N, N^2) similarity cube.
 
-    The layers run as a wavefront over depth (the cube's first axis): each
-    pulls input slices from the layer before, so no multi-channel cube is
-    ever held, and the last layer writes straight into the result.
+    The layers run as one wavefront over depth (the cube's first axis), so
+    no multi-channel cube is ever held, and the last layer writes straight
+    into the result.
     """
     _require_patch_count(s, params)
     n2 = s.num_patches
     n = _cube_side(n2)
-    slices = s.s.reshape(n, 1, n, n2)
-    last = len(params.conv_kernels) - 1
-    for i, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        slices = _conv_slices(slices, kernel, bias, relu=i < last)
+    # allocated before the rings: allocated after them it raised the process's peak RSS
+    # by 12 MB at n=41, as the freed rings' memory stayed with the allocator
     out = np.empty((n2, n2))
-    for z, sl in enumerate(slices):
-        out[z * n:(z + 1) * n] = sl[0]
+    _conv_stack(s.s.reshape(n, 1, n, n2), params.conv_kernels, params.conv_biases,
+                out.reshape(n, 1, n, n2))
     return out
 
 

@@ -237,8 +237,15 @@ def load_scene_dir(directory) -> SceneBundle:
     tensors = {name: raw[name].astype(float) for name in _TENSOR_NAMES}
     fields = decode_json(directory, manifest, _manifest_fields)
     specs = fields["specs"]
+    n, m = specs.grid.n_points_per_side, specs.layers.num_layers
+    shapes = {"surf_gt_index": (n, n), "depth_sat": (n, n), "height_field": (n, n),
+              "conf_logits": (m, n, n), "texture": (n, n, "c")}   # "c": any channel count
+    for name, want in shapes.items():
+        got = tensors[name].shape
+        if len(got) != len(want) or any(w not in ("c", g) for g, w in zip(got, want)):
+            raise ValueError(f"{directory}: {name} must be ({', '.join(map(str, want))}) "
+                             f"for the scene's specs, got {got}")
     surf_gt = tensors["surf_gt_index"]
-    m = specs.layers.num_layers
     bad = (surf_gt != np.floor(surf_gt)) | (surf_gt < 0) | (surf_gt >= m)
     if bad.any():
         raise ValueError(f"{directory}: surf_gt_index must hold whole layer indices in "

@@ -9,7 +9,7 @@ import pytest
 
 from crossview.geometry import (TWO_PI, AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
-from crossview.refiner import _conv_slices
+from crossview.refiner import _conv_stack
 from crossview.synthetic import SyntheticScene, _resample_to_aerial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,14 +64,14 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """3x3x3 cross-correlation with zero padding 1 (shape-preserving), in float64.
 
     ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3). Drives the
-    library's streamed ``_conv_slices`` over a whole volume of any shape.
+    library's depth wavefront ``_conv_stack`` as a one-layer stack over a
+    whole volume of any shape.
     """
     in_c, d, h, w = x.shape
     if kernel.shape[1] != in_c:
         raise ValueError("kernel input channels disagree with the volume")
     out = np.empty((kernel.shape[0], d, h, w))
-    for z, sl in enumerate(_conv_slices(x.transpose(1, 0, 2, 3), kernel, bias, relu=False)):
-        out[:, z] = sl
+    _conv_stack(x.transpose(1, 0, 2, 3), [kernel], [bias], out.transpose(1, 0, 2, 3))
     return out
 
 

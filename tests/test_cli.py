@@ -626,3 +626,21 @@ def test_bad_surface_index_is_input_error(tmp_path, shared_scene_dir):
     assert f"error: {scene}: surf_gt_index must hold whole layer indices in [0, 11), " \
            "found 2.7" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_surface_index_off_the_grid_is_input_error(tmp_path, shared_scene_dir):
+    # a (5, 5) surf_gt_index on a 9x9 scene, listed so in the manifest, used to load silently
+    scene = tmp_path / "scene"
+    shutil.copytree(shared_scene_dir, scene)
+    surf = load_tensor(scene / "surf_gt_index.cvt")[:5, :5].copy()
+    save_tensor(scene / "surf_gt_index.cvt", surf)
+    manifest = json.loads((scene / "manifest.json").read_text())
+    manifest["tensors"]["surf_gt_index"] = [5, 5]
+    (scene / "manifest.json").write_text(json.dumps(manifest))
+    pose_path = tmp_path / "pose.json"
+    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+    proc = run_cli("loss", "--scene-dir", scene, "--pred-pose", pose_path, check=False)
+    assert proc.returncode == 2
+    assert f"error: {scene}: surf_gt_index must be (9, 9) for the scene's specs, " \
+           "got (5, 5)" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -270,6 +271,26 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=re.escape(
                 f"{scene}: surf_gt_index must hold whole layer indices in [0, 11), "
                 f"found {value:g}")):
+            load_scene_dir(scene)
+
+    @pytest.mark.parametrize("name, shape, wanted", [
+        ("surf_gt_index", (5, 5), "(9, 9)"),
+        ("depth_sat", (9, 8), "(9, 9)"),
+        ("height_field", (9, 9, 1), "(9, 9)"),
+        ("conf_logits", (10, 9, 9), "(11, 9, 9)"),
+        ("texture", (9, 9), "(9, 9, c)"),
+    ], ids=["surf_gt_index", "depth_sat", "height_field", "conf_logits", "texture"])
+    def test_tensor_shape_off_the_grid_rejected(self, tmp_path, small_specs, name, shape,
+                                                wanted):
+        # the manifest is rewritten to match, so only the scene's specs can catch the shape
+        scene = tmp_path / "scene"
+        save_scene_dir(scene, make_scene_bundle(small_specs, seed=8))
+        save_tensor(scene / f"{name}.cvt", np.zeros(shape, dtype=np.float32))
+        manifest = json.loads((scene / "manifest.json").read_text())
+        manifest["tensors"][name] = list(shape)
+        (scene / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{scene}: {name} must be {wanted} for the scene's specs, got {shape}")):
             load_scene_dir(scene)
 
     def test_loaded_scene_still_recovers_pose(self, tmp_path, small_specs):
