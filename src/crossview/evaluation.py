@@ -79,8 +79,23 @@ class GroundTruthProjection:
 
     @classmethod
     def load(cls, directory) -> "GroundTruthProjection":
+        """Read a directory written by :meth:`save`.
+
+        A ``gt_valid`` entry other than 0 or 1, or target tensors whose shape
+        differs from the 2-D ``gt_valid``, is a ``ValueError`` naming the
+        directory and the tensor.
+        """
         tensors, _ = load_tensor_dir(directory, _GT_FORMAT)
-        valid = tensors["gt_valid"] > 0.5
+        flag = tensors["gt_valid"]
+        if flag.ndim != 2:
+            raise ValueError(f"{directory}: gt_valid has shape {flag.shape}, expected (H, W)")
+        for name in ("gt_sat_x", "gt_sat_y"):
+            if tensors[name].shape != flag.shape:
+                raise ValueError(f"{directory}: {name} has shape {tensors[name].shape}, "
+                                 f"gt_valid {flag.shape}")
+        if not np.isin(flag, (0.0, 1.0)).all():
+            raise ValueError(f"{directory}: gt_valid holds a value other than 0 or 1")
+        valid = flag == 1.0
         sat = np.stack([tensors["gt_sat_x"], tensors["gt_sat_y"]], axis=-1)
         return cls(np.where(valid[..., None], sat, np.nan), valid)
 
@@ -101,16 +116,19 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
         raise ValueError(f"depth map shape {depth.shape} disagrees with intrinsics ({h}, {w})")
 
     # azimuth depends on u alone and elevation on v alone, so the rays of a
-    # (W,) column range against an (H, 1) row range broadcast to (H, W)
+    # (W,) column range against an (H, 1) row range broadcast to (H, W);
+    # the fresh ray planes then hold the metric points depth * (dx, dy)
     dx, dy, _ = panorama_pixel_ray(intr, np.arange(w), np.arange(h)[:, None])
     with np.errstate(invalid="ignore"):
         in_range = np.isfinite(depth) & (depth > 0) & (depth <= max_range_m)
-        xs, ys = metric_to_aerial_px(meta, gt, depth * dx, depth * dy)
-        in_image = meta.contains(xs) & meta.contains(ys)
-    valid = in_range & in_image
-    sat = np.stack([xs, ys], axis=-1)
-    sat[~valid] = np.nan
-    return GroundTruthProjection(sat, valid)
+        dx *= depth
+        dy *= depth
+        xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
+        valid = in_range & meta.contains(xs) & meta.contains(ys)
+    invalid = ~valid
+    np.copyto(xs, np.nan, where=invalid)
+    np.copyto(ys, np.nan, where=invalid)
+    return GroundTruthProjection(np.stack([xs, ys], axis=-1), valid)
 
 
 def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,

@@ -38,9 +38,19 @@ def rotation_matrix(yaw_rad: float) -> np.ndarray:
 
 
 def _rotate(yaw_rad: float, x, y):
-    """Rotate points (x, y) counterclockwise by ``yaw_rad``, elementwise; ``-yaw`` undoes it."""
+    """Rotate points (x, y) counterclockwise by ``yaw_rad``, elementwise; ``-yaw`` undoes it.
+
+    Returns fresh arrays (or scalars) of the broadcast shape; the inputs are
+    left as they are.
+    """
     c, s = math.cos(yaw_rad), math.sin(yaw_rad)
-    return c * x - s * y, s * x + c * y
+    x, y = np.broadcast_arrays(x, y)
+    # c*x - s*y and s*x + c*y, finished in the fresh products: no third full-size array
+    xr = c * x
+    xr -= s * y
+    yr = s * x
+    yr += c * y
+    return xr, yr
 
 
 @dataclass(frozen=True)
@@ -278,8 +288,12 @@ def panorama_pixel_ray(intr: CameraIntrinsics, u, v):
 
 def metric_to_aerial_px(meta: AerialMeta, pose: Pose3DoF, x_m, y_m):
     """Map BEV metric coordinates to aerial pixel coordinates under a pose."""
-    xr, yr = _rotate(pose.yaw_rad, np.asarray(x_m), np.asarray(y_m))
-    return pose.t_px[0] + xr / meta.gsd_m_per_px, pose.t_px[1] + yr / meta.gsd_m_per_px
+    xr, yr = _rotate(pose.yaw_rad, np.asarray(x_m, dtype=float), np.asarray(y_m, dtype=float))
+    xr /= meta.gsd_m_per_px
+    xr += pose.t_px[0]
+    yr /= meta.gsd_m_per_px
+    yr += pose.t_px[1]
+    return xr, yr
 
 
 def aerial_px_to_metric(meta: AerialMeta, pose: Pose3DoF, x_px, y_px):

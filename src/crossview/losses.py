@@ -67,8 +67,14 @@ def vce_loss(pred: Pose3DoF, gt: Pose3DoF, cfg: LossConfig) -> float:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of ``a`` along ``axis``; overwrites ``a`` with ``exp(a - max)``.
+
+    Pass only an array the caller owns, such as a gathered copy.
+    """
     m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    a -= m
+    np.exp(a, out=a)
+    return (m + np.log(a.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _flat(cells: np.ndarray, n: int) -> np.ndarray:
@@ -114,6 +120,7 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
     s = s_orig.s
 
     g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
+    # s[g_src] and s.take(...) gather fresh copies, which _logsumexp overwrites
     loss_g2s = float(np.mean(_logsumexp(s[g_src], axis=1) - s[g_src, g_tgt]))
 
     a_src, a_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=True)

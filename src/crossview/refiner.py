@@ -367,9 +367,11 @@ def _affine_stack(x: np.ndarray, weights, biases) -> np.ndarray:
     out = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        out = out @ w.astype(float) + b.astype(float)
+        # the bias is added to the fresh product: no second full-size array
+        out = out @ w.astype(float)
+        out += b.astype(float)
         if i < last:
-            out = np.maximum(out, 0.0)
+            np.maximum(out, 0.0, out=out)
     return out
 
 

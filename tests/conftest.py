@@ -15,12 +15,15 @@ from crossview.synthetic import SyntheticScene, _resample_to_aerial
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def python_subprocess(*args, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` with this checkout's ``src/`` first on the child's PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+def python_subprocess(*args, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's ``src/`` first on the child's PYTHONPATH.
+
+    ``env`` sets variables in the child's environment only, over this process's.
+    """
+    child_env = {**os.environ, **(env or {})}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            child_env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=child_env,
                           capture_output=True, text=True)
 
 

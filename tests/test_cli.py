@@ -419,6 +419,31 @@ class TestEvalMatching:
         assert "Traceback" not in proc.stderr
 
 
+    def test_gt_dir_non_binary_mask_is_input_error(self, tmp_path):
+        # a stored 0.3 used to load as "invalid" with no error
+        gt_dir = self.build_gt_dir(tmp_path)
+        flag = load_tensor(gt_dir / "gt_valid.cvt")
+        flag[0, 0] = 0.3
+        save_tensor(gt_dir / "gt_valid.cvt", flag)
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert f"{gt_dir}: gt_valid holds a value other than 0 or 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_gt_dir_target_shape_mismatch_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        save_tensor(gt_dir / "gt_sat_y.cvt", np.zeros((32, 60), dtype=np.float32))
+        self.edit_manifest_tensors(gt_dir, lambda t: t.update(gt_sat_y=[32, 60]))
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert f"{gt_dir}: gt_sat_y has shape (32, 60), gt_valid (32, 64)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestEvalLocalization:
     def setup_dirs(self, tmp_path):
         gt_dir = tmp_path / "gt"

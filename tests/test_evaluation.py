@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from crossview.evaluation import (GroundTruthProjection, MatchPrediction,
 from crossview.geometry import (AerialMeta, CameraIntrinsics, Pose3DoF,
                                 aerial_px_to_metric, metric_to_aerial_px,
                                 panorama_pixel_ray)
-from crossview.tensorio import MANIFEST, save_tensor_dir
+from crossview.tensorio import MANIFEST, save_tensor, save_tensor_dir
 
 INTR = CameraIntrinsics(panorama_width=128, panorama_height=64, camera_height_m=2.5)
 META = AerialMeta(gsd_m_per_px=0.12, image_size_px=512)
@@ -108,6 +109,55 @@ class TestBuildGtProjection:
         assert np.array_equal(proj.valid, valid)
         assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
 
+    def test_matches_out_of_place_formula_exactly(self):
+        # the pose map written out as whole-array expressions, rotation included,
+        # over missing, non-positive, infinite and beyond-range depths
+        intr = CameraIntrinsics(panorama_width=256, panorama_height=128, camera_height_m=2.5,
+                                azimuth_offset_rad=-0.4)
+        rng = np.random.default_rng(8)
+        h, w = intr.panorama_height, intr.panorama_width
+        for yaw in (0.0, 0.9, -2.7, math.pi):
+            pose = Pose3DoF(rng.uniform(100.0, 400.0, 2), yaw)
+            depth = rng.uniform(-5.0, 60.0, (h, w))
+            for value, share in ((np.nan, 0.05), (np.inf, 0.01), (-np.inf, 0.01), (0.0, 0.01)):
+                depth[rng.uniform(size=depth.shape) < share] = value
+            dx, dy, _ = panorama_pixel_ray(intr, np.arange(w), np.arange(h)[:, None])
+            c, s = math.cos(pose.yaw_rad), math.sin(pose.yaw_rad)
+            with np.errstate(invalid="ignore"):
+                x, y = depth * dx, depth * dy
+                xs = pose.t_px[0] + (c * x - s * y) / META.gsd_m_per_px
+                ys = pose.t_px[1] + (s * x + c * y) / META.gsd_m_per_px
+                valid = (np.isfinite(depth) & (depth > 0) & (depth <= 30.0)
+                         & META.contains(xs) & META.contains(ys))
+            sat = np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
+            proj = build_gt_projection(depth, intr, pose, META)
+            assert valid.any() and not valid.all()
+            assert np.array_equal(proj.valid, valid)
+            assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
+
+    def test_leaves_the_depth_map_unchanged(self):
+        rng = np.random.default_rng(9)
+        depth = rng.uniform(-5.0, 45.0, (INTR.panorama_height, INTR.panorama_width))
+        depth[rng.uniform(size=depth.shape) < 0.05] = np.nan
+        before = depth.copy()
+        build_gt_projection(depth, INTR, Pose3DoF(np.array([250.0, 260.0]), 1.3), META)
+        assert depth.tobytes() == before.tobytes()
+
+    def test_paper_size_peak_memory(self):
+        # one (512, 1024) float64 plane is 4.2 MB and the (512, 1024, 2) result 8.4 MB;
+        # whole-array expressions and a boolean-index NaN fill peaked at 38.3 MB
+        intr = CameraIntrinsics(panorama_width=1024, panorama_height=512)
+        depth = np.random.default_rng(10).uniform(-5.0, 45.0, (512, 1024))
+        pose = Pose3DoF(np.array([300.0, 310.0]), 0.4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_gt_projection(depth, intr, pose, META)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 30.0
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         depth = rng.uniform(1.0, 40.0, (INTR.panorama_height, INTR.panorama_width))
@@ -121,6 +171,31 @@ class TestBuildGtProjection:
     def test_load_rejects_wrong_format(self, tmp_path):
         save_tensor_dir(tmp_path / "gt", "scene-v1", {"gt_valid": np.ones((2, 4))})
         with pytest.raises(ValueError, match="unknown format"):
+            GroundTruthProjection.load(tmp_path / "gt")
+
+    @pytest.mark.parametrize("value", [0.3, 2.0, -1.0, np.nan])
+    def test_load_rejects_a_non_binary_mask(self, tmp_path, value):
+        proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
+        proj.save(tmp_path / "gt")
+        flag = proj.valid.astype(np.float32)
+        flag[3, 5] = value
+        save_tensor(tmp_path / "gt" / "gt_valid.cvt", flag)
+        with pytest.raises(ValueError, match=r"gt.*gt_valid.*other than 0 or 1"):
+            GroundTruthProjection.load(tmp_path / "gt")
+
+    @pytest.mark.parametrize("name", ["gt_sat_x", "gt_sat_y"])
+    def test_load_rejects_a_target_shape_mismatch(self, tmp_path, name):
+        tensors = {"gt_sat_x": np.zeros((4, 8)), "gt_sat_y": np.zeros((4, 8)),
+                   "gt_valid": np.ones((4, 8))}
+        tensors[name] = np.zeros((4, 6))
+        save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
+        with pytest.raises(ValueError, match=rf"gt.*{name} has shape \(4, 6\)"):
+            GroundTruthProjection.load(tmp_path / "gt")
+
+    def test_load_rejects_a_mask_that_is_not_2d(self, tmp_path):
+        tensors = {name: np.zeros(8) for name in ("gt_sat_x", "gt_sat_y", "gt_valid")}
+        save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
+        with pytest.raises(ValueError, match=r"gt.*gt_valid has shape \(8,\)"):
             GroundTruthProjection.load(tmp_path / "gt")
 
     def test_load_rejects_missing_manifest(self, tmp_path):

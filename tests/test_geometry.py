@@ -272,6 +272,52 @@ class TestAerialMapping:
             assert math.hypot(back[0] - x, back[1] - y) < 1e-9
 
 
+    POSE = Pose3DoF(np.array([231.5, 270.25]), -2.1)
+    INPUTS = {
+        "python-float": (3.5, -2.25),
+        "python-int": (3, -2),
+        "zero-d": (np.float64(3.5), np.array(-2.25)),
+        "array": (np.linspace(-40.0, 40.0, 35).reshape(7, 5),
+                  np.linspace(30.0, -50.0, 35).reshape(7, 5)),
+        "int-array": (np.arange(6), np.arange(6)[::-1]),
+        "broadcast": (np.arange(5.0), np.arange(3.0)[:, None]),
+    }
+
+    @staticmethod
+    def assert_same_floats(got, want):
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_forward_map_matches_out_of_place_formula(self, kind):
+        x, y = self.INPUTS[kind]
+        c, s = math.cos(self.POSE.yaw_rad), math.sin(self.POSE.yaw_rad)
+        x, y = np.asarray(x), np.asarray(y)
+        want = (self.POSE.t_px[0] + (c * x - s * y) / self.META.gsd_m_per_px,
+                self.POSE.t_px[1] + (s * x + c * y) / self.META.gsd_m_per_px)
+        self.assert_same_floats(metric_to_aerial_px(self.META, self.POSE, *self.INPUTS[kind]),
+                                want)
+
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_inverse_map_matches_out_of_place_formula(self, kind):
+        x, y = self.INPUTS[kind]
+        c, s = math.cos(-self.POSE.yaw_rad), math.sin(-self.POSE.yaw_rad)
+        xm = (np.asarray(x) - self.POSE.t_px[0]) * self.META.gsd_m_per_px
+        ym = (np.asarray(y) - self.POSE.t_px[1]) * self.META.gsd_m_per_px
+        want = (c * xm - s * ym, s * xm + c * ym)
+        self.assert_same_floats(aerial_px_to_metric(self.META, self.POSE, *self.INPUTS[kind]),
+                                want)
+
+    @pytest.mark.parametrize("fn", [metric_to_aerial_px, aerial_px_to_metric])
+    def test_leaves_array_inputs_unchanged(self, fn):
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(-40.0, 40.0, (2, 9, 4))
+        before = x.copy(), y.copy()
+        fn(self.META, self.POSE, x, y)
+        assert x.tobytes() == before[0].tobytes() and y.tobytes() == before[1].tobytes()
+
+
 class TestAerialSampleCoords:
     """The N x N aerial sampling grid: ``aerial_cell_px`` of ``grid_cells``, in-image per cell."""
 

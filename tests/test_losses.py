@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec,
                                 rotation_matrix)
-from crossview.losses import (LossConfig, _logsumexp, _sample_pairs, height_loss,
+from crossview.losses import (LossConfig, _sample_pairs, height_loss,
                               matching_loss, total_loss, vce_loss)
 from crossview.pipeline import ground_similarity
 from crossview.refiner import SimilarityMatrix
@@ -86,13 +87,19 @@ def matching_loss_oracle(s, specs, pose, pairs_fwd, pairs_rev):
     return 0.5 * (np.mean(terms_fwd) + np.mean(terms_rev))
 
 
+def full_logsumexp(a, axis):
+    """Log-sum-exp along ``axis`` that leaves ``a`` as it is."""
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
 def matching_loss_full_matrix_oracle(s, gt, specs, cfg):
     """The loss with the log-sum-exp of every row and column, indexed afterwards."""
     rng = np.random.default_rng(cfg.rng_seed)
     g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
-    loss_g2s = float(np.mean(_logsumexp(s, axis=1)[g_src] - s[g_src, g_tgt]))
+    loss_g2s = float(np.mean(full_logsumexp(s, axis=1)[g_src] - s[g_src, g_tgt]))
     a_src, a_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=True)
-    loss_s2g = float(np.mean(_logsumexp(s, axis=0)[a_src] - s[a_tgt, a_src]))
+    loss_s2g = float(np.mean(full_logsumexp(s, axis=0)[a_src] - s[a_tgt, a_src]))
     return 0.5 * (loss_g2s + loss_s2g)
 
 
@@ -131,6 +138,49 @@ class TestMatchingLossExactness:
         cfg = LossConfig(n_s=16, rng_seed=4)
         assert matching_loss(SimilarityMatrix(s), pose, specs, cfg) \
             == matching_loss_full_matrix_oracle(s, pose, specs, cfg)
+
+
+class TestMatchingLossInPlace:
+    """The log-sum-exp overwrites the gathered rows and columns, never the matrix."""
+
+    @staticmethod
+    def paper_size_input(specs, seed=5, sigma=0.2):
+        bundle = make_scene_bundle(specs, seed, noise_sigma=sigma)
+        inputs = bundle.inputs
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat, specs)
+        return sim, bundle.scene.gt_pose
+
+    def test_leaves_the_matrix_unchanged(self, default_specs):
+        sim, gt = self.paper_size_input(default_specs)
+        before = sim.s.copy()
+        matching_loss(sim, gt, default_specs, LossConfig(rng_seed=5))
+        assert sim.s.tobytes() == before.tobytes()
+
+    def test_leaves_a_shared_caller_matrix_unchanged(self):
+        # every row and column is sampled, so a log-sum-exp on s itself would show
+        specs = tiny_specs()
+        s = np.random.default_rng(21).normal(0, 3, (16, 16))
+        sim = SimilarityMatrix(s)
+        assert np.shares_memory(sim.s, s)
+        before = s.copy()
+        loss = matching_loss(sim, identity_pose(specs), specs, LossConfig(n_s=16, rng_seed=2))
+        assert s.tobytes() == before.tobytes()
+        assert loss == matching_loss_full_matrix_oracle(s, identity_pose(specs), specs,
+                                                        LossConfig(n_s=16, rng_seed=2))
+
+    def test_paper_size_peak_memory(self, default_specs):
+        # the 1024 gathered rows (then columns) of 1681 are 13.8 MB, the one full-size
+        # array; an out-of-place subtract and exp made three of them, a 41.4 MB peak
+        sim, gt = self.paper_size_input(default_specs)
+        cfg = LossConfig(n_s=1024, rng_seed=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matching_loss(sim, gt, default_specs, cfg)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 20.0
 
 
 class TestMatchingLoss:

@@ -310,6 +310,19 @@ class TestPaperSizeRefiner:
             tracemalloc.stop()
         assert peak_mb < 80.0
 
+    def test_global_residual_peak_memory(self, monkeypatch):
+        # the last affine layer's 1681 x 1681 product is 22.6 MB; adding the bias
+        # out of place made a second one, a 48.7 MB peak
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            global_residual(sim, params)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 35.0
+
     @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
     def test_match_probabilities_peak_memory(self, monkeypatch, with_params):
         # one 1681 x 1681 float64 is 21.6 MB; extending to 1682 x 1682,
