@@ -124,6 +124,7 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
         dx *= depth
         dy *= depth
         xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
+        del dx, dy
         valid = in_range & meta.contains(xs) & meta.contains(ys)
     invalid = ~valid
     np.copyto(xs, np.nan, where=invalid)

@@ -145,7 +145,8 @@ class TestBuildGtProjection:
 
     def test_paper_size_peak_memory(self):
         # one (512, 1024) float64 plane is 4.2 MB and the (512, 1024, 2) result 8.4 MB;
-        # whole-array expressions and a boolean-index NaN fill peaked at 38.3 MB
+        # whole-array expressions and a boolean-index NaN fill peaked at 38.3 MB;
+        # releasing the scaled ray planes before the result is built gives 21.5 MB
         intr = CameraIntrinsics(panorama_width=1024, panorama_height=512)
         depth = np.random.default_rng(10).uniform(-5.0, 45.0, (512, 1024))
         pose = Pose3DoF(np.array([300.0, 310.0]), 0.4)
@@ -156,7 +157,7 @@ class TestBuildGtProjection:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 30.0
+        assert peak_mb < 24.0
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
