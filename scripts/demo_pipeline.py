@@ -15,7 +15,7 @@ from crossview.synthetic import make_scene_bundle
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n", type=int, default=41)
+    parser.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side)
     parser.add_argument("--noise", type=float, default=0.0)
     parser.add_argument("--continuous-pose", action="store_true")
     args = parser.parse_args()

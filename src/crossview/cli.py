@@ -71,9 +71,9 @@ def _load_solve_inputs(args):
     if any(p is None for p in needed):
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
     specs = _read_json(args.spec_json, SceneSpec.from_json_dict)
-    volume = FeatureVolume(load_tensor(args.volume).astype(float), specs.layers, specs.grid)
-    conf_logits = load_tensor(args.conf_logits).astype(float)
-    f_sat = BevFeatureMap(load_tensor(args.f_sat).astype(float), specs.grid)
+    volume = FeatureVolume(load_tensor(args.volume), specs.layers, specs.grid)
+    conf_logits = load_tensor(args.conf_logits)
+    f_sat = BevFeatureMap(load_tensor(args.f_sat), specs.grid)
     return volume, conf_logits, f_sat, specs
 
 
@@ -136,9 +136,9 @@ def cmd_eval(args) -> int:
 
 def cmd_loss(args) -> int:
     config = PipelineConfig(surface_threshold=args.threshold, tau=args.tau)
-    bundle = load_scene_dir(args.scene_dir)
     cfg = _read_json(args.config, LossConfig.from_json_dict) if args.config else LossConfig()
     pred = _read_json(args.pred_pose, Pose3DoF.from_json_dict)
+    bundle = load_scene_dir(args.scene_dir)
     _dump_json(scene_loss_report(bundle, pred, cfg, config), args.out)
     return EXIT_OK
 
@@ -151,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic scene directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=41, help="grid points per side (odd)")
+    p.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side,
+                   help="grid points per side (odd)")
     p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma")
     p.add_argument("--channels", type=int, default=16)
     p.add_argument("--continuous-pose", action="store_true",
@@ -167,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-sat")
     p.add_argument("--spec-json")
     p.add_argument("--refiner-params", help="directory of refiner parameter tensors")
-    p.add_argument("--threshold", type=float, default=0.5, help="surface threshold")
-    p.add_argument("--topk", type=int, default=30)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.surface_threshold,
+                   help="surface threshold")
+    p.add_argument("--topk", type=int, default=PipelineConfig.top_k)
     p.add_argument("--known-yaw", type=float, default=None,
                    help="fix the yaw (degrees) and solve translation only")
     p.add_argument("--out")
@@ -187,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene-dir", required=True)
     p.add_argument("--pred-pose", required=True, help="pose JSON (as emitted by solve)")
     p.add_argument("--config", help="loss config JSON")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--tau", type=float, default=0.1)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.surface_threshold)
+    p.add_argument("--tau", type=float, default=PipelineConfig.tau)
     p.add_argument("--out")
     p.set_defaults(func=cmd_loss)
     return parser

@@ -262,10 +262,11 @@ class SceneSpec:
             layers=HeightLayerSpec(num("m_layers", integer=True), num("z_min"), num("z_max")),
             intrinsics=CameraIntrinsics(
                 num("pano_w", integer=True), num("pano_h", integer=True),
-                num("camera_height", default=2.5),
-                num("azimuth_offset", default=0.0),
+                num("camera_height", default=CameraIntrinsics.camera_height_m),
+                num("azimuth_offset", default=CameraIntrinsics.azimuth_offset_rad),
             ),
-            aerial=AerialMeta(num("gsd"), num("image_size", integer=True, default=640)),
+            aerial=AerialMeta(num("gsd"), num("image_size", integer=True,
+                                              default=AerialMeta.image_size_px)),
         )
 
 

@@ -33,6 +33,8 @@ class LossConfig:
             raise ValueError("loss weights and scales must be finite and positive")
         if self.n_v < 1 or self.n_s < 1:
             raise ValueError("sample counts must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":

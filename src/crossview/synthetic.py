@@ -24,8 +24,7 @@ CONFIDENCE_PEAK = 15.0
 NUM_BUMPS = 8              # Gaussian bumps summed into each height field
 _SCENE_FORMAT = "scene-v1"
 
-_TENSOR_NAMES = ("height_field", "texture", "volume", "conf_logits",
-                 "f_sat", "surf_gt_index", "depth_sat")
+_TENSOR_NAMES = ("height_field", "texture", "volume", "conf_logits", "f_sat", "depth_sat")
 
 
 @dataclass
@@ -46,7 +45,6 @@ class RenderedInputs:
     volume: FeatureVolume
     conf_logits: np.ndarray   # (M, N, N)
     f_sat: BevFeatureMap
-    surf_gt: np.ndarray       # (N, N) int64 ground-frame surface layer index
     depth_sat: np.ndarray     # (N, N) aerial pseudo-depth
 
 
@@ -78,6 +76,8 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if channels < 1:
         raise ValueError(f"channels must be at least 1, got {channels}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, 0])
     n = specs.grid.n_points_per_side
 
@@ -192,13 +192,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
     f_sat = np.where(inside[..., None], tex, filler) + sigma * sat_noise
     depth_sat = (height_sat - GROUND_LEVEL_M) / DEPTH_SCALE + sigma * depth_noise
 
-    return RenderedInputs(
-        volume=volume,
-        conf_logits=conf_logits,
-        f_sat=BevFeatureMap(f_sat, specs.grid),
-        surf_gt=gt_index,
-        depth_sat=depth_sat,
-    )
+    return RenderedInputs(volume, conf_logits, BevFeatureMap(f_sat, specs.grid), depth_sat)
 
 
 def save_scene_dir(directory, bundle: SceneBundle) -> None:
@@ -210,7 +204,6 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
         "volume": inputs.volume.data,
         "conf_logits": inputs.conf_logits,
         "f_sat": inputs.f_sat.data,
-        "surf_gt_index": inputs.surf_gt.astype(np.float32),
         "depth_sat": inputs.depth_sat,
     }
     save_tensor_dir(directory, _SCENE_FORMAT, tensors,
@@ -219,8 +212,7 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
                     seed=bundle.scene.seed,
                     noise_sigma=bundle.scene.noise_sigma,
                     depth_anchor_m=bundle.depth_anchor_m,
-                    depth_scale=bundle.depth_scale,
-                    channels=bundle.scene.feature_texture.shape[2])
+                    depth_scale=bundle.depth_scale)
 
 
 def _manifest_fields(m: dict) -> dict:
@@ -238,18 +230,13 @@ def load_scene_dir(directory) -> SceneBundle:
     fields = decode_json(directory, manifest, _manifest_fields)
     specs = fields["specs"]
     n, m = specs.grid.n_points_per_side, specs.layers.num_layers
-    shapes = {"surf_gt_index": (n, n), "depth_sat": (n, n), "height_field": (n, n),
-              "conf_logits": (m, n, n), "texture": (n, n, "c")}   # "c": any channel count
+    shapes = {"depth_sat": (n, n), "height_field": (n, n), "conf_logits": (m, n, n),
+              "texture": (n, n, "c")}   # "c": any channel count
     for name, want in shapes.items():
         got = tensors[name].shape
         if len(got) != len(want) or any(w not in ("c", g) for g, w in zip(got, want)):
             raise ValueError(f"{directory}: {name} must be ({', '.join(map(str, want))}) "
                              f"for the scene's specs, got {got}")
-    surf_gt = tensors["surf_gt_index"]
-    bad = (surf_gt != np.floor(surf_gt)) | (surf_gt < 0) | (surf_gt >= m)
-    if bad.any():
-        raise ValueError(f"{directory}: surf_gt_index must hold whole layer indices in "
-                         f"[0, {m}), found {surf_gt[bad][0]:g}")
     scene = SyntheticScene(
         height_field_m=tensors["height_field"],
         feature_texture=tensors["texture"],
@@ -257,13 +244,9 @@ def load_scene_dir(directory) -> SceneBundle:
         noise_sigma=fields["noise_sigma"],
         seed=fields["seed"],
     )
-    inputs = RenderedInputs(
-        volume=FeatureVolume(tensors["volume"], specs.layers, specs.grid),
-        conf_logits=tensors["conf_logits"],
-        f_sat=BevFeatureMap(tensors["f_sat"], specs.grid),
-        surf_gt=surf_gt.astype(np.int64),
-        depth_sat=tensors["depth_sat"],
-    )
+    inputs = RenderedInputs(FeatureVolume(tensors["volume"], specs.layers, specs.grid),
+                            tensors["conf_logits"], BevFeatureMap(tensors["f_sat"], specs.grid),
+                            tensors["depth_sat"])
     return SceneBundle(specs=specs, scene=scene, inputs=inputs,
                        depth_anchor_m=fields["depth_anchor_m"],
                        depth_scale=fields["depth_scale"])

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from crossview.geometry import (TWO_PI, AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
 from crossview.refiner import _conv_stack
-from crossview.synthetic import SyntheticScene, _resample_to_aerial
+from crossview.synthetic import SyntheticScene, _resample_to_aerial, load_scene_dir
+from crossview.tensorio import MANIFEST, json_text, save_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,6 +84,28 @@ def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:
     """True aerial-frame surface layer index (the transformed height field, discretized)."""
     height_sat = _resample_to_aerial(scene, specs)[1]
     return specs.layers.nearest_index(height_sat)
+
+
+def ground_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:
+    """True ground-frame surface layer index (the height field, discretized)."""
+    return specs.layers.nearest_index(scene.height_field_m)
+
+
+def to_legacy_scene_layout(directory) -> None:
+    """Rewrite a scene directory in the earlier scene-v1 layout, in place.
+
+    That layout also stored the ground-truth surface as a float32
+    ``surf_gt_index`` tensor and wrote the texture's ``channels`` count
+    into the manifest.
+    """
+    directory = Path(directory)
+    bundle = load_scene_dir(directory)
+    surf = ground_gt_surface(bundle.scene, bundle.specs).astype(np.float32)
+    save_tensor(directory / "surf_gt_index.cvt", surf)
+    manifest = json.loads((directory / MANIFEST).read_text())
+    manifest["tensors"]["surf_gt_index"] = list(surf.shape)
+    manifest["channels"] = bundle.scene.feature_texture.shape[2]
+    (directory / MANIFEST).write_text(json_text(manifest))
 
 
 def project_point_to_panorama(intr: CameraIntrinsics, x_m, y_m, z_m):

@@ -9,10 +9,11 @@ import pytest
 from crossview import cli, refiner
 from crossview.evaluation import GroundTruthProjection
 from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.pipeline import PipelineConfig
 from crossview.synthetic import load_scene_dir
 from crossview.tensorio import load_tensor, save_tensor
 
-from conftest import python_subprocess
+from conftest import python_subprocess, to_legacy_scene_layout
 
 
 def run_cli(*args, check=True):
@@ -61,6 +62,7 @@ class TestGenerate:
     @pytest.mark.parametrize("flag, value, detail", [
         ("--channels", "0", "channels must be at least 1"),
         ("--noise", "nan", "noise_sigma must be finite and non-negative"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
     ])
     def test_bad_scene_argument_is_input_error_and_writes_nothing(self, tmp_path, flag, value,
                                                                   detail):
@@ -544,6 +546,18 @@ class TestLoss:
         assert "error: temperature must be finite and positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_rng_seed_fails_before_reading_the_scene(self, tmp_path):
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rng_seed": -1}))
+        proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
+                       "--config", cfg_path, check=False)
+        assert proc.returncode == 2
+        assert f"error: {cfg_path}: " in proc.stderr
+        assert "rng_seed must be non-negative, got -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_config_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=12)
         pose_path = tmp_path / "pose.json"
@@ -640,32 +654,44 @@ class TestSceneManifestFields:
         assert "Traceback" not in proc.stderr
 
 
-def test_bad_surface_index_is_input_error(tmp_path, shared_scene_dir):
-    scene = tmp_path / "scene"
-    shutil.copytree(shared_scene_dir, scene)
-    surf = load_tensor(scene / "surf_gt_index.cvt")
-    surf[0, 0] = 2.7
-    save_tensor(scene / "surf_gt_index.cvt", surf)
-    proc = run_cli("solve", "--scene-dir", scene, check=False)
-    assert proc.returncode == 2
-    assert f"error: {scene}: surf_gt_index must hold whole layer indices in [0, 11), " \
-           "found 2.7" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 def test_surface_index_off_the_grid_is_input_error(tmp_path, shared_scene_dir):
-    # a (5, 5) surf_gt_index on a 9x9 scene, listed so in the manifest, used to load silently
+    # a (5, 5) depth_sat, the aerial surface source, on a 9x9 scene, listed so in the
+    # manifest: only the scene's specs can catch it
     scene = tmp_path / "scene"
     shutil.copytree(shared_scene_dir, scene)
-    surf = load_tensor(scene / "surf_gt_index.cvt")[:5, :5].copy()
-    save_tensor(scene / "surf_gt_index.cvt", surf)
+    depth = load_tensor(scene / "depth_sat.cvt")[:5, :5].copy()
+    save_tensor(scene / "depth_sat.cvt", depth)
     manifest = json.loads((scene / "manifest.json").read_text())
-    manifest["tensors"]["surf_gt_index"] = [5, 5]
+    manifest["tensors"]["depth_sat"] = [5, 5]
     (scene / "manifest.json").write_text(json.dumps(manifest))
     pose_path = tmp_path / "pose.json"
     pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
     proc = run_cli("loss", "--scene-dir", scene, "--pred-pose", pose_path, check=False)
     assert proc.returncode == 2
-    assert f"error: {scene}: surf_gt_index must be (9, 9) for the scene's specs, " \
+    assert f"error: {scene}: depth_sat must be (9, 9) for the scene's specs, " \
            "got (5, 5)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir):
+    legacy = tmp_path / "legacy"
+    shutil.copytree(shared_scene_dir, legacy)
+    to_legacy_scene_layout(legacy)
+    assert "channels" in json.loads((legacy / "manifest.json").read_text())
+    pose_path = tmp_path / "pose.json"
+    pose_path.write_text(json.dumps({"tx_px": 190.0, "ty_px": 210.0, "yaw_deg": 10.0}))
+    for args in (("solve",), ("loss", "--pred-pose", pose_path)):
+        new = run_cli(*args, "--scene-dir", shared_scene_dir)
+        old = run_cli(*args, "--scene-dir", legacy)
+        assert old.stdout == new.stdout and new.stdout
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    generate = parser.parse_args(["generate", "--seed", "0", "--out-dir", "d"])
+    solve = parser.parse_args(["solve"])
+    loss = parser.parse_args(["loss", "--scene-dir", "d", "--pred-pose", "p"])
+    config = PipelineConfig()
+    assert generate.n == BevGridSpec().n_points_per_side
+    assert (solve.threshold, solve.topk) == (config.surface_threshold, config.top_k)
+    assert (loss.threshold, loss.tau) == (config.surface_threshold, config.tau)

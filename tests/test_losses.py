@@ -379,6 +379,12 @@ class TestLossConfig:
                 with pytest.raises(ValueError, match="finite and positive"):
                     LossConfig(**{field: value})
 
+    def test_negative_rng_seed_rejected(self):
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
+            LossConfig(rng_seed=-1)
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
+            LossConfig.from_json_dict({"rng_seed": -1})
+
     def test_json_round_trip(self):
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,
                          k_norm=50.0, rng_seed=9, height_in_meters=True)

@@ -17,9 +17,9 @@ from crossview.surface import (aerial_depth_to_height_index,
 from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, _resample_to_aerial,
                                  generate_scene, load_scene_dir,
                                  make_scene_bundle, render_inputs, save_scene_dir)
-from crossview.tensorio import load_tensor, save_tensor
+from crossview.tensorio import save_tensor
 
-from conftest import aerial_gt_surface
+from conftest import aerial_gt_surface, ground_gt_surface, to_legacy_scene_layout
 
 # Ground offset (in cells) seen by an aerial cell offset under k quarter turns:
 # the inverse rotation, written out by hand as an independent oracle.
@@ -92,6 +92,10 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
             generate_scene(small_specs, seed=0, noise_sigma=noise)
 
+    def test_negative_seed_rejected(self, small_specs):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            generate_scene(small_specs, seed=-1)
+
     @pytest.mark.parametrize("channels", [0, -1])
     def test_channels_below_one_rejected(self, small_specs, channels):
         # zero channels would give zero-norm features that no solve can normalize
@@ -109,16 +113,12 @@ class TestRenderInputs:
         assert np.array_equal(a.f_sat.data, b.f_sat.data)
         assert np.array_equal(a.depth_sat, b.depth_sat)
 
-    def test_surf_gt_is_n_by_n_int64_layer_index(self, small_specs):
-        surf = render_inputs(generate_scene(small_specs, seed=4), small_specs).surf_gt
-        assert surf.shape == (9, 9) and surf.dtype == np.int64
-
     def test_noise_free_confidences_recover_gt_surface(self, small_specs):
         scene = generate_scene(small_specs, seed=4)
         inputs = render_inputs(scene, small_specs)
         conf = normalize_confidence(inputs.conf_logits)
         surf = surface_from_accumulation(conf, 0.5, small_specs.layers)
-        assert np.array_equal(surf, inputs.surf_gt)
+        assert np.array_equal(surf, ground_gt_surface(scene, small_specs))
 
     def test_noise_free_aerial_features_equal_transformed_texture(self, small_specs):
         scene = generate_scene(small_specs, seed=5)
@@ -254,32 +254,34 @@ class TestSceneIo:
                               bundle.inputs.volume.data.astype(np.float32))
         assert np.array_equal(back.inputs.f_sat.data,
                               bundle.inputs.f_sat.data.astype(np.float32))
-        assert np.array_equal(back.inputs.surf_gt, bundle.inputs.surf_gt)
 
-    def test_surf_gt_loads_as_n_by_n_int64_layer_index(self, tmp_path, small_specs):
+    def test_legacy_layout_loads_the_same_scene(self, tmp_path, small_specs):
+        # scene-v1 directories written before the ground-truth surface left the format
+        # still list surf_gt_index and a channels key; both are read past
+        new, old = tmp_path / "new", tmp_path / "old"
+        bundle = make_scene_bundle(small_specs, seed=8, noise_sigma=0.1)
+        save_scene_dir(new, bundle)
+        save_scene_dir(old, bundle)
+        to_legacy_scene_layout(old)
+        a, b = load_scene_dir(new), load_scene_dir(old)
+        assert a.specs == b.specs and a.scene.seed == b.scene.seed
+        for name in ("volume", "f_sat"):
+            assert np.array_equal(getattr(a.inputs, name).data, getattr(b.inputs, name).data)
+        assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
+        assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
+        assert np.array_equal(a.scene.height_field_m, b.scene.height_field_m)
+        assert np.array_equal(a.scene.feature_texture, b.scene.feature_texture)
+
+    def test_saves_no_ground_truth_surface(self, tmp_path, small_specs):
         save_scene_dir(tmp_path / "scene", make_scene_bundle(small_specs, seed=8))
-        surf = load_scene_dir(tmp_path / "scene").inputs.surf_gt
-        assert surf.shape == (9, 9) and surf.dtype == np.int64
-
-    @pytest.mark.parametrize("value", [2.7, -4.0, 99.0], ids=["fraction", "negative", "too-high"])
-    def test_bad_surface_index_rejected(self, tmp_path, small_specs, value):
-        scene = tmp_path / "scene"
-        save_scene_dir(scene, make_scene_bundle(small_specs, seed=8))
-        surf = load_tensor(scene / "surf_gt_index.cvt")
-        surf[3, 4] = value
-        save_tensor(scene / "surf_gt_index.cvt", surf)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{scene}: surf_gt_index must hold whole layer indices in [0, 11), "
-                f"found {value:g}")):
-            load_scene_dir(scene)
+        assert not (tmp_path / "scene" / "surf_gt_index.cvt").exists()
 
     @pytest.mark.parametrize("name, shape, wanted", [
-        ("surf_gt_index", (5, 5), "(9, 9)"),
         ("depth_sat", (9, 8), "(9, 9)"),
         ("height_field", (9, 9, 1), "(9, 9)"),
         ("conf_logits", (10, 9, 9), "(11, 9, 9)"),
         ("texture", (9, 9), "(9, 9, c)"),
-    ], ids=["surf_gt_index", "depth_sat", "height_field", "conf_logits", "texture"])
+    ], ids=["depth_sat", "height_field", "conf_logits", "texture"])
     def test_tensor_shape_off_the_grid_rejected(self, tmp_path, small_specs, name, shape,
                                                 wanted):
         # the manifest is rewritten to match, so only the scene's specs can catch the shape

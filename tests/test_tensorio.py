@@ -162,7 +162,7 @@ def _write_gt_dir(directory):
 
 @pytest.mark.parametrize("write,keys", [
     (_write_scene_dir, {"format", "spec", "gt_pose", "seed", "noise_sigma", "depth_anchor_m",
-                        "depth_scale", "channels", "tensors"}),
+                        "depth_scale", "tensors"}),
     (_write_params_dir, {"format", "num_conv_layers", "num_global_layers",
                          "num_gate_layers", "tensors"}),
     (_write_gt_dir, {"format", "tensors"}),
