@@ -8,6 +8,7 @@ whole-cell, quarter-turn ones, so nearest-cell resampling is no longer exact.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -17,12 +18,25 @@ from crossview.solver import pose_error
 from crossview.synthetic import make_scene_bundle
 
 
+def sigma_list(text: str) -> list[float]:
+    """Comma-separated noise levels, each finite and non-negative."""
+    try:
+        sigmas = [float(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    bad = [s for s in sigmas if not 0 <= s < math.inf]   # also catches NaN
+    if bad:
+        raise argparse.ArgumentTypeError(f"noise levels must be finite and non-negative, "
+                                         f"got {bad[0]}")
+    return sigmas
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=21)
     parser.add_argument("--extent", type=float, default=40.0)
     parser.add_argument("--seeds", type=int, default=50)
-    parser.add_argument("--sigmas", default="0.0,0.1,0.2,0.3,0.4,0.5")
+    parser.add_argument("--sigmas", type=sigma_list, default="0.0,0.1,0.2,0.3,0.4,0.5")
     parser.add_argument("--continuous", action="store_true",
                         help="draw continuous poses instead of snapped ones")
     args = parser.parse_args()
@@ -32,10 +46,8 @@ def main():
         intrinsics=CameraIntrinsics(512, 256),
         aerial=AerialMeta(image_size_px=512),
     )
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-
     print(f"{'sigma':>6} {'median_m':>10} {'mean_m':>10} {'p90_m':>10} {'median_deg':>11}")
-    for sigma in sigmas:
+    for sigma in args.sigmas:
         trans, orient = [], []
         for seed in range(args.seeds):
             bundle = make_scene_bundle(specs, seed=seed, noise_sigma=sigma,

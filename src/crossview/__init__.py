@@ -19,7 +19,7 @@ from .solver import (CorrespondenceSet, pose_error, solve_translation_only,
 from .surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,
                       aerial_depth_to_height_index, fuse_height_features,
                       normalize_confidence, surface_from_accumulation)
-from .synthetic import (SceneBundle, SyntheticScene, generate_scene,
+from .synthetic import (SceneBundle, SceneTruth, SyntheticScene, generate_scene,
                         load_scene_dir, make_scene_bundle, render_inputs,
                         save_scene_dir)
 

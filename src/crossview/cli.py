@@ -24,7 +24,7 @@ from .pipeline import PipelineConfig, run_localization, scene_loss_report
 from .refiner import RefinerParams
 from .solver import pose_error
 from .surface import BevFeatureMap, FeatureVolume
-from .synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
+from .synthetic import FEATURE_CHANNELS, load_scene_dir, make_scene_bundle, save_scene_dir
 from .tensorio import decode_json, json_text, load_tensor
 
 log = logging.getLogger("crossview")
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side,
                    help="grid points per side (odd)")
     p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma")
-    p.add_argument("--channels", type=int, default=16)
+    p.add_argument("--channels", type=int, default=FEATURE_CHANNELS)
     p.add_argument("--continuous-pose", action="store_true",
                    help="draw a continuous pose instead of a grid-snapped one")
     p.add_argument("--spec-json", help="scene spec JSON (overrides --n)")

@@ -21,6 +21,7 @@ PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 POSE_CSV_FIELDS = ("tx_px", "ty_px", "yaw_deg")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
 DEFAULT_MAX_RANGE_M = 30.0
+_PROJECTION_ROWS = 64      # panorama rows build_gt_projection projects at a time
 _GT_FORMAT = "gt-projection-v1"
 
 
@@ -115,21 +116,30 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     if depth.shape != (h, w):
         raise ValueError(f"depth map shape {depth.shape} disagrees with intrinsics ({h}, {w})")
 
-    # azimuth depends on u alone and elevation on v alone, so the rays of a
-    # (W,) column range against an (H, 1) row range broadcast to (H, W);
-    # the fresh ray planes then hold the metric points depth * (dx, dy)
-    dx, dy, _ = panorama_pixel_ray(intr, np.arange(w), np.arange(h)[:, None])
-    with np.errstate(invalid="ignore"):
-        in_range = np.isfinite(depth) & (depth > 0) & (depth <= max_range_m)
-        dx *= depth
-        dy *= depth
-        xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
-        del dx, dy
-        valid = in_range & meta.contains(xs) & meta.contains(ys)
-    invalid = ~valid
-    np.copyto(xs, np.nan, where=invalid)
-    np.copyto(ys, np.nan, where=invalid)
-    return GroundTruthProjection(np.stack([xs, ys], axis=-1), valid)
+    sat_xy = np.empty((h, w, 2))
+    valid = np.empty((h, w), dtype=bool)
+    u, v = np.arange(w), np.arange(h)[:, None]
+    # a block of rows at a time, so the temporaries next to the result stay
+    # (rows, W) planes. Azimuth depends on u alone and elevation on v alone,
+    # so the rays of a (W,) column range against a (rows, 1) row range
+    # broadcast to (rows, W); the fresh ray planes then hold the metric
+    # points depth * (dx, dy)
+    for top in range(0, h, _PROJECTION_ROWS):
+        rows = slice(top, top + _PROJECTION_ROWS)
+        d = depth[rows]
+        dx, dy, _ = panorama_pixel_ray(intr, u, v[rows])
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(d) & (d > 0) & (d <= max_range_m)
+            dx *= d
+            dy *= d
+            xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
+            ok &= meta.contains(xs) & meta.contains(ys)
+        valid[rows] = ok
+        invalid = ~ok
+        np.copyto(xs, np.nan, where=invalid)
+        np.copyto(ys, np.nan, where=invalid)
+        np.stack([xs, ys], axis=-1, out=sat_xy[rows])
+    return GroundTruthProjection(sat_xy, valid)
 
 
 def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,

@@ -70,8 +70,8 @@ class BevGridSpec:
     def __post_init__(self):
         if self.n_points_per_side < 2:
             raise ValueError("grid needs at least 2 points per side")
-        if not self.extent_m > 0:
-            raise ValueError("grid extent must be positive")
+        if not 0 < self.extent_m < math.inf:
+            raise ValueError(f"grid extent must be finite and positive, got {self.extent_m}")
 
     @property
     def spacing_m(self) -> float:
@@ -110,8 +110,8 @@ class HeightLayerSpec:
     def __post_init__(self):
         if self.num_layers < 2:
             raise ValueError("need at least 2 height layers")
-        if not self.z_min_m < self.z_max_m:
-            raise ValueError("z_min_m must be below z_max_m")
+        if not -math.inf < self.z_min_m < self.z_max_m < math.inf:
+            raise ValueError("z_min_m and z_max_m must be finite, z_min_m below z_max_m")
 
     @property
     def spacing_m(self) -> float:
@@ -138,6 +138,8 @@ class CameraIntrinsics:
     azimuth_offset_rad: float = 0.0
 
     def __post_init__(self):
+        if self.panorama_height < 1:
+            raise ValueError(f"panorama height must be positive, got {self.panorama_height}")
         if self.panorama_width != 2 * self.panorama_height:
             raise ValueError("equirectangular panorama requires width == 2 * height")
         if not 2.0 <= self.camera_height_m <= 3.0:
@@ -154,8 +156,8 @@ class AerialMeta:
     image_size_px: int = 640
 
     def __post_init__(self):
-        if not self.gsd_m_per_px > 0:
-            raise ValueError("gsd must be positive")
+        if not 0 < self.gsd_m_per_px < math.inf:
+            raise ValueError(f"gsd must be finite and positive, got {self.gsd_m_per_px}")
         if self.image_size_px < 1:
             raise ValueError("image size must be positive")
 

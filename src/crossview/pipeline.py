@@ -34,6 +34,10 @@ class PipelineConfig:
     known_yaw_rad: float | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.surface_threshold < 1.0:   # also catches NaN
+            raise ValueError("threshold must lie strictly inside (0, 1)")
+        if self.fuse_window is not None and self.fuse_window < 0:
+            raise ValueError("window must be >= 0")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         if not (math.isfinite(self.tau) and self.tau > 0):

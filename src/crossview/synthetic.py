@@ -22,20 +22,31 @@ GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
 CONFIDENCE_PEAK = 15.0
 NUM_BUMPS = 8              # Gaussian bumps summed into each height field
+FEATURE_CHANNELS = 16      # default feature channel count of a generated world
 _SCENE_FORMAT = "scene-v1"
 
-_TENSOR_NAMES = ("height_field", "texture", "volume", "conf_logits", "f_sat", "depth_sat")
+_TENSOR_NAMES = ("volume", "conf_logits", "f_sat", "depth_sat")
 
 
 @dataclass
-class SyntheticScene:
-    """World state: per-cell surface heights, per-cell features, and the true pose."""
+class SceneTruth:
+    """What a scene bundle keeps of its world: the true pose, the render noise and the seed.
 
-    height_field_m: np.ndarray   # (N, N)
-    feature_texture: np.ndarray  # (N, N, c), unit-norm rows
+    The world is a function of (specs, seed, channel count): ``generate_scene``
+    draws it before the pose and adds no noise, so it redraws it bit for bit.
+    """
+
     gt_pose: Pose3DoF
     noise_sigma: float
     seed: int
+
+
+@dataclass
+class SyntheticScene(SceneTruth):
+    """A scene's truth plus its world: per-cell surface heights and per-cell features."""
+
+    height_field_m: np.ndarray   # (N, N)
+    feature_texture: np.ndarray  # (N, N, c), unit-norm rows
 
 
 @dataclass
@@ -51,7 +62,7 @@ class RenderedInputs:
 @dataclass
 class SceneBundle:
     specs: SceneSpec
-    scene: SyntheticScene
+    scene: SceneTruth
     inputs: RenderedInputs
     depth_anchor_m: float = GROUND_LEVEL_M
     depth_scale: float = DEPTH_SCALE
@@ -63,7 +74,7 @@ def _require_camera_centered(specs: SceneSpec) -> None:
 
 
 def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
-                   snapped: bool = True, channels: int = 16) -> SyntheticScene:
+                   snapped: bool = True, channels: int = FEATURE_CHANNELS) -> SyntheticScene:
     """Random smooth height field, unit-norm features, and a pose near the grid center.
 
     Heights are a sum of Gaussian bumps on a flat ground plane, rescaled to
@@ -109,8 +120,8 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     else:
         t_px = center + rng.uniform(-max_cells, max_cells, size=2) * spacing_px
         yaw = rng.uniform(-np.pi, np.pi)
-    return SyntheticScene(height, texture, Pose3DoF(t_px, float(yaw)),
-                          float(noise_sigma), int(seed))
+    return SyntheticScene(Pose3DoF(t_px, float(yaw)), float(noise_sigma), int(seed),
+                          height, texture)
 
 
 def _is_snapped(scene: SyntheticScene, specs: SceneSpec) -> bool:
@@ -199,8 +210,6 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
     """Write a scene directory: one manifest plus the named tensors."""
     inputs = bundle.inputs
     tensors = {
-        "height_field": bundle.scene.height_field_m,
-        "texture": bundle.scene.feature_texture,
         "volume": inputs.volume.data,
         "conf_logits": inputs.conf_logits,
         "f_sat": inputs.f_sat.data,
@@ -230,20 +239,11 @@ def load_scene_dir(directory) -> SceneBundle:
     fields = decode_json(directory, manifest, _manifest_fields)
     specs = fields["specs"]
     n, m = specs.grid.n_points_per_side, specs.layers.num_layers
-    shapes = {"depth_sat": (n, n), "height_field": (n, n), "conf_logits": (m, n, n),
-              "texture": (n, n, "c")}   # "c": any channel count
-    for name, want in shapes.items():
-        got = tensors[name].shape
-        if len(got) != len(want) or any(w not in ("c", g) for g, w in zip(got, want)):
-            raise ValueError(f"{directory}: {name} must be ({', '.join(map(str, want))}) "
-                             f"for the scene's specs, got {got}")
-    scene = SyntheticScene(
-        height_field_m=tensors["height_field"],
-        feature_texture=tensors["texture"],
-        gt_pose=fields["gt_pose"],
-        noise_sigma=fields["noise_sigma"],
-        seed=fields["seed"],
-    )
+    for name, want in {"depth_sat": (n, n), "conf_logits": (m, n, n)}.items():
+        if tensors[name].shape != want:
+            raise ValueError(f"{directory}: {name} must be {want} for the scene's specs, "
+                             f"got {tensors[name].shape}")
+    scene = SceneTruth(fields["gt_pose"], fields["noise_sigma"], fields["seed"])
     inputs = RenderedInputs(FeatureVolume(tensors["volume"], specs.layers, specs.grid),
                             tensors["conf_logits"], BevFeatureMap(tensors["f_sat"], specs.grid),
                             tensors["depth_sat"])
@@ -253,6 +253,7 @@ def load_scene_dir(directory) -> SceneBundle:
 
 
 def make_scene_bundle(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
-                      snapped: bool = True, channels: int = 16) -> SceneBundle:
+                      snapped: bool = True, channels: int = FEATURE_CHANNELS) -> SceneBundle:
     scene = generate_scene(specs, seed, noise_sigma, snapped=snapped, channels=channels)
-    return SceneBundle(specs=specs, scene=scene, inputs=render_inputs(scene, specs))
+    return SceneBundle(specs=specs, scene=SceneTruth(scene.gt_pose, scene.noise_sigma, scene.seed),
+                       inputs=render_inputs(scene, specs))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import pytest
 from crossview.geometry import (TWO_PI, AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
 from crossview.refiner import _conv_stack
-from crossview.synthetic import SyntheticScene, _resample_to_aerial, load_scene_dir
+from crossview.synthetic import (SceneBundle, SyntheticScene, _resample_to_aerial,
+                                 generate_scene, load_scene_dir)
 from crossview.tensorio import MANIFEST, json_text, save_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,20 +93,38 @@ def ground_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:
     return specs.layers.nearest_index(scene.height_field_m)
 
 
-def to_legacy_scene_layout(directory) -> None:
-    """Rewrite a scene directory in the earlier scene-v1 layout, in place.
+def regenerate_scene(bundle: SceneBundle) -> SyntheticScene:
+    """The generated scene behind a bundle: its recorded truth, its world redrawn from the seed.
 
-    That layout also stored the ground-truth surface as a float32
-    ``surf_gt_index`` tensor and wrote the texture's ``channels`` count
-    into the manifest.
+    The height field and texture depend only on (specs, seed, channel count):
+    the generator draws them before the pose and adds no noise to them.
+    """
+    world = generate_scene(bundle.specs, bundle.scene.seed,
+                           channels=bundle.inputs.f_sat.data.shape[2])
+    return dataclasses.replace(world, **vars(bundle.scene))
+
+
+def to_legacy_scene_layout(directory, with_surface: bool = False) -> None:
+    """Rewrite a scene directory in an earlier scene-v1 layout, in place.
+
+    Until the synthetic world left the format, a scene directory also held
+    the world as ``height_field`` and ``texture`` tensors. ``with_surface``
+    gives the layout before that, which further stored the ground-truth
+    surface as a float32 ``surf_gt_index`` tensor and wrote the texture's
+    ``channels`` count into the manifest. The world is redrawn from the
+    scene's seed.
     """
     directory = Path(directory)
     bundle = load_scene_dir(directory)
-    surf = ground_gt_surface(bundle.scene, bundle.specs).astype(np.float32)
-    save_tensor(directory / "surf_gt_index.cvt", surf)
+    scene = regenerate_scene(bundle)
     manifest = json.loads((directory / MANIFEST).read_text())
-    manifest["tensors"]["surf_gt_index"] = list(surf.shape)
-    manifest["channels"] = bundle.scene.feature_texture.shape[2]
+    tensors = {"height_field": scene.height_field_m, "texture": scene.feature_texture}
+    if with_surface:
+        tensors["surf_gt_index"] = ground_gt_surface(scene, bundle.specs).astype(np.float32)
+        manifest["channels"] = scene.feature_texture.shape[2]
+    for name, tensor in tensors.items():
+        save_tensor(directory / f"{name}.cvt", tensor)
+        manifest["tensors"][name] = list(tensor.shape)
     (directory / MANIFEST).write_text(json_text(manifest))
 
 

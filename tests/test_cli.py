@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import shutil
@@ -10,7 +11,7 @@ from crossview import cli, refiner
 from crossview.evaluation import GroundTruthProjection
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import PipelineConfig
-from crossview.synthetic import load_scene_dir
+from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle
 from crossview.tensorio import load_tensor, save_tensor
 
 from conftest import python_subprocess, to_legacy_scene_layout
@@ -44,7 +45,7 @@ class TestGenerate:
 
     def test_grid_size_flag_lands_in_headers(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=1, n=9)
-        assert load_tensor(out / "height_field.cvt").shape == (9, 9)
+        assert load_tensor(out / "depth_sat.cvt").shape == (9, 9)
         assert load_tensor(out / "f_sat.cvt").shape[:2] == (9, 9)
 
     def test_manifest_matches_tensor_headers(self, tmp_path):
@@ -71,6 +72,23 @@ class TestGenerate:
         assert proc.returncode == 2
         assert detail in proc.stderr
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("key, detail", [
+        ("z_max", "z_min_m and z_max_m must be finite"),
+        ("extent_m", "grid extent must be finite and positive"),
+        ("gsd", "gsd must be finite and positive"),
+    ])
+    def test_infinite_spec_geometry_is_input_error_naming_the_spec_file(self, tmp_path, key,
+                                                                        detail):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
+                                         key: math.inf}))   # written as Infinity
+        proc = run_cli("generate", "--seed", "0", "--spec-json", spec_path,
+                       "--out-dir", tmp_path / "out", check=False)
+        assert proc.returncode == 2
+        assert f"error: {spec_path}: " in proc.stderr and detail in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolve:
@@ -103,6 +121,18 @@ class TestSolve:
         out = generate_scene_dir(tmp_path, seed=5)
         proc = run_cli("solve", "--scene-dir", out)
         assert "skipping refinement" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "loss"])
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "nan"])
+    def test_bad_threshold_fails_before_reading_the_scene(self, tmp_path, command, threshold):
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        extra = ("--pred-pose", pose_path) if command == "loss" else ()
+        proc = run_cli(command, "--scene-dir", tmp_path / "nope", *extra,
+                       "--threshold", threshold, check=False)
+        assert proc.returncode == 2
+        assert "error: threshold must lie strictly inside (0, 1)" in proc.stderr
+        assert "manifest" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag,value", [("--topk", "100000"), ("--known-yaw", "nan")])
     def test_bad_settings_fail_before_the_pipeline(self, tmp_path, flag, value):
@@ -261,7 +291,7 @@ class TestSolve:
         # identical, matches collapse onto one ground cell
         out = generate_scene_dir(tmp_path, seed=8, n=9)
         bundle = load_scene_dir(out)
-        n, c = 9, bundle.scene.feature_texture.shape[2]
+        n, c = 9, bundle.inputs.f_sat.data.shape[2]
         m = bundle.specs.layers.num_layers
         flat = np.zeros((n, n, c))
         flat[..., 0] = 1.0
@@ -674,16 +704,19 @@ def test_surface_index_off_the_grid_is_input_error(tmp_path, shared_scene_dir):
 
 
 def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir):
-    legacy = tmp_path / "legacy"
-    shutil.copytree(shared_scene_dir, legacy)
-    to_legacy_scene_layout(legacy)
-    assert "channels" in json.loads((legacy / "manifest.json").read_text())
     pose_path = tmp_path / "pose.json"
     pose_path.write_text(json.dumps({"tx_px": 190.0, "ty_px": 210.0, "yaw_deg": 10.0}))
-    for args in (("solve",), ("loss", "--pred-pose", pose_path)):
-        new = run_cli(*args, "--scene-dir", shared_scene_dir)
-        old = run_cli(*args, "--scene-dir", legacy)
-        assert old.stdout == new.stdout and new.stdout
+    runs = [("solve",), ("loss", "--pred-pose", pose_path)]
+    new = [run_cli(*args, "--scene-dir", shared_scene_dir).stdout for args in runs]
+    for with_surface in (False, True):
+        legacy = tmp_path / f"legacy-{with_surface}"
+        shutil.copytree(shared_scene_dir, legacy)
+        to_legacy_scene_layout(legacy, with_surface)
+        manifest = json.loads((legacy / "manifest.json").read_text())
+        assert {"height_field", "texture"} <= set(manifest["tensors"])
+        assert ("channels" in manifest) == with_surface
+        old = [run_cli(*args, "--scene-dir", legacy).stdout for args in runs]
+        assert old == new and all(new)
 
 
 def test_parser_defaults_are_the_library_defaults():
@@ -693,5 +726,8 @@ def test_parser_defaults_are_the_library_defaults():
     loss = parser.parse_args(["loss", "--scene-dir", "d", "--pred-pose", "p"])
     config = PipelineConfig()
     assert generate.n == BevGridSpec().n_points_per_side
+    assert generate.channels == inspect.signature(generate_scene).parameters["channels"].default
+    assert generate.channels == \
+        inspect.signature(make_scene_bundle).parameters["channels"].default
     assert (solve.threshold, solve.topk) == (config.surface_threshold, config.top_k)
     assert (loss.threshold, loss.tau) == (config.surface_threshold, config.tau)

@@ -27,6 +27,12 @@ class TestBevGridSpec:
         with pytest.raises(ValueError):
             BevGridSpec(n, extent)
 
+    @pytest.mark.parametrize("extent", [math.inf, math.nan])
+    def test_non_finite_extent_rejected(self, extent):
+        # an infinite extent gives an infinite cell spacing, and so a non-finite pose
+        with pytest.raises(ValueError, match="grid extent must be finite and positive"):
+            BevGridSpec(41, extent)
+
 
 class TestBevCellToMetric:
     """Grid cell -> camera-relative meters through its owner, ``BevGridSpec.cell_m``."""
@@ -140,11 +146,30 @@ class TestHeightLayerSpec:
         with pytest.raises(ValueError):
             HeightLayerSpec(m, zmin, zmax)
 
+    @pytest.mark.parametrize("zmin,zmax", [(-math.inf, 10.0), (math.nan, 10.0)],
+                             ids=["-inf", "nan"])
+    def test_non_finite_z_min_rejected(self, zmin, zmax):
+        with pytest.raises(ValueError, match="z_min_m and z_max_m must be finite"):
+            HeightLayerSpec(11, zmin, zmax)
+
+    @pytest.mark.parametrize("zmin,zmax", [(-10.0, math.inf), (-10.0, math.nan)],
+                             ids=["inf", "nan"])
+    def test_non_finite_z_max_rejected(self, zmin, zmax):
+        # an infinite top layer gives infinite layer spacing and heights
+        with pytest.raises(ValueError, match="z_min_m and z_max_m must be finite"):
+            HeightLayerSpec(11, zmin, zmax)
+
 
 class TestCameraIntrinsics:
     def test_aspect_invariant(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(1000, 512)
+
+    @pytest.mark.parametrize("w,h", [(0, 0), (-2, -1)])
+    def test_empty_or_negative_panorama_rejected(self, w, h):
+        # both keep width == 2 * height
+        with pytest.raises(ValueError, match=f"panorama height must be positive, got {h}"):
+            CameraIntrinsics(w, h)
 
     @pytest.mark.parametrize("h", [1.9, 3.2])
     def test_camera_height_prior(self, h):
@@ -155,6 +180,13 @@ class TestCameraIntrinsics:
     def test_non_finite_azimuth_offset_rejected(self, offset):
         with pytest.raises(ValueError, match="azimuth offset must be finite"):
             CameraIntrinsics(256, 128, 2.5, offset)
+
+
+class TestAerialMeta:
+    @pytest.mark.parametrize("gsd", [math.inf, math.nan, 0.0, -0.12])
+    def test_non_finite_or_non_positive_gsd_rejected(self, gsd):
+        with pytest.raises(ValueError, match="gsd must be finite and positive"):
+            AerialMeta(gsd_m_per_px=gsd)
 
 
 class TestPanoramaProjection:

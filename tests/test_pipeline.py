@@ -34,6 +34,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="known yaw"):
             PipelineConfig(known_yaw_rad=yaw)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_surface_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must lie strictly inside \(0, 1\)"):
+            PipelineConfig(surface_threshold=threshold)
+
+    def test_negative_fuse_window_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            PipelineConfig(fuse_window=-1)
+
     def test_top_k_above_matrix_size_rejected_before_any_stage(self, small_specs, monkeypatch):
         bundle = make_scene_bundle(small_specs, seed=0)
 

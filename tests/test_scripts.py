@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from conftest import ROOT, python_subprocess
 
 
@@ -49,6 +51,21 @@ def test_noise_sweep_keeps_stderr_free_of_refinement_warnings():
     proc = run_python_proc(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
                            "--seeds", "2", "--sigmas", "0.0")
     assert "skipping refinement" not in proc.stderr
+
+
+@pytest.mark.parametrize("sigmas, detail", [
+    ("0.1,x", "could not convert string to float: 'x'"),
+    ("0.1,nan", "got nan"),
+    ("0.1,-0.2", "got -0.2"),
+    ("inf", "got inf"),
+], ids=["not-a-number", "nan", "negative", "infinite"])
+def test_noise_sweep_rejects_bad_sigmas_before_sweeping(sigmas, detail):
+    proc = python_subprocess(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
+                             "--seeds", "2", "--sigmas", sigmas, cwd=ROOT)
+    assert proc.returncode == 2
+    assert "argument --sigmas: " in proc.stderr and detail in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_noise_sweep_continuous_pose_lands_within_one_cell():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from crossview.solver import pose_error
 from crossview.surface import (aerial_depth_to_height_index,
                                normalize_confidence,
                                surface_from_accumulation)
-from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, _resample_to_aerial,
-                                 generate_scene, load_scene_dir,
+from crossview.synthetic import (DEPTH_SCALE, GROUND_LEVEL_M, SceneTruth,
+                                 _resample_to_aerial, generate_scene, load_scene_dir,
                                  make_scene_bundle, render_inputs, save_scene_dir)
 from crossview.tensorio import save_tensor
 
-from conftest import aerial_gt_surface, ground_gt_surface, to_legacy_scene_layout
+from conftest import (aerial_gt_surface, ground_gt_surface, regenerate_scene,
+                      to_legacy_scene_layout)
 
 # Ground offset (in cells) seen by an aerial cell offset under k quarter turns:
 # the inverse rotation, written out by hand as an independent oracle.
@@ -154,7 +156,7 @@ class TestRenderInputs:
     def test_depth_inverts_to_aerial_surface_indices(self, small_specs):
         for seed in range(5):
             bundle = make_scene_bundle(small_specs, seed=seed)
-            gt_sat = aerial_gt_surface(bundle.scene, small_specs)
+            gt_sat = aerial_gt_surface(regenerate_scene(bundle), small_specs)
             rec = aerial_depth_to_height_index(
                 bundle.inputs.depth_sat, small_specs.layers,
                 ground_anchor_m=bundle.depth_anchor_m, scale=bundle.depth_scale)
@@ -256,32 +258,60 @@ class TestSceneIo:
                               bundle.inputs.f_sat.data.astype(np.float32))
 
     def test_legacy_layout_loads_the_same_scene(self, tmp_path, small_specs):
-        # scene-v1 directories written before the ground-truth surface left the format
-        # still list surf_gt_index and a channels key; both are read past
-        new, old = tmp_path / "new", tmp_path / "old"
-        bundle = make_scene_bundle(small_specs, seed=8, noise_sigma=0.1)
-        save_scene_dir(new, bundle)
-        save_scene_dir(old, bundle)
-        to_legacy_scene_layout(old)
-        a, b = load_scene_dir(new), load_scene_dir(old)
-        assert a.specs == b.specs and a.scene.seed == b.scene.seed
-        for name in ("volume", "f_sat"):
-            assert np.array_equal(getattr(a.inputs, name).data, getattr(b.inputs, name).data)
-        assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
-        assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
-        assert np.array_equal(a.scene.height_field_m, b.scene.height_field_m)
-        assert np.array_equal(a.scene.feature_texture, b.scene.feature_texture)
+        # scene-v1 directories written before the world left the format also hold
+        # height_field and texture; older ones also surf_gt_index and a channels key.
+        # All of them are read past.
+        new = tmp_path / "new"
+        save_scene_dir(new, make_scene_bundle(small_specs, seed=8, noise_sigma=0.1))
+        a = load_scene_dir(new)
+        for with_surface in (False, True):
+            old = tmp_path / f"old-{with_surface}"
+            shutil.copytree(new, old)
+            to_legacy_scene_layout(old, with_surface)
+            assert (old / "surf_gt_index.cvt").exists() == with_surface
+            b = load_scene_dir(old)
+            assert type(b.scene) is SceneTruth
+            assert a.specs == b.specs
+            assert (a.scene.seed, a.scene.noise_sigma) == (b.scene.seed, b.scene.noise_sigma)
+            assert np.array_equal(a.scene.gt_pose.t_px, b.scene.gt_pose.t_px)
+            assert a.scene.gt_pose.yaw_rad == b.scene.gt_pose.yaw_rad
+            for name in ("volume", "f_sat"):
+                assert np.array_equal(getattr(a.inputs, name).data,
+                                      getattr(b.inputs, name).data)
+            assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
+            assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
 
     def test_saves_no_ground_truth_surface(self, tmp_path, small_specs):
         save_scene_dir(tmp_path / "scene", make_scene_bundle(small_specs, seed=8))
         assert not (tmp_path / "scene" / "surf_gt_index.cvt").exists()
 
+    def test_bundles_hold_the_truth_and_the_solve_inputs_only(self, tmp_path, small_specs):
+        bundle = make_scene_bundle(small_specs, seed=8)
+        save_scene_dir(tmp_path / "scene", bundle)
+        assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == [
+            "conf_logits.cvt", "depth_sat.cvt", "f_sat.cvt", "manifest.json", "volume.cvt"]
+        for b in (bundle, load_scene_dir(tmp_path / "scene")):
+            assert type(b.scene) is SceneTruth   # not a SyntheticScene: no world arrays
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("snapped", [True, False], ids=["snapped", "continuous"])
+    def test_loaded_scene_regenerates_the_generated_world(self, tmp_path, small_specs,
+                                                          snapped, sigma):
+        # a channel count other than the default: the regenerated world reads it off f_sat
+        drawn = generate_scene(small_specs, seed=11, noise_sigma=sigma, snapped=snapped,
+                               channels=5)
+        save_scene_dir(tmp_path / "scene", make_scene_bundle(
+            small_specs, seed=11, noise_sigma=sigma, snapped=snapped, channels=5))
+        back = regenerate_scene(load_scene_dir(tmp_path / "scene"))
+        assert np.array_equal(back.height_field_m, drawn.height_field_m)
+        assert np.array_equal(back.feature_texture, drawn.feature_texture)
+        assert np.array_equal(back.gt_pose.t_px, drawn.gt_pose.t_px)
+        assert (back.seed, back.noise_sigma) == (drawn.seed, drawn.noise_sigma)
+
     @pytest.mark.parametrize("name, shape, wanted", [
         ("depth_sat", (9, 8), "(9, 9)"),
-        ("height_field", (9, 9, 1), "(9, 9)"),
         ("conf_logits", (10, 9, 9), "(11, 9, 9)"),
-        ("texture", (9, 9), "(9, 9, c)"),
-    ], ids=["depth_sat", "height_field", "conf_logits", "texture"])
+    ], ids=["depth_sat", "conf_logits"])
     def test_tensor_shape_off_the_grid_rejected(self, tmp_path, small_specs, name, shape,
                                                 wanted):
         # the manifest is rewritten to match, so only the scene's specs can catch the shape
