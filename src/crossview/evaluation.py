@@ -102,14 +102,13 @@ class GroundTruthProjection:
 
 
 def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3DoF,
-                        meta: AerialMeta, max_range_m: float = DEFAULT_MAX_RANGE_M
-                        ) -> GroundTruthProjection:
+                        meta: AerialMeta) -> GroundTruthProjection:
     """Project every panorama pixel into the aerial image via its depth.
 
     ``depth_grd`` holds the range along each pixel ray in meters (NaN or
     non-positive = missing). A pixel is valid when that range is at most
-    ``max_range_m`` and the projection lands inside the image, i.e. within
-    [0, size - 1] on both axes.
+    ``DEFAULT_MAX_RANGE_M`` (30 m) and the projection lands inside the
+    image, i.e. within [0, size - 1] on both axes.
     """
     depth = np.asarray(depth_grd, dtype=float)
     h, w = intr.panorama_height, intr.panorama_width
@@ -129,7 +128,7 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
         d = depth[rows]
         dx, dy, _ = panorama_pixel_ray(intr, u, v[rows])
         with np.errstate(invalid="ignore"):
-            ok = np.isfinite(d) & (d > 0) & (d <= max_range_m)
+            ok = np.isfinite(d) & (d > 0) & (d <= DEFAULT_MAX_RANGE_M)
             dx *= d
             dy *= d
             xs, ys = metric_to_aerial_px(meta, gt, dx, dy)

@@ -137,24 +137,23 @@ class RefinerParams:
         return self.dustbin_row.shape[0]
 
     @classmethod
-    def random(cls, n2: int, conv_channels=(1, 8, 8, 1), global_hidden: int = 256,
-               gate_hidden: int = 64, scale: float = 0.1, seed: int = 0) -> "RefinerParams":
+    def random(cls, n2: int, scale: float = 0.1, seed: int = 0) -> "RefinerParams":
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
             return scale * rng.standard_normal(shape)
 
         kernels, biases = [], []
-        for cin, cout in zip(conv_channels[:-1], conv_channels[1:]):
+        for cin, cout in ((1, 8), (8, 8), (8, 1)):
             kernels.append(draw(cout, cin, 3, 3, 3))
             biases.append(draw(cout))
         return cls(
             conv_kernels=tuple(kernels),
             conv_biases=tuple(biases),
-            global_weights=(draw(n2, global_hidden), draw(global_hidden, n2)),
-            global_biases=(draw(global_hidden), draw(n2)),
-            gate_weights=(draw(n2, gate_hidden), draw(gate_hidden, 1)),
-            gate_biases=(draw(gate_hidden), draw(1)),
+            global_weights=(draw(n2, 256), draw(256, n2)),
+            global_biases=(draw(256), draw(n2)),
+            gate_weights=(draw(n2, 64), draw(64, 1)),
+            gate_biases=(draw(64), draw(1)),
             dustbin_row=draw(n2),
             dustbin_col=draw(n2),
             dustbin_theta=draw(),
@@ -187,7 +186,7 @@ class RefinerParams:
 
 
 def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
-                       tau: float = 0.1) -> SimilarityMatrix:
+                       tau: float) -> SimilarityMatrix:
     """Scaled cosine similarity between flattened ground and aerial patches."""
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")

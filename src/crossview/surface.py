@@ -8,7 +8,7 @@ predictions are anchored and discretized into the same layer indexing.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,29 +128,24 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: np.nd
     return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol.data), vol.grid_spec)
 
 
+def check_depth_rule(ground_anchor_m: float, scale: float) -> None:
+    """Reject a non-finite ``depth_anchor_m`` or a non-finite, non-positive ``depth_scale``."""
+    if not math.isfinite(ground_anchor_m):
+        raise ValueError(f"depth_anchor_m must be finite, got {ground_anchor_m}")
+    if not 0 < scale < math.inf:   # also catches NaN
+        raise ValueError(f"depth_scale must be finite and positive, got {scale}")
+
+
 def aerial_depth_to_height_index(depth: np.ndarray, layer_spec: HeightLayerSpec,
-                                 ground_anchor_m: float = -3.0,
-                                 scale: float | None = None) -> np.ndarray:
+                                 ground_anchor_m: float, scale: float) -> np.ndarray:
     """Convert an aerial depth prediction into (N, N) int64 surface layer indices.
 
     The minimum depth is anchored to ``ground_anchor_m``; remaining values
-    scale linearly to meters (``scale=None`` maps the maximum depth to the
-    top layer) and snap to the nearest layer, ties rounding down. A
-    constant map has no usable range: it comes back all-ground with a
-    warning.
+    scale by ``scale`` meters per depth unit and snap to the nearest layer,
+    ties rounding down.
     """
+    check_depth_rule(ground_anchor_m, scale)
     depth = np.asarray(depth, dtype=float)
     if not np.all(np.isfinite(depth)):
         raise ValueError("depth map contains non-finite entries")
-    dmin = depth.min()
-    drange = depth.max() - dmin
-    if drange == 0.0:
-        warnings.warn("constant depth map: anchoring the whole map to ground level",
-                      RuntimeWarning, stacklevel=2)
-        effective_scale = 0.0
-    elif scale is None:
-        effective_scale = (layer_spec.z_max_m - ground_anchor_m) / drange
-    else:
-        effective_scale = float(scale)
-    height = ground_anchor_m + effective_scale * (depth - dmin)
-    return layer_spec.nearest_index(height)
+    return layer_spec.nearest_index(ground_anchor_m + scale * (depth - depth.min()))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
-from .surface import BevFeatureMap, FeatureVolume
+from .surface import BevFeatureMap, FeatureVolume, check_depth_rule
 from .tensorio import decode_json, json_number, load_tensor_dir, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
@@ -73,6 +73,13 @@ def _require_camera_centered(specs: SceneSpec) -> None:
         raise ValueError("synthetic scenes need an odd grid so the camera sits on a point")
 
 
+def _check_seed_and_noise(seed: int, noise_sigma: float) -> None:
+    if not 0 <= noise_sigma < np.inf:   # also catches NaN
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
                    snapped: bool = True, channels: int = FEATURE_CHANNELS) -> SyntheticScene:
     """Random smooth height field, unit-norm features, and a pose near the grid center.
@@ -83,12 +90,9 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     resampling exact; ``snapped=False`` draws a continuous pose instead.
     """
     _require_camera_centered(specs)
-    if not 0 <= noise_sigma < np.inf:   # also catches NaN
-        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    _check_seed_and_noise(seed, noise_sigma)
     if channels < 1:
         raise ValueError(f"channels must be at least 1, got {channels}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, 0])
     n = specs.grid.n_points_per_side
 
@@ -225,11 +229,14 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
 
 
 def _manifest_fields(m: dict) -> dict:
-    """The scene manifest's fields, decoded; ``spec`` and ``gt_pose`` are JSON objects."""
-    return {"specs": decode_json("spec", m["spec"], SceneSpec.from_json_dict),
-            "gt_pose": decode_json("gt_pose", m["gt_pose"], Pose3DoF.from_json_dict),
-            "seed": json_number(m, "seed", integer=True),
-            **{k: json_number(m, k) for k in ("noise_sigma", "depth_anchor_m", "depth_scale")}}
+    """The manifest's fields, decoded and checked; ``spec`` and ``gt_pose`` are JSON objects."""
+    fields = {"specs": decode_json("spec", m["spec"], SceneSpec.from_json_dict),
+              "gt_pose": decode_json("gt_pose", m["gt_pose"], Pose3DoF.from_json_dict),
+              "seed": json_number(m, "seed", integer=True),
+              **{k: json_number(m, k) for k in ("noise_sigma", "depth_anchor_m", "depth_scale")}}
+    _check_seed_and_noise(fields["seed"], fields["noise_sigma"])
+    check_depth_rule(fields["depth_anchor_m"], fields["depth_scale"])
+    return fields
 
 
 def load_scene_dir(directory) -> SceneBundle:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -77,31 +78,29 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a tensor file as a float32 array."""
+    """Read a tensor file as a float32 array; the payload is read once, into the result."""
+    size = Path(path).stat().st_size
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise TensorFormatError(f"{path}: bad magic {raw[:4]!r}")
-    try:
-        (rank,) = struct.unpack_from("<Q", raw, 4)
-        if rank > _MAX_RANK:
-            raise TensorFormatError(f"{path}: implausible rank {rank}")
-        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 12)]
-        (tag,) = struct.unpack_from("<I", raw, 12 + 8 * rank)
-    except struct.error as exc:
-        raise TensorFormatError(f"{path}: header truncated at {len(raw)} bytes") from exc
-    offset = 16 + 8 * rank
-    if tag != DTYPE_TAG_FLOAT32:
-        raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
-    count = 1
-    for d in dims:
-        count *= d
-    expected = count * 4
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise TensorFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        head = fh.read(16 + 8 * _MAX_RANK)   # the longest header
+        if head[:4] != MAGIC:
+            raise TensorFormatError(f"{path}: bad magic {head[:4]!r}")
+        try:
+            (rank,) = struct.unpack_from("<Q", head, 4)
+            if rank > _MAX_RANK:
+                raise TensorFormatError(f"{path}: implausible rank {rank}")
+            dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", head, 12)]
+            (tag,) = struct.unpack_from("<I", head, 12 + 8 * rank)
+        except struct.error as exc:
+            raise TensorFormatError(f"{path}: header truncated at {size} bytes") from exc
+        offset = 16 + 8 * rank
+        if tag != DTYPE_TAG_FLOAT32:
+            raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
+        count = math.prod(dims)
+        if size - offset != 4 * count:
+            raise TensorFormatError(
+                f"{path}: payload is {size - offset} bytes, header implies {4 * count}")
+        fh.seek(offset)
+        return np.fromfile(fh, dtype="<f4", count=count).reshape(dims)
 
 
 def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:

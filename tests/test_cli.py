@@ -667,7 +667,13 @@ class TestSceneManifestFields:
         ("spec", [], "spec: expected a JSON object"),
         ("spec", None, "KeyError: 'spec'"),
         ("seed", "x", "seed: expected an integer, got 'x'"),
-    ], ids=["spec-list", "spec-missing", "seed-not-integer"])
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("noise_sigma", math.nan, "noise_sigma must be finite and non-negative, got nan"),
+        ("depth_anchor_m", math.inf, "depth_anchor_m must be finite, got inf"),
+        ("depth_scale", math.nan, "depth_scale must be finite and positive, got nan"),
+        ("depth_scale", -1.0, "depth_scale must be finite and positive, got -1.0"),
+    ], ids=["spec-list", "spec-missing", "seed-not-integer", "seed-negative", "noise-nan",
+            "anchor-infinite", "scale-nan", "scale-negative"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, key, value, detail):
         scene = tmp_path / "scene"
         shutil.copytree(shared_scene_dir, scene)

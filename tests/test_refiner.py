@@ -40,6 +40,17 @@ def unit_rows(rng, n, c):
     return f / np.linalg.norm(f, axis=2, keepdims=True)
 
 
+def with_conv_chain(params: RefinerParams, channels, seed: int) -> RefinerParams:
+    """``params`` with three conv layers drawn afresh along the channel chain ``channels``."""
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(channels[:-1], channels[1:]))
+    return dataclasses.replace(
+        params,
+        conv_kernels=tuple(0.1 * rng.standard_normal((c_out, c_in, 3, 3, 3))
+                           for c_in, c_out in pairs),
+        conv_biases=tuple(0.1 * rng.standard_normal(c_out) for _, c_out in pairs))
+
+
 class TestInitialSimilarity:
     def test_identical_unit_features_have_diagonal_ten(self):
         rng = np.random.default_rng(0)
@@ -67,7 +78,7 @@ class TestInitialSimilarity:
         a = np.zeros((2, 2, 3))
         a[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            initial_similarity(feature_map(a), feature_map(np.ones((2, 2, 3))))
+            initial_similarity(feature_map(a), feature_map(np.ones((2, 2, 3))), tau=0.1)
 
     def test_invariant_to_positive_row_rescaling(self):
         rng = np.random.default_rng(1)
@@ -75,8 +86,8 @@ class TestInitialSimilarity:
         g = rng.standard_normal((3, 3, 5))
         scaled = f.copy()
         scaled[1, 2] *= 37.5
-        s1 = initial_similarity(feature_map(f), feature_map(g))
-        s2 = initial_similarity(feature_map(scaled), feature_map(g))
+        s1 = initial_similarity(feature_map(f), feature_map(g), tau=0.1)
+        s2 = initial_similarity(feature_map(scaled), feature_map(g), tau=0.1)
         assert np.allclose(s1.s, s2.s, atol=1e-12)
 
     def test_entries_bounded_by_inverse_tau(self):
@@ -88,7 +99,7 @@ class TestInitialSimilarity:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             initial_similarity(feature_map(np.ones((2, 2, 3))),
-                               feature_map(np.ones((3, 3, 3))))
+                               feature_map(np.ones((3, 3, 3))), tau=0.1)
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
     def test_non_finite_or_non_positive_tau_rejected(self, tau):
@@ -144,14 +155,9 @@ class TestLocalResidual:
         # single-channel chain of center-tap kernels; ReLU is inactive on >= 0
         delta = np.zeros((1, 1, 3, 3, 3))
         delta[0, 0, 1, 1, 1] = 1.0
-        params = RefinerParams.random(16, conv_channels=(1, 1, 1, 1), seed=4)
-        params = RefinerParams(
-            conv_kernels=(delta, delta, delta),
-            conv_biases=tuple(np.zeros(1) for _ in range(3)),
-            global_weights=params.global_weights, global_biases=params.global_biases,
-            gate_weights=params.gate_weights, gate_biases=params.gate_biases,
-            dustbin_row=params.dustbin_row, dustbin_col=params.dustbin_col,
-            dustbin_theta=params.dustbin_theta)
+        params = dataclasses.replace(RefinerParams.random(16, seed=4),
+                                     conv_kernels=(delta, delta, delta),
+                                     conv_biases=tuple(np.zeros(1) for _ in range(3)))
         rng = np.random.default_rng(5)
         s = SimilarityMatrix(np.abs(rng.normal(size=(16, 16))))
         assert np.allclose(local_residual(s, params), s.s, atol=1e-6)
@@ -159,7 +165,7 @@ class TestLocalResidual:
     def test_matches_naive_convolution(self):
         rng = np.random.default_rng(6)
         n = 4
-        params = RefinerParams.random(n * n, conv_channels=(1, 3, 3, 1), seed=7)
+        params = with_conv_chain(RefinerParams.random(n * n, seed=7), (1, 3, 3, 1), seed=7)
         s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
         fast = local_residual(s, params)
         slow = local_residual_naive(s, params)
@@ -211,7 +217,7 @@ class TestLocalResidual:
 def test_streamed_stack_equals_layer_by_layer_conv3d(n, channels):
     # n=1 is a single depth slice; n=2 and 3 cover the first and last ring steps
     rng = np.random.default_rng(40 + n)
-    params = RefinerParams.random(n * n, conv_channels=channels, seed=41 + n)
+    params = with_conv_chain(RefinerParams.random(n * n, seed=41 + n), channels, seed=41 + n)
     s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
     assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
 
@@ -360,7 +366,7 @@ class TestGlobalResidual:
     def test_matches_direct_affine_oracle(self):
         rng = np.random.default_rng(13)
         n2 = 16
-        params = RefinerParams.random(n2, global_hidden=12, seed=14)
+        params = RefinerParams.random(n2, seed=14)
         s = rng.normal(size=(n2, n2))
         out = global_residual(SimilarityMatrix(s), params)
         w1, w2 = (w.astype(float) for w in params.global_weights)

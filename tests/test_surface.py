@@ -192,38 +192,48 @@ class TestAerialDepthToHeightIndex:
     def test_min_depth_anchors_to_ground_tie(self):
         # h = -3 sits halfway between the -4 and -2 layers; ties round down
         depth = np.array([[0.0, 13.0], [5.0, 7.0]])
-        surf = aerial_depth_to_height_index(depth, LAYERS)
+        surf = aerial_depth_to_height_index(depth, LAYERS, ground_anchor_m=-3.0, scale=1.0)
         assert surf[0, 0] == 3
 
     def test_max_depth_hits_top_layer(self):
         depth = np.array([[0.0, 13.0], [5.0, 7.0]])
-        surf = aerial_depth_to_height_index(depth, LAYERS)
+        surf = aerial_depth_to_height_index(depth, LAYERS, ground_anchor_m=-3.0, scale=1.0)
         assert surf[0, 1] == LAYERS.num_layers - 1
 
-    def test_constant_map_flagged_and_grounded(self):
-        with pytest.warns(RuntimeWarning):
-            surf = aerial_depth_to_height_index(np.full((3, 3), 7.0), LAYERS)
+    def test_constant_map_is_grounded(self):
+        surf = aerial_depth_to_height_index(np.full((3, 3), 7.0), LAYERS, -3.0, 1.0)
         assert np.all(surf == LAYERS.nearest_index(-3.0))
 
     def test_returns_n_by_n_int64_layer_index(self):
-        surf = aerial_depth_to_height_index(np.random.default_rng(6).uniform(0, 40, (5, 5)), LAYERS)
+        depth = np.random.default_rng(6).uniform(0, 40, (5, 5))
+        surf = aerial_depth_to_height_index(depth, LAYERS, -3.0, 0.25)
         assert surf.shape == (5, 5) and surf.dtype == np.int64
 
     def test_invariant_to_constant_shift(self):
         rng = np.random.default_rng(8)
         depth = rng.uniform(0, 40, (6, 6))
-        a = aerial_depth_to_height_index(depth, LAYERS)
-        b = aerial_depth_to_height_index(depth + 123.4, LAYERS)
+        a = aerial_depth_to_height_index(depth, LAYERS, -3.0, 0.25)
+        b = aerial_depth_to_height_index(depth + 123.4, LAYERS, -3.0, 0.25)
         assert np.array_equal(a, b)
 
     def test_explicit_scale(self):
         depth = np.array([[0.0, 2.0, 4.0]])
-        surf = aerial_depth_to_height_index(depth, LAYERS, scale=1.0)
+        surf = aerial_depth_to_height_index(depth, LAYERS, ground_anchor_m=-3.0, scale=1.0)
         assert np.array_equal(surf[0], LAYERS.nearest_index(np.array([-3.0, -1.0, 1.0])))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            aerial_depth_to_height_index(np.array([[np.inf, 0.0]]), LAYERS)
+            aerial_depth_to_height_index(np.array([[np.inf, 0.0]]), LAYERS, -3.0, 1.0)
+
+    @pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_rejected(self, anchor):
+        with pytest.raises(ValueError, match="depth_anchor_m must be finite"):
+            aerial_depth_to_height_index(np.zeros((2, 2)), LAYERS, anchor, 1.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="depth_scale must be finite and positive"):
+            aerial_depth_to_height_index(np.zeros((2, 2)), LAYERS, -3.0, scale)
 
 
 class TestContainerValidation:

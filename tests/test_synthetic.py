@@ -141,7 +141,7 @@ class TestRenderInputs:
         surf = surface_from_accumulation(conf, 0.5, small_specs.layers)
         from crossview.surface import fuse_height_features
         f_grd = fuse_height_features(inputs.volume, conf, surf)
-        s = initial_similarity(f_grd, inputs.f_sat).s
+        s = initial_similarity(f_grd, inputs.f_sat, tau=0.1).s
 
         n = small_specs.grid.n_points_per_side
         cells = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"),
@@ -161,9 +161,6 @@ class TestRenderInputs:
                 bundle.inputs.depth_sat, small_specs.layers,
                 ground_anchor_m=bundle.depth_anchor_m, scale=bundle.depth_scale)
             assert np.array_equal(rec, gt_sat)
-            rec_auto = aerial_depth_to_height_index(bundle.inputs.depth_sat,
-                                                    small_specs.layers)
-            assert np.array_equal(rec_auto, gt_sat)
 
 
 class TestSnappedRenderOracle:
@@ -323,6 +320,30 @@ class TestSceneIo:
         (scene / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(
                 f"{scene}: {name} must be {wanted} for the scene's specs, got {shape}")):
+            load_scene_dir(scene)
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("noise_sigma", math.nan, "noise_sigma must be finite and non-negative, got nan"),
+        ("noise_sigma", -0.5, "noise_sigma must be finite and non-negative, got -0.5"),
+        ("depth_anchor_m", math.inf, "depth_anchor_m must be finite, got inf"),
+        ("depth_anchor_m", math.nan, "depth_anchor_m must be finite, got nan"),
+        ("depth_scale", math.nan, "depth_scale must be finite and positive, got nan"),
+        ("depth_scale", math.inf, "depth_scale must be finite and positive, got inf"),
+        ("depth_scale", 0.0, "depth_scale must be finite and positive, got 0.0"),
+        ("depth_scale", -1.0, "depth_scale must be finite and positive, got -1.0"),
+    ], ids=["seed-negative", "noise-nan", "noise-negative", "anchor-infinite", "anchor-nan",
+            "scale-nan", "scale-infinite", "scale-zero", "scale-negative"])
+    def test_manifest_number_outside_the_generator_rules_rejected(self, tmp_path, small_specs,
+                                                                   key, value, rule):
+        # a non-finite depth rule casts NaN to layer indices, a negative scale flips the
+        # aerial surface upside down: the height loss would read a number for either
+        scene = tmp_path / "scene"
+        save_scene_dir(scene, make_scene_bundle(small_specs, seed=8))
+        manifest = json.loads((scene / "manifest.json").read_text())
+        manifest[key] = value
+        (scene / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{scene}: ") + ".*" + re.escape(rule)):
             load_scene_dir(scene)
 
     def test_loaded_scene_still_recovers_pose(self, tmp_path, small_specs):

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(TensorFormatError):
         load_tensor(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.cvt"
+    save_tensor(path, np.zeros((4, 4), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(TensorFormatError, match="payload is 68 bytes, header implies 64"):
+        load_tensor(path)
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    # a scene volume at the paper's n=41 with 16 channels; reading the file into
+    # bytes, slicing them and copying the view would peak at three payloads
+    arr = np.random.default_rng(3).standard_normal((11, 41, 41, 16)).astype(np.float32)
+    path = tmp_path / "volume.cvt"
+    save_tensor(path, arr)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, arr)
+    assert peak <= 1.1 * arr.nbytes
 
 
 # a (4, 4) tensor's header: magic 0-4, rank 4-12, dims 12-28, dtype tag 28-32
