@@ -1,8 +1,8 @@
 """Command-line surface: scene generation, pose solving, evaluation, losses.
 
 Exit codes: 0 success, 2 input error, 3 degenerate solution. All randomness
-flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING for
-verbosity.
+flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING (any
+case) for verbosity.
 """
 
 from __future__ import annotations
@@ -197,10 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CROSSVIEW_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("CROSSVIEW_LOG", "WARNING")
+        if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+            raise ValueError(f"CROSSVIEW_LOG: unknown log level {level!r}; "
+                             "expected DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -421,14 +421,15 @@ def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
 
     The dustbin column, row and corner only add ``exp`` terms to the row
     and column sums (and widen the entry range), so the (N^2+1)^2 matrix
-    is never built and the result needs no crop.
+    is never built and the result, written into ``body``, needs no crop.
     """
     lo = min(body.min(), col_bin.min(), row_bin.min(), corner)
     hi = max(body.max(), col_bin.max(), row_bin.max(), corner)
+    p = body
     if hi - lo <= _SINGLE_EXP_RANGE:
         # a global shift cancels inside each softmax, so one exp serves both:
         # p = e^2(m-g) / (rowsum * colsum)
-        p = body - hi
+        p -= hi
         np.exp(p, out=p)
         rows = p.sum(axis=1) + np.exp(col_bin - hi)
         cols = p.sum(axis=0) + np.exp(row_bin - hi)
@@ -438,12 +439,13 @@ def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
     else:
         row_max = np.maximum(body.max(axis=1), col_bin)
         col_max = np.maximum(body.max(axis=0), row_bin)
-        p = body - row_max[:, None]
-        np.exp(p, out=p)
-        p /= (p.sum(axis=1) + np.exp(col_bin - row_max))[:, None]
+        # the column softmax reads body before the row softmax overwrites it
         c = body - col_max
         np.exp(c, out=c)
         c /= c.sum(axis=0) + np.exp(row_bin - col_max)
+        p -= row_max[:, None]
+        np.exp(p, out=p)
+        p /= (p.sum(axis=1) + np.exp(col_bin - row_max))[:, None]
         p *= c
     # saturated inputs can round the product onto 0 or 1; nudge back inside
     # the open interval (at most one ulp of distortion)
@@ -456,6 +458,8 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> Ma
 
     Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
     entries were checked finite when ``s`` and ``params`` were built.
+    ``s`` is spent: the result is normalized in ``s.s``'s storage, also an
+    array that ``SimilarityMatrix`` wrapped without a copy.
     """
     if params is None:
         zeros = np.zeros(s.num_patches)
@@ -472,7 +476,7 @@ def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> MatchProbabilities:
         raise ValueError("expected a square dustbin-extended matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    return _normalize(m[:-1, :-1], m[:-1, -1], m[-1, :-1], m[-1, -1])
+    return _normalize(m[:-1, :-1].copy(), m[:-1, -1], m[-1, :-1], m[-1, -1])
 
 
 def _ranked(p: np.ndarray, rows: np.ndarray, cols: np.ndarray):

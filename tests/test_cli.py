@@ -90,6 +90,23 @@ class TestGenerate:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["debug", "Info"])
+    def test_log_level_name_in_any_case(self, tmp_path, value):
+        proc = python_subprocess("-m", "crossview", "generate", "--seed", "0", "--n", "9",
+                                 "--out-dir", tmp_path / "out", env={"CROSSVIEW_LOG": value})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    # WARN is a logging alias, but not one of the names the error message lists
+    @pytest.mark.parametrize("value", ["verbose", "warn"])
+    def test_unknown_log_level_is_input_error_and_writes_nothing(self, tmp_path, value):
+        proc = python_subprocess("-m", "crossview", "generate", "--seed", "0", "--n", "9",
+                                 "--out-dir", tmp_path / "out", env={"CROSSVIEW_LOG": value})
+        assert proc.returncode == 2
+        assert f"error: CROSSVIEW_LOG: unknown log level '{value}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolve:
     def test_recovers_planted_pose(self, tmp_path):

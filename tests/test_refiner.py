@@ -331,14 +331,31 @@ class TestPaperSizeRefiner:
 
     @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
     def test_match_probabilities_peak_memory(self, monkeypatch, with_params):
-        # one 1681 x 1681 float64 is 21.6 MB; extending to 1682 x 1682,
-        # normalizing that and cropping the result peaked near 65 MB
+        # one 1681 x 1681 float64 is 22.6 MB; the normalization runs in the
+        # similarity matrix's storage and allocates only vectors (0.1 MB), so
+        # any full-size temporary breaks the bound
         _, _, sim, params = self.bench_reference_input(monkeypatch)
         params = params if with_params else None
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             match_probabilities(sim, params)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 1.0
+
+    def test_unrefined_localization_peak_memory(self):
+        # the solve holds one 22.6 MB matrix, the similarity matrix that becomes
+        # the match probabilities (25.8 MB peak). A second one beside it (47.3 MB)
+        # crosses glibc's trim threshold of twice the largest freed block, so
+        # each solve would hand its heap back to the OS and fault it in again
+        specs = SceneSpec()
+        inputs = make_scene_bundle(specs, seed=5, noise_sigma=0.2).inputs
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs)
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
@@ -558,6 +575,14 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_doubly_stochastic(m)
 
+    @pytest.mark.parametrize("spike", [0.0, 320.0], ids=["single-exp", "fallback"])
+    def test_argument_left_unchanged(self, spike):
+        m = np.random.default_rng(31).normal(0, 2, (10, 10))
+        m[2, 7] += spike
+        before = m.tobytes()
+        normalize_doubly_stochastic(m)
+        assert m.tobytes() == before
+
 
 def _extended_range(s, params):
     ext = dustbin_extend(s, params)
@@ -576,8 +601,20 @@ class TestMatchProbabilities:
         s = SimilarityMatrix(m)
         params = RefinerParams.random(16, seed=35, scale=1.0) if with_params else None
         assert (_extended_range(s, params) > _SINGLE_EXP_RANGE) == (spike > 0)
+        # match_probabilities spends s, so the reference is built first
+        ref = normalize_doubly_stochastic(dustbin_extend(s, params)).p
         p = match_probabilities(s, params).p
-        assert np.array_equal(p, normalize_doubly_stochastic(dustbin_extend(s, params)).p)
+        assert np.array_equal(p, ref)
+
+    @pytest.mark.parametrize("spike", [0.0, 320.0], ids=["single-exp", "fallback"])
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_result_takes_the_similarity_storage(self, spike, with_params):
+        m = np.random.default_rng(39).normal(0, 2, (16, 16))
+        m[3, 5] += spike
+        params = RefinerParams.random(16, seed=40, scale=1.0) if with_params else None
+        s = SimilarityMatrix(m)
+        assert s.s is m   # wrapped without a copy
+        assert np.shares_memory(match_probabilities(s, params).p, m)
 
     @pytest.mark.parametrize("bin_entry", ["row", "col", "corner"])
     def test_dustbin_entry_alone_selects_fallback(self, bin_entry):
