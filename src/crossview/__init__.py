@@ -11,7 +11,7 @@ from .geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                        aerial_px_to_metric, metric_to_aerial_px, wrap_angle)
 from .losses import LossConfig, height_loss, matching_loss, total_loss, vce_loss
 from .pipeline import PipelineConfig, PipelineResult, run_localization
-from .refiner import (MatchProbabilities, RefinerParams, SimilarityMatrix,
+from .refiner import (RefinerParams, SimilarityMatrix,
                       dustbin_extend, extract_matches, initial_similarity,
                       match_probabilities, normalize_doubly_stochastic, refine)
 from .solver import (CorrespondenceSet, pose_error, solve_translation_only,

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Pose3DoF, SceneSpec
 from .losses import (LossConfig, height_loss, loss_report, matching_loss,
                      vce_loss)
-from .refiner import (RefinerParams, SimilarityMatrix, extract_matches,
+from .refiner import (RefinerParams, SimilarityMatrix, check_temperature, extract_matches,
                       initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
@@ -40,8 +40,7 @@ class PipelineConfig:
             raise ValueError("window must be >= 0")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("temperature must be finite and positive")
+        check_temperature(self.tau)
         if self.known_yaw_rad is not None and not math.isfinite(self.known_yaw_rad):
             raise ValueError("known yaw must be finite")
 

@@ -56,20 +56,6 @@ class SimilarityMatrix:
         return self.s.shape[0]
 
 
-@dataclass
-class MatchProbabilities:
-    """Match probabilities in (0, 1) from the doubly-stochastic normalization."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.ndim != 2 or self.p.shape[0] != self.p.shape[1]:
-            raise ValueError("probability matrix must be square")
-        if not (self.p.min() > 0.0 and self.p.max() < 1.0):
-            raise ValueError("match probabilities must lie strictly inside (0, 1)")
-
-
 def _as_f32(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a), dtype=np.float32)
 
@@ -185,20 +171,29 @@ class RefinerParams:
         return cls(**fields)
 
 
+def check_temperature(tau: float) -> None:
+    """Reject ``tau`` unless it is positive and ``(1 + 1e-12) / tau``, a bound on |s|, is finite."""
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau > 0 and math.isfinite((1 + 1e-12) / tau)):
+        raise ValueError(f"temperature must be finite and positive with 1 / tau finite; got {tau!r}")
+
+
 def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
                        tau: float) -> SimilarityMatrix:
     """Scaled cosine similarity between flattened ground and aerial patches."""
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("temperature must be finite and positive")
+    check_temperature(tau)
     n2 = f_grd.data.shape[0] * f_grd.data.shape[1]
     fg = f_grd.data.reshape(n2, -1)
     fs = f_sat.data.reshape(n2, -1)
-    ng = np.linalg.norm(fg, axis=1)
-    ns = np.linalg.norm(fs, axis=1)
+    with np.errstate(over="ignore"):   # an overflowing norm is rejected below
+        ng = np.linalg.norm(fg, axis=1)
+        ns = np.linalg.norm(fs, axis=1)
     if np.any(ng == 0) or np.any(ns == 0):
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
+    if not (np.all(np.isfinite(ng)) and np.all(np.isfinite(ns))):
+        raise ValueError("feature row norm overflows: a row cannot be cosine-normalized")
     s = (fg / ng[:, None]) @ (fs / ns[:, None]).T
     s /= tau
     return SimilarityMatrix(s)
@@ -416,12 +411,13 @@ _SINGLE_EXP_RANGE = 300.0
 
 
 def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
-               corner: float) -> MatchProbabilities:
+               corner: float) -> np.ndarray:
     """Row- x column-softmax of ``[[body, col_bin], [row_bin, corner]]``, restricted to ``body``.
 
     The dustbin column, row and corner only add ``exp`` terms to the row
     and column sums (and widen the entry range), so the (N^2+1)^2 matrix
     is never built and the result, written into ``body``, needs no crop.
+    Its entries lie strictly inside (0, 1).
     """
     lo = min(body.min(), col_bin.min(), row_bin.min(), corner)
     hi = max(body.max(), col_bin.max(), row_bin.max(), corner)
@@ -450,10 +446,10 @@ def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
     # saturated inputs can round the product onto 0 or 1; nudge back inside
     # the open interval (at most one ulp of distortion)
     np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=p)
-    return MatchProbabilities(p)
+    return p
 
 
-def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> MatchProbabilities:
+def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> np.ndarray:
     """Dustbin-augmented row- x column-softmax of ``s``; ``params=None`` uses zero bins.
 
     Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
@@ -469,7 +465,7 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> Ma
                       float(params.dustbin_theta))
 
 
-def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> MatchProbabilities:
+def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> np.ndarray:
     """Elementwise product of row- and column-softmax, cropped to drop the dustbin."""
     m = np.asarray(s_dustbin, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
@@ -504,15 +500,17 @@ def _col_argmax(p: np.ndarray) -> np.ndarray:
     return arg
 
 
-def extract_matches(probs: MatchProbabilities, k: int) -> CorrespondenceSet:
+def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
     A pair survives the mutual filter only when it is the argmax of both
     its row and its column; pairs are ordered by ``_ranked``. Coordinates
     come back in grid-cell units (row index -> (ix, iy) ground cell, column
-    index -> aerial cell); weights are the probability values.
+    index -> aerial cell); weights are the probability values, which
+    ``CorrespondenceSet`` checks finite and non-negative.
     """
-    p = probs.p
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("probability matrix must be square")
     n2 = p.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -143,7 +143,7 @@ def test_normalization_properties():
         m = rng.normal(0, 3.0, (int(size), int(size)))
         worst_row = max(worst_row, float(np.abs(row_softmax(m).sum(axis=1) - 1).max()))
         worst_col = max(worst_col, float(np.abs(col_softmax(m).sum(axis=0) - 1).max()))
-        p = normalize_doubly_stochastic(m).p
+        p = normalize_doubly_stochastic(m)
         bounds_ok &= bool(p.min() > 0.0 and p.max() < 1.0)
     ok = worst_row <= 1e-6 and worst_col <= 1e-6 and bounds_ok
     report("normalization-properties", ok,

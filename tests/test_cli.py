@@ -593,6 +593,15 @@ class TestLoss:
         assert "error: temperature must be finite and positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_subnormal_tau_fails_before_reading_the_scene(self, tmp_path):
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
+                       "--tau", "5e-324", check=False)
+        assert proc.returncode == 2
+        assert "error: temperature must be finite and positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_negative_rng_seed_fails_before_reading_the_scene(self, tmp_path):
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))

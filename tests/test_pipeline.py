@@ -24,7 +24,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="top_k"):
             PipelineConfig(top_k=top_k)
 
-    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.1])
+    # 5e-324 and 1e-310 are positive, but 1 / tau overflows
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.1, 5e-324, 1e-310])
     def test_non_finite_or_non_positive_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
             PipelineConfig(tau=tau)

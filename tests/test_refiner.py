@@ -13,8 +13,8 @@ import pytest
 from crossview import pipeline, refiner
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import ground_similarity, run_localization
-from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, MatchProbabilities,
-                               RefinerParams, SimilarityMatrix, _col_argmax,
+from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, RefinerParams,
+                               SimilarityMatrix, _col_argmax,
                                dustbin_extend, extract_matches,
                                gate_values, global_residual,
                                initial_similarity, local_residual,
@@ -101,12 +101,31 @@ class TestInitialSimilarity:
             initial_similarity(feature_map(np.ones((2, 2, 3))),
                                feature_map(np.ones((3, 3, 3))), tau=0.1)
 
-    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0, 5e-324, 1e-310])
     def test_non_finite_or_non_positive_tau_rejected(self, tau):
-        # tau = inf would otherwise divide every entry to zero without an error
+        # tau = inf would otherwise divide every entry to zero without an error;
+        # a tau whose inverse overflows is rejected before the product makes inf
         f = feature_map(np.ones((2, 2, 3)))
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
             initial_similarity(f, f, tau=tau)
+
+    @pytest.mark.parametrize("side", ["ground", "aerial"])
+    def test_overflowing_feature_norm_rejected(self, side):
+        # finite entries whose norm overflows would divide their row to zero
+        plain = np.ones((3, 3, 4))
+        huge = plain.copy()
+        huge[1, 2] = 1e200
+        f_grd, f_sat = (huge, plain) if side == "ground" else (plain, huge)
+        with pytest.raises(ValueError, match="feature row norm overflows"):
+            initial_similarity(feature_map(f_grd), feature_map(f_sat), tau=0.1)
+
+    def test_overflowing_aerial_norm_stops_localization(self, small_specs):
+        inputs = make_scene_bundle(small_specs, seed=3).inputs
+        f_sat = inputs.f_sat.data.copy()
+        f_sat[4, 4] = 1e200
+        with pytest.raises(ValueError, match="feature row norm overflows"):
+            run_localization(inputs.volume, inputs.conf_logits,
+                             BevFeatureMap(f_sat, small_specs.grid), small_specs)
 
 
 def conv3d_naive(x, kernel, bias):
@@ -524,13 +543,13 @@ def _with_dustbin(params, row, col, theta):
 class TestNormalization:
     def test_two_by_two_hand_case(self):
         p = normalize_doubly_stochastic(np.zeros((2, 2)))
-        assert p.p.shape == (1, 1)
-        assert p.p[0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert p.shape == (1, 1)
+        assert p[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_dominant_entry_saturates(self):
         m = np.zeros((4, 4))
         m[1, 2] = 100.0
-        p = normalize_doubly_stochastic(m).p
+        p = normalize_doubly_stochastic(m)
         assert p[1, 2] == pytest.approx(1.0, abs=1e-6)
         # everything sharing the dominant row or column collapses to ~0
         assert np.all(p[1, [0, 1]] < 1e-40)
@@ -542,7 +561,7 @@ class TestNormalization:
     def test_product_bounded_by_each_factor(self):
         rng = np.random.default_rng(27)
         m = rng.normal(0, 2, (9, 9))
-        p = normalize_doubly_stochastic(m).p
+        p = normalize_doubly_stochastic(m)
         r = row_softmax(m)[:-1, :-1]
         c = col_softmax(m)[:-1, :-1]
         assert np.all(p <= np.minimum(r, c) + 1e-15)
@@ -558,14 +577,14 @@ class TestNormalization:
         rng = np.random.default_rng(29)
         m = rng.normal(0, 2, (6, 6))
         m[0, 0] += 320.0  # beyond the single-exp range guard
-        p = normalize_doubly_stochastic(m).p
+        p = normalize_doubly_stochastic(m)
         ref = (row_softmax(m) * col_softmax(m))[:-1, :-1]
         assert np.allclose(p, ref, rtol=1e-10, atol=0)
 
     def test_fast_and_safe_paths_agree(self):
         rng = np.random.default_rng(30)
         m = rng.normal(0, 3, (20, 20))
-        p = normalize_doubly_stochastic(m).p
+        p = normalize_doubly_stochastic(m)
         ref = (row_softmax(m) * col_softmax(m))[:-1, :-1]
         assert np.allclose(p, ref, rtol=1e-12, atol=1e-300)
 
@@ -602,8 +621,8 @@ class TestMatchProbabilities:
         params = RefinerParams.random(16, seed=35, scale=1.0) if with_params else None
         assert (_extended_range(s, params) > _SINGLE_EXP_RANGE) == (spike > 0)
         # match_probabilities spends s, so the reference is built first
-        ref = normalize_doubly_stochastic(dustbin_extend(s, params)).p
-        p = match_probabilities(s, params).p
+        ref = normalize_doubly_stochastic(dustbin_extend(s, params))
+        p = match_probabilities(s, params)
         assert np.array_equal(p, ref)
 
     @pytest.mark.parametrize("spike", [0.0, 320.0], ids=["single-exp", "fallback"])
@@ -614,7 +633,7 @@ class TestMatchProbabilities:
         params = RefinerParams.random(16, seed=40, scale=1.0) if with_params else None
         s = SimilarityMatrix(m)
         assert s.s is m   # wrapped without a copy
-        assert np.shares_memory(match_probabilities(s, params).p, m)
+        assert np.shares_memory(match_probabilities(s, params), m)
 
     @pytest.mark.parametrize("bin_entry", ["row", "col", "corner"])
     def test_dustbin_entry_alone_selects_fallback(self, bin_entry):
@@ -633,7 +652,27 @@ class TestMatchProbabilities:
         assert _extended_range(s, params) > _SINGLE_EXP_RANGE
         ext = dustbin_extend(s, params)
         ref = (row_softmax(ext) * col_softmax(ext))[:-1, :-1]
-        assert np.allclose(match_probabilities(s, params).p, ref, rtol=1e-10, atol=0)
+        assert np.allclose(match_probabilities(s, params), ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("branch", ["single-exp", "fallback"])
+    @pytest.mark.parametrize("fn", ["match_probabilities", "normalize_doubly_stochastic"])
+    def test_saturated_entries_stay_inside_open_unit_interval(self, fn, branch):
+        # single-exp: the spike's row and column sums round to 1, so its entry
+        # rounds to 1.0; fallback: entry (0, 1) sits in the row and the column
+        # of two spikes, so its factors multiply to e^-800, which underflows to 0
+        m = np.zeros((9, 9))
+        if branch == "single-exp":
+            m[1, 2] = 100.0
+        else:
+            m[0, 0] = m[1, 1] = 400.0
+        s = SimilarityMatrix(m)
+        assert (_extended_range(s, None) > _SINGLE_EXP_RANGE) == (branch == "fallback")
+        if fn == "match_probabilities":
+            p = match_probabilities(s, None)
+        else:
+            p = normalize_doubly_stochastic(dustbin_extend(s, None))
+        assert p.shape == (9, 9)
+        assert p.min() > 0.0 and p.max() < 1.0
 
     def test_wrong_patch_count_rejected(self):
         with pytest.raises(ValueError, match="parameters sized for a different patch count"):
@@ -683,14 +722,11 @@ def extract_matches_oracle(p, k):
 
 
 class TestExtractMatches:
-    def _probs(self, m):
-        return MatchProbabilities(m)
-
     def test_identity_dominant_returns_diagonal(self):
         n2 = 16
         m = np.full((n2, n2), 0.001)
         np.fill_diagonal(m, 0.9)
-        cs = extract_matches(self._probs(m), 5)
+        cs = extract_matches(m, 5)
         rows = cs.ground_xy[:, 0] * 4 + cs.ground_xy[:, 1]
         cols = cs.aerial_xy[:, 0] * 4 + cs.aerial_xy[:, 1]
         assert np.array_equal(rows, cols)
@@ -699,7 +735,7 @@ class TestExtractMatches:
     def test_single_overwhelming_entry(self):
         m = np.full((4, 4), 0.01)
         m[2, 1] = 0.99
-        cs = extract_matches(self._probs(m), 1)
+        cs = extract_matches(m, 1)
         assert tuple(cs.ground_xy[0]) == (1.0, 0.0)   # flat row 2 on a 2x2 grid
         assert tuple(cs.aerial_xy[0]) == (0.0, 1.0)   # flat col 1
         assert cs.weights[0] == pytest.approx(0.99)
@@ -709,7 +745,7 @@ class TestExtractMatches:
         for trial in range(20):
             p = rng.uniform(0.001, 0.999, (16, 16))
             k = int(rng.integers(1, 40))
-            cs = extract_matches(self._probs(p), k)
+            cs = extract_matches(p, k)
             got = {(int(g[0] * 4 + g[1]), int(a[0] * 4 + a[1]))
                    for g, a in zip(cs.ground_xy, cs.aerial_xy)}
             expected = set(extract_matches_oracle(p, k))
@@ -719,7 +755,7 @@ class TestExtractMatches:
         # single mutual pair (0, 0); padding walks the global top-k in
         # row-major order of the similarity matrix
         p = np.full((9, 9), 0.5)
-        cs = extract_matches(self._probs(p), 4)
+        cs = extract_matches(p, 4)
         flat = [(int(g[0] * 3 + g[1]), int(a[0] * 3 + a[1]))
                 for g, a in zip(cs.ground_xy, cs.aerial_xy)]
         assert flat == [(0, 0), (0, 1), (0, 2), (0, 3)]
@@ -734,7 +770,7 @@ class TestExtractMatches:
         p = rng.choice([0.2, 0.4, 0.6], size=(n2, n2))
         ks = {1, 2, n2, n2 + 1, n2 * n2 // 2, n2 * n2} | set(rng.integers(1, n2 * n2 + 1, 6))
         for k in sorted(int(k) for k in ks):
-            cs = extract_matches(self._probs(p), k)
+            cs = extract_matches(p, k)
             got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
                    for g, a in zip(cs.ground_xy, cs.aerial_xy)]
             assert got == extract_matches_oracle(p, k), f"k={k}"
@@ -748,17 +784,38 @@ class TestExtractMatches:
         n = 12
         p = rng.choice([0.2, 0.4, 0.6], size=(n * n, n * n))
         for k in (1, 30, 200):
-            cs = extract_matches(self._probs(p), k)
+            cs = extract_matches(p, k)
             got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
                    for g, a in zip(cs.ground_xy, cs.aerial_xy)]
             assert got == extract_matches_oracle(p, k), f"k={k}"
 
     def test_bad_k_rejected(self):
-        p = self._probs(np.full((4, 4), 0.5))
+        p = np.full((4, 4), 0.5)
         with pytest.raises(ValueError):
             extract_matches(p, 0)
         with pytest.raises(ValueError):
             extract_matches(p, 17)
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 9), (2, 4, 4)])
+    def test_non_square_array_rejected(self, shape):
+        with pytest.raises(ValueError, match="^probability matrix must be square$"):
+            extract_matches(np.full(shape, 0.5), 1)
+
+    def test_nan_among_chosen_entries_rejected(self):
+        # NaN wins its row's argmax and, ignored by the column maxima, pairs
+        # with row 0 as the only mutual match
+        p = np.full((9, 9), 0.5)
+        p[0, 0] = np.nan
+        with pytest.raises(ValueError, match="^correspondences must be finite$"):
+            extract_matches(p, 1)
+
+    def test_negative_padding_entries_rejected(self):
+        # four mutual diagonal pairs; the fifth match pads from the negatives
+        p = np.full((4, 4), -0.5)
+        np.fill_diagonal(p, 0.9)
+        assert len(extract_matches(p, 4)) == 4
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
+            extract_matches(p, 5)
 
 
 class TestColumnArgmax:
@@ -814,9 +871,9 @@ class TestPermutationEquivariance:
         refined_perm = refine(s_perm, transported)
         assert np.allclose(refined_perm.s, refined.s[:, perm], atol=1e-9)
 
-        p = normalize_doubly_stochastic(dustbin_extend(refined, base)).p
+        p = normalize_doubly_stochastic(dustbin_extend(refined, base))
         p_perm = normalize_doubly_stochastic(
-            dustbin_extend(refined_perm, transported)).p
+            dustbin_extend(refined_perm, transported))
         assert np.allclose(p_perm, p[:, perm], atol=1e-12)
 
 
