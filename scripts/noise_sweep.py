@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from crossview.evaluation import localization_stats
 from crossview.geometry import AerialMeta, BevGridSpec, CameraIntrinsics, SceneSpec
 from crossview.pipeline import run_localization
 from crossview.solver import pose_error
@@ -48,17 +49,19 @@ def main():
     )
     print(f"{'sigma':>6} {'median_m':>10} {'mean_m':>10} {'p90_m':>10} {'median_deg':>11}")
     for sigma in args.sigmas:
-        trans, orient = [], []
+        errors = []
         for seed in range(args.seeds):
             bundle = make_scene_bundle(specs, seed=seed, noise_sigma=sigma,
                                        snapped=not args.continuous)
             res = run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
                                    bundle.inputs.f_sat, specs)
-            t, o = pose_error(res.pose_px, bundle.scene.gt_pose, specs.aerial)
-            trans.append(t)
-            orient.append(o)
-        print(f"{sigma:>6.2f} {np.median(trans):>10.4g} {np.mean(trans):>10.4g} "
-              f"{np.percentile(trans, 90):>10.4g} {np.median(orient):>11.4g}")
+            errors.append(pose_error(res.pose_px, bundle.scene.gt_pose, specs.aerial))
+        # the median and mean rule of `crossview eval --mode localization`
+        stats = localization_stats(errors)
+        p90 = np.percentile([t for t, _ in errors], 90)
+        print(f"{sigma:>6.2f} {stats['median_translation_m']:>10.4g} "
+              f"{stats['mean_translation_m']:>10.4g} {p90:>10.4g} "
+              f"{stats['median_orientation_deg']:>11.4g}")
 
 
 if __name__ == "__main__":

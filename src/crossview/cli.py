@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .evaluation import (DEFAULT_THRESHOLDS_PX, GroundTruthProjection,
                          MatchPrediction, localization_stats,
-                         matching_success_ratio, read_pose_csv)
+                         matching_success_ratio)
 from .geometry import BevGridSpec, Pose3DoF, SceneSpec
 from .losses import LossConfig
 from .pipeline import PipelineConfig, run_localization, scene_loss_report
@@ -45,12 +45,6 @@ def _dump_json(payload: dict, out: str | None) -> None:
 def _read_json(path, decode):
     """Decode the JSON object in ``path``; a malformed one is a ``ValueError`` naming the file."""
     return decode_json(path, json.loads(Path(path).read_text()), decode)
-
-
-def _write_csv_report(path: str, rows: list[tuple]) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -99,7 +93,24 @@ def cmd_solve(args) -> int:
     return EXIT_DEGENERATE if result.degenerate else EXIT_OK
 
 
+# eval mode -> {flag: whether the mode requires it}
+_EVAL_FLAGS = {"matching": {"--pred-csv": True, "--gt-dir": True, "--thresholds": False},
+               "localization": {"--scene-dir": True, "--pred-pose": True}}
+
+
+def _check_eval_flags(args) -> None:
+    """A flag of the other mode, or a missing one of this mode, is a ``ValueError`` naming it."""
+    for mode, flags in _EVAL_FLAGS.items():
+        for flag, required in flags.items():
+            given = getattr(args, flag[2:].replace("-", "_")) is not None
+            if given and mode != args.mode:
+                raise ValueError(f"{flag} applies only to --mode {mode}")
+            if required and not given and mode == args.mode:
+                raise ValueError(f"--mode {mode} needs {flag}")
+
+
 def cmd_eval(args) -> int:
+    _check_eval_flags(args)
     if args.mode == "matching":
         pred = MatchPrediction.from_csv(args.pred_csv)
         gt = GroundTruthProjection.load(args.gt_dir)
@@ -109,28 +120,18 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--thresholds: {exc}") from None
         report = matching_success_ratio(pred, gt, thresholds)
-        report["mode"] = "matching"
-        rows = [("threshold_px", "ratio")]
-        rows += list(zip(report["thresholds_px"], report["ratios"]))
-        rows += [("valid_ratio", report["valid_ratio"])]
     else:
-        if args.thresholds is not None:
-            raise ValueError("--thresholds applies only to --mode matching")
-        pred_poses = read_pose_csv(args.pred_csv)
-        gt_dir = Path(args.gt_dir)
-        gt_poses = read_pose_csv(gt_dir / "poses.csv")
-        if len(pred_poses) != len(gt_poses):
-            raise ValueError(
-                f"prediction count {len(pred_poses)} != ground-truth count {len(gt_poses)}")
-        specs = _read_json(gt_dir / "spec.json", SceneSpec.from_json_dict)
-        errors = [pose_error(p, g, specs.aerial) for p, g in zip(pred_poses, gt_poses)]
+        if len(args.pred_pose) != len(args.scene_dir):
+            raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
+                             f"{len(args.scene_dir)} --scene-dir directories")
+        poses = [_read_json(path, Pose3DoF.from_json_dict) for path in args.pred_pose]
+        errors = []
+        for directory, pose in zip(args.scene_dir, poses):
+            bundle = load_scene_dir(directory)
+            errors.append(pose_error(pose, bundle.scene.gt_pose, bundle.specs.aerial))
         report = localization_stats(errors)
-        report["mode"] = "localization"
-        rows = [("metric", "value")] + sorted(
-            (k, v) for k, v in report.items() if k != "mode")
+    report["mode"] = args.mode
     _dump_json(report, args.out)
-    if args.out_csv:
-        _write_csv_report(args.out_csv, rows)
     return EXIT_OK
 
 
@@ -177,12 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
-    p.add_argument("--pred-csv", required=True)
-    p.add_argument("--gt-dir", required=True)
     p.add_argument("--mode", choices=("localization", "matching"), required=True)
+    p.add_argument("--pred-csv", help="match prediction CSV (matching mode)")
+    p.add_argument("--gt-dir", help="ground-truth projection directory (matching mode)")
     p.add_argument("--thresholds", help="comma-separated pixel thresholds (matching mode)")
+    p.add_argument("--scene-dir", action="append",
+                   help="scene directory (localization mode; repeat, paired with --pred-pose)")
+    p.add_argument("--pred-pose", action="append",
+                   help="pose JSON from solve --out (localization mode; repeat, in order)")
     p.add_argument("--out")
-    p.add_argument("--out-csv")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("loss", help="evaluate the training losses on a scene")

@@ -18,7 +18,6 @@ from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_p
 from .tensorio import load_tensor_dir, read_csv, save_tensor_dir
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
-POSE_CSV_FIELDS = ("tx_px", "ty_px", "yaw_deg")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
 DEFAULT_MAX_RANGE_M = 30.0
 _PROJECTION_ROWS = 64      # panorama rows build_gt_projection projects at a time
@@ -47,12 +46,6 @@ class MatchPrediction:
     def from_csv(cls, path) -> "MatchPrediction":
         rows = read_csv(path, PRED_CSV_FIELDS, "prediction")
         return cls(rows[:, 0:2], rows[:, 2:4])
-
-
-def read_pose_csv(path) -> list[Pose3DoF]:
-    """Poses from a ``tx_px,ty_px,yaw_deg`` CSV, one per row."""
-    rows = read_csv(path, POSE_CSV_FIELDS, "pose")
-    return [Pose3DoF(row[0:2], math.radians(row[2])) for row in rows]
 
 
 @dataclass

@@ -123,9 +123,10 @@ class HeightLayerSpec:
 
     def nearest_index(self, height_m):
         """Nearest layer index to a height, ties rounding toward the lower index."""
-        frac = (np.asarray(height_m, dtype=float) - self.z_min_m) / self.spacing_m
-        idx = np.ceil(frac - 0.5).astype(np.int64)
-        return np.clip(idx, 0, self.num_layers - 1)
+        with np.errstate(over="ignore"):   # a finite height may scale to +-inf: still clipped
+            frac = (np.asarray(height_m, dtype=float) - self.z_min_m) / self.spacing_m
+        # clipped before the cast: casting a float outside int64 is platform-defined
+        return np.clip(np.ceil(frac - 0.5), 0, self.num_layers - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

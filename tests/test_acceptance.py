@@ -289,15 +289,11 @@ def test_cli_determinism(tmp_path):
     same_loss = l1.stdout == l2.stdout and l1.returncode == l2.returncode == 0
     details.append(f"loss {same_loss}")
 
-    # eval (localization mode over a two-row fixture)
-    gt_dir = tmp_path / "gt"
-    gt_dir.mkdir()
-    (gt_dir / "poses.csv").write_text("tx_px,ty_px,yaw_deg\n100,100,0\n200,200,45\n")
-    (gt_dir / "spec.json").write_text(json.dumps(SceneSpec().to_json_dict()))
-    pred = tmp_path / "pred.csv"
-    pred.write_text("tx_px,ty_px,yaw_deg\n110,100,10\n200,200,45\n")
-    e1 = _run("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "localization")
-    e2 = _run("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "localization")
+    # eval (localization mode over the solve of g1)
+    eval_args = ("eval", "--mode", "localization", "--scene-dir", tmp_path / "g1",
+                 "--pred-pose", pose_path)
+    e1 = _run(*eval_args)
+    e2 = _run(*eval_args)
     same_eval = e1.stdout == e2.stdout and e1.returncode == e2.returncode == 0
     details.append(f"eval {same_eval}")
 

@@ -1,6 +1,8 @@
+import argparse
 import inspect
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -9,12 +11,12 @@ import pytest
 
 from crossview import cli, refiner
 from crossview.evaluation import GroundTruthProjection
-from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.geometry import AerialMeta, BevGridSpec, SceneSpec
 from crossview.pipeline import PipelineConfig
-from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle
+from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import load_tensor, save_tensor
 
-from conftest import python_subprocess, to_legacy_scene_layout
+from conftest import ROOT, python_subprocess, to_legacy_scene_layout
 
 
 def run_cli(*args, check=True):
@@ -364,14 +366,11 @@ class TestEvalMatching:
         rows += [f"{40 + u % 20},5,0,0" for u in range(18)]
         pred = self.write_pred(tmp_path, rows)
         out_json = tmp_path / "report.json"
-        out_csv = tmp_path / "report.csv"
         run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                "--mode", "matching", "--thresholds", "5",
-                "--out", out_json, "--out-csv", out_csv)
+                "--mode", "matching", "--thresholds", "5", "--out", out_json)
         report = json.loads(out_json.read_text())
         assert report["ratios"] == [pytest.approx(0.4)]
         assert report["valid_ratio"] == pytest.approx(0.4)
-        assert "5.0,0.4" in out_csv.read_text()
 
     def test_empty_prediction_file_is_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
@@ -493,51 +492,120 @@ class TestEvalMatching:
         assert "Traceback" not in proc.stderr
 
 
+def write_pose(path, tx_px, ty_px, yaw_deg):
+    path.write_text(json.dumps({"tx_px": tx_px, "ty_px": ty_px, "yaw_deg": yaw_deg}))
+    return path
+
+
 class TestEvalLocalization:
-    def setup_dirs(self, tmp_path):
-        gt_dir = tmp_path / "gt"
-        gt_dir.mkdir()
-        (gt_dir / "poses.csv").write_text(
-            "tx_px,ty_px,yaw_deg\n100,100,0\n200,200,45\n")
-        (gt_dir / "spec.json").write_text(json.dumps(SceneSpec(
-            grid=BevGridSpec(9, 16.0)).to_json_dict()))
-        pred = tmp_path / "pred.csv"
-        # 10 px off at gsd 0.12 -> 1.2 m; second pose exact
-        pred.write_text("tx_px,ty_px,yaw_deg\n110,100,10\n200,200,45\n")
-        return gt_dir, pred
+    def setup_scenes(self, tmp_path):
+        """Three scenes, the second at twice the GSD, and a pose JSON for each.
+
+        The first two poses are 10 px off (1.2 m and 2.4 m); the first is 10
+        degrees off in yaw; the third pose is exact.
+        """
+        scenes, poses = [], []
+        for i, gsd in enumerate((0.12, 0.24, 0.12)):
+            specs = SceneSpec(grid=BevGridSpec(9, 16.0), aerial=AerialMeta(gsd))
+            scene = tmp_path / f"scene{i}"
+            save_scene_dir(scene, make_scene_bundle(specs, seed=i))
+            gt = load_scene_dir(scene).scene.gt_pose
+            shift = 10.0 if i < 2 else 0.0
+            yaw = gt.yaw_deg + (10.0 if i == 0 else 0.0)
+            scenes.append(scene)
+            poses.append(write_pose(tmp_path / f"pose{i}.json", gt.t_px[0] + shift,
+                                    gt.t_px[1], yaw))
+        return scenes, poses
+
+    @staticmethod
+    def pair_args(scenes, poses):
+        args = []
+        for scene, pose in zip(scenes, poses):
+            args += ["--scene-dir", scene, "--pred-pose", pose]
+        return args
 
     def test_stats_report(self, tmp_path):
-        gt_dir, pred = self.setup_dirs(tmp_path)
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "localization")
+        scenes, poses = self.setup_scenes(tmp_path)
+        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses))
         report = json.loads(proc.stdout)
-        assert report["mean_translation_m"] == pytest.approx(0.6)
-        assert report["median_translation_m"] == pytest.approx(0.0)
-        assert report["mean_orientation_deg"] == pytest.approx(5.0)
-        assert report["median_orientation_deg"] == pytest.approx(0.0)
+        assert report["mode"] == "localization"
+        assert report["count"] == 3
+        assert report["mean_translation_m"] == pytest.approx(1.2)
+        assert report["median_translation_m"] == pytest.approx(1.2)
+        assert report["mean_orientation_deg"] == pytest.approx(10.0 / 3)
+        assert report["median_orientation_deg"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_scores_the_cli_solves_of_generated_scenes(self, tmp_path):
+        args = []
+        for seed in range(3):
+            scene = generate_scene_dir(tmp_path, f"scene{seed}", seed=seed)
+            pose = tmp_path / f"pose{seed}.json"
+            run_cli("solve", "--scene-dir", scene, "--out", pose)
+            args += ["--scene-dir", scene, "--pred-pose", pose]
+        report = json.loads(run_cli("eval", "--mode", "localization", *args).stdout)
+        assert report["count"] == 3
+        assert report["median_translation_m"] <= 1e-9
 
     def test_count_mismatch_is_error(self, tmp_path):
-        gt_dir, pred = self.setup_dirs(tmp_path)
-        pred.write_text("tx_px,ty_px,yaw_deg\n110,100,10\n")
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "localization", check=False)
+        scenes, poses = self.setup_scenes(tmp_path)
+        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses),
+                       "--scene-dir", tmp_path / "nope", "--out", tmp_path / "r.json",
+                       check=False)
         assert proc.returncode == 2
+        assert "error: 3 --pred-pose files for 4 --scene-dir directories" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_thresholds_flag_is_input_error(self, tmp_path):
-        gt_dir, pred = self.setup_dirs(tmp_path)
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "localization",
+        scenes, poses = self.setup_scenes(tmp_path)
+        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses),
                        "--thresholds", "5,x", "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert "error: --thresholds applies only to --mode matching" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
-    def test_non_finite_pose_names_the_file(self, tmp_path):
-        gt_dir, pred = self.setup_dirs(tmp_path)
-        pred.write_text("tx_px,ty_px,yaw_deg\n110,100,10\n200,inf,45\n")
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "localization", check=False)
+    @pytest.mark.parametrize("mode, given, flag, other", [
+        ("localization", ("--pred-pose", "p.json", "--scene-dir", "s", "--pred-csv", "x.csv"),
+         "--pred-csv", "matching"),
+        ("localization", ("--pred-pose", "p.json", "--scene-dir", "s", "--gt-dir", "g"),
+         "--gt-dir", "matching"),
+        ("matching", ("--pred-csv", "x.csv", "--gt-dir", "g", "--scene-dir", "s"),
+         "--scene-dir", "localization"),
+        ("matching", ("--pred-csv", "x.csv", "--gt-dir", "g", "--pred-pose", "p.json"),
+         "--pred-pose", "localization"),
+    ], ids=["pred-csv", "gt-dir", "scene-dir", "pred-pose"])
+    def test_flag_of_the_other_mode_is_input_error(self, tmp_path, mode, given, flag, other):
+        # none of the named files exists: the flag check comes before any read
+        proc = run_cli("eval", "--mode", mode, *given, "--out", tmp_path / "r.json",
+                       check=False)
         assert proc.returncode == 2
-        assert "pred.csv: non-finite value at line 3" in proc.stderr
+        assert f"error: {flag} applies only to --mode {other}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("mode, given, missing", [
+        ("localization", ("--scene-dir", "s"), "--pred-pose"),
+        ("localization", ("--pred-pose", "p.json"), "--scene-dir"),
+        ("matching", ("--pred-csv", "x.csv"), "--gt-dir"),
+        ("matching", ("--gt-dir", "g"), "--pred-csv"),
+    ], ids=["pred-pose", "scene-dir", "gt-dir", "pred-csv"])
+    def test_missing_flag_of_the_mode_is_input_error(self, tmp_path, mode, given, missing):
+        proc = run_cli("eval", "--mode", mode, *given, "--out", tmp_path / "r.json",
+                       check=False)
+        assert proc.returncode == 2
+        assert f"error: --mode {mode} needs {missing}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_pose_names_the_file(self, tmp_path):
+        # the scenes do not exist: every pose file is read before any scene
+        good = write_pose(tmp_path / "good.json", 100.0, 100.0, 0.0)
+        bad = write_pose(tmp_path / "bad.json", 100.0, math.inf, 0.0)   # written as Infinity
+        proc = run_cli("eval", "--mode", "localization",
+                       *self.pair_args([tmp_path / "s1", tmp_path / "s2"], [good, bad]),
+                       check=False)
+        assert proc.returncode == 2
+        assert f"error: {bad}: " in proc.stderr and "pose must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestLoss:
@@ -553,6 +621,7 @@ class TestLoss:
         report = json.loads(proc.stdout)
         assert report["vce"] == 0.0
         assert report["seed"] == 0
+        assert set(report) == {"vce", "matching", "height", "total", "seed"}
 
     def test_fixed_seed_twice_identical(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=10)
@@ -640,7 +709,7 @@ class TestMalformedJsonInput:
         ("pred-pose", '{"ty_px": 0.0, "yaw_deg": 0.0}', "'tx_px'"),
         ("generate-spec", "[]", "expected a JSON object"),
         ("solve-spec", "[]", "expected a JSON object"),
-        ("eval-spec", "[]", "expected a JSON object"),
+        ("eval-pose", "[]", "expected a JSON object"),
         ("loss-config", "[1]", "expected a JSON object"),
         ("loss-config", '{"beta1": null}', "TypeError"),
         ("pred-pose", '{"tx_px": "a", "ty_px": 0.0, "yaw_deg": 0.0}', "ValueError"),
@@ -654,7 +723,7 @@ class TestMalformedJsonInput:
         ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_deg": 0.0}',
          "tx_px: expected a number, got True"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
-            "eval-spec-list", "config-list", "config-null-field", "pose-tx-not-a-number",
+            "eval-pose-list", "config-list", "config-null-field", "pose-tx-not-a-number",
             "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
             "config-unknown-key",
             "spec-n-fractional", "pose-tx-bool"])
@@ -662,12 +731,8 @@ class TestMalformedJsonInput:
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"
         pose.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
-        gt_dir = tmp_path / "gt"
-        gt_dir.mkdir()
-        bad = gt_dir / "spec.json" if which == "eval-spec" else tmp_path / "bad.json"
+        bad = tmp_path / "bad.json"
         bad.write_text(text)
-        if which == "eval-spec":
-            (gt_dir / "poses.csv").write_text("tx_px,ty_px,yaw_deg\n100,100,0\n")
         args = {
             "pred-pose": ("loss", "--scene-dir", scene, "--pred-pose", bad),
             "loss-config": ("loss", "--scene-dir", scene, "--pred-pose", pose, "--config", bad),
@@ -676,8 +741,8 @@ class TestMalformedJsonInput:
             "solve-spec": ("solve", "--volume", scene / "volume.cvt",
                            "--conf-logits", scene / "conf_logits.cvt",
                            "--f-sat", scene / "f_sat.cvt", "--spec-json", bad),
-            "eval-spec": ("eval", "--pred-csv", gt_dir / "poses.csv", "--gt-dir", gt_dir,
-                          "--mode", "localization"),
+            "eval-pose": ("eval", "--mode", "localization", "--scene-dir", scene,
+                          "--pred-pose", bad),
         }[which]
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2
@@ -763,3 +828,16 @@ def test_parser_defaults_are_the_library_defaults():
         inspect.signature(make_scene_bundle).parameters["channels"].default
     assert (solve.threshold, solve.topk) == (config.surface_threshold, config.top_k)
     assert (loss.threshold, loss.tau) == (config.surface_threshold, config.tau)
+
+
+def test_readme_cli_section_names_every_option():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    missing = [f"{name} {option}" for name, sub in commands.items()
+               for action in sub._actions for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(re.escape(option) + r"(?![\w-])", section)]
+    assert not missing

@@ -7,7 +7,7 @@ import pytest
 from crossview import evaluation
 from crossview.evaluation import (GroundTruthProjection, MatchPrediction,
                                   build_gt_projection, localization_stats,
-                                  matching_success_ratio, read_pose_csv)
+                                  matching_success_ratio)
 from crossview.geometry import (AerialMeta, CameraIntrinsics, Pose3DoF,
                                 aerial_px_to_metric, metric_to_aerial_px,
                                 panorama_pixel_ray)
@@ -390,21 +390,3 @@ class TestPredictionCsv:
         path.write_text(f"xg,yg,xs,ys\n1,2,3,4\n1,2,{value},4\n")
         with pytest.raises(ValueError, match=r"pred\.csv: non-finite value at line 3"):
             MatchPrediction.from_csv(path)
-
-
-class TestPoseCsv:
-    def test_reads_degrees_as_radians(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("tx_px,ty_px,yaw_deg\n100,101.5,90\n-2,3,-180\n")
-        poses = read_pose_csv(path)
-        assert len(poses) == 2
-        assert np.array_equal(poses[0].t_px, [100.0, 101.5])
-        assert poses[0].yaw_rad == math.pi / 2
-        assert np.array_equal(poses[1].t_px, [-2.0, 3.0])
-        assert poses[1].yaw_rad == math.pi   # wrapped into (-pi, pi]
-
-    def test_non_finite_field_reports_file_and_line(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text("tx_px,ty_px,yaw_deg\n1,2,3\ninf,2,3\n")
-        with pytest.raises(ValueError, match=r"poses\.csv: non-finite value at line 3"):
-            read_pose_csv(path)

@@ -141,6 +141,24 @@ class TestHeightLayerSpec:
         assert spec.nearest_index(-99.0) == 0
         assert spec.nearest_index(99.0) == 10
 
+    def test_nearest_index_clamps_heights_beyond_int64(self):
+        # a height beyond int64 clips to the nearest end layer, with no cast warning
+        spec = HeightLayerSpec(11, -10.0, 10.0)
+        idx = spec.nearest_index([1e30, 1e18, -1e30])
+        assert idx.tolist() == [10, 10, 0]
+        assert idx.dtype == np.int64
+        # spacing 0.1 m: the largest finite heights overflow to +-inf before the clip
+        assert HeightLayerSpec(11, -0.5, 0.5).nearest_index([1.7e308, -1.7e308]).tolist() \
+            == [10, 0]
+
+    def test_nearest_index_in_range_matches_cast_then_clip(self):
+        spec = HeightLayerSpec(11, -10.0, 10.0)
+        heights = np.random.default_rng(0).uniform(-30.0, 30.0, (41, 41))
+        heights[0, :3] = (-3.0, 11.0, -11.0)
+        frac = (heights - spec.z_min_m) / spec.spacing_m
+        expected = np.clip(np.ceil(frac - 0.5).astype(np.int64), 0, 10)
+        assert np.array_equal(spec.nearest_index(heights), expected)
+
     @pytest.mark.parametrize("m,zmin,zmax", [(1, -10, 10), (5, 3.0, 3.0), (5, 4.0, 2.0)])
     def test_invalid_specs_rejected(self, m, zmin, zmax):
         with pytest.raises(ValueError):

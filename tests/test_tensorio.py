@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossview.evaluation import GroundTruthProjection, MatchPrediction, read_pose_csv
+from crossview.evaluation import GroundTruthProjection, MatchPrediction
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
@@ -221,7 +221,6 @@ def test_reader_names_a_tensor_the_manifest_does_not_list(tmp_path, write, read,
 # one case per CSV format: reader, header, a good row, a row that does not parse, row kind
 CSV_READERS = {
     "prediction": (MatchPrediction.from_csv, "xg,yg,xs,ys", "1,2,3,4", "bad,2,3,4"),
-    "pose": (read_pose_csv, "tx_px,ty_px,yaw_deg", "100,100,0", "100,nope,0"),
 }
 
 
