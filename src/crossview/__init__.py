@@ -16,9 +16,8 @@ from .refiner import (RefinerParams, SimilarityMatrix,
                       match_probabilities, normalize_doubly_stochastic, refine)
 from .solver import (CorrespondenceSet, pose_error, solve_translation_only,
                      solve_weighted_procrustes)
-from .surface import (BevFeatureMap, ConfidenceVolume, FeatureVolume,
-                      aerial_depth_to_height_index, fuse_height_features,
-                      normalize_confidence, surface_from_accumulation)
+from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,
+                      fuse_height_features, normalize_confidence, surface_from_accumulation)
 from .synthetic import (SceneBundle, SceneTruth, SyntheticScene, generate_scene,
                         load_scene_dir, make_scene_bundle, render_inputs,
                         save_scene_dir)

@@ -24,7 +24,8 @@ from .pipeline import PipelineConfig, run_localization, scene_loss_report
 from .refiner import RefinerParams
 from .solver import pose_error
 from .surface import BevFeatureMap, FeatureVolume
-from .synthetic import FEATURE_CHANNELS, load_scene_dir, make_scene_bundle, save_scene_dir
+from .synthetic import (FEATURE_CHANNELS, load_scene_dir, make_scene_bundle,
+                        read_scene_manifest, save_scene_dir)
 from .tensorio import decode_json, json_text, load_tensor
 
 log = logging.getLogger("crossview")
@@ -58,16 +59,20 @@ def cmd_generate(args) -> int:
 
 
 def _load_solve_inputs(args):
+    loose = {"--volume": args.volume, "--conf-logits": args.conf_logits,
+             "--f-sat": args.f_sat, "--spec-json": args.spec_json}
     if args.scene_dir:
+        given = [flag for flag, path in loose.items() if path is not None]
+        if given:
+            raise ValueError(f"{given[0]} cannot be combined with --scene-dir")
         bundle = load_scene_dir(args.scene_dir)
         return bundle.inputs.volume, bundle.inputs.conf_logits, bundle.inputs.f_sat, bundle.specs
-    needed = (args.volume, args.conf_logits, args.f_sat, args.spec_json)
-    if any(p is None for p in needed):
+    if None in loose.values():
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
     specs = _read_json(args.spec_json, SceneSpec.from_json_dict)
-    volume = FeatureVolume(load_tensor(args.volume), specs.layers, specs.grid)
+    volume = FeatureVolume(load_tensor(args.volume))
     conf_logits = load_tensor(args.conf_logits)
-    f_sat = BevFeatureMap(load_tensor(args.f_sat), specs.grid)
+    f_sat = BevFeatureMap(load_tensor(args.f_sat))
     return volume, conf_logits, f_sat, specs
 
 
@@ -125,11 +130,9 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
                              f"{len(args.scene_dir)} --scene-dir directories")
         poses = [_read_json(path, Pose3DoF.from_json_dict) for path in args.pred_pose]
-        errors = []
-        for directory, pose in zip(args.scene_dir, poses):
-            bundle = load_scene_dir(directory)
-            errors.append(pose_error(pose, bundle.scene.gt_pose, bundle.specs.aerial))
-        report = localization_stats(errors)
+        truths = map(read_scene_manifest, args.scene_dir)
+        report = localization_stats([pose_error(pose, t["gt_pose"], t["specs"].aerial)
+                                     for pose, t in zip(poses, truths)])
     report["mode"] = args.mode
     _dump_json(report, args.out)
     return EXIT_OK

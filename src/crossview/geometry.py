@@ -58,10 +58,10 @@ class BevGridSpec:
     """Uniform square BEV grid centered on the camera ground position.
 
     The grid has ``n_points_per_side`` points spanning ``extent_m`` meters,
-    so adjacent points are ``extent_m / (n - 1)`` apart. For the camera to
-    sit exactly on a grid point, ``n_points_per_side`` should be odd; even
-    counts are accepted for degenerate unit cases but camera-centered
-    consumers (the synthetic harness, the CLI) reject them.
+    so adjacent points are ``extent_m / (n - 1)`` apart. With an odd count the
+    camera sits on a grid point, which the synthetic harness requires. The
+    solve accepts an even count: ``cell_m`` measures from the half-index
+    centre ``(n - 1) / 2``, so the camera sits between four points.
     """
 
     n_points_per_side: int = 41

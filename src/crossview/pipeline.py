@@ -20,7 +20,7 @@ from .refiner import (RefinerParams, SimilarityMatrix, check_temperature, extrac
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,
-                      fuse_height_features, normalize_confidence,
+                      check_input_shapes, fuse_height_features, normalize_confidence,
                       surface_from_accumulation)
 from .synthetic import SceneBundle
 
@@ -69,7 +69,9 @@ def matches_cells_to_metric(matches: CorrespondenceSet, specs: SceneSpec) -> Cor
 def ground_similarity(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevFeatureMap,
                       specs: SceneSpec, config: PipelineConfig = PipelineConfig()
                       ) -> tuple[np.ndarray, SimilarityMatrix]:
-    """Confidence softmax -> ground surface -> height fusion -> initial similarity."""
+    """Input shapes against ``specs``, then confidence softmax -> ground surface ->
+    height fusion -> initial similarity."""
+    check_input_shapes(specs, volume.data, conf_logits, f_sat.data)
     conf = normalize_confidence(conf_logits)
     surf = surface_from_accumulation(conf, config.surface_threshold, specs.layers)
     f_grd = fuse_height_features(volume, conf, surf, window=config.fuse_window)

@@ -13,62 +13,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BevGridSpec, HeightLayerSpec
+from .geometry import HeightLayerSpec, SceneSpec
 
 
 @dataclass
 class FeatureVolume:
-    """Volumetric BEV features of shape (M, N, N, C)."""
+    """Volumetric BEV features of shape (M, N, N, C), float64 and finite."""
 
     data: np.ndarray
-    layer_spec: HeightLayerSpec
-    grid_spec: BevGridSpec
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        m = self.layer_spec.num_layers
-        n = self.grid_spec.n_points_per_side
-        if self.data.ndim != 4 or self.data.shape[:3] != (m, n, n):
-            raise ValueError(f"feature volume shape {self.data.shape} inconsistent with specs")
+        if self.data.ndim != 4:
+            raise ValueError(f"feature volume must be (M, N, N, C), got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature volume contains non-finite entries")
 
 
 @dataclass
-class ConfidenceVolume:
-    """Per-voxel surface confidence, normalized along the height axis."""
-
-    conf: np.ndarray
-
-    def __post_init__(self):
-        self.conf = np.asarray(self.conf, dtype=float)
-        if self.conf.ndim != 3:
-            raise ValueError("confidence volume must be (M, N, N)")
-        if np.any(self.conf < 0) or not np.all(np.isfinite(self.conf)):
-            raise ValueError("confidences must be finite and non-negative")
-        sums = self.conf.sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-5):
-            raise ValueError("confidences must sum to 1 along the height axis")
-
-
-@dataclass
 class BevFeatureMap:
-    """Flat N x N x c BEV feature grid."""
+    """Flat N x N x c BEV feature grid, float64 and finite."""
 
     data: np.ndarray
-    grid_spec: BevGridSpec
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        n = self.grid_spec.n_points_per_side
-        if self.data.ndim != 3 or self.data.shape[:2] != (n, n):
-            raise ValueError(f"BEV feature map shape {self.data.shape} inconsistent with spec")
+        if self.data.ndim != 3:
+            raise ValueError(f"BEV feature map must be (N, N, c), got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("BEV feature map contains non-finite entries")
 
 
-def normalize_confidence(raw: np.ndarray) -> ConfidenceVolume:
-    """Softmax raw scores along the height axis, per BEV cell."""
+def check_input_shapes(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
+                       where: str = "") -> None:
+    """Require volume (M, N, N, c), conf_logits (M, N, N), f_sat (N, N, c) and, if given,
+    depth_sat (N, N) of ``specs``, with one c; an error message starts with ``where``."""
+    m, n = specs.layers.num_layers, specs.grid.n_points_per_side
+    c = np.shape(volume)[-1:]
+    for name, array, want in (("volume", volume, (m, n, n, *c)),
+                              ("conf_logits", conf_logits, (m, n, n)),
+                              ("f_sat", f_sat, (n, n, *c)),
+                              ("depth_sat", depth_sat, (n, n))):
+        if array is not None and np.shape(array) != want:
+            raise ValueError(f"{where}{name} must be {want} for the scene's specs, "
+                             f"got {np.shape(array)}")
+
+
+def normalize_confidence(raw: np.ndarray) -> np.ndarray:
+    """Softmax raw scores along the height axis, per BEV cell; returns the (M, N, N) array."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 3:
         raise ValueError("raw confidence must be (M, N, N)")
@@ -76,22 +68,23 @@ def normalize_confidence(raw: np.ndarray) -> ConfidenceVolume:
         raise ValueError("raw confidence contains non-finite entries")
     shifted = raw - raw.max(axis=0, keepdims=True)
     e = np.exp(shifted)
-    return ConfidenceVolume(e / e.sum(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
-def surface_from_accumulation(conf: ConfidenceVolume, threshold: float,
+def surface_from_accumulation(conf: np.ndarray, threshold: float,
                               layer_spec: HeightLayerSpec) -> np.ndarray:
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
 
-    Returns the (N, N) int64 layer index. Cells that never cross (possible only
-    through numerical loss, since the columns sum to 1) fall back to the top layer.
+    ``conf`` is the (M, N, N) output of ``normalize_confidence``. Returns the
+    (N, N) int64 layer index. Cells that never cross (possible only through
+    numerical loss, since the columns sum to 1) fall back to the top layer.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
-    m = conf.conf.shape[0]
+    m = conf.shape[0]
     if m != layer_spec.num_layers:
         raise ValueError(f"confidence volume has {m} layers, layer spec has {layer_spec.num_layers}")
-    cum = np.cumsum(conf.conf, axis=0)
+    cum = np.cumsum(conf, axis=0)
     above = cum > threshold
     index = np.argmax(above, axis=0)
     never = ~above.any(axis=0)
@@ -100,7 +93,7 @@ def surface_from_accumulation(conf: ConfidenceVolume, threshold: float,
     return index.astype(np.int64, copy=False)
 
 
-def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: np.ndarray,
+def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
                          window: int | None = None) -> BevFeatureMap:
     """Confidence-weighted fusion of features across height layers.
 
@@ -111,7 +104,7 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: np.nd
     count is unchanged.
     """
     m, n = vol.data.shape[0], vol.data.shape[1]
-    if conf.conf.shape != (m, n, n) or surf.shape != (n, n):
+    if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
     if window is not None and window < 0:
         raise ValueError("window must be >= 0")
@@ -121,11 +114,11 @@ def fuse_height_features(vol: FeatureVolume, conf: ConfidenceVolume, surf: np.nd
     else:
         layer_idx = np.arange(m)[:, None, None]
         mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)
-    weights = conf.conf * mask
+    weights = conf * mask
     totals = weights.sum(axis=0, keepdims=True)
     uniform = mask / mask.sum(axis=0, keepdims=True)
     weights = np.where(totals > 0, weights / np.where(totals > 0, totals, 1.0), uniform)
-    return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol.data), vol.grid_spec)
+    return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol.data))
 
 
 def check_depth_rule(ground_anchor_m: float, scale: float) -> None:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
-from .surface import BevFeatureMap, FeatureVolume, check_depth_rule
-from .tensorio import decode_json, json_number, load_tensor_dir, save_tensor_dir
+from .surface import BevFeatureMap, FeatureVolume, check_depth_rule, check_input_shapes
+from .tensorio import decode_json, json_number, load_tensor_dir, read_manifest, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
@@ -24,8 +24,6 @@ CONFIDENCE_PEAK = 15.0
 NUM_BUMPS = 8              # Gaussian bumps summed into each height field
 FEATURE_CHANNELS = 16      # default feature channel count of a generated world
 _SCENE_FORMAT = "scene-v1"
-
-_TENSOR_NAMES = ("volume", "conf_logits", "f_sat", "depth_sat")
 
 
 @dataclass
@@ -193,7 +191,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
     vol = sigma * rng.standard_normal((m, n, n, c))
     ii, jj = np.moveaxis(grid_cells(specs.grid), -1, 0)
     vol[gt_index, ii, jj] = scene.feature_texture
-    volume = FeatureVolume(vol, specs.layers, specs.grid)
+    volume = FeatureVolume(vol)
 
     conf_logits = sigma * rng.standard_normal((m, n, n))
     conf_logits[gt_index, ii, jj] += CONFIDENCE_PEAK
@@ -207,7 +205,7 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
     f_sat = np.where(inside[..., None], tex, filler) + sigma * sat_noise
     depth_sat = (height_sat - GROUND_LEVEL_M) / DEPTH_SCALE + sigma * depth_noise
 
-    return RenderedInputs(volume, conf_logits, BevFeatureMap(f_sat, specs.grid), depth_sat)
+    return RenderedInputs(volume, conf_logits, BevFeatureMap(f_sat), depth_sat)
 
 
 def save_scene_dir(directory, bundle: SceneBundle) -> None:
@@ -239,24 +237,23 @@ def _manifest_fields(m: dict) -> dict:
     return fields
 
 
+def read_scene_manifest(directory) -> dict:
+    """A scene directory's checked manifest fields (see ``_manifest_fields``); reads no tensor."""
+    return decode_json(directory, read_manifest(directory, _SCENE_FORMAT), _manifest_fields)
+
+
 def load_scene_dir(directory) -> SceneBundle:
-    """Read a scene directory; a missing or malformed manifest field is a ``ValueError`` naming it."""
-    raw, manifest = load_tensor_dir(directory, _SCENE_FORMAT)
-    tensors = {name: raw[name].astype(float) for name in _TENSOR_NAMES}
-    fields = decode_json(directory, manifest, _manifest_fields)
-    specs = fields["specs"]
-    n, m = specs.grid.n_points_per_side, specs.layers.num_layers
-    for name, want in {"depth_sat": (n, n), "conf_logits": (m, n, n)}.items():
-        if tensors[name].shape != want:
-            raise ValueError(f"{directory}: {name} must be {want} for the scene's specs, "
-                             f"got {tensors[name].shape}")
-    scene = SceneTruth(fields["gt_pose"], fields["noise_sigma"], fields["seed"])
-    inputs = RenderedInputs(FeatureVolume(tensors["volume"], specs.layers, specs.grid),
-                            tensors["conf_logits"], BevFeatureMap(tensors["f_sat"], specs.grid),
-                            tensors["depth_sat"])
-    return SceneBundle(specs=specs, scene=scene, inputs=inputs,
-                       depth_anchor_m=fields["depth_anchor_m"],
-                       depth_scale=fields["depth_scale"])
+    """Read a scene directory: its manifest, then its tensors, checked against its specs."""
+    fields = read_scene_manifest(directory)
+    raw, _ = load_tensor_dir(directory, _SCENE_FORMAT)
+    volume, conf_logits, f_sat, depth_sat = (
+        raw[name].astype(float) for name in ("volume", "conf_logits", "f_sat", "depth_sat"))
+    check_input_shapes(fields["specs"], volume, conf_logits, f_sat, depth_sat,
+                       where=f"{directory}: ")
+    inputs = RenderedInputs(FeatureVolume(volume), conf_logits, BevFeatureMap(f_sat), depth_sat)
+    return SceneBundle(fields["specs"],
+                       SceneTruth(fields["gt_pose"], fields["noise_sigma"], fields["seed"]),
+                       inputs, fields["depth_anchor_m"], fields["depth_scale"])
 
 
 def make_scene_bundle(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,

@@ -124,14 +124,9 @@ class _ListedTensors(dict):
         raise ValueError(f"{self.directory}: manifest does not list tensor {name!r}")
 
 
-def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
-    """Read a tensor directory of format ``fmt``; returns (float32 tensors by name, manifest).
-
-    Every tensor the manifest lists is loaded and must have the listed shape.
-    A listed name must be a bare file stem, so no entry reads outside the
-    directory; indexing the result by a name the manifest does not list
-    raises ``ValueError``.
-    """
+def read_manifest(directory, fmt: str) -> dict:
+    """A tensor directory's manifest: a JSON object of format ``fmt`` whose ``tensors``
+    object lists bare file stems, so no entry reads outside the directory."""
     directory = Path(directory)
     with open(directory / MANIFEST) as fh:
         manifest = json.load(fh)
@@ -144,6 +139,17 @@ def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
     for name in manifest["tensors"]:
         if not name or "/" in name or "\\" in name or ".." in name:
             raise ValueError(f"{directory}: manifest tensor name {name!r} is not a bare file name")
+    return manifest
+
+
+def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
+    """Read a tensor directory of format ``fmt``; returns (float32 tensors by name, manifest).
+
+    Every tensor the manifest lists is loaded and must have the listed shape;
+    indexing the result by a name the manifest does not list raises ``ValueError``.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory, fmt)
     tensors = _ListedTensors(directory)
     for name, shape in manifest["tensors"].items():
         tensor = load_tensor(directory / f"{name}.cvt")

@@ -109,7 +109,7 @@ def test_surface_accumulation_matches_oracle():
     total = 100_000
     raw = rng.normal(0, 3, (11, 500, total // 500))
     conf = normalize_confidence(raw)
-    flat = conf.conf.reshape(11, -1)
+    flat = conf.reshape(11, -1)
     disagreements = 0
     for threshold in [round(0.1 * i, 1) for i in range(1, 10)]:
         surf = surface_from_accumulation(conf, threshold, layers)

@@ -181,6 +181,45 @@ class TestSolve:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("given, flag", [
+        (("--volume",), "--volume"),
+        (("--conf-logits",), "--conf-logits"),
+        (("--f-sat",), "--f-sat"),
+        (("--spec-json",), "--spec-json"),
+        (("--spec-json", "--f-sat", "--conf-logits", "--volume"), "--volume"),
+    ], ids=["volume", "conf-logits", "f-sat", "spec-json", "all"])
+    def test_loose_tensor_flag_next_to_scene_dir_is_input_error(self, tmp_path,
+                                                                shared_scene_dir, given, flag):
+        # the named files do not exist: the flag check comes before any read
+        loose = [arg for name in given for arg in (name, tmp_path / "missing")]
+        proc = run_cli("solve", "--scene-dir", shared_scene_dir, *loose,
+                       "--out", tmp_path / "pose.json", check=False)
+        assert proc.returncode == 2
+        assert f"error: {flag} cannot be combined with --scene-dir" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "pose.json").exists()
+
+    def test_even_grid_solves_from_loose_tensors(self, tmp_path):
+        # only the synthetic harness needs the camera on a grid point
+        n, m, c = 8, 11, 4
+        rng = np.random.default_rng(3)
+        f_sat = rng.standard_normal((n, n, c))
+        volume = np.zeros((m, n, n, c))
+        volume[4] = f_sat
+        conf_logits = np.zeros((m, n, n))
+        conf_logits[4] = 15.0
+        for name, tensor in (("volume", volume), ("conf_logits", conf_logits),
+                             ("f_sat", f_sat)):
+            save_tensor(tmp_path / f"{name}.cvt", tensor)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SceneSpec(grid=BevGridSpec(n, 14.0)).to_json_dict()))
+        proc = run_cli("solve", "--volume", tmp_path / "volume.cvt",
+                       "--conf-logits", tmp_path / "conf_logits.cvt",
+                       "--f-sat", tmp_path / "f_sat.cvt", "--spec-json", spec_path)
+        payload = json.loads(proc.stdout)
+        assert payload["num_matches"] == PipelineConfig().top_k
+        assert payload["yaw_deg"] == pytest.approx(0.0, abs=1e-9)
+
     def test_truncated_tensor_header_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=7)
         spec_path = tmp_path / "spec.json"
@@ -545,6 +584,15 @@ class TestEvalLocalization:
         report = json.loads(run_cli("eval", "--mode", "localization", *args).stdout)
         assert report["count"] == 3
         assert report["median_translation_m"] <= 1e-9
+
+    def test_reads_the_manifests_and_no_tensor(self, tmp_path):
+        scenes, poses = self.setup_scenes(tmp_path)
+        args = ("eval", "--mode", "localization", *self.pair_args(scenes, poses))
+        before = run_cli(*args).stdout
+        for scene in scenes:
+            for tensor in scene.glob("*.cvt"):
+                tensor.unlink()
+        assert run_cli(*args).stdout == before
 
     def test_count_mismatch_is_error(self, tmp_path):
         scenes, poses = self.setup_scenes(tmp_path)

@@ -1,18 +1,21 @@
+import dataclasses
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 import crossview.pipeline as pipeline
-from crossview.geometry import Pose3DoF
+from crossview.geometry import BevGridSpec, Pose3DoF
 from crossview.losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
 from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
                                 scene_loss_report)
 from crossview.refiner import RefinerParams, initial_similarity
-from crossview.surface import (aerial_depth_to_height_index, fuse_height_features,
-                               normalize_confidence, surface_from_accumulation)
+from crossview.surface import (BevFeatureMap, aerial_depth_to_height_index,
+                               fuse_height_features, normalize_confidence,
+                               surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
 from conftest import python_subprocess
@@ -56,6 +59,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k exceeds the number of matrix entries"):
             run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
                              bundle.inputs.f_sat, small_specs, config=PipelineConfig(top_k=n4 + 1))
+
+    @pytest.mark.parametrize("change, message", [
+        ("grid", "volume must be (11, 11, 11, 16) for the scene's specs, got (11, 9, 9, 16)"),
+        ("channels", "f_sat must be (9, 9, 16) for the scene's specs, got (9, 9, 15)"),
+    ], ids=["grid", "channels"])
+    def test_inputs_off_the_specs_rejected_before_any_stage(self, small_specs, monkeypatch,
+                                                            change, message):
+        # 9x9 inputs solved with an 11x11 spec used to return a pose metres off, silently
+        inputs = make_scene_bundle(small_specs, seed=0).inputs
+        specs, f_sat = small_specs, inputs.f_sat
+        if change == "grid":
+            specs = dataclasses.replace(specs, grid=BevGridSpec(11, specs.grid.extent_m))
+        else:
+            f_sat = BevFeatureMap(f_sat.data[..., :15])
+
+        def never(*args, **kwargs):
+            raise AssertionError("stage ran before the input shapes were checked")
+
+        monkeypatch.setattr(pipeline, "normalize_confidence", never)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_localization(inputs.volume, inputs.conf_logits, f_sat, specs)
 
     def test_refiner_params_for_another_grid_rejected(self, small_specs):
         bundle = make_scene_bundle(small_specs, seed=0)

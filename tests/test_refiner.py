@@ -30,11 +30,6 @@ from conftest import col_softmax, conv3d, row_softmax
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def feature_map(data):
-    data = np.asarray(data, dtype=float)
-    return BevFeatureMap(data, BevGridSpec(data.shape[0], 2.0))
-
-
 def unit_rows(rng, n, c):
     f = rng.standard_normal((n, n, c))
     return f / np.linalg.norm(f, axis=2, keepdims=True)
@@ -55,7 +50,7 @@ class TestInitialSimilarity:
     def test_identical_unit_features_have_diagonal_ten(self):
         rng = np.random.default_rng(0)
         f = unit_rows(rng, 3, 8)
-        s = initial_similarity(feature_map(f), feature_map(f.copy()), tau=0.1)
+        s = initial_similarity(BevFeatureMap(f), BevFeatureMap(f.copy()), tau=0.1)
         assert np.allclose(np.diag(s.s), 10.0, atol=1e-12)
 
     def test_orthogonal_features_score_zero(self):
@@ -63,7 +58,7 @@ class TestInitialSimilarity:
         b = np.zeros((2, 2, 4))
         a[..., 0] = 1.0
         b[..., 1] = 1.0
-        s = initial_similarity(feature_map(a), feature_map(b), tau=0.1)
+        s = initial_similarity(BevFeatureMap(a), BevFeatureMap(b), tau=0.1)
         assert np.allclose(s.s, 0.0)
 
     def test_forty_five_degree_pair(self):
@@ -71,14 +66,14 @@ class TestInitialSimilarity:
         b = np.zeros((2, 2, 2))
         a[..., 0] = 1.0
         b[..., :] = 1.0 / math.sqrt(2.0)
-        s = initial_similarity(feature_map(a), feature_map(b), tau=0.1)
+        s = initial_similarity(BevFeatureMap(a), BevFeatureMap(b), tau=0.1)
         assert np.allclose(s.s, 10.0 * math.cos(math.pi / 4), atol=1e-12)
 
     def test_zero_norm_row_rejected(self):
         a = np.zeros((2, 2, 3))
         a[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            initial_similarity(feature_map(a), feature_map(np.ones((2, 2, 3))), tau=0.1)
+            initial_similarity(BevFeatureMap(a), BevFeatureMap(np.ones((2, 2, 3))), tau=0.1)
 
     def test_invariant_to_positive_row_rescaling(self):
         rng = np.random.default_rng(1)
@@ -86,26 +81,26 @@ class TestInitialSimilarity:
         g = rng.standard_normal((3, 3, 5))
         scaled = f.copy()
         scaled[1, 2] *= 37.5
-        s1 = initial_similarity(feature_map(f), feature_map(g), tau=0.1)
-        s2 = initial_similarity(feature_map(scaled), feature_map(g), tau=0.1)
+        s1 = initial_similarity(BevFeatureMap(f), BevFeatureMap(g), tau=0.1)
+        s2 = initial_similarity(BevFeatureMap(scaled), BevFeatureMap(g), tau=0.1)
         assert np.allclose(s1.s, s2.s, atol=1e-12)
 
     def test_entries_bounded_by_inverse_tau(self):
         rng = np.random.default_rng(2)
-        s = initial_similarity(feature_map(rng.normal(size=(4, 4, 6))),
-                               feature_map(rng.normal(size=(4, 4, 6))), tau=0.1)
+        s = initial_similarity(BevFeatureMap(rng.normal(size=(4, 4, 6))),
+                               BevFeatureMap(rng.normal(size=(4, 4, 6))), tau=0.1)
         assert np.all(np.abs(s.s) <= 10.0 + 1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            initial_similarity(feature_map(np.ones((2, 2, 3))),
-                               feature_map(np.ones((3, 3, 3))), tau=0.1)
+            initial_similarity(BevFeatureMap(np.ones((2, 2, 3))),
+                               BevFeatureMap(np.ones((3, 3, 3))), tau=0.1)
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0, 5e-324, 1e-310])
     def test_non_finite_or_non_positive_tau_rejected(self, tau):
         # tau = inf would otherwise divide every entry to zero without an error;
         # a tau whose inverse overflows is rejected before the product makes inf
-        f = feature_map(np.ones((2, 2, 3)))
+        f = BevFeatureMap(np.ones((2, 2, 3)))
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
             initial_similarity(f, f, tau=tau)
 
@@ -117,7 +112,7 @@ class TestInitialSimilarity:
         huge[1, 2] = 1e200
         f_grd, f_sat = (huge, plain) if side == "ground" else (plain, huge)
         with pytest.raises(ValueError, match="feature row norm overflows"):
-            initial_similarity(feature_map(f_grd), feature_map(f_sat), tau=0.1)
+            initial_similarity(BevFeatureMap(f_grd), BevFeatureMap(f_sat), tau=0.1)
 
     def test_overflowing_aerial_norm_stops_localization(self, small_specs):
         inputs = make_scene_bundle(small_specs, seed=3).inputs
@@ -125,7 +120,7 @@ class TestInitialSimilarity:
         f_sat[4, 4] = 1e200
         with pytest.raises(ValueError, match="feature row norm overflows"):
             run_localization(inputs.volume, inputs.conf_logits,
-                             BevFeatureMap(f_sat, small_specs.grid), small_specs)
+                             BevFeatureMap(f_sat), small_specs)
 
 
 def conv3d_naive(x, kernel, bias):

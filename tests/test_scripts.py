@@ -100,4 +100,4 @@ def test_noise_sweep_continuous_pose_lands_within_one_cell():
 
 def test_bench_smoke_passes():
     out = run_python(ROOT / "bench" / "run.py", "--smoke")
-    assert "smoke: ok" in out.splitlines()
+    assert out.splitlines()[-1] == "smoke: ok"

@@ -308,7 +308,10 @@ class TestSceneIo:
     @pytest.mark.parametrize("name, shape, wanted", [
         ("depth_sat", (9, 8), "(9, 9)"),
         ("conf_logits", (10, 9, 9), "(11, 9, 9)"),
-    ], ids=["depth_sat", "conf_logits"])
+        ("volume", (11, 9, 8, 16), "(11, 9, 9, 16)"),
+        ("f_sat", (8, 9, 16), "(9, 9, 16)"),
+        ("f_sat", (9, 9, 15), "(9, 9, 16)"),
+    ], ids=["depth_sat", "conf_logits", "volume", "f_sat", "f_sat-channels"])
     def test_tensor_shape_off_the_grid_rejected(self, tmp_path, small_specs, name, shape,
                                                 wanted):
         # the manifest is rewritten to match, so only the scene's specs can catch the shape
