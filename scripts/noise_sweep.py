@@ -41,6 +41,8 @@ def main():
     parser.add_argument("--continuous", action="store_true",
                         help="draw continuous poses instead of snapped ones")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     specs = SceneSpec(
         grid=BevGridSpec(n_points_per_side=args.n, extent_m=args.extent),

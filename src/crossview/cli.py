@@ -8,7 +8,6 @@ case) for verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -26,7 +25,7 @@ from .solver import pose_error
 from .surface import BevFeatureMap, FeatureVolume
 from .synthetic import (FEATURE_CHANNELS, load_scene_dir, make_scene_bundle,
                         read_scene_manifest, save_scene_dir)
-from .tensorio import decode_json, json_text, load_tensor
+from .tensorio import decode_json, json_text, load_tensor, read_json
 
 log = logging.getLogger("crossview")
 
@@ -43,14 +42,9 @@ def _dump_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_json(path, decode):
-    """Decode the JSON object in ``path``; a malformed one is a ``ValueError`` naming the file."""
-    return decode_json(path, json.loads(Path(path).read_text()), decode)
-
-
 def cmd_generate(args) -> int:
-    specs = _read_json(args.spec_json, SceneSpec.from_json_dict) if args.spec_json \
-        else SceneSpec(grid=BevGridSpec(args.n))
+    specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict) \
+        if args.spec_json else SceneSpec(grid=BevGridSpec(args.n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
                                channels=args.channels, snapped=not args.continuous_pose)
     save_scene_dir(args.out_dir, bundle)
@@ -69,7 +63,7 @@ def _load_solve_inputs(args):
         return bundle.inputs.volume, bundle.inputs.conf_logits, bundle.inputs.f_sat, bundle.specs
     if None in loose.values():
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
-    specs = _read_json(args.spec_json, SceneSpec.from_json_dict)
+    specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict)
     volume = FeatureVolume(load_tensor(args.volume))
     conf_logits = load_tensor(args.conf_logits)
     f_sat = BevFeatureMap(load_tensor(args.f_sat))
@@ -129,7 +123,8 @@ def cmd_eval(args) -> int:
         if len(args.pred_pose) != len(args.scene_dir):
             raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
                              f"{len(args.scene_dir)} --scene-dir directories")
-        poses = [_read_json(path, Pose3DoF.from_json_dict) for path in args.pred_pose]
+        poses = [decode_json(path, read_json(path), Pose3DoF.from_json_dict)
+                 for path in args.pred_pose]
         truths = map(read_scene_manifest, args.scene_dir)
         report = localization_stats([pose_error(pose, t["gt_pose"], t["specs"].aerial)
                                      for pose, t in zip(poses, truths)])
@@ -140,8 +135,9 @@ def cmd_eval(args) -> int:
 
 def cmd_loss(args) -> int:
     config = PipelineConfig(surface_threshold=args.threshold, tau=args.tau)
-    cfg = _read_json(args.config, LossConfig.from_json_dict) if args.config else LossConfig()
-    pred = _read_json(args.pred_pose, Pose3DoF.from_json_dict)
+    cfg = decode_json(args.config, read_json(args.config), LossConfig.from_json_dict) \
+        if args.config else LossConfig()
+    pred = decode_json(args.pred_pose, read_json(args.pred_pose), Pose3DoF.from_json_dict)
     bundle = load_scene_dir(args.scene_dir)
     _dump_json(scene_loss_report(bundle, pred, cfg, config), args.out)
     return EXIT_OK
@@ -213,7 +209,7 @@ def main(argv=None) -> int:
                              "expected DEBUG, INFO, WARNING, ERROR or CRITICAL")
         logging.basicConfig(level=level.upper())
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_px, panorama_pixel_ray
-from .tensorio import load_tensor_dir, read_csv, save_tensor_dir
+from .tensorio import load_tensors, read_csv, read_manifest, save_tensor_dir
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
@@ -26,7 +26,7 @@ _GT_FORMAT = "gt-projection-v1"
 
 @dataclass
 class MatchPrediction:
-    """Predicted pixel correspondences (ground panorama -> aerial image)."""
+    """Predicted pixel correspondences (ground panorama -> aerial image), paired and finite."""
 
     grd_px: np.ndarray  # (K, 2) as (x, y)
     sat_px: np.ndarray  # (K, 2)
@@ -79,7 +79,8 @@ class GroundTruthProjection:
         differs from the 2-D ``gt_valid``, is a ``ValueError`` naming the
         directory and the tensor.
         """
-        tensors, _ = load_tensor_dir(directory, _GT_FORMAT)
+        tensors = load_tensors(directory, read_manifest(directory, _GT_FORMAT),
+                               ("gt_valid", "gt_sat_x", "gt_sat_y"))
         flag = tensors["gt_valid"]
         if flag.ndim != 2:
             raise ValueError(f"{directory}: gt_valid has shape {flag.shape}, expected (H, W)")
@@ -140,7 +141,8 @@ def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
 
     Every predicted pair counts in the denominator; a pair is correct at a
     threshold only when its ground pixel lies in the valid region and the
-    predicted aerial point falls within the threshold of the true target.
+    predicted aerial point falls within the threshold of the true target. The
+    thresholds must be finite and positive.
     """
     if len(pred) == 0:
         raise ValueError("empty prediction set")

@@ -28,7 +28,7 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_angle(angle_rad):
     """Wrap an angle (scalar or array) to (-pi, pi]."""
-    return -((-np.asarray(angle_rad) + np.pi) % TWO_PI - np.pi)
+    return np.pi - (np.pi - np.asarray(angle_rad)) % TWO_PI
 
 
 def rotation_matrix(yaw_rad: float) -> np.ndarray:

@@ -14,10 +14,12 @@ import numpy as np
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_to_ground_cell,
                        ground_cell_to_aerial_cell, grid_cells, rotation_matrix)
 from .refiner import SimilarityMatrix
+from .tensorio import json_number
 
 
 @dataclass(frozen=True)
 class LossConfig:
+    """Weights and scales finite and positive, sample counts >= 1, ``rng_seed`` >= 0."""
     beta1: float = 1.0
     beta2: float = 1.0
     n_v: int = 100
@@ -38,19 +40,13 @@ class LossConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        """A missing key takes the default; a value of the wrong JSON kind is a ``TypeError``
-        and a key that names no field a ``ValueError``."""
+        """A missing key takes the default and a key that names no field is a ``ValueError``;
+        each value is decoded through ``json_number`` by its default's kind."""
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown loss config key(s): {', '.join(map(repr, unknown))}")
-        values = {}
-        for f in fields(cls):
-            kind, v = type(f.default), d.get(f.name, f.default)
-            accepted = (int, float) if kind is float else kind
-            if not isinstance(v, accepted) or isinstance(v, bool) != (kind is bool):
-                raise TypeError(f"{f.name}: expected {kind.__name__}, got {v!r}")
-            values[f.name] = kind(v)
-        return cls(**values)
+        return cls(**{f.name: json_number(d, f.name, integer=type(f.default) is int,
+                                          default=f.default) for f in fields(cls)})
 
 
 def vce_loss(pred: Pose3DoF, gt: Pose3DoF, cfg: LossConfig) -> float:

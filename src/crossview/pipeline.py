@@ -27,6 +27,8 @@ from .synthetic import SceneBundle
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Solve settings, checked on construction: ``surface_threshold`` in (0, 1), ``fuse_window``
+    >= 0, ``top_k`` >= 1, ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
     top_k: int = 30
@@ -81,7 +83,9 @@ def ground_similarity(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: Bev
 def run_localization(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevFeatureMap,
                      specs: SceneSpec, params: RefinerParams | None = None,
                      config: PipelineConfig = PipelineConfig()) -> PipelineResult:
-    """Surface model -> similarity -> refine -> normalize -> match -> pose."""
+    """Surface model -> similarity -> refine -> normalize -> match -> pose; a ``top_k`` above
+    the N^4 matrix entries is rejected before any stage runs, and refiner parameters sized
+    for another patch count before any refiner stage."""
     if config.top_k > specs.grid.num_cells ** 2:
         raise ValueError("k exceeds the number of matrix entries")
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)

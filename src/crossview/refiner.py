@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
-from .tensorio import json_number, load_tensor_dir, save_tensor_dir
+from .tensorio import json_number, load_tensors, read_manifest, save_tensor_dir
 
 _PARAMS_FORMAT = "refiner-params-v1"
 # The refiner-params-v1 layout: each layer stack's field, its tensor-name
@@ -157,17 +157,20 @@ class RefinerParams:
 
     @classmethod
     def load(cls, directory) -> "RefinerParams":
-        tensors, manifest = load_tensor_dir(directory, _PARAMS_FORMAT)
-        fields = {}
-        for field, pattern, key in _STACKS:
+        manifest = read_manifest(directory, _PARAMS_FORMAT)
+        counts = {}
+        for field, _, key in _STACKS:
             if key not in manifest:
                 raise ValueError(f"{directory}: manifest does not list layer count {key!r}")
             try:
-                count = json_number(manifest, key, integer=True)
+                counts[field] = json_number(manifest, key, integer=True)
             except ValueError as exc:
                 raise ValueError(f"{directory}: manifest layer count {exc}") from exc
-            fields[field] = tuple(tensors[pattern.format(i)] for i in range(count))
-        fields.update((field, tensors[field]) for field in _DUSTBIN_FIELDS)
+        fields = load_tensors(directory, manifest, _DUSTBIN_FIELDS)
+        for field, pattern, _ in _STACKS:
+            # lazy names: a count past the listed tensors stops at the first unlisted one
+            names = map(pattern.format, range(counts[field]))
+            fields[field] = tuple(load_tensors(directory, manifest, names).values())
         return cls(**fields)
 
 

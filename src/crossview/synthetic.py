@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
 from .surface import BevFeatureMap, FeatureVolume, check_depth_rule, check_input_shapes
-from .tensorio import decode_json, json_number, load_tensor_dir, read_manifest, save_tensor_dir
+from .tensorio import decode_json, json_number, load_tensors, read_manifest, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
@@ -85,7 +85,8 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     Heights are a sum of Gaussian bumps on a flat ground plane, rescaled to
     span exactly [ground level, top layer]. Snapped poses translate by
     whole cells and rotate by quarter turns, which makes nearest-cell
-    resampling exact; ``snapped=False`` draws a continuous pose instead.
+    resampling exact; ``snapped=False`` draws a continuous pose instead. A negative ``seed``,
+    fewer than one channel or a negative or non-finite ``noise_sigma`` is a ``ValueError``.
     """
     _require_camera_centered(specs)
     _check_seed_and_noise(seed, noise_sigma)
@@ -243,11 +244,11 @@ def read_scene_manifest(directory) -> dict:
 
 
 def load_scene_dir(directory) -> SceneBundle:
-    """Read a scene directory: its manifest, then its tensors, checked against its specs."""
-    fields = read_scene_manifest(directory)
-    raw, _ = load_tensor_dir(directory, _SCENE_FORMAT)
-    volume, conf_logits, f_sat, depth_sat = (
-        raw[name].astype(float) for name in ("volume", "conf_logits", "f_sat", "depth_sat"))
+    """Read a scene directory: its manifest, then its four tensors, checked against its specs."""
+    manifest = read_manifest(directory, _SCENE_FORMAT)
+    fields = decode_json(directory, manifest, _manifest_fields)
+    raw = load_tensors(directory, manifest, ("volume", "conf_logits", "f_sat", "depth_sat"))
+    volume, conf_logits, f_sat, depth_sat = (t.astype(float) for t in raw.values())
     check_input_shapes(fields["specs"], volume, conf_logits, f_sat, depth_sat,
                        where=f"{directory}: ")
     inputs = RenderedInputs(FeatureVolume(volume), conf_logits, BevFeatureMap(f_sat), depth_sat)

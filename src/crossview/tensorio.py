@@ -37,15 +37,26 @@ def json_text(payload: dict) -> str:
 
 
 def json_number(d: dict, key: str, integer: bool = False, default=None):
-    """``d[key]`` (``default`` when absent and given) as an int or a float.
+    """``d[key]`` (``default`` when absent and given) as an int, a float or, for a bool
+    ``default``, a bool.
 
-    An integer field takes a non-bool int; a float field an int or a float,
-    not a bool. Any other kind is a ``ValueError`` naming ``key``.
+    A bool field takes a bool; an integer field a non-bool int; a float field an
+    int or a float, not a bool. Any other kind is a ``ValueError`` naming ``key``.
     """
     v = d[key] if default is None else d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
-        raise ValueError(f"{key}: expected {'an integer' if integer else 'a number'}, got {v!r}")
-    return int(v) if integer else float(v)
+    flag = isinstance(default, bool)
+    if isinstance(v, bool) != flag or not isinstance(v, int if integer else (int, float)):
+        kind = "a bool" if flag else "an integer" if integer else "a number"
+        raise ValueError(f"{key}: expected {kind}, got {v!r}")
+    return v if flag else int(v) if integer else float(v)
+
+
+def read_json(path):
+    """The JSON value in the file ``path``; a syntax error is a ``ValueError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
 
 
 def decode_json(source, d, decode):
@@ -113,23 +124,11 @@ def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
     (directory / MANIFEST).write_text(json_text({**fields, "format": fmt, "tensors": shapes}))
 
 
-class _ListedTensors(dict):
-    """Tensors by name; asking for one the manifest does not list is a ``ValueError``."""
-
-    def __init__(self, directory: Path):
-        super().__init__()
-        self.directory = directory
-
-    def __missing__(self, name):
-        raise ValueError(f"{self.directory}: manifest does not list tensor {name!r}")
-
-
 def read_manifest(directory, fmt: str) -> dict:
     """A tensor directory's manifest: a JSON object of format ``fmt`` whose ``tensors``
     object lists bare file stems, so no entry reads outside the directory."""
     directory = Path(directory)
-    with open(directory / MANIFEST) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(directory / MANIFEST)
     if not isinstance(manifest, dict):
         raise ValueError(f"{directory}: manifest is not a JSON object")
     if manifest.get("format") != fmt:
@@ -142,21 +141,18 @@ def read_manifest(directory, fmt: str) -> dict:
     return manifest
 
 
-def load_tensor_dir(directory, fmt: str) -> tuple[dict, dict]:
-    """Read a tensor directory of format ``fmt``; returns (float32 tensors by name, manifest).
-
-    Every tensor the manifest lists is loaded and must have the listed shape;
-    indexing the result by a name the manifest does not list raises ``ValueError``.
-    """
-    directory = Path(directory)
-    manifest = read_manifest(directory, fmt)
-    tensors = _ListedTensors(directory)
-    for name, shape in manifest["tensors"].items():
-        tensor = load_tensor(directory / f"{name}.cvt")
-        if list(tensor.shape) != shape:
-            raise ValueError(f"{name}: tensor shape disagrees with the manifest")
-        tensors[name] = tensor
-    return tensors, manifest
+def load_tensors(directory, manifest: dict, names) -> dict:
+    """The float32 tensors ``names`` of a tensor directory, by name, against its parsed
+    ``manifest``; a name it does not list, or a shape it does not, is a ``ValueError``
+    naming the directory."""
+    tensors = {}
+    for name in names:
+        if name not in manifest["tensors"]:
+            raise ValueError(f"{directory}: manifest does not list tensor {name!r}")
+        tensors[name] = load_tensor(Path(directory) / f"{name}.cvt")
+        if list(tensors[name].shape) != manifest["tensors"][name]:
+            raise ValueError(f"{directory}: {name}: tensor shape disagrees with the manifest")
+    return tensors
 
 
 def read_csv(path, fields, what: str) -> np.ndarray:

@@ -759,22 +759,25 @@ class TestMalformedJsonInput:
         ("solve-spec", "[]", "expected a JSON object"),
         ("eval-pose", "[]", "expected a JSON object"),
         ("loss-config", "[1]", "expected a JSON object"),
-        ("loss-config", '{"beta1": null}', "TypeError"),
+        ("loss-config", '{"beta1": null}', "beta1: expected a number, got None"),
         ("pred-pose", '{"tx_px": "a", "ty_px": 0.0, "yaw_deg": 0.0}', "ValueError"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": "nine"}), "ValueError"),
-        ("loss-config", '{"n_v": 2.7}', "n_v: expected int, got 2.7"),
+        ("loss-config", '{"n_v": 2.7}', "n_v: expected an integer, got 2.7"),
         ("loss-config", '{"height_in_meters": "false"}', "height_in_meters"),
         ("loss-config", '{"beta_1": 5.0}', "unknown loss config key(s): 'beta_1'"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": 9.7}), "n: expected an integer, got 9.7"),
         ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_deg": 0.0}',
          "tx_px: expected a number, got True"),
+        *((which, '{"tx_px": 1,', "not JSON: Expecting property name")
+          for which in ("pred-pose", "generate-spec", "solve-spec", "eval-pose", "loss-config")),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-pose-list", "config-list", "config-null-field", "pose-tx-not-a-number",
             "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
             "config-unknown-key",
-            "spec-n-fractional", "pose-tx-bool"])
+            "spec-n-fractional", "pose-tx-bool", "pose-not-json", "generate-spec-not-json",
+            "solve-spec-not-json", "eval-pose-not-json", "config-not-json"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"

@@ -290,6 +290,16 @@ class TestPose3DoF:
         wrapped = wrap_angle(angles)
         assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
 
+    @pytest.mark.parametrize("angle", [0.0, -0.0, 2 * math.pi, -2 * math.pi])
+    def test_wrap_angle_to_zero_has_no_sign_bit(self, angle):
+        assert not np.signbit(wrap_angle(angle))
+
+    def test_wrap_angle_matches_the_negated_wrap_elsewhere(self):
+        # the earlier expression, which gave -0.0 wherever the result is zero; bit for bit
+        angles = np.random.default_rng(3).uniform(-50.0, 50.0, 10**5)
+        old = -((-angles + math.pi) % (2 * math.pi) - math.pi)
+        assert np.array_equal(wrap_angle(angles).view(np.uint64), old.view(np.uint64))
+
 
 class TestAerialMapping:
     META = AerialMeta(gsd_m_per_px=0.12, image_size_px=640)

@@ -396,7 +396,7 @@ class TestLossConfig:
         ("beta1", "2"), ("beta1", True), ("beta1", None), ("k_norm", [1.0]),
     ])
     def test_json_value_of_wrong_kind_rejected(self, field, value):
-        with pytest.raises(TypeError, match=f"^{field}: expected "):
+        with pytest.raises(ValueError, match=f"^{field}: expected "):
             LossConfig.from_json_dict({field: value})
 
     def test_json_takes_int_for_float_and_defaults_for_missing_keys(self):

@@ -973,6 +973,16 @@ class TestParamsSerialization:
                            match="params: manifest layer count num_gate_layers: expected an integer"):
             RefinerParams.load(tmp_path / "params")
 
+    def test_manifest_layer_count_past_the_listed_tensors_rejected(self, tmp_path):
+        RefinerParams.random(9, seed=39).save(tmp_path / "params")
+        manifest_path = tmp_path / "params" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_conv_layers"] = 10**6
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError,
+                           match="params: manifest does not list tensor 'conv3_kernel'"):
+            RefinerParams.load(tmp_path / "params")
+
     def test_inconsistent_shapes_rejected(self):
         params = RefinerParams.random(9, seed=36)
         with pytest.raises(ValueError):

@@ -85,6 +85,16 @@ def test_noise_sweep_rejects_bad_sigmas_before_sweeping(sigmas, detail):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_noise_sweep_rejects_seeds_below_one_before_sweeping(seeds):
+    proc = python_subprocess(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--seeds", seeds,
+                             cwd=ROOT)
+    assert proc.returncode == 2
+    assert f"--seeds must be at least 1, got {seeds}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_noise_sweep_continuous_pose_lands_within_one_cell():
     out = run_python(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
                      "--seeds", "2", "--sigmas", "0.0", "--continuous")

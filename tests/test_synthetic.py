@@ -254,6 +254,18 @@ class TestSceneIo:
         assert np.array_equal(back.inputs.f_sat.data,
                               bundle.inputs.f_sat.data.astype(np.float32))
 
+    @staticmethod
+    def assert_same_scene(a, b):
+        assert type(b.scene) is SceneTruth
+        assert a.specs == b.specs
+        assert (a.scene.seed, a.scene.noise_sigma) == (b.scene.seed, b.scene.noise_sigma)
+        assert np.array_equal(a.scene.gt_pose.t_px, b.scene.gt_pose.t_px)
+        assert a.scene.gt_pose.yaw_rad == b.scene.gt_pose.yaw_rad
+        for name in ("volume", "f_sat"):
+            assert np.array_equal(getattr(a.inputs, name).data, getattr(b.inputs, name).data)
+        assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
+        assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
+
     def test_legacy_layout_loads_the_same_scene(self, tmp_path, small_specs):
         # scene-v1 directories written before the world left the format also hold
         # height_field and texture; older ones also surf_gt_index and a channels key.
@@ -266,17 +278,18 @@ class TestSceneIo:
             shutil.copytree(new, old)
             to_legacy_scene_layout(old, with_surface)
             assert (old / "surf_gt_index.cvt").exists() == with_surface
-            b = load_scene_dir(old)
-            assert type(b.scene) is SceneTruth
-            assert a.specs == b.specs
-            assert (a.scene.seed, a.scene.noise_sigma) == (b.scene.seed, b.scene.noise_sigma)
-            assert np.array_equal(a.scene.gt_pose.t_px, b.scene.gt_pose.t_px)
-            assert a.scene.gt_pose.yaw_rad == b.scene.gt_pose.yaw_rad
-            for name in ("volume", "f_sat"):
-                assert np.array_equal(getattr(a.inputs, name).data,
-                                      getattr(b.inputs, name).data)
-            assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
-            assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
+            self.assert_same_scene(a, load_scene_dir(old))
+
+    def test_legacy_layout_loads_without_its_legacy_tensor_files(self, tmp_path, small_specs):
+        # the manifest still lists height_field, texture and surf_gt_index; loading
+        # opens only the four solve inputs
+        new, old = tmp_path / "new", tmp_path / "old"
+        save_scene_dir(new, make_scene_bundle(small_specs, seed=8, noise_sigma=0.1))
+        shutil.copytree(new, old)
+        to_legacy_scene_layout(old, with_surface=True)
+        for name in ("height_field", "texture", "surf_gt_index"):
+            (old / f"{name}.cvt").unlink()
+        self.assert_same_scene(load_scene_dir(new), load_scene_dir(old))
 
     def test_saves_no_ground_truth_surface(self, tmp_path, small_specs):
         save_scene_dir(tmp_path / "scene", make_scene_bundle(small_specs, seed=8))

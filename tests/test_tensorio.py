@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import struct
@@ -10,8 +11,10 @@ from crossview.evaluation import GroundTruthProjection, MatchPrediction
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
-from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor,
-                                load_tensor_dir, save_tensor, save_tensor_dir)
+from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor, load_tensors,
+                                read_manifest, save_tensor, save_tensor_dir)
+
+from conftest import ROOT
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4), (2, 3, 4, 5)])
@@ -116,7 +119,8 @@ def test_implausible_rank_rejected(tmp_path):
 def test_tensor_dir_round_trip(tmp_path):
     tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(4)}
     save_tensor_dir(tmp_path / "d", "toy-v1", tensors, count=2)
-    back, manifest = load_tensor_dir(tmp_path / "d", "toy-v1")
+    manifest = read_manifest(tmp_path / "d", "toy-v1")
+    back = load_tensors(tmp_path / "d", manifest, ("a", "b"))
     assert manifest == {"format": "toy-v1", "count": 2, "tensors": {"a": [2, 3], "b": [4]}}
     assert back.keys() == tensors.keys()
     for name, tensor in tensors.items():
@@ -126,14 +130,15 @@ def test_tensor_dir_round_trip(tmp_path):
 def test_tensor_dir_wrong_format_rejected(tmp_path):
     save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
     with pytest.raises(ValueError, match="unknown format"):
-        load_tensor_dir(tmp_path / "d", "toy-v2")
+        read_manifest(tmp_path / "d", "toy-v2")
 
 
 def test_tensor_dir_shape_mismatch_rejected(tmp_path):
     save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
     save_tensor(tmp_path / "d" / "a.cvt", np.zeros(4))
-    with pytest.raises(ValueError, match="a: tensor shape disagrees"):
-        load_tensor_dir(tmp_path / "d", "toy-v1")
+    manifest = read_manifest(tmp_path / "d", "toy-v1")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'd'}: a: tensor shape disagrees")):
+        load_tensors(tmp_path / "d", manifest, ("a",))
 
 
 @pytest.mark.parametrize("name", ["../outside/secret", "", "sub/a", "sub\\a", "..", "a..b"])
@@ -147,7 +152,7 @@ def test_tensor_dir_name_outside_directory_rejected(tmp_path, name):
     manifest["tensors"] = {"a": [3], name: [3]}
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"manifest tensor name {re.escape(repr(name))} is not"):
-        load_tensor_dir(tmp_path / "d", "toy-v1")
+        read_manifest(tmp_path / "d", "toy-v1")
 
 
 @pytest.mark.parametrize("tensors", [None, [["a", [3]]], "a"], ids=["missing", "list", "string"])
@@ -161,7 +166,7 @@ def test_tensor_dir_without_tensors_object_rejected(tmp_path, tensors):
         manifest["tensors"] = tensors
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="d: manifest has no 'tensors' object"):
-        load_tensor_dir(tmp_path / "d", "toy-v1")
+        read_manifest(tmp_path / "d", "toy-v1")
 
 
 @pytest.mark.parametrize("payload", [[], "toy-v1", 3, None])
@@ -169,7 +174,14 @@ def test_tensor_dir_manifest_not_an_object_rejected(tmp_path, payload):
     save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
     (tmp_path / "d" / MANIFEST).write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="d: manifest is not a JSON object"):
-        load_tensor_dir(tmp_path / "d", "toy-v1")
+        read_manifest(tmp_path / "d", "toy-v1")
+
+
+def test_tensor_dir_manifest_not_json_rejected(tmp_path):
+    save_tensor_dir(tmp_path / "d", "toy-v1", {"a": np.zeros(3)})
+    (tmp_path / "d" / MANIFEST).write_text("{oops")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'd' / MANIFEST}: not JSON: ")):
+        read_manifest(tmp_path / "d", "toy-v1")
 
 
 def _write_scene_dir(directory):
@@ -267,3 +279,16 @@ def test_csv_header_only_rejected(tmp_path, csv_format):
     path.write_text(header + "\n")
     with pytest.raises(ValueError, match=f"no {what} rows"):
         reader(path)
+
+
+def test_only_tensorio_parses_json():
+    # tensorio.read_json is the one parser, so every JSON syntax error names its file
+    calls = []
+    for path in sorted((ROOT / "src" / "crossview").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json" \
+                    and node.func.attr in ("load", "loads"):
+                calls.append((path.name, node.lineno))
+    assert [c for c in calls if c[0] != "tensorio.py"] == []
+    assert calls, "tensorio parses JSON through json.loads"
