@@ -11,9 +11,8 @@ from .geometry import (AerialMeta, BevGridSpec, CameraIntrinsics,
                        aerial_px_to_metric, metric_to_aerial_px, wrap_angle)
 from .losses import LossConfig, height_loss, matching_loss, total_loss, vce_loss
 from .pipeline import PipelineConfig, PipelineResult, run_localization
-from .refiner import (RefinerParams, SimilarityMatrix,
-                      dustbin_extend, extract_matches, initial_similarity,
-                      match_probabilities, normalize_doubly_stochastic, refine)
+from .refiner import (RefinerParams, SimilarityMatrix, extract_matches, initial_similarity,
+                      match_probabilities, refine)
 from .solver import (CorrespondenceSet, pose_error, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 degenerate solution. All randomness
 flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING (any
-case) for verbosity.
+case) for verbosity; an unknown level is an input error naming CROSSVIEW_LOG,
+raised before the command runs. Reports go to stdout or --out. ``loss`` reads
+its JSON inputs before the scene.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def cmd_generate(args) -> int:
 
 
 def _load_solve_inputs(args):
+    """A scene directory, or all four loose tensor flags; a loose flag next to ``--scene-dir``
+    is a ``ValueError`` naming the first one, raised before any file is read."""
     loose = {"--volume": args.volume, "--conf-logits": args.conf_logits,
              "--f-sat": args.f_sat, "--spec-json": args.spec_json}
     if args.scene_dir:
@@ -71,6 +75,8 @@ def _load_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
+    """Without ``--refiner-params`` the solve skips the refinement and uses zero dustbins; the
+    CLI then logs a warning after the solve, where the library logs nothing."""
     config = PipelineConfig(
         surface_threshold=args.threshold,
         top_k=args.topk,
@@ -109,6 +115,14 @@ def _check_eval_flags(args) -> None:
 
 
 def cmd_eval(args) -> int:
+    """Matching mode: a ``--thresholds`` value that is not a comma-separated list of numbers
+    is a ``ValueError`` naming the flag.
+
+    Localization mode: the repeated ``--pred-pose`` and ``--scene-dir`` pair in order, and
+    each pose is scored in meters at its own scene's GSD. Every pose is read before any
+    scene, and of a scene only its manifest. Flag errors (``_check_eval_flags``) and counts
+    that differ are raised before any file is read.
+    """
     _check_eval_flags(args)
     if args.mode == "matching":
         pred = MatchPrediction.from_csv(args.pred_csv)

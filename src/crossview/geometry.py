@@ -11,6 +11,16 @@ Coordinate conventions used throughout the package:
 * Equirectangular panoramas: u = 0 at azimuth -pi (configurable via
   ``azimuth_offset_rad``), a north-facing camera sees azimuth 0 at the
   image center; v runs from zenith (0) to nadir (H).
+
+Each frame rule has one owner here, with ``c = (n - 1) / 2`` the grid's
+center index: grid cell <-> camera-relative meters (``BevGridSpec.cell_m``,
+``(index - c) * spacing_m``, and ``m_cell``), aerial cell <-> aerial pixel
+(``SceneSpec.aerial_cell_px`` and ``aerial_px_cell``), rotation by a yaw
+(``_rotate``; the inverse map passes ``-yaw``), inside the grid
+(``BevGridSpec.contains``) and inside the aerial image
+(``AerialMeta.contains``). The cell maps, the match-to-metric conversion, the
+ground-truth projection and the renderer call these owners; only
+``generate_scene`` places a pose's translation itself (see there).
 """
 
 from __future__ import annotations
@@ -57,11 +67,12 @@ def _rotate(yaw_rad: float, x, y):
 class BevGridSpec:
     """Uniform square BEV grid centered on the camera ground position.
 
-    The grid has ``n_points_per_side`` points spanning ``extent_m`` meters,
-    so adjacent points are ``extent_m / (n - 1)`` apart. With an odd count the
-    camera sits on a grid point, which the synthetic harness requires. The
-    solve accepts an even count: ``cell_m`` measures from the half-index
-    centre ``(n - 1) / 2``, so the camera sits between four points.
+    The grid has ``n_points_per_side`` points (at least 2) spanning ``extent_m``
+    meters (finite and positive), so adjacent points are ``extent_m / (n - 1)``
+    apart. With an odd count the camera sits on a grid point, which the
+    synthetic harness requires. The solve accepts an even count: ``cell_m``
+    measures from the half-index centre ``(n - 1) / 2``, so the camera sits
+    between four points.
     """
 
     n_points_per_side: int = 41
@@ -101,7 +112,10 @@ class BevGridSpec:
 
 @dataclass(frozen=True)
 class HeightLayerSpec:
-    """Evenly spaced height layers; layer i sits at z_min + i * spacing."""
+    """Evenly spaced height layers; layer i sits at z_min + i * spacing.
+
+    At least 2 layers, with finite ``z_min_m`` below finite ``z_max_m``.
+    """
 
     num_layers: int = 11
     z_min_m: float = -10.0
@@ -131,7 +145,11 @@ class HeightLayerSpec:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Equirectangular panorama geometry plus the camera mounting height."""
+    """Equirectangular panorama geometry plus the camera mounting height.
+
+    The height is positive and the width twice it; the camera height lies in
+    2-3 m and the azimuth offset (radians) is finite.
+    """
 
     panorama_width: int
     panorama_height: int
@@ -151,7 +169,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class AerialMeta:
-    """Aerial image scale: square image with a known ground sampling distance."""
+    """Aerial image scale: square image with a finite, positive ground sampling distance."""
 
     gsd_m_per_px: float = 0.12
     image_size_px: int = 640
@@ -170,7 +188,7 @@ class AerialMeta:
 
 @dataclass(frozen=True, eq=False)
 class Pose3DoF:
-    """Planar rigid transform: 2D translation in aerial pixels plus yaw.
+    """Planar rigid transform: 2D translation in aerial pixels plus yaw, both finite.
 
     Yaw is counterclockwise positive, 0 = north-aligned, and gets
     normalized to (-pi, pi] at construction.
@@ -196,7 +214,8 @@ class Pose3DoF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Pose3DoF":
-        """Yaw from ``yaw_rad``, else ``yaw_deg``; a non-number field is a ``ValueError``."""
+        """Yaw from ``yaw_rad``, else ``yaw_deg``; other keys are ignored. A non-number
+        field is a ``ValueError``."""
         num = functools.partial(json_number, d)
         yaw = num("yaw_rad") if "yaw_rad" in d else math.radians(num("yaw_deg"))
         return cls(np.array([num("tx_px"), num("ty_px")]), yaw)
@@ -254,8 +273,9 @@ class SceneSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SceneSpec":
-        """Counts take an integer, other fields any number; another kind, or a key
-        that :meth:`to_json_dict` does not write, is a ``ValueError``."""
+        """The keys :meth:`to_json_dict` writes, ``image_size``, ``camera_height`` and
+        ``azimuth_offset`` optional. Counts take an integer, other fields any number;
+        another kind, or another key, is a ``ValueError``."""
         unknown = sorted(set(d) - set(cls().to_json_dict()))
         if unknown:
             raise ValueError(f"unknown scene spec key(s): {', '.join(map(repr, unknown))}")

@@ -23,12 +23,14 @@ from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index
                       check_input_shapes, fuse_height_features, normalize_confidence,
                       surface_from_accumulation)
 from .synthetic import SceneBundle
+from .tensorio import check_integer
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Solve settings, checked on construction: ``surface_threshold`` in (0, 1), ``fuse_window``
-    >= 0, ``top_k`` >= 1, ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
+    None or an integer >= 0, ``top_k`` an integer >= 1 (integers per ``check_integer``),
+    ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
     top_k: int = 30
@@ -38,8 +40,11 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.surface_threshold < 1.0:   # also catches NaN
             raise ValueError("threshold must lie strictly inside (0, 1)")
-        if self.fuse_window is not None and self.fuse_window < 0:
-            raise ValueError("window must be >= 0")
+        if self.fuse_window is not None:
+            check_integer("fuse_window", self.fuse_window)
+            if self.fuse_window < 0:
+                raise ValueError("window must be >= 0")
+        check_integer("top_k", self.top_k)
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         check_temperature(self.tau)
@@ -85,7 +90,8 @@ def run_localization(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevF
                      config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Surface model -> similarity -> refine -> normalize -> match -> pose; a ``top_k`` above
     the N^4 matrix entries is rejected before any stage runs, and refiner parameters sized
-    for another patch count before any refiner stage."""
+    for another patch count before any refiner stage. ``params=None`` skips the refinement
+    and uses zero dustbins, without a log line."""
     if config.top_k > specs.grid.num_cells ** 2:
         raise ValueError("k exceeds the number of matrix entries")
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)

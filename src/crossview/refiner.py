@@ -67,7 +67,11 @@ class RefinerParams:
     ``conv_*`` hold the three 3D-convolution layers (kernels shaped
     (out_c, in_c, 3, 3, 3)), ``global_*`` the per-row affine stack,
     ``gate_*`` the gating stack whose sigmoid output scales the residual,
-    and ``dustbin_*`` the learnable bin row/column/corner.
+    and ``dustbin_*`` the learnable bin row/column/corner. Shapes that do
+    not chain, or a tensor holding NaN or inf, are a ``ValueError`` at
+    construction, so also on load, before any refinement runs. On disk it is
+    a ``refiner-params-v1`` tensor directory whose manifest adds the three
+    layer counts; the round trip is bit-exact.
     """
 
     conv_kernels: tuple
@@ -124,6 +128,8 @@ class RefinerParams:
 
     @classmethod
     def random(cls, n2: int, scale: float = 0.1, seed: int = 0) -> "RefinerParams":
+        """Untrained parameters, normal draws times ``scale``, of one fixed shape: conv channels
+        1 -> 8 -> 8 -> 1, a global hidden width of 256 and a gate hidden width of 64."""
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
@@ -183,7 +189,11 @@ def check_temperature(tau: float) -> None:
 
 def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
                        tau: float) -> SimilarityMatrix:
-    """Scaled cosine similarity between flattened ground and aerial patches."""
+    """Scaled cosine similarity between flattened ground and aerial patches.
+
+    Maps of different shapes, a feature row whose norm is zero or overflows,
+    or a ``tau`` that ``check_temperature`` rejects, is a ``ValueError``.
+    """
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
     check_temperature(tau)
@@ -345,9 +355,15 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from three 3D convolutions over the (N, N, N^2) similarity cube.
 
-    The layers run as one wavefront over depth (the cube's first axis), so
-    no multi-channel cube is ever held, and the last layer writes straight
-    into the result.
+    The cube (D, H, W) views the N^2 x N^2 matrix with D the ground row, H
+    the ground column and W the flattened aerial index ``i * n + j``. The
+    3-tap W neighbourhood therefore wraps across aerial rows: ``(i, n - 1)``
+    and ``(i + 1, 0)`` are W-adjacent, and zero padding applies only at the
+    two ends of W. The layers run as one wavefront over depth, so no
+    multi-channel cube is ever held (one 8-channel cube is 181 MB at n=41;
+    the whole call peaks at about 65 MB, under the bound of
+    ``tests/test_refiner.py``), and the last layer writes straight into the
+    result.
     """
     _require_patch_count(s, params)
     n2 = s.num_patches
@@ -458,7 +474,9 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> np
     Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
     entries were checked finite when ``s`` and ``params`` were built.
     ``s`` is spent: the result is normalized in ``s.s``'s storage, also an
-    array that ``SimilarityMatrix`` wrapped without a copy.
+    array that ``SimilarityMatrix`` wrapped without a copy, and only vectors
+    are allocated. So an un-refined solve holds one N^2 x N^2 matrix (22.6 MB
+    at n=41); ``tests/test_refiner.py`` pins both.
     """
     if params is None:
         zeros = np.zeros(s.num_patches)
@@ -510,7 +528,8 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     its row and its column; pairs are ordered by ``_ranked``. Coordinates
     come back in grid-cell units (row index -> (ix, iy) ground cell, column
     index -> aerial cell); weights are the probability values, which
-    ``CorrespondenceSet`` checks finite and non-negative.
+    ``CorrespondenceSet`` checks finite and non-negative. A matrix that is
+    not square, or ``k`` outside [1, N^4], is a ``ValueError``.
     """
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("probability matrix must be square")

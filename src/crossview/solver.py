@@ -25,6 +25,8 @@ class CorrespondenceSet:
 
     Both sides live in caller-chosen planar frames (cells, pixels, or
     meters); the solver only requires that the two frames share a scale.
+    Arrays of different lengths, an empty set, a non-finite entry, a
+    negative weight or no positive weight is a ``ValueError``.
     """
 
     ground_xy: np.ndarray  # (K, 2)

@@ -60,7 +60,12 @@ def check_input_shapes(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=N
 
 
 def normalize_confidence(raw: np.ndarray) -> np.ndarray:
-    """Softmax raw scores along the height axis, per BEV cell; returns the (M, N, N) array."""
+    """Softmax raw scores along the height axis, per BEV cell; returns the (M, N, N) array.
+
+    Raw logits that are not 3-D or not finite are a ``ValueError``. The softmax
+    goes to ``surface_from_accumulation`` and ``fuse_height_features`` without a
+    re-check.
+    """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 3:
         raise ValueError("raw confidence must be (M, N, N)")
@@ -76,8 +81,11 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
 
     ``conf`` is the (M, N, N) output of ``normalize_confidence``. Returns the
-    (N, N) int64 layer index. Cells that never cross (possible only through
-    numerical loss, since the columns sum to 1) fall back to the top layer.
+    (N, N) int64 layer index, which ``HeightLayerSpec.height_of`` turns into
+    meters. Cells that never cross (possible only through numerical loss,
+    since the columns sum to 1) fall back to the top layer. A threshold
+    outside (0, 1), or a layer count other than ``layer_spec``'s, is a
+    ``ValueError``.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
@@ -101,19 +109,18 @@ def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
-    count is unchanged.
+    count is unchanged. Shapes that disagree, or a negative window, are a
+    ``ValueError``.
     """
     m, n = vol.data.shape[0], vol.data.shape[1]
     if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
-    if window is not None and window < 0:
+    window = m if window is None else window   # no layer is m or more from the surface
+    if window < 0:
         raise ValueError("window must be >= 0")
 
-    if window is None:
-        mask = np.ones((m, n, n))
-    else:
-        layer_idx = np.arange(m)[:, None, None]
-        mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)
+    layer_idx = np.arange(m)[:, None, None]
+    mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)
     weights = conf * mask
     totals = weights.sum(axis=0, keepdims=True)
     uniform = mask / mask.sum(axis=0, keepdims=True)
@@ -135,7 +142,10 @@ def aerial_depth_to_height_index(depth: np.ndarray, layer_spec: HeightLayerSpec,
 
     The minimum depth is anchored to ``ground_anchor_m``; remaining values
     scale by ``scale`` meters per depth unit and snap to the nearest layer,
-    ties rounding down.
+    ties rounding down. Both numbers come from the scene (``SceneBundle``).
+    There is no automatic scale and no warning: a constant map lands at the
+    anchor's layer. A non-finite depth entry, or an anchor or scale that
+    ``check_depth_rule`` rejects, is a ``ValueError``.
     """
     check_depth_rule(ground_anchor_m, scale)
     depth = np.asarray(depth, dtype=float)

@@ -31,7 +31,9 @@ class SceneTruth:
     """What a scene bundle keeps of its world: the true pose, the render noise and the seed.
 
     The world is a function of (specs, seed, channel count): ``generate_scene``
-    draws it before the pose and adds no noise, so it redraws it bit for bit.
+    draws it before the pose and adds no noise, so ``generate_scene(bundle.specs,
+    bundle.scene.seed, channels=bundle.inputs.f_sat.data.shape[2])`` redraws it
+    bit for bit.
     """
 
     gt_pose: Pose3DoF
@@ -59,6 +61,13 @@ class RenderedInputs:
 
 @dataclass
 class SceneBundle:
+    """A scene's specs, truth and rendered inputs, generated or loaded.
+
+    ``depth_anchor_m`` and ``depth_scale`` are the scene's aerial depth rule
+    (see ``aerial_depth_to_height_index``): ``GROUND_LEVEL_M`` and ``DEPTH_SCALE``
+    for a generated scene.
+    """
+
     specs: SceneSpec
     scene: SceneTruth
     inputs: RenderedInputs
@@ -86,7 +95,12 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     span exactly [ground level, top layer]. Snapped poses translate by
     whole cells and rotate by quarter turns, which makes nearest-cell
     resampling exact; ``snapped=False`` draws a continuous pose instead. A negative ``seed``,
-    fewer than one channel or a negative or non-finite ``noise_sigma`` is a ``ValueError``.
+    fewer than one channel, a negative or non-finite ``noise_sigma`` or an even grid is a
+    ``ValueError``.
+
+    The translation is placed here as ``grid_center_px + offset * cell_spacing_px``,
+    not through ``SceneSpec.aerial_cell_px``: for a continuous offset that rule
+    would add and then subtract the center index, which changes the low bits.
     """
     _require_camera_centered(specs)
     _check_seed_and_noise(seed, noise_sigma)
@@ -210,7 +224,13 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
 
 
 def save_scene_dir(directory, bundle: SceneBundle) -> None:
-    """Write a scene directory: one manifest plus the named tensors."""
+    """Write a ``scene-v1`` tensor directory.
+
+    Its manifest adds the ``spec`` block, ``gt_pose``, ``seed``, ``noise_sigma``,
+    ``depth_anchor_m`` and ``depth_scale``; its tensors are the four solve inputs
+    ``volume`` (M, N, N, c), ``conf_logits`` (M, N, N), ``f_sat`` (N, N, c) and
+    ``depth_sat`` (N, N).
+    """
     inputs = bundle.inputs
     tensors = {
         "volume": inputs.volume.data,
@@ -228,7 +248,12 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
 
 
 def _manifest_fields(m: dict) -> dict:
-    """The manifest's fields, decoded and checked; ``spec`` and ``gt_pose`` are JSON objects."""
+    """The manifest's fields, decoded and checked; ``spec`` and ``gt_pose`` are JSON objects.
+
+    The numbers obey the generator's rules, with the messages ``generate`` gives:
+    a negative ``seed``, a negative or non-finite ``noise_sigma``, or an anchor
+    or scale that ``check_depth_rule`` rejects, is a ``ValueError``.
+    """
     fields = {"specs": decode_json("spec", m["spec"], SceneSpec.from_json_dict),
               "gt_pose": decode_json("gt_pose", m["gt_pose"], Pose3DoF.from_json_dict),
               "seed": json_number(m, "seed", integer=True),
@@ -244,7 +269,13 @@ def read_scene_manifest(directory) -> dict:
 
 
 def load_scene_dir(directory) -> SceneBundle:
-    """Read a scene directory: its manifest, then its four tensors, checked against its specs."""
+    """Read a scene directory: its manifest, then its four tensors, checked against its specs.
+
+    Earlier layouts load the same way. Directories written before the world left
+    the format also list ``height_field`` and ``texture``, and older ones a
+    ``surf_gt_index`` tensor and a ``channels`` field; none of these is opened,
+    since the world is rebuilt from the seed.
+    """
     manifest = read_manifest(directory, _SCENE_FORMAT)
     fields = decode_json(directory, manifest, _manifest_fields)
     raw = load_tensors(directory, manifest, ("volume", "conf_logits", "f_sat", "depth_sat"))

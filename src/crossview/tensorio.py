@@ -28,7 +28,8 @@ _MAX_RANK = 8
 
 
 class TensorFormatError(ValueError):
-    pass
+    """A tensor file with a bad magic, dtype tag or rank, a header that ends early, or a
+    payload whose length disagrees with its dims (short or with trailing bytes)."""
 
 
 def json_text(payload: dict) -> str:
@@ -36,19 +37,29 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def check_integer(key: str, v) -> None:
+    """Reject ``v`` unless it is a non-bool integer (``np.integer`` counts): the one rule of
+    an integer field, in a JSON file or a config; the ``ValueError`` names ``key``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{key}: expected an integer, got {v!r}")
+
+
 def json_number(d: dict, key: str, integer: bool = False, default=None):
     """``d[key]`` (``default`` when absent and given) as an int, a float or, for a bool
     ``default``, a bool.
 
-    A bool field takes a bool; an integer field a non-bool int; a float field an
-    int or a float, not a bool. Any other kind is a ``ValueError`` naming ``key``.
+    A bool field takes a bool; an integer field what ``check_integer`` passes; a
+    float field an int or a float, not a bool. Any other kind is a ``ValueError``
+    naming ``key``.
     """
     v = d[key] if default is None else d.get(key, default)
+    if integer:
+        check_integer(key, v)
+        return int(v)
     flag = isinstance(default, bool)
-    if isinstance(v, bool) != flag or not isinstance(v, int if integer else (int, float)):
-        kind = "a bool" if flag else "an integer" if integer else "a number"
-        raise ValueError(f"{key}: expected {kind}, got {v!r}")
-    return v if flag else int(v) if integer else float(v)
+    if isinstance(v, bool) != flag or not isinstance(v, (int, float)):
+        raise ValueError(f"{key}: expected {'a bool' if flag else 'a number'}, got {v!r}")
+    return v if flag else float(v)
 
 
 def read_json(path):
@@ -115,7 +126,8 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
-    """Write each named tensor as ``<name>.cvt`` plus a manifest of ``fmt``, shapes and ``fields``."""
+    """Write each named tensor as ``<name>.cvt`` plus a manifest of ``fmt``, shapes and ``fields``;
+    the one writer of a tensor directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, tensor in tensors.items():

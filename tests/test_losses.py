@@ -385,6 +385,14 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
             LossConfig.from_json_dict({"rng_seed": -1})
 
+    # at construction, not in scene_loss_report after the ground similarity has run
+    @pytest.mark.parametrize("field, value", [
+        ("n_v", 10.0), ("n_v", "10"), ("n_s", True), ("rng_seed", 1.5), ("rng_seed", False),
+    ])
+    def test_integer_field_of_another_kind_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+            LossConfig(**{field: value})
+
     def test_json_round_trip(self):
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,
                          k_norm=50.0, rng_seed=9, height_in_meters=True)

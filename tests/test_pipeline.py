@@ -47,6 +47,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="window must be >= 0"):
             PipelineConfig(fuse_window=-1)
 
+    # at construction, not after the solve: a float top_k failed in extract_matches'
+    # slicing, and a float window acted as its floor
+    @pytest.mark.parametrize("field, value", [
+        ("top_k", 30.0), ("top_k", True), ("top_k", "30"), ("fuse_window", 1.5),
+        ("fuse_window", False),
+    ])
+    def test_integer_field_of_another_kind_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+            PipelineConfig(**{field: value})
+
+    def test_numpy_integers_pass_the_integer_rule(self):
+        assert PipelineConfig(top_k=np.int64(5), fuse_window=np.int32(1)).top_k == 5
+        assert LossConfig(n_v=np.int64(3), n_s=np.uint16(4), rng_seed=np.int8(2)).n_s == 4
+        report = loss_report(1.0, 2.0, 3.0, LossConfig(rng_seed=np.int64(7)))
+        assert json.loads(json.dumps(report))["seed"] == 7
+
     def test_top_k_above_matrix_size_rejected_before_any_stage(self, small_specs, monkeypatch):
         bundle = make_scene_bundle(small_specs, seed=0)
 

@@ -1,10 +1,14 @@
-"""Smoke tests of the experiment scripts and the benchmark's own smoke run."""
+"""Smoke tests of the experiment scripts, the README and the benchmark's own smoke run."""
 
+import builtins
+import importlib
+import pkgutil
 import re
 import statistics
 
 import pytest
 
+import crossview
 from crossview.evaluation import localization_stats
 from crossview.geometry import AerialMeta, BevGridSpec, CameraIntrinsics, SceneSpec
 from crossview.pipeline import run_localization
@@ -30,6 +34,50 @@ def test_readme_library_example_runs():
     assert example, "README has no python block under 'Library example'"
     out = run_python("-c", example.group(1))
     assert out.splitlines()[0] == "(0.0, 0.0)"
+
+
+MODULES = [importlib.import_module(f"crossview.{m.name}")
+           for m in pkgutil.iter_modules(crossview.__path__) if not m.name.startswith("_")]
+
+
+def _is_capwords(token: str) -> bool:
+    return bool(re.fullmatch(r"[A-Z][A-Za-z0-9]*", token) and re.search(r"[a-z]", token))
+
+
+def _readme_names() -> list:
+    """Backticked README names of the package: dotted names whose head is a module or a
+    class of it, and CapWords names that are not builtins; paths, files and flags aside."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    heads = {m.__name__.split(".")[-1] for m in MODULES} | {"crossview"}
+    names = []
+    for token in re.findall(r"`([^`\n]+)`", text):
+        if "/" in token or token.endswith(".py") or token.startswith("-"):
+            continue
+        head = token.split(".")[0]
+        if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", token):
+            if head in heads or _is_capwords(head):
+                names.append(token)
+        elif _is_capwords(token) and not hasattr(builtins, token):
+            names.append(token)
+    return names
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``getattr`` finds ``name`` from the package, a module of it or a name of one."""
+    head, *rest = name.split(".")
+    if head == "crossview":
+        obj = crossview
+    else:
+        obj = next((getattr(m, head) for m in [crossview, *MODULES] if hasattr(m, head)), None)
+    for attr in rest:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_readme_names_resolve_in_the_package():
+    names = _readme_names()
+    assert len(names) > 30   # the scan still finds the map's names
+    assert [name for name in names if not _resolves(name)] == []
 
 
 def test_noise_sweep_prints_one_row_per_sigma():
