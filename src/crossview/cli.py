@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .evaluation import (DEFAULT_THRESHOLDS_PX, GroundTruthProjection,
-                         MatchPrediction, localization_stats,
+from .evaluation import (DEFAULT_THRESHOLDS_PX, MatchPrediction,
+                         load_gt_projection, localization_stats,
                          matching_success_ratio)
 from .geometry import BevGridSpec, Pose3DoF, SceneSpec
 from .losses import LossConfig
@@ -44,7 +44,18 @@ def _dump_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _StoreGiven(argparse.Action):
+    """Store the flag's value and set ``args.<dest>_given``, which tells it from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
+
+
 def cmd_generate(args) -> int:
+    """``--n`` next to ``--spec-json`` is a ``ValueError``, raised before any file is read."""
+    if args.spec_json and args.n_given:
+        raise ValueError("--n cannot be combined with --spec-json")
     specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict) \
         if args.spec_json else SceneSpec(grid=BevGridSpec(args.n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
@@ -126,7 +137,7 @@ def cmd_eval(args) -> int:
     _check_eval_flags(args)
     if args.mode == "matching":
         pred = MatchPrediction.from_csv(args.pred_csv)
-        gt = GroundTruthProjection.load(args.gt_dir)
+        gt = load_gt_projection(args.gt_dir)
         try:
             thresholds = list(DEFAULT_THRESHOLDS_PX) if args.thresholds is None \
                 else [float(t) for t in args.thresholds.split(",")]
@@ -165,15 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic scene directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side,
+    p.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side, action=_StoreGiven,
                    help="grid points per side (odd)")
     p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma")
     p.add_argument("--channels", type=int, default=FEATURE_CHANNELS)
     p.add_argument("--continuous-pose", action="store_true",
                    help="draw a continuous pose instead of a grid-snapped one")
-    p.add_argument("--spec-json", help="scene spec JSON (overrides --n)")
+    p.add_argument("--spec-json", help="scene spec JSON (not with --n)")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, n_given=False)
 
     p = sub.add_parser("solve", help="recover the pose from scene tensors")
     p.add_argument("--scene-dir")

@@ -8,6 +8,7 @@ which predicted matches are scored.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AerialMeta, CameraIntrinsics, Pose3DoF, metric_to_aerial_px, panorama_pixel_ray
-from .tensorio import load_tensors, read_csv, read_manifest, save_tensor_dir
+from .tensorio import load_tensors, read_manifest, save_tensor_dir
 
 PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
@@ -44,67 +45,74 @@ class MatchPrediction:
 
     @classmethod
     def from_csv(cls, path) -> "MatchPrediction":
-        rows = read_csv(path, PRED_CSV_FIELDS, "prediction")
+        """Read a CSV whose header is exactly ``xg,yg,xs,ys``, one row of finite floats per pair.
+
+        Errors name the file and, for an unparsable or non-finite row, its
+        line number; a file with no rows is an error too.
+        """
+        rows = []
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
+                raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    rows.append([float(row[f]) for f in PRED_CSV_FIELDS])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: malformed row at line {line_no}") from exc
+                if not np.isfinite(rows[-1]).all():
+                    raise ValueError(f"{path}: non-finite value at line {line_no}")
+        if not rows:
+            raise ValueError(f"{path}: no prediction rows")
+        rows = np.array(rows)
         return cls(rows[:, 0:2], rows[:, 2:4])
 
 
-@dataclass
-class GroundTruthProjection:
-    """Per ground-pixel aerial target and the valid-region mask.
+def save_gt_projection(directory, gt_xy: np.ndarray) -> None:
+    """Write a (H, W, 2) target map as a ``gt-projection-v1`` directory: on disk the
+    targets are 0 outside the valid region and ``gt_valid`` stores the region as 1/0."""
+    valid = np.isfinite(gt_xy).all(axis=-1)
+    sat = np.where(valid[..., None], gt_xy, 0.0)
+    save_tensor_dir(directory, _GT_FORMAT, {"gt_sat_x": sat[..., 0], "gt_sat_y": sat[..., 1],
+                                            "gt_valid": valid.astype(np.float32)})
 
-    ``sat_xy`` is (H, W, 2) with NaN outside the valid region; on disk the
-    targets are 0 there and the mask is stored as 1/0.
+
+def load_gt_projection(directory) -> np.ndarray:
+    """The float64 (H, W, 2) target map of a directory written by :func:`save_gt_projection`,
+    NaN outside the valid region.
+
+    A ``gt_valid`` entry other than 0 or 1, target tensors whose shape
+    differs from the 2-D ``gt_valid``, or a non-finite target where
+    ``gt_valid`` is 1, is a ``ValueError`` naming the directory and the tensor.
     """
-
-    sat_xy: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        self.sat_xy = np.asarray(self.sat_xy, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.sat_xy.ndim != 3 or self.sat_xy.shape[2] != 2 \
-                or self.valid.shape != self.sat_xy.shape[:2]:
-            raise ValueError("projection map and mask shapes disagree")
-
-    def save(self, directory) -> None:
-        sat = np.where(self.valid[..., None], self.sat_xy, 0.0)
-        save_tensor_dir(directory, _GT_FORMAT, {"gt_sat_x": sat[..., 0], "gt_sat_y": sat[..., 1],
-                                                "gt_valid": self.valid.astype(np.float32)})
-
-    @classmethod
-    def load(cls, directory) -> "GroundTruthProjection":
-        """Read a directory written by :meth:`save`.
-
-        A ``gt_valid`` entry other than 0 or 1, or target tensors whose shape
-        differs from the 2-D ``gt_valid``, is a ``ValueError`` naming the
-        directory and the tensor.
-        """
-        tensors = load_tensors(directory, read_manifest(directory, _GT_FORMAT),
-                               ("gt_valid", "gt_sat_x", "gt_sat_y"))
-        flag = tensors["gt_valid"]
-        if flag.ndim != 2:
-            raise ValueError(f"{directory}: gt_valid has shape {flag.shape}, expected (H, W)")
-        for name in ("gt_sat_x", "gt_sat_y"):
-            if tensors[name].shape != flag.shape:
-                raise ValueError(f"{directory}: {name} has shape {tensors[name].shape}, "
-                                 f"gt_valid {flag.shape}")
-        if not np.isin(flag, (0.0, 1.0)).all():
-            raise ValueError(f"{directory}: gt_valid holds a value other than 0 or 1")
-        valid = flag == 1.0
-        sat = np.stack([tensors["gt_sat_x"], tensors["gt_sat_y"]], axis=-1)
-        return cls(np.where(valid[..., None], sat, np.nan), valid)
+    tensors = load_tensors(directory, read_manifest(directory, _GT_FORMAT),
+                           ("gt_valid", "gt_sat_x", "gt_sat_y"))
+    flag = tensors["gt_valid"]
+    if flag.ndim != 2:
+        raise ValueError(f"{directory}: gt_valid has shape {flag.shape}, expected (H, W)")
+    for name in ("gt_sat_x", "gt_sat_y"):
+        if tensors[name].shape != flag.shape:
+            raise ValueError(f"{directory}: {name} has shape {tensors[name].shape}, "
+                             f"gt_valid {flag.shape}")
+    if not np.isin(flag, (0.0, 1.0)).all():
+        raise ValueError(f"{directory}: gt_valid holds a value other than 0 or 1")
+    valid = flag == 1.0
+    sat = np.stack([tensors["gt_sat_x"], tensors["gt_sat_y"]], axis=-1).astype(float)
+    if not np.isfinite(sat[valid]).all():   # the map's valid region is where it is finite
+        raise ValueError(f"{directory}: gt_sat_x or gt_sat_y is not finite where gt_valid is 1")
+    return np.where(valid[..., None], sat, np.nan)
 
 
 def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3DoF,
-                        meta: AerialMeta) -> GroundTruthProjection:
-    """Project every panorama pixel into the aerial image via its depth.
+                        meta: AerialMeta) -> np.ndarray:
+    """The (H, W, 2) aerial target of every panorama pixel, projected via its depth.
 
     ``depth_grd`` holds the range along each pixel ray in meters (NaN or
     non-positive = missing). A pixel is valid when that range is at most
     ``DEFAULT_MAX_RANGE_M`` (30 m) and the projection lands inside the
     image, i.e. within [0, size - 1] on both axes; invalid pixels read NaN.
     The result is filled ``_PROJECTION_ROWS`` panorama rows at a time, so at
-    512 x 1024 the call peaks at 12.7 MB, its 8.9 MB result included
+    512 x 1024 the call peaks at 12.2 MB, its 8.4 MB result included
     (``tests/test_evaluation.py`` pins it). That keeps the score path below
     glibc's dynamic trim threshold, twice the 22.6 MB similarity matrix at
     n=41, so its heap is not handed back to the OS on every call.
@@ -115,7 +123,6 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
         raise ValueError(f"depth map shape {depth.shape} disagrees with intrinsics ({h}, {w})")
 
     sat_xy = np.empty((h, w, 2))
-    valid = np.empty((h, w), dtype=bool)
     u, v = np.arange(w), np.arange(h)[:, None]
     # a block of rows at a time, so the temporaries next to the result stay
     # (rows, W) planes. Azimuth depends on u alone and elevation on v alone,
@@ -132,22 +139,22 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
             dy *= d
             xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
             ok &= meta.contains(xs) & meta.contains(ys)
-        valid[rows] = ok
         invalid = ~ok
         np.copyto(xs, np.nan, where=invalid)
         np.copyto(ys, np.nan, where=invalid)
         np.stack([xs, ys], axis=-1, out=sat_xy[rows])
-    return GroundTruthProjection(sat_xy, valid)
+    return sat_xy
 
 
-def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
+def matching_success_ratio(pred: MatchPrediction, gt_xy: np.ndarray,
                            thresholds_px=DEFAULT_THRESHOLDS_PX) -> dict:
     """Per-threshold success ratios plus the valid-prediction ratio.
 
-    Every predicted pair counts in the denominator; a pair is correct at a
-    threshold only when its ground pixel lies in the valid region and the
-    predicted aerial point falls within the threshold of the true target. The
-    thresholds must be finite and positive.
+    ``gt_xy`` is a (H, W, 2) target map (``build_gt_projection``); its valid
+    region is where the target is finite. Every predicted pair counts in the
+    denominator; a pair is correct at a threshold only when its ground pixel
+    lies in the valid region and the predicted aerial point falls within the
+    threshold of the true target. The thresholds must be finite and positive.
     """
     if len(pred) == 0:
         raise ValueError("empty prediction set")
@@ -155,16 +162,17 @@ def matching_success_ratio(pred: MatchPrediction, gt: GroundTruthProjection,
     if not all(math.isfinite(t) and t > 0 for t in thresholds):
         raise ValueError("thresholds must be finite and positive")
 
-    h, w = gt.valid.shape
+    if gt_xy.ndim != 3 or gt_xy.shape[2] != 2:
+        raise ValueError(f"target map has shape {gt_xy.shape}, expected (H, W, 2)")
+    h, w = gt_xy.shape[:2]
     # in_pano is decided on the rounded floats: casting a huge pixel to int is platform-defined
     u = np.rint(pred.grd_px[:, 0])
     v = np.rint(pred.grd_px[:, 1])
     in_pano = (u >= 0) & (u < w) & (v >= 0) & (v < h)
     uc = np.clip(u, 0, w - 1).astype(int)
     vc = np.clip(v, 0, h - 1).astype(int)
-    valid = in_pano & gt.valid[vc, uc]
-
-    target = gt.sat_xy[vc, uc]
+    target = gt_xy[vc, uc]
+    valid = in_pano & np.isfinite(target).all(axis=1)
     with np.errstate(invalid="ignore"):
         dist = np.hypot(pred.sat_px[:, 0] - target[:, 0], pred.sat_px[:, 1] - target[:, 1])
     total = len(pred)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import json_number
+from .tensorio import check_integer, json_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,7 +67,7 @@ def _rotate(yaw_rad: float, x, y):
 class BevGridSpec:
     """Uniform square BEV grid centered on the camera ground position.
 
-    The grid has ``n_points_per_side`` points (at least 2) spanning ``extent_m``
+    The grid has ``n_points_per_side`` points (an integer >= 2) spanning ``extent_m``
     meters (finite and positive), so adjacent points are ``extent_m / (n - 1)``
     apart. With an odd count the camera sits on a grid point, which the
     synthetic harness requires. The solve accepts an even count: ``cell_m``
@@ -79,6 +79,7 @@ class BevGridSpec:
     extent_m: float = 71.0
 
     def __post_init__(self):
+        check_integer("n_points_per_side", self.n_points_per_side)
         if self.n_points_per_side < 2:
             raise ValueError("grid needs at least 2 points per side")
         if not 0 < self.extent_m < math.inf:
@@ -114,7 +115,7 @@ class BevGridSpec:
 class HeightLayerSpec:
     """Evenly spaced height layers; layer i sits at z_min + i * spacing.
 
-    At least 2 layers, with finite ``z_min_m`` below finite ``z_max_m``.
+    At least 2 layers (an integer count), with finite ``z_min_m`` below finite ``z_max_m``.
     """
 
     num_layers: int = 11
@@ -122,6 +123,7 @@ class HeightLayerSpec:
     z_max_m: float = 10.0
 
     def __post_init__(self):
+        check_integer("num_layers", self.num_layers)
         if self.num_layers < 2:
             raise ValueError("need at least 2 height layers")
         if not -math.inf < self.z_min_m < self.z_max_m < math.inf:
@@ -147,7 +149,7 @@ class HeightLayerSpec:
 class CameraIntrinsics:
     """Equirectangular panorama geometry plus the camera mounting height.
 
-    The height is positive and the width twice it; the camera height lies in
+    The height is a positive integer and the width twice it; the camera height lies in
     2-3 m and the azimuth offset (radians) is finite.
     """
 
@@ -157,6 +159,8 @@ class CameraIntrinsics:
     azimuth_offset_rad: float = 0.0
 
     def __post_init__(self):
+        check_integer("panorama_width", self.panorama_width)
+        check_integer("panorama_height", self.panorama_height)
         if self.panorama_height < 1:
             raise ValueError(f"panorama height must be positive, got {self.panorama_height}")
         if self.panorama_width != 2 * self.panorama_height:
@@ -169,7 +173,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class AerialMeta:
-    """Aerial image scale: square image with a finite, positive ground sampling distance."""
+    """Aerial image scale: square image of integer side, finite positive ground sampling distance."""
 
     gsd_m_per_px: float = 0.12
     image_size_px: int = 640
@@ -177,6 +181,7 @@ class AerialMeta:
     def __post_init__(self):
         if not 0 < self.gsd_m_per_px < math.inf:
             raise ValueError(f"gsd must be finite and positive, got {self.gsd_m_per_px}")
+        check_integer("image_size_px", self.image_size_px)
         if self.image_size_px < 1:
             raise ValueError("image size must be positive")
 
@@ -258,15 +263,15 @@ class SceneSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.grid.n_points_per_side,
+            "n": int(self.grid.n_points_per_side),   # a count may be an np.integer
             "extent_m": self.grid.extent_m,
-            "m_layers": self.layers.num_layers,
+            "m_layers": int(self.layers.num_layers),
             "z_min": self.layers.z_min_m,
             "z_max": self.layers.z_max_m,
             "gsd": self.aerial.gsd_m_per_px,
-            "image_size": self.aerial.image_size_px,
-            "pano_w": self.intrinsics.panorama_width,
-            "pano_h": self.intrinsics.panorama_height,
+            "image_size": int(self.aerial.image_size_px),
+            "pano_w": int(self.intrinsics.panorama_width),
+            "pano_h": int(self.intrinsics.panorama_height),
             "camera_height": self.intrinsics.camera_height_m,
             "azimuth_offset": self.intrinsics.azimuth_offset_rad,
         }

@@ -1,4 +1,4 @@
-"""On-disk formats: binary tensor files, tensor directories and float CSVs.
+"""On-disk formats: binary tensor files and tensor directories.
 
 Tensor file layout: magic ``CVT1``, rank as little-endian uint64, each
 dim as little-endian uint64, a uint32 dtype tag (1 = float32), then the
@@ -7,13 +7,11 @@ data.
 
 A tensor directory holds ``<name>.cvt`` files next to a ``manifest.json``
 carrying the directory's ``format`` tag, the shape of every tensor and any
-format-specific fields. A float CSV has an exact header line and one row
-of finite ``repr`` floats per record.
+format-specific fields.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
@@ -165,26 +163,3 @@ def load_tensors(directory, manifest: dict, names) -> dict:
         if list(tensors[name].shape) != manifest["tensors"][name]:
             raise ValueError(f"{directory}: {name}: tensor shape disagrees with the manifest")
     return tensors
-
-
-def read_csv(path, fields, what: str) -> np.ndarray:
-    """Read a float CSV whose header is exactly ``fields``; returns (rows, len(fields)).
-
-    Errors name the file and, for an unparsable or non-finite row, its line
-    number; a file with no rows is an error naming ``what`` the rows hold.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(fields):
-            raise ValueError(f"{path}: expected header {','.join(fields)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(row[f]) for f in fields])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row at line {line_no}") from exc
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"{path}: non-finite value at line {line_no}")
-    if not rows:
-        raise ValueError(f"{path}: no {what} rows")
-    return np.array(rows)

@@ -229,8 +229,7 @@ def test_loss_closed_forms():
 
 
 def test_metric_fixtures():
-    from crossview.evaluation import (GroundTruthProjection, MatchPrediction,
-                                      localization_stats,
+    from crossview.evaluation import (MatchPrediction, localization_stats,
                                       matching_success_ratio)
     h, w = 32, 64
     valid = np.zeros((h, w), dtype=bool)
@@ -240,12 +239,11 @@ def test_metric_fixtures():
     sat[..., 0] = 100.0 + uu
     sat[..., 1] = 50.0 + vv
     sat[~valid] = np.nan
-    gt = GroundTruthProjection(sat, valid)
 
     grd = [[u, 5.0] for u in range(12)] + [[40.0 + u % 20, 5.0] for u in range(18)]
     grd = np.array(grd)
     pred_sat = np.stack([100.0 + grd[:, 0] + 3.0, np.full(30, 55.0)], axis=1)
-    rep = matching_success_ratio(MatchPrediction(grd, pred_sat), gt, (5.0, 10.0))
+    rep = matching_success_ratio(MatchPrediction(grd, pred_sat), sat, (5.0, 10.0))
     ratios_ok = rep["ratios"][0] == 0.4 and rep["valid_ratio"] == 0.4
 
     stats = localization_stats([(1.0, 10.0), (3.0, 30.0)])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossview import cli, refiner
-from crossview.evaluation import GroundTruthProjection
+from crossview.evaluation import save_gt_projection
 from crossview.geometry import AerialMeta, BevGridSpec, SceneSpec
 from crossview.pipeline import PipelineConfig
 from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle, save_scene_dir
@@ -56,6 +56,16 @@ class TestGenerate:
         assert manifest["tensors"]  # non-empty listing
         for name, dims in manifest["tensors"].items():
             assert list(load_tensor(out / f"{name}.cvt").shape) == dims
+
+    @pytest.mark.parametrize("n", ["9", "41"])   # 41 is also the flag's default
+    def test_grid_size_flag_next_to_a_spec_file_is_input_error(self, tmp_path, n):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SceneSpec(grid=BevGridSpec(11)).to_json_dict()))
+        proc = run_cli("generate", "--seed", "0", "--n", n, "--spec-json", spec_path,
+                       "--out-dir", tmp_path / "out", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --n cannot be combined with --spec-json\n"
+        assert not (tmp_path / "out").exists()
 
     def test_even_grid_is_input_error(self, tmp_path):
         proc = run_cli("generate", "--seed", "0", "--n", "8",
@@ -381,7 +391,7 @@ class TestEvalMatching:
         sat[..., 1] = 50.0 + vv
         sat[~valid] = np.nan
         gt_dir = tmp_path / "gt"
-        GroundTruthProjection(sat, valid).save(gt_dir)
+        save_gt_projection(gt_dir, sat)
         return gt_dir
 
     def write_pred(self, tmp_path, rows):

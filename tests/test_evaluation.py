@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from crossview import evaluation
-from crossview.evaluation import (GroundTruthProjection, MatchPrediction,
-                                  build_gt_projection, localization_stats,
-                                  matching_success_ratio)
+from crossview.evaluation import (MatchPrediction, build_gt_projection,
+                                  load_gt_projection, localization_stats,
+                                  matching_success_ratio, save_gt_projection)
 from crossview.geometry import (AerialMeta, CameraIntrinsics, Pose3DoF,
                                 aerial_px_to_metric, metric_to_aerial_px,
                                 panorama_pixel_ray)
-from crossview.tensorio import MANIFEST, save_tensor, save_tensor_dir
+from crossview.tensorio import MANIFEST, load_tensor, save_tensor, save_tensor_dir
 
 INTR = CameraIntrinsics(panorama_width=128, panorama_height=64, camera_height_m=2.5)
 META = AerialMeta(gsd_m_per_px=0.12, image_size_px=512)
@@ -29,22 +29,22 @@ class TestBuildGtProjection:
         u, v = INTR.panorama_width // 2, INTR.panorama_height // 2
         depth[v, u] = 12.0
         proj = build_gt_projection(depth, INTR, POSE, META)
-        assert proj.valid[v, u]
-        assert proj.sat_xy[v, u, 0] == pytest.approx(POSE.t_px[0] + 100.0, abs=1e-9)
-        assert proj.sat_xy[v, u, 1] == pytest.approx(POSE.t_px[1], abs=1e-9)
+        assert np.isfinite(proj).all(axis=-1)[v, u]
+        assert proj[v, u, 0] == pytest.approx(POSE.t_px[0] + 100.0, abs=1e-9)
+        assert proj[v, u, 1] == pytest.approx(POSE.t_px[1], abs=1e-9)
 
     def test_range_threshold(self):
         depth = flat_depth(np.nan)
         u, v = 64, 32
         depth[v, u] = 31.0
         proj = build_gt_projection(depth, INTR, POSE, META)
-        assert not proj.valid[v, u]
+        assert not np.isfinite(proj).all(axis=-1)[v, u]
         depth[v, u] = 29.0
-        assert build_gt_projection(depth, INTR, POSE, META).valid[v, u]
+        assert np.isfinite(build_gt_projection(depth, INTR, POSE, META)[v, u]).all()
 
     def test_missing_depth_invalid(self):
         proj = build_gt_projection(flat_depth(np.nan), INTR, POSE, META)
-        assert not proj.valid.any()
+        assert not np.isfinite(proj).all(axis=-1).any()
 
     def test_out_of_image_invalid(self):
         pose = Pose3DoF(np.array([2.0, 256.0]), math.pi)  # looking off the west edge
@@ -52,17 +52,17 @@ class TestBuildGtProjection:
         u, v = INTR.panorama_width // 2, INTR.panorama_height // 2
         depth[v, u] = 10.0
         proj = build_gt_projection(depth, INTR, pose, META)
-        assert not proj.valid[v, u]
+        assert not np.isfinite(proj).all(axis=-1)[v, u]
 
     def test_round_trip_recovers_planar_point(self):
         rng = np.random.default_rng(0)
         depth = rng.uniform(1.0, 25.0, (INTR.panorama_height, INTR.panorama_width))
         proj = build_gt_projection(depth, INTR, POSE, META)
-        vs, us = np.nonzero(proj.valid)
+        vs, us = np.nonzero(np.isfinite(proj).all(axis=-1))
         for v, u in list(zip(vs, us))[::97]:
             dx, dy, _ = panorama_pixel_ray(INTR, u, v)
             expected = (depth[v, u] * dx, depth[v, u] * dy)
-            back = aerial_px_to_metric(META, POSE, *proj.sat_xy[v, u])
+            back = aerial_px_to_metric(META, POSE, *proj[v, u])
             assert math.hypot(back[0] - expected[0], back[1] - expected[1]) < 1e-6
 
     def test_matches_per_pixel_oracle(self):
@@ -75,7 +75,7 @@ class TestBuildGtProjection:
             for u in range(INTR.panorama_width):
                 d = depth[v, u]
                 if not np.isfinite(d) or d <= 0 or d > 30.0:
-                    assert not proj.valid[v, u]
+                    assert not np.isfinite(proj).all(axis=-1)[v, u]
                     continue
                 az = (u / INTR.panorama_width - 0.5) * 2 * math.pi
                 el = (0.5 - v / INTR.panorama_height) * math.pi
@@ -83,10 +83,10 @@ class TestBuildGtProjection:
                 y = d * math.cos(el) * math.sin(az)
                 xs, ys = metric_to_aerial_px(META, POSE, x, y)
                 inside = 0 <= xs <= size - 1 and 0 <= ys <= size - 1
-                assert proj.valid[v, u] == inside
+                assert np.isfinite(proj).all(axis=-1)[v, u] == inside
                 if inside:
-                    assert proj.sat_xy[v, u, 0] == pytest.approx(xs, abs=1e-9)
-                    assert proj.sat_xy[v, u, 1] == pytest.approx(ys, abs=1e-9)
+                    assert proj[v, u, 0] == pytest.approx(xs, abs=1e-9)
+                    assert proj[v, u, 1] == pytest.approx(ys, abs=1e-9)
 
     def test_matches_meshgrid_ray_oracle_exactly(self):
         # rays of every pixel from a full (H, W) meshgrid, the unfactored form
@@ -107,8 +107,8 @@ class TestBuildGtProjection:
                      & META.contains(xs) & META.contains(ys))
         sat = np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
         assert valid.any() and not valid.all()
-        assert np.array_equal(proj.valid, valid)
-        assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
+        assert np.array_equal(np.isfinite(proj).all(axis=-1), valid)
+        assert np.array_equal(proj, sat, equal_nan=True)
 
     def test_matches_out_of_place_formula_exactly(self):
         # the pose map written out as whole-array expressions, rotation included,
@@ -133,8 +133,8 @@ class TestBuildGtProjection:
             sat = np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
             proj = build_gt_projection(depth, intr, pose, META)
             assert valid.any() and not valid.all()
-            assert np.array_equal(proj.valid, valid)
-            assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
+            assert np.array_equal(np.isfinite(proj).all(axis=-1), valid)
+            assert np.array_equal(proj, sat, equal_nan=True)
 
     def test_row_blocks_match_the_whole_array_formula_exactly(self):
         # 150 rows: two full blocks of rows and a partial one
@@ -155,8 +155,8 @@ class TestBuildGtProjection:
         sat = np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
         proj = build_gt_projection(depth, intr, pose, META)
         assert valid[:64].any() and valid[128:].any() and not valid.all()
-        assert np.array_equal(proj.valid, valid)
-        assert np.array_equal(proj.sat_xy, sat, equal_nan=True)
+        assert np.array_equal(np.isfinite(proj).all(axis=-1), valid)
+        assert np.array_equal(proj, sat, equal_nan=True)
 
     def test_leaves_the_depth_map_unchanged(self):
         rng = np.random.default_rng(9)
@@ -169,8 +169,9 @@ class TestBuildGtProjection:
     def test_paper_size_peak_memory(self):
         # one (512, 1024) float64 plane is 4.2 MB and the (512, 1024, 2) result 8.4 MB;
         # whole-array expressions and a boolean-index NaN fill peaked at 38.3 MB;
-        # releasing the scaled ray planes before the result is built gave 21.5 MB, and
-        # projecting 64 rows at a time into the result gives 12.7 MB
+        # releasing the scaled ray planes before the result is built gave 21.5 MB,
+        # projecting 64 rows at a time into the result 12.7 MB, and dropping the
+        # separate (512, 1024) validity mask gives 12.2 MB
         intr = CameraIntrinsics(panorama_width=1024, panorama_height=512)
         depth = np.random.default_rng(10).uniform(-5.0, 45.0, (512, 1024))
         pose = Pose3DoF(np.array([300.0, 310.0]), 0.4)
@@ -181,32 +182,54 @@ class TestBuildGtProjection:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 14.0
+        assert peak_mb < 13.0
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         depth = rng.uniform(1.0, 40.0, (INTR.panorama_height, INTR.panorama_width))
         proj = build_gt_projection(depth, INTR, POSE, META)
-        proj.save(tmp_path / "gt")
-        back = GroundTruthProjection.load(tmp_path / "gt")
-        assert np.array_equal(back.valid, proj.valid)
-        assert np.allclose(back.sat_xy[proj.valid], proj.sat_xy[proj.valid], atol=1e-3)
-        assert np.all(np.isnan(back.sat_xy[~proj.valid]))
+        save_gt_projection(tmp_path / "gt", proj)
+        back = load_gt_projection(tmp_path / "gt")
+        valid = np.isfinite(proj).all(axis=-1)
+        assert np.array_equal(np.isfinite(back).all(axis=-1), valid)
+        assert np.allclose(back[valid], proj[valid], atol=1e-3)
+        assert np.all(np.isnan(back[~valid]))
+
+    def test_load_returns_float64_targets_nan_outside_the_region(self, tmp_path):
+        sat = np.where(np.eye(4, 6, dtype=bool)[..., None], np.arange(48.0).reshape(4, 6, 2),
+                       np.nan)
+        save_gt_projection(tmp_path / "gt", sat)
+        back = load_gt_projection(tmp_path / "gt")
+        assert back.dtype == np.float64
+        assert np.array_equal(back, sat, equal_nan=True)
 
     def test_load_rejects_wrong_format(self, tmp_path):
         save_tensor_dir(tmp_path / "gt", "scene-v1", {"gt_valid": np.ones((2, 4))})
         with pytest.raises(ValueError, match="unknown format"):
-            GroundTruthProjection.load(tmp_path / "gt")
+            load_gt_projection(tmp_path / "gt")
 
     @pytest.mark.parametrize("value", [0.3, 2.0, -1.0, np.nan])
     def test_load_rejects_a_non_binary_mask(self, tmp_path, value):
         proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
-        proj.save(tmp_path / "gt")
-        flag = proj.valid.astype(np.float32)
+        save_gt_projection(tmp_path / "gt", proj)
+        flag = np.isfinite(proj).all(axis=-1).astype(np.float32)
         flag[3, 5] = value
         save_tensor(tmp_path / "gt" / "gt_valid.cvt", flag)
         with pytest.raises(ValueError, match=r"gt.*gt_valid.*other than 0 or 1"):
-            GroundTruthProjection.load(tmp_path / "gt")
+            load_gt_projection(tmp_path / "gt")
+
+    @pytest.mark.parametrize("name", ["gt_sat_x", "gt_sat_y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_load_rejects_a_non_finite_target_inside_the_region(self, tmp_path, name, value):
+        # inside the region such a target would read as outside it
+        proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
+        save_gt_projection(tmp_path / "gt", proj)
+        v, u = np.argwhere(np.isfinite(proj).all(axis=-1))[0]
+        target = load_tensor(tmp_path / "gt" / f"{name}.cvt")
+        target[v, u] = value
+        save_tensor(tmp_path / "gt" / f"{name}.cvt", target)
+        with pytest.raises(ValueError, match=r"gt.*not finite where gt_valid is 1"):
+            load_gt_projection(tmp_path / "gt")
 
     @pytest.mark.parametrize("name", ["gt_sat_x", "gt_sat_y"])
     def test_load_rejects_a_target_shape_mismatch(self, tmp_path, name):
@@ -215,20 +238,20 @@ class TestBuildGtProjection:
         tensors[name] = np.zeros((4, 6))
         save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
         with pytest.raises(ValueError, match=rf"gt.*{name} has shape \(4, 6\)"):
-            GroundTruthProjection.load(tmp_path / "gt")
+            load_gt_projection(tmp_path / "gt")
 
     def test_load_rejects_a_mask_that_is_not_2d(self, tmp_path):
         tensors = {name: np.zeros(8) for name in ("gt_sat_x", "gt_sat_y", "gt_valid")}
         save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
         with pytest.raises(ValueError, match=r"gt.*gt_valid has shape \(8,\)"):
-            GroundTruthProjection.load(tmp_path / "gt")
+            load_gt_projection(tmp_path / "gt")
 
     def test_load_rejects_missing_manifest(self, tmp_path):
         proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
-        proj.save(tmp_path / "gt")
+        save_gt_projection(tmp_path / "gt", proj)
         (tmp_path / "gt" / MANIFEST).unlink()
         with pytest.raises(OSError):
-            GroundTruthProjection.load(tmp_path / "gt")
+            load_gt_projection(tmp_path / "gt")
 
 
 def make_gt(size=64):
@@ -241,7 +264,7 @@ def make_gt(size=64):
     sat[..., 0] = 100.0 + uu
     sat[..., 1] = 50.0 + vv
     sat[~valid] = np.nan
-    return GroundTruthProjection(sat, valid)
+    return sat
 
 
 class TestMatchingSuccessRatio:
@@ -296,6 +319,12 @@ class TestMatchingSuccessRatio:
         perm = rng.permutation(25)
         b = matching_success_ratio(MatchPrediction(grd[perm], sat[perm]), gt)
         assert a == b
+
+    @pytest.mark.parametrize("shape", [(32, 64), (32, 64, 3), (64, 2)], ids=["HxW", "HxWx3", "Kx2"])
+    def test_target_map_of_another_shape_rejected(self, shape):
+        pred = MatchPrediction(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"target map has shape .*expected \(H, W, 2\)"):
+            matching_success_ratio(pred, np.zeros(shape))
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):

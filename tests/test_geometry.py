@@ -207,6 +207,19 @@ class TestAerialMeta:
             AerialMeta(gsd_m_per_px=gsd)
 
 
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (BevGridSpec, {"n_points_per_side": 9.0, "extent_m": 16.0}, "n_points_per_side"),
+    (HeightLayerSpec, {"num_layers": 11.0}, "num_layers"),
+    (CameraIntrinsics, {"panorama_width": 1024.0, "panorama_height": 512}, "panorama_width"),
+    (CameraIntrinsics, {"panorama_width": 1024, "panorama_height": 512.0}, "panorama_height"),
+    (AerialMeta, {"gsd_m_per_px": 0.12, "image_size_px": 640.0}, "image_size_px"),
+], ids=["grid", "layers", "pano-width", "pano-height", "image-size"])
+def test_spec_count_of_another_kind_rejected(cls, kwargs, key):
+    # a float count would build and fail later in the generator or the scene reader
+    with pytest.raises(ValueError, match=f"^{key}: expected an integer, got {kwargs[key]!r}$"):
+        cls(**kwargs)
+
+
 class TestPanoramaProjection:
     def test_point_straight_ahead_at_camera_height(self):
         u, v = project_point_to_panorama(INTR, 10.0, 0.0, INTR.camera_height_m)

@@ -7,8 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
-from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics, Pose3DoF,
-                                SceneSpec, ground_cell_to_aerial_cell)
+from crossview.geometry import (AerialMeta, BevGridSpec, CameraIntrinsics, HeightLayerSpec,
+                                Pose3DoF, SceneSpec, ground_cell_to_aerial_cell)
 from crossview.pipeline import PipelineConfig, run_localization
 from crossview.refiner import initial_similarity
 from crossview.solver import pose_error
@@ -253,6 +253,15 @@ class TestSceneIo:
                               bundle.inputs.volume.data.astype(np.float32))
         assert np.array_equal(back.inputs.f_sat.data,
                               bundle.inputs.f_sat.data.astype(np.float32))
+
+    def test_numpy_integer_counts_round_trip(self, tmp_path, small_specs):
+        specs = SceneSpec(grid=BevGridSpec(np.int64(9), 16.0), layers=HeightLayerSpec(np.int32(11)),
+                          intrinsics=CameraIntrinsics(np.int64(256), np.int64(128)),
+                          aerial=AerialMeta(0.12, np.int64(400)))
+        save_scene_dir(tmp_path / "scene", make_scene_bundle(specs, seed=8))
+        back = load_scene_dir(tmp_path / "scene")
+        assert back.specs == small_specs
+        assert type(back.specs.grid.n_points_per_side) is int
 
     @staticmethod
     def assert_same_scene(a, b):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossview.evaluation import GroundTruthProjection, MatchPrediction
+from crossview.evaluation import MatchPrediction, load_gt_projection, save_gt_projection
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
@@ -195,7 +195,7 @@ def _write_params_dir(directory):
 def _write_gt_dir(directory):
     valid = np.eye(4, 6, dtype=bool)
     sat = np.where(valid[..., None], np.arange(48.0).reshape(4, 6, 2), np.nan)
-    GroundTruthProjection(sat, valid).save(directory)
+    save_gt_projection(directory, sat)
 
 
 @pytest.mark.parametrize("write,keys", [
@@ -218,7 +218,7 @@ def test_manifest_layout_is_pinned(tmp_path, write, keys):
 @pytest.mark.parametrize("write,read,dropped", [
     (_write_scene_dir, load_scene_dir, "volume"),
     (_write_params_dir, RefinerParams.load, "dustbin_row"),
-    (_write_gt_dir, GroundTruthProjection.load, "gt_valid"),
+    (_write_gt_dir, load_gt_projection, "gt_valid"),
 ], ids=["scene", "refiner-params", "gt-projection"])
 def test_reader_names_a_tensor_the_manifest_does_not_list(tmp_path, write, read, dropped):
     directory = tmp_path / "d"
