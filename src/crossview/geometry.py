@@ -263,17 +263,18 @@ class SceneSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": int(self.grid.n_points_per_side),   # a count may be an np.integer
-            "extent_m": self.grid.extent_m,
+            # a count may be an np.integer and a float an np.float32: json writes neither
+            "n": int(self.grid.n_points_per_side),
+            "extent_m": float(self.grid.extent_m),
             "m_layers": int(self.layers.num_layers),
-            "z_min": self.layers.z_min_m,
-            "z_max": self.layers.z_max_m,
-            "gsd": self.aerial.gsd_m_per_px,
+            "z_min": float(self.layers.z_min_m),
+            "z_max": float(self.layers.z_max_m),
+            "gsd": float(self.aerial.gsd_m_per_px),
             "image_size": int(self.aerial.image_size_px),
             "pano_w": int(self.intrinsics.panorama_width),
             "pano_h": int(self.intrinsics.panorama_height),
-            "camera_height": self.intrinsics.camera_height_m,
-            "azimuth_offset": self.intrinsics.azimuth_offset_rad,
+            "camera_height": float(self.intrinsics.camera_height_m),
+            "azimuth_offset": float(self.intrinsics.azimuth_offset_rad),
         }
 
     @classmethod

@@ -10,7 +10,7 @@ product of its row-wise and column-wise softmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,15 +33,23 @@ _STACKS = (
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
 _ARGMAX_BLOCK = 128   # rows per block of the column argmax
-_IM2COL_CHUNK = 16384   # output positions per im2col GEMM of a one-channel conv layer
+_IM2COL_CHUNK = 4096   # output positions per im2col GEMM of a one-channel conv layer (L2-sized)
 _TAP_ROWS = 8   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
 
 
 @dataclass
 class SimilarityMatrix:
-    """N^2 x N^2 patch similarities; row i holds ground patch i against all aerial patches."""
+    """N^2 x N^2 patch similarities; row i holds ground patch i against all aerial patches.
+
+    A bare matrix has its entries scanned for NaN and inf. ``from_factors``
+    (``initial_similarity``'s constructor) also keeps the (N^2, C) feature
+    factors ``(ground / tau, aerial)``, which the refiner's affine stacks
+    multiply through; a matrix without them, such as ``refine``'s result,
+    cannot be refined.
+    """
 
     s: np.ndarray
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # C order, so reductions over it (and the losses) depend on the values alone
@@ -51,9 +59,47 @@ class SimilarityMatrix:
         if not np.all(np.isfinite(self.s)):
             raise ValueError("similarity matrix contains non-finite entries")
 
+    @classmethod
+    def from_factors(cls, ground, aerial, tau: float) -> "SimilarityMatrix":
+        """``s = ground @ aerial.T``, then ``s /= tau``, keeping ``(ground / tau, aerial)``.
+
+        ``ground`` and ``aerial`` are (N^2, C). An entry of the product, and
+        each of its partial sums, is at most its two rows' norms in size. So
+        finite factors and a finite bound (the largest ground and aerial row
+        norms times ``(1 + 1e-12) * max(1, 1 / tau)``, the 1e-12 covering the
+        rounding of C-term sums for C up to a few thousand) prove ``s`` finite
+        without a scan of its N^4 entries. A non-finite factor or bound, or a
+        ``tau`` that ``check_temperature`` rejects, is a ``ValueError`` naming which.
+        """
+        check_temperature(tau)
+        ground = np.asarray(ground, dtype=float)
+        aerial = np.asarray(aerial, dtype=float)
+        if ground.ndim != 2 or ground.shape != aerial.shape:
+            raise ValueError("similarity factors must be two (N^2, C) arrays of one shape")
+        with np.errstate(over="ignore"):   # an overflow is rejected below
+            scaled = ground / tau
+            for name, f in (("ground", scaled), ("aerial", aerial)):
+                if not np.all(np.isfinite(f)):
+                    raise ValueError(f"similarity factor {name} contains non-finite entries")
+            bound = (_max_row_norm(ground) * _max_row_norm(aerial) * (1 + 1e-12)
+                     * max(1.0, 1.0 / tau))
+        if not math.isfinite(bound):
+            raise ValueError("similarity factor norm bound overflows: entries may not be finite")
+        s = ground @ aerial.T
+        s /= tau
+        sim = cls.__new__(cls)
+        sim.s, sim.factors = s, (scaled, aerial)
+        return sim
+
     @property
     def num_patches(self) -> int:
         return self.s.shape[0]
+
+
+def _max_row_norm(f: np.ndarray) -> float:
+    """Largest row norm of the finite ``f``; scaling by its largest entry keeps squares finite."""
+    top = np.abs(f).max(initial=0.0)
+    return float(top * np.linalg.norm(f / top, axis=1).max()) if top > 0 else 0.0
 
 
 def _as_f32(a) -> np.ndarray:
@@ -189,14 +235,13 @@ def check_temperature(tau: float) -> None:
 
 def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
                        tau: float) -> SimilarityMatrix:
-    """Scaled cosine similarity between flattened ground and aerial patches.
+    """Scaled cosine similarity between flattened ground and aerial patches, with its factors.
 
     Maps of different shapes, a feature row whose norm is zero or overflows,
     or a ``tau`` that ``check_temperature`` rejects, is a ``ValueError``.
     """
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
-    check_temperature(tau)
     n2 = f_grd.data.shape[0] * f_grd.data.shape[1]
     fg = f_grd.data.reshape(n2, -1)
     fs = f_sat.data.reshape(n2, -1)
@@ -207,9 +252,7 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
     if not (np.all(np.isfinite(ng)) and np.all(np.isfinite(ns))):
         raise ValueError("feature row norm overflows: a row cannot be cosine-normalized")
-    s = (fg / ng[:, None]) @ (fs / ns[:, None]).T
-    s /= tau
-    return SimilarityMatrix(s)
+    return SimilarityMatrix.from_factors(fg / ng[:, None], fs / ns[:, None], tau)
 
 
 class _ConvLayer:
@@ -233,15 +276,22 @@ class _ConvLayer:
     input rows, and each tap's rows are added into the outputs at minus
     its offset; tap offset 0 is the first to reach each output, so it
     writes part + bias instead of adding.
+
+    With ``relu`` set, each chunk applies the ReLU to the outputs it has
+    just completed while they are still in cache: an im2col chunk to its
+    own outputs, an input-row chunk to those before its end minus the last
+    tap offset 2 * (W + 2) + 2. A chunk of ``_IM2COL_CHUNK`` positions keeps
+    the (27 + out_c, chunk) buffers within a 2 MB L2 for out_c up to 8.
     """
 
-    def __init__(self, kernel: np.ndarray, bias: np.ndarray, h: int, w: int):
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray, h: int, w: int, relu: bool):
         out_c, in_c = kernel.shape[:2]
         self.wp = w + 2
         self.size = (h + 2) * self.wp
         self.span = (h - 1) * self.wp + w   # padded-width outputs from (0, 0) to (h-1, w-1)
         self.ring = np.zeros((3, in_c, h + 2, self.wp))
         self.base = 0
+        self.relu = relu
         self.bias = np.asarray(bias, dtype=float)[:, None]
         # axes (dy, dx, out_c, dz, in_c); phase b reads logical dz from physical slot (b + dz) % 3
         taps = np.asarray(kernel, dtype=float).transpose(3, 4, 0, 2, 1)
@@ -282,10 +332,13 @@ class _ConvLayer:
             out = dst[:, p0:p0 + m]
             np.matmul(weights, self.cols.reshape(-1, chunk)[:, :m], out=out)
             out += self.bias
+            if self.relu:
+                np.maximum(out, 0.0, out=out)
 
     def _stacked_taps(self, slab, weights, dst):
         size, span, step = self.size, self.span, self.rows_step
         stacked = self.stacked
+        done = 0   # outputs before it have all nine taps (and the ReLU)
         for q0 in range(0, size, step):
             q1 = min(q0 + step, size)
             np.matmul(weights, slab[:, q0:q1], out=stacked.reshape(len(weights), -1)[:, :q1 - q0])
@@ -299,6 +352,12 @@ class _ConvLayer:
                     np.add(src, self.bias, out=dst[:, p0:p1])
                 else:
                     dst[:, p0:p1] += src
+            if self.relu:
+                # the last tap offset reaches size - span, so the final chunk completes all
+                end = min(q1 - self.offsets[-1], span)
+                if end > done:
+                    np.maximum(dst[:, done:end], 0.0, out=dst[:, done:end])
+                    done = end
 
 
 def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
@@ -308,12 +367,14 @@ def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
     at step t layer i takes in its input slice t - i and emits its output
     slice t - i - 1, written straight into the next layer's incoming ring
     slot at flat offset W + 3, so that output (y, x) lands on the slot's
-    interior cell (y + 1, x + 1). The garbage past each row's end falls on
+    interior cell (y + 1, x + 1). Every layer but the last applies its ReLU
+    chunk by chunk as it writes. The garbage past each row's end falls on
     the slot's left and right pad columns, which are zeroed again. Only
     the last layer goes through a one-slice buffer into ``out``.
     """
     d, _, h, w = x.shape
-    layers = [_ConvLayer(k, b, h, w) for k, b in zip(kernels, biases)]
+    layers = [_ConvLayer(k, b, h, w, relu=i + 1 < len(kernels))
+              for i, (k, b) in enumerate(zip(kernels, biases))]
     wp, span = w + 2, layers[0].span
     last = np.empty((out.shape[1], h * wp))
     for t in range(d + len(layers)):
@@ -333,7 +394,6 @@ def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
             elif i + 1 < len(layers):
                 nxt = layers[i + 1].incoming
                 layer.advance(nxt.reshape(len(nxt), -1)[:, wp + 1:wp + 1 + span])
-                np.maximum(nxt, 0.0, out=nxt)
                 nxt[:, 1:-1, ::wp - 1] = 0.0
             else:
                 layer.advance(last[:, :span])
@@ -376,12 +436,23 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     return out
 
 
-def _affine_stack(x: np.ndarray, weights, biases) -> np.ndarray:
-    out = x
+def _affine_stack(s: SimilarityMatrix, weights, biases) -> np.ndarray:
+    """ReLU-separated affine layers over the rows of ``s``, the first one through its factors.
+
+    For h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and
+    ``ground @ (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without
+    factors is rejected rather than multiplied densely.
+    """
+    if s.factors is None:
+        raise ValueError("the refiner needs the feature factors of a similarity from "
+                         "initial_similarity (or SimilarityMatrix.from_factors)")
+    ground, aerial = s.factors
+    out = None
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
+        w = w.astype(float)
         # the bias is added to the fresh product: no second full-size array
-        out = out @ w.astype(float)
+        out = ground @ (aerial.T @ w) if out is None else out @ w
         out += b.astype(float)
         if i < last:
             np.maximum(out, 0.0, out=out)
@@ -389,20 +460,35 @@ def _affine_stack(x: np.ndarray, weights, biases) -> np.ndarray:
 
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Residual from the per-row affine stack, applied independently to every row."""
+    """Residual from the per-row affine stack, applied independently to every row.
+
+    ``s`` must carry its factors (``initial_similarity``'s output): the first
+    layer is ``ground @ (aerial.T @ W0)``, 2 * N^2 * C * h multiply-adds for
+    a hidden width h instead of the N^4 * h of ``s.s @ W0``; a matrix without
+    factors is a ``ValueError``.
+    """
     _require_patch_count(s, params)
-    return _affine_stack(s.s, params.global_weights, params.global_biases)
+    return _affine_stack(s, params.global_weights, params.global_biases)
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Per-ground-patch gate in [0, 1], computed from each row of the matrix."""
+    """Per-ground-patch gate in [0, 1], computed from each row of the matrix.
+
+    Like ``global_residual``, it multiplies through the factors of ``s`` and
+    rejects a matrix without them with a ``ValueError``.
+    """
     _require_patch_count(s, params)
-    logits = _affine_stack(s.s, params.gate_weights, params.gate_biases)[:, 0]
+    logits = _affine_stack(s, params.gate_weights, params.gate_biases)[:, 0]
     return 1.0 / (1.0 + np.exp(-logits))
 
 
 def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
-    """Gated residual correction: S + alpha * (local + global), alpha broadcast per row."""
+    """Gated residual correction: S + alpha * (local + global), alpha broadcast per row.
+
+    ``s`` must be ``initial_similarity``'s output: a matrix without factors
+    is a ``ValueError`` before any branch runs. The result is a bare matrix,
+    scanned for overflow, and is not refined again.
+    """
     alpha = gate_values(s, params)
     # accumulate in place: each step would otherwise be a fresh N^2 x N^2 array
     delta = local_residual(s, params)
@@ -472,12 +558,14 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> np
     """Dustbin-augmented row- x column-softmax of ``s``; ``params=None`` uses zero bins.
 
     Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
-    entries were checked finite when ``s`` and ``params`` were built.
+    entries were proven finite when ``s`` and ``params`` were built.
     ``s`` is spent: the result is normalized in ``s.s``'s storage, also an
     array that ``SimilarityMatrix`` wrapped without a copy, and only vectors
     are allocated. So an un-refined solve holds one N^2 x N^2 matrix (22.6 MB
-    at n=41); ``tests/test_refiner.py`` pins both.
+    at n=41); ``tests/test_refiner.py`` pins both. The spent ``s`` drops its
+    factors, which no longer describe it, so it cannot be refined.
     """
+    s.factors = None
     if params is None:
         zeros = np.zeros(s.num_patches)
         return _normalize(s.s, zeros, zeros, 0.0)

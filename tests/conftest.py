@@ -11,7 +11,7 @@ import pytest
 
 from crossview.geometry import (TWO_PI, AerialMeta, BevGridSpec, CameraIntrinsics,
                                 HeightLayerSpec, Pose3DoF, SceneSpec)
-from crossview.refiner import _conv_stack
+from crossview.refiner import SimilarityMatrix, _conv_stack
 from crossview.synthetic import (SceneBundle, SyntheticScene, _resample_to_aerial,
                                  generate_scene, load_scene_dir)
 from crossview.tensorio import MANIFEST, json_text, save_tensor
@@ -80,6 +80,16 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out = np.empty((kernel.shape[0], d, h, w))
     _conv_stack(x.transpose(1, 0, 2, 3), [kernel], [bias], out.transpose(1, 0, 2, 3))
     return out
+
+
+def factored(m) -> SimilarityMatrix:
+    """The hand-made matrix ``m`` as a similarity with factors, which the refiner needs.
+
+    The factorization is the trivial ``m @ I.T`` at tau 1: it reproduces
+    ``m``, and ``m @ (I.T @ W)`` reproduces ``m @ W``, bit for bit.
+    """
+    m = np.asarray(m, dtype=float)
+    return SimilarityMatrix.from_factors(m, np.eye(len(m)), 1.0)
 
 
 def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:

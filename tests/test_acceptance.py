@@ -21,7 +21,7 @@ from crossview.solver import (CorrespondenceSet, pose_error,
 from crossview.surface import normalize_confidence, surface_from_accumulation
 from crossview.synthetic import make_scene_bundle
 
-from conftest import col_softmax, identity_pose, python_subprocess, row_softmax
+from conftest import col_softmax, factored, identity_pose, python_subprocess, row_softmax
 from test_refiner import conv3d_naive
 
 CELL_M = 71.0 / 40.0  # default grid spacing
@@ -159,7 +159,7 @@ def test_refiner_branch_oracles():
     worst_global = 0.0
     for instance in range(8):
         params = RefinerParams.random(n2, seed=100 + instance)
-        s = SimilarityMatrix(rng.normal(0, 2, (n2, n2)))
+        s = factored(rng.normal(0, 2, (n2, n2)))
 
         got = local_residual(s, params)
         x = s.s.reshape(n, n, n2)[None]
@@ -186,7 +186,7 @@ def test_refiner_branch_oracles():
                      np.full_like(params.gate_biases[1], -100.0)),
         dustbin_row=params.dustbin_row, dustbin_col=params.dustbin_col,
         dustbin_theta=params.dustbin_theta)
-    s = SimilarityMatrix(rng.normal(0, 2, (n2, n2)))
+    s = factored(rng.normal(0, 2, (n2, n2)))
     identity_exact = np.array_equal(refine(s, closed).s, s.s)
 
     ok = worst_local < 1e-5 and worst_global < 1e-5 and identity_exact

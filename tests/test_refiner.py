@@ -25,7 +25,7 @@ from crossview.surface import BevFeatureMap
 from crossview.synthetic import make_scene_bundle
 from crossview.tensorio import save_tensor
 
-from conftest import col_softmax, conv3d, row_softmax
+from conftest import col_softmax, conv3d, factored, row_softmax
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -121,6 +121,123 @@ class TestInitialSimilarity:
         with pytest.raises(ValueError, match="feature row norm overflows"):
             run_localization(inputs.volume, inputs.conf_logits,
                              BevFeatureMap(f_sat), small_specs)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.07, 1.0])
+    def test_entries_are_the_scaled_cosine_product_bit_for_bit(self, tau):
+        # the arithmetic of un-refined solves, which localize-n41 and the README pin
+        rng = np.random.default_rng(3)
+        fg = rng.standard_normal((81, 16))
+        fs = rng.standard_normal((81, 16))
+        s = initial_similarity(BevFeatureMap(fg.reshape(9, 9, 16)),
+                               BevFeatureMap(fs.reshape(9, 9, 16)), tau)
+        ng = np.linalg.norm(fg, axis=1)[:, None]
+        ns = np.linalg.norm(fs, axis=1)[:, None]
+        assert np.array_equal(s.s, ((fg / ng) @ (fs / ns).T) / tau)
+        ground, aerial = s.factors
+        assert np.array_equal(ground, (fg / ng) / tau)
+        assert np.array_equal(aerial, fs / ns)
+
+
+class TestSimilarityFactors:
+    @pytest.mark.parametrize("n2", [9, 16, 81])
+    def test_trivial_factors_reproduce_the_matrix_and_its_products(self, n2):
+        # the conftest helper that lets tests refine a hand-made matrix
+        rng = np.random.default_rng(n2)
+        m = rng.normal(0, 2, (n2, n2))
+        w = rng.standard_normal((n2, 64))
+        sim = factored(m)
+        ground, aerial = sim.factors
+        assert np.array_equal(sim.s, m)
+        assert np.array_equal(ground @ (aerial.T @ w), m @ w)
+
+    @pytest.mark.parametrize("side", ["ground", "aerial"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, side, value):
+        plain = np.ones((4, 3))
+        bad = plain.copy()
+        bad[2, 1] = value
+        ground, aerial = (bad, plain) if side == "ground" else (plain, bad)
+        with pytest.raises(ValueError, match=f"similarity factor {side} contains non-finite"):
+            SimilarityMatrix.from_factors(ground, aerial, 0.1)
+
+    def test_ground_factor_overflowing_by_tau_rejected(self):
+        with pytest.raises(ValueError, match="similarity factor ground contains non-finite"):
+            SimilarityMatrix.from_factors(np.full((4, 3), 1e300), np.full((4, 3), 1e-300), 1e-10)
+
+    @pytest.mark.parametrize("tau", [0.1, 10.0], ids=["tau-below-1", "tau-above-1"])
+    def test_overflowing_norm_bound_rejected(self, tau):
+        # finite factors: with tau < 1 their finite product overflows when divided
+        # by tau, with tau > 1 the product overflows before the division would
+        # bring it back in range
+        big = np.full((4, 3), 5e153 if tau < 1 else 2e154)
+        with pytest.raises(ValueError, match="similarity factor norm bound overflows"):
+            SimilarityMatrix.from_factors(big, big, tau)
+
+    def test_largest_accepted_factors_give_a_finite_matrix(self):
+        # rows of norm just under sqrt(max float): every entry of s is near the largest float
+        x = math.sqrt(np.finfo(float).max) / 2 * (1 - 1e-11)
+        f = np.full((4, 4), x)
+        sim = SimilarityMatrix.from_factors(f, f, 1.0)
+        assert np.all(np.isfinite(sim.s))
+        assert sim.s.max() > np.finfo(float).max / 2
+
+    def test_factors_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"two \(N\^2, C\) arrays of one shape"):
+            SimilarityMatrix.from_factors(np.ones((4, 3)), np.ones((4, 2)), 0.1)
+
+
+def dense_affine_stack(m, weights, biases):
+    """The affine stack over the rows of the dense matrix ``m``, first layer ``m @ W0``."""
+    out = m
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out = out @ w.astype(float) + b.astype(float)
+        if i < len(weights) - 1:
+            out = np.maximum(out, 0.0)
+    return out
+
+
+def assert_factored_stages_match_dense(sim, params):
+    """gate_values and global_residual through the factors against ``s @ W`` to 1e-12 relative."""
+    glob = global_residual(sim, params)
+    dense = dense_affine_stack(sim.s, params.global_weights, params.global_biases)
+    assert np.abs(glob - dense).max() <= 1e-12 * np.abs(dense).max()
+    gate = gate_values(sim, params)
+    logits = dense_affine_stack(sim.s, params.gate_weights, params.gate_biases)[:, 0]
+    dense = 1.0 / (1.0 + np.exp(-logits))
+    assert np.abs(gate - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestFactoredStages:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_dense_products_on_random_features(self, seed):
+        rng = np.random.default_rng(seed)
+        sim = initial_similarity(BevFeatureMap(rng.standard_normal((9, 9, 16))),
+                                 BevFeatureMap(rng.standard_normal((9, 9, 16))), 0.1)
+        assert_factored_stages_match_dense(sim, RefinerParams.random(81, scale=0.1, seed=seed))
+
+    @pytest.mark.parametrize("stage", [gate_values, global_residual, refine],
+                             ids=lambda f: f.__name__)
+    def test_bare_matrix_rejected(self, stage):
+        rng = np.random.default_rng(4)
+        bare = SimilarityMatrix(rng.normal(size=(16, 16)))
+        with pytest.raises(ValueError, match="initial_similarity"):
+            stage(bare, RefinerParams.random(16, seed=5))
+
+    def test_spent_matrix_cannot_be_refined(self):
+        rng = np.random.default_rng(8)
+        sim = initial_similarity(BevFeatureMap(rng.standard_normal((4, 4, 3))),
+                                 BevFeatureMap(rng.standard_normal((4, 4, 3))), 0.1)
+        match_probabilities(sim, None)
+        with pytest.raises(ValueError, match="initial_similarity"):
+            refine(sim, RefinerParams.random(16, seed=9))
+
+    def test_refined_matrix_is_bare_and_not_refined_again(self):
+        rng = np.random.default_rng(6)
+        params = RefinerParams.random(16, seed=7)
+        refined = refine(factored(rng.normal(size=(16, 16))), params)
+        assert refined.factors is None
+        with pytest.raises(ValueError, match="initial_similarity"):
+            refine(refined, params)
 
 
 def conv3d_naive(x, kernel, bias):
@@ -236,6 +353,19 @@ def test_streamed_stack_equals_layer_by_layer_conv3d(n, channels):
     assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
 
 
+@pytest.mark.parametrize("chunk,rows", [(7, 3), (5, 1)], ids=str)
+def test_relu_per_chunk_matches_whole_cube_relu(monkeypatch, chunk, rows):
+    # n=3: spans of 31 positions end on a partial im2col chunk, and a 1-row input
+    # chunk (11 positions) is shorter than the last tap offset (24), so it completes
+    # no output; the ReLU of every layer but the last must still cover each output once
+    monkeypatch.setattr(refiner, "_IM2COL_CHUNK", chunk)
+    monkeypatch.setattr(refiner, "_TAP_ROWS", rows)
+    rng = np.random.default_rng(50)
+    params = with_conv_chain(RefinerParams.random(9, seed=51), (1, 3, 2, 1), seed=52)
+    s = SimilarityMatrix(rng.normal(size=(9, 9)))
+    assert np.allclose(local_residual(s, params), local_residual_naive(s, params), atol=1e-10)
+
+
 class TestConv3dShapes:
     """Against the naive oracle on shapes that exercise the padded-width span arithmetic."""
 
@@ -330,6 +460,10 @@ class TestPaperSizeRefiner:
             tracemalloc.stop()
         assert peak_mb < 80.0
 
+    def test_factored_stages_match_dense_products(self, monkeypatch):
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        assert_factored_stages_match_dense(sim, params)
+
     def test_global_residual_peak_memory(self, monkeypatch):
         # the last affine layer's 1681 x 1681 product is 22.6 MB; adding the bias
         # out of place made a second one, a 48.7 MB peak
@@ -381,7 +515,7 @@ class TestGlobalResidual:
         n2 = 9
         params = _with_global(RefinerParams.random(n2, seed=10),
                               weights=None, zero_bias=True)
-        out = global_residual(SimilarityMatrix(np.zeros((n2, n2))), params)
+        out = global_residual(factored(np.zeros((n2, n2))), params)
         assert np.array_equal(out, np.zeros((n2, n2)))
 
     def test_row_permutation_equivariance(self):
@@ -390,8 +524,8 @@ class TestGlobalResidual:
         params = RefinerParams.random(n2, seed=12)
         s = rng.normal(size=(n2, n2))
         perm = rng.permutation(n2)
-        out = global_residual(SimilarityMatrix(s), params)
-        out_perm = global_residual(SimilarityMatrix(s[perm]), params)
+        out = global_residual(factored(s), params)
+        out_perm = global_residual(factored(s[perm]), params)
         assert np.allclose(out_perm, out[perm], atol=1e-12)
 
     def test_matches_direct_affine_oracle(self):
@@ -399,7 +533,7 @@ class TestGlobalResidual:
         n2 = 16
         params = RefinerParams.random(n2, seed=14)
         s = rng.normal(size=(n2, n2))
-        out = global_residual(SimilarityMatrix(s), params)
+        out = global_residual(factored(s), params)
         w1, w2 = (w.astype(float) for w in params.global_weights)
         b1, b2 = (b.astype(float) for b in params.global_biases)
         oracle = np.empty_like(s)
@@ -453,21 +587,21 @@ class TestRefine:
     def test_closed_gate_is_exact_identity(self):
         rng = np.random.default_rng(15)
         params = _with_gate_bias(RefinerParams.random(16, seed=16), -100.0)
-        s = SimilarityMatrix(rng.normal(size=(16, 16)))
+        s = factored(rng.normal(size=(16, 16)))
         refined = refine(s, params)
         assert np.array_equal(refined.s, s.s)
 
     def test_open_gate_adds_local_residual(self):
         rng = np.random.default_rng(17)
         params = _zero_global(_with_gate_bias(RefinerParams.random(16, seed=18), 100.0))
-        s = SimilarityMatrix(rng.normal(size=(16, 16)))
+        s = factored(rng.normal(size=(16, 16)))
         refined = refine(s, params)
         assert np.allclose(refined.s, s.s + local_residual(s, params), atol=1e-12)
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(19)
         params = RefinerParams.random(16, seed=20)
-        s = SimilarityMatrix(rng.normal(size=(16, 16)))
+        s = factored(rng.normal(size=(16, 16)))
         refined = refine(s, params)
         alpha = gate_values(s, params)
         oracle = s.s + alpha[:, None] * (local_residual(s, params)
@@ -477,7 +611,7 @@ class TestRefine:
     def test_overflow_from_finite_inputs_is_caught(self):
         # finite similarity and parameters whose residual overflows: only the
         # finiteness scan of the refined SimilarityMatrix stops the inf
-        s = SimilarityMatrix(np.full((16, 16), 1e306))
+        s = factored(np.full((16, 16), 1e306))
         params = RefinerParams.random(16, seed=0, scale=1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="similarity matrix contains non-finite entries"):
@@ -486,7 +620,7 @@ class TestRefine:
     def test_gate_values_lie_in_unit_interval(self):
         rng = np.random.default_rng(21)
         params = RefinerParams.random(16, seed=22)
-        alpha = gate_values(SimilarityMatrix(rng.normal(size=(16, 16))), params)
+        alpha = gate_values(factored(rng.normal(size=(16, 16))), params)
         assert np.all((alpha >= 0) & (alpha <= 1))
 
 
@@ -848,7 +982,7 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(32)
         n2 = 16
         base = _zero_local(RefinerParams.random(n2, seed=33))
-        s = SimilarityMatrix(rng.normal(size=(n2, n2)))
+        s = factored(rng.normal(size=(n2, n2)))
         perm = rng.permutation(n2)
 
         w1, w2 = base.global_weights
@@ -861,7 +995,7 @@ class TestPermutationEquivariance:
             dustbin_row=base.dustbin_row[perm], dustbin_col=base.dustbin_col,
             dustbin_theta=base.dustbin_theta)
 
-        s_perm = SimilarityMatrix(s.s[:, perm])
+        s_perm = factored(s.s[:, perm])
         refined = refine(s, base)
         refined_perm = refine(s_perm, transported)
         assert np.allclose(refined_perm.s, refined.s[:, perm], atol=1e-9)

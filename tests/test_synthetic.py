@@ -263,6 +263,17 @@ class TestSceneIo:
         assert back.specs == small_specs
         assert type(back.specs.grid.n_points_per_side) is int
 
+    def test_numpy_float32_fields_round_trip(self, tmp_path):
+        f32 = np.float32
+        specs = SceneSpec(grid=BevGridSpec(9, f32(16.0)),
+                          layers=HeightLayerSpec(11, f32(-10.0), f32(10.0)),
+                          intrinsics=CameraIntrinsics(256, 128, f32(2.3), f32(0.25)),
+                          aerial=AerialMeta(f32(0.12), 400))
+        save_scene_dir(tmp_path / "scene", make_scene_bundle(specs, seed=8))
+        back = load_scene_dir(tmp_path / "scene")
+        assert back.specs == specs
+        assert type(back.specs.aerial.gsd_m_per_px) is float
+
     @staticmethod
     def assert_same_scene(a, b):
         assert type(b.scene) is SceneTruth
