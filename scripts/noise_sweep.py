@@ -45,12 +45,18 @@ def main():
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    try:
+        specs = SceneSpec(
+            grid=BevGridSpec(n_points_per_side=args.n, extent_m=args.extent),
+            intrinsics=CameraIntrinsics(512, 256),
+            aerial=AerialMeta(image_size_px=512),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    # the synthetic harness's rule, checked here so the error comes before the header
+    if args.n % 2 == 0:
+        parser.error(f"--n must be odd so the camera sits on a grid point, got {args.n}")
 
-    specs = SceneSpec(
-        grid=BevGridSpec(n_points_per_side=args.n, extent_m=args.extent),
-        intrinsics=CameraIntrinsics(512, 256),
-        aerial=AerialMeta(image_size_px=512),
-    )
     print(f"{'sigma':>6} {'median_m':>10} {'mean_m':>10} {'p90_m':>10} {'median_deg':>11}")
     for sigma in args.sigmas:
         errors = []

@@ -43,9 +43,9 @@ class SimilarityMatrix:
 
     A bare matrix has its entries scanned for NaN and inf. ``from_factors``
     (``initial_similarity``'s constructor) also keeps the (N^2, C) feature
-    factors ``(ground / tau, aerial)``, which the refiner's affine stacks
-    multiply through; a matrix without them, such as ``refine``'s result,
-    cannot be refined.
+    factors ``(ground / tau, aerial)``, which ``_affine_stack`` multiplies
+    through. Only such a matrix can be refined: not a bare one, not
+    ``refine``'s result, and not one that ``match_probabilities`` has spent.
     """
 
     s: np.ndarray
@@ -441,7 +441,7 @@ def _affine_stack(s: SimilarityMatrix, weights, biases) -> np.ndarray:
 
     For h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and
     ``ground @ (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without
-    factors is rejected rather than multiplied densely.
+    factors is a ``ValueError`` rather than multiplied densely.
     """
     if s.factors is None:
         raise ValueError("the refiner needs the feature factors of a similarity from "
@@ -460,23 +460,15 @@ def _affine_stack(s: SimilarityMatrix, weights, biases) -> np.ndarray:
 
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Residual from the per-row affine stack, applied independently to every row.
-
-    ``s`` must carry its factors (``initial_similarity``'s output): the first
-    layer is ``ground @ (aerial.T @ W0)``, 2 * N^2 * C * h multiply-adds for
-    a hidden width h instead of the N^4 * h of ``s.s @ W0``; a matrix without
-    factors is a ``ValueError``.
-    """
+    """Residual from the per-row affine stack, applied independently to every row
+    through the factors of ``s`` (see ``_affine_stack``)."""
     _require_patch_count(s, params)
     return _affine_stack(s, params.global_weights, params.global_biases)
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Per-ground-patch gate in [0, 1], computed from each row of the matrix.
-
-    Like ``global_residual``, it multiplies through the factors of ``s`` and
-    rejects a matrix without them with a ``ValueError``.
-    """
+    """Per-ground-patch gate in [0, 1], computed from each row of the matrix through the
+    factors of ``s`` (see ``_affine_stack``)."""
     _require_patch_count(s, params)
     logits = _affine_stack(s, params.gate_weights, params.gate_biases)[:, 0]
     return 1.0 / (1.0 + np.exp(-logits))
@@ -485,9 +477,9 @@ def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
 def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     """Gated residual correction: S + alpha * (local + global), alpha broadcast per row.
 
-    ``s`` must be ``initial_similarity``'s output: a matrix without factors
-    is a ``ValueError`` before any branch runs. The result is a bare matrix,
-    scanned for overflow, and is not refined again.
+    The gate runs first, so a matrix without factors (see ``SimilarityMatrix``)
+    is rejected before any branch runs. The result is a bare matrix, scanned
+    for overflow.
     """
     alpha = gate_values(s, params)
     # accumulate in place: each step would otherwise be a fresh N^2 x N^2 array
@@ -498,17 +490,20 @@ def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     return SimilarityMatrix(delta)
 
 
+def _dustbin_bins(s: SimilarityMatrix, params: RefinerParams | None):
+    """The dustbin column, row and corner of ``s`` in float64; ``params=None`` gives zeros."""
+    if params is None:
+        zeros = np.zeros(s.num_patches)
+        return zeros, zeros, 0.0
+    _require_patch_count(s, params)
+    return (params.dustbin_col.astype(float), params.dustbin_row.astype(float),
+            float(params.dustbin_theta))
+
+
 def dustbin_extend(s: SimilarityMatrix, params: RefinerParams | None) -> np.ndarray:
     """Append the dustbin column/row/corner; ``params=None`` uses zero bins."""
-    n2 = s.num_patches
-    out = np.zeros((n2 + 1, n2 + 1))
-    if params is not None:
-        _require_patch_count(s, params)
-        out[:n2, n2] = params.dustbin_col
-        out[n2, :n2] = params.dustbin_row
-        out[n2, n2] = params.dustbin_theta
-    out[:n2, :n2] = s.s
-    return out
+    col, row, corner = _dustbin_bins(s, params)
+    return np.block([[s.s, col[:, None]], [row[None, :], np.full((1, 1), corner)]])
 
 
 # entry ranges below this bound allow the single-exp product path without underflow
@@ -559,19 +554,15 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> np
 
     Equals ``normalize_doubly_stochastic(dustbin_extend(s, params))``. The
     entries were proven finite when ``s`` and ``params`` were built.
-    ``s`` is spent: the result is normalized in ``s.s``'s storage, also an
-    array that ``SimilarityMatrix`` wrapped without a copy, and only vectors
-    are allocated. So an un-refined solve holds one N^2 x N^2 matrix (22.6 MB
-    at n=41); ``tests/test_refiner.py`` pins both. The spent ``s`` drops its
-    factors, which no longer describe it, so it cannot be refined.
+    Once ``params`` is accepted, ``s`` is spent: the result is normalized in
+    ``s.s``'s storage, also an array that ``SimilarityMatrix`` wrapped without
+    a copy, and only vectors are allocated. So an un-refined solve holds one
+    N^2 x N^2 matrix (22.6 MB at n=41); ``tests/test_refiner.py`` pins both.
+    The spent ``s`` drops its factors, which no longer describe it.
     """
+    col, row, corner = _dustbin_bins(s, params)
     s.factors = None
-    if params is None:
-        zeros = np.zeros(s.num_patches)
-        return _normalize(s.s, zeros, zeros, 0.0)
-    _require_patch_count(s, params)
-    return _normalize(s.s, params.dustbin_col.astype(float), params.dustbin_row.astype(float),
-                      float(params.dustbin_theta))
+    return _normalize(s.s, col, row, corner)
 
 
 def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> np.ndarray:

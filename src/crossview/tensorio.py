@@ -47,8 +47,8 @@ def json_number(d: dict, key: str, integer: bool = False, default=None):
     ``default``, a bool.
 
     A bool field takes a bool; an integer field what ``check_integer`` passes; a
-    float field an int or a float, not a bool. Any other kind is a ``ValueError``
-    naming ``key``.
+    float field an int or a float, not a bool, within the float range. Any other
+    kind is a ``ValueError`` naming ``key``.
     """
     v = d[key] if default is None else d.get(key, default)
     if integer:
@@ -57,7 +57,12 @@ def json_number(d: dict, key: str, integer: bool = False, default=None):
     flag = isinstance(default, bool)
     if isinstance(v, bool) != flag or not isinstance(v, (int, float)):
         raise ValueError(f"{key}: expected {'a bool' if flag else 'a number'}, got {v!r}")
-    return v if flag else float(v)
+    if flag:
+        return v
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{key}: integer beyond the float range") from None
 
 
 def read_json(path):

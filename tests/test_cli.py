@@ -782,12 +782,23 @@ class TestMalformedJsonInput:
          "tx_px: expected a number, got True"),
         *((which, '{"tx_px": 1,', "not JSON: Expecting property name")
           for which in ("pred-pose", "generate-spec", "solve-spec", "eval-pose", "loss-config")),
+        # a JSON integer past the float range (about 1.8e308) in a float field
+        ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
+                                      "extent_m": 10**400}),
+         "extent_m: integer beyond the float range"),
+        ("pred-pose", json.dumps({"tx_px": 10**400, "ty_px": 0.0, "yaw_deg": 0.0}),
+         "tx_px: integer beyond the float range"),
+        ("loss-config", json.dumps({"beta1": 10**400}), "beta1: integer beyond the float range"),
+        ("eval-pose", json.dumps({"tx_px": 0.0, "ty_px": 10**400, "yaw_deg": 0.0}),
+         "ty_px: integer beyond the float range"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-pose-list", "config-list", "config-null-field", "pose-tx-not-a-number",
             "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
             "config-unknown-key",
             "spec-n-fractional", "pose-tx-bool", "pose-not-json", "generate-spec-not-json",
-            "solve-spec-not-json", "eval-pose-not-json", "config-not-json"])
+            "solve-spec-not-json", "eval-pose-not-json", "config-not-json",
+            "spec-extent-overflows", "pose-tx-overflows", "config-beta1-overflows",
+            "eval-pose-ty-overflows"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"
@@ -824,8 +835,9 @@ class TestSceneManifestFields:
         ("depth_anchor_m", math.inf, "depth_anchor_m must be finite, got inf"),
         ("depth_scale", math.nan, "depth_scale must be finite and positive, got nan"),
         ("depth_scale", -1.0, "depth_scale must be finite and positive, got -1.0"),
+        ("noise_sigma", 10**400, "noise_sigma: integer beyond the float range"),
     ], ids=["spec-list", "spec-missing", "seed-not-integer", "seed-negative", "noise-nan",
-            "anchor-infinite", "scale-nan", "scale-negative"])
+            "anchor-infinite", "scale-nan", "scale-negative", "noise-overflows"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, key, value, detail):
         scene = tmp_path / "scene"
         shutil.copytree(shared_scene_dir, scene)

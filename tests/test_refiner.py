@@ -478,6 +478,20 @@ class TestPaperSizeRefiner:
         assert peak_mb < 35.0
 
     @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_dustbin_extend_is_the_slice_assigned_extension(self, monkeypatch, with_params):
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        n2 = sim.num_patches
+        ref = np.zeros((n2 + 1, n2 + 1))
+        ref[:n2, :n2] = sim.s
+        if with_params:
+            ref[:n2, n2] = params.dustbin_col
+            ref[n2, :n2] = params.dustbin_row
+            ref[n2, n2] = params.dustbin_theta
+        out = dustbin_extend(sim, params if with_params else None)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
     def test_match_probabilities_peak_memory(self, monkeypatch, with_params):
         # one 1681 x 1681 float64 is 22.6 MB; the normalization runs in the
         # similarity matrix's storage and allocates only vectors (0.1 MB), so
@@ -763,6 +777,17 @@ class TestMatchProbabilities:
         s = SimilarityMatrix(m)
         assert s.s is m   # wrapped without a copy
         assert np.shares_memory(match_probabilities(s, params), m)
+
+    def test_rejected_patch_count_leaves_the_similarity_refinable(self):
+        m = np.random.default_rng(42).normal(0, 2, (9, 9))
+        s = factored(m)
+        before = s.s.copy()
+        with pytest.raises(ValueError, match="^parameters sized for a different patch count$"):
+            match_probabilities(s, RefinerParams.random(16))
+        assert s.s.tobytes() == before.tobytes()
+        assert s.factors is not None
+        params = RefinerParams.random(9, seed=43)
+        assert np.array_equal(refine(s, params).s, refine(factored(m), params).s)
 
     @pytest.mark.parametrize("bin_entry", ["row", "col", "corner"])
     def test_dustbin_entry_alone_selects_fallback(self, bin_entry):

@@ -143,6 +143,19 @@ def test_noise_sweep_rejects_seeds_below_one_before_sweeping(seeds):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (("--n", "8"), "--n must be odd so the camera sits on a grid point, got 8"),
+    (("--n", "9", "--extent", "-1"), "grid extent must be finite and positive, got -1.0"),
+], ids=["even-grid", "negative-extent"])
+def test_noise_sweep_rejects_bad_grid_before_sweeping(flags, detail):
+    proc = python_subprocess(ROOT / "scripts" / "noise_sweep.py", *flags, "--seeds", "1",
+                             cwd=ROOT)
+    assert proc.returncode == 2
+    assert detail in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_noise_sweep_continuous_pose_lands_within_one_cell():
     out = run_python(ROOT / "scripts" / "noise_sweep.py", "--n", "9", "--extent", "16",
                      "--seeds", "2", "--sigmas", "0.0", "--continuous")
