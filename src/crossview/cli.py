@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .evaluation import (DEFAULT_THRESHOLDS_PX, MatchPrediction,
+from .evaluation import (DEFAULT_THRESHOLDS_PX, MatchPrediction, check_thresholds,
                          load_gt_projection, localization_stats,
                          matching_success_ratio)
 from .geometry import BevGridSpec, Pose3DoF, SceneSpec
@@ -126,8 +126,8 @@ def _check_eval_flags(args) -> None:
 
 
 def cmd_eval(args) -> int:
-    """Matching mode: a ``--thresholds`` value that is not a comma-separated list of numbers
-    is a ``ValueError`` naming the flag.
+    """Matching mode: a ``--thresholds`` value that is not a comma-separated list that
+    ``check_thresholds`` accepts is a ``ValueError`` naming the flag, before any file is read.
 
     Localization mode: the repeated ``--pred-pose`` and ``--scene-dir`` pair in order, and
     each pose is scored in meters at its own scene's GSD. Every pose is read before any
@@ -136,13 +136,13 @@ def cmd_eval(args) -> int:
     """
     _check_eval_flags(args)
     if args.mode == "matching":
-        pred = MatchPrediction.from_csv(args.pred_csv)
-        gt = load_gt_projection(args.gt_dir)
         try:
-            thresholds = list(DEFAULT_THRESHOLDS_PX) if args.thresholds is None \
-                else [float(t) for t in args.thresholds.split(",")]
+            thresholds = check_thresholds(DEFAULT_THRESHOLDS_PX if args.thresholds is None
+                                          else args.thresholds.split(","))
         except ValueError as exc:
             raise ValueError(f"--thresholds: {exc}") from None
+        pred = MatchPrediction.from_csv(args.pred_csv)
+        gt = load_gt_projection(args.gt_dir)
         report = matching_success_ratio(pred, gt, thresholds)
     else:
         if len(args.pred_pose) != len(args.scene_dir):

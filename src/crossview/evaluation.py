@@ -146,6 +146,14 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     return sat_xy
 
 
+def check_thresholds(thresholds_px) -> list:
+    """The pixel thresholds as floats; one that is not finite and positive is a ``ValueError``."""
+    thresholds = [float(t) for t in thresholds_px]
+    if not all(math.isfinite(t) and t > 0 for t in thresholds):
+        raise ValueError("thresholds must be finite and positive")
+    return thresholds
+
+
 def matching_success_ratio(pred: MatchPrediction, gt_xy: np.ndarray,
                            thresholds_px=DEFAULT_THRESHOLDS_PX) -> dict:
     """Per-threshold success ratios plus the valid-prediction ratio.
@@ -154,13 +162,11 @@ def matching_success_ratio(pred: MatchPrediction, gt_xy: np.ndarray,
     region is where the target is finite. Every predicted pair counts in the
     denominator; a pair is correct at a threshold only when its ground pixel
     lies in the valid region and the predicted aerial point falls within the
-    threshold of the true target. The thresholds must be finite and positive.
+    threshold of the true target, per ``check_thresholds``.
     """
     if len(pred) == 0:
         raise ValueError("empty prediction set")
-    thresholds = [float(t) for t in thresholds_px]
-    if not all(math.isfinite(t) and t > 0 for t in thresholds):
-        raise ValueError("thresholds must be finite and positive")
+    thresholds = check_thresholds(thresholds_px)
 
     if gt_xy.ndim != 3 or gt_xy.shape[2] != 2:
         raise ValueError(f"target map has shape {gt_xy.shape}, expected (H, W, 2)")

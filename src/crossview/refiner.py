@@ -41,11 +41,10 @@ _TAP_ROWS = 8   # padded input rows per stacked-tap GEMM of a multi-channel conv
 class SimilarityMatrix:
     """N^2 x N^2 patch similarities; row i holds ground patch i against all aerial patches.
 
-    A bare matrix has its entries scanned for NaN and inf. ``from_factors``
-    (``initial_similarity``'s constructor) also keeps the (N^2, C) feature
-    factors ``(ground / tau, aerial)``, which ``_affine_stack`` multiplies
-    through. Only such a matrix can be refined: not a bare one, not
-    ``refine``'s result, and not one that ``match_probabilities`` has spent.
+    A matrix built here is scanned for NaN and inf. ``initial_similarity``'s
+    output is not: it keeps the (N^2, C) feature factors that ``_affine_stack``
+    multiplies through, and only it can be refined, until ``match_probabilities``
+    spends it.
     """
 
     s: np.ndarray
@@ -59,47 +58,9 @@ class SimilarityMatrix:
         if not np.all(np.isfinite(self.s)):
             raise ValueError("similarity matrix contains non-finite entries")
 
-    @classmethod
-    def from_factors(cls, ground, aerial, tau: float) -> "SimilarityMatrix":
-        """``s = ground @ aerial.T``, then ``s /= tau``, keeping ``(ground / tau, aerial)``.
-
-        ``ground`` and ``aerial`` are (N^2, C). An entry of the product, and
-        each of its partial sums, is at most its two rows' norms in size. So
-        finite factors and a finite bound (the largest ground and aerial row
-        norms times ``(1 + 1e-12) * max(1, 1 / tau)``, the 1e-12 covering the
-        rounding of C-term sums for C up to a few thousand) prove ``s`` finite
-        without a scan of its N^4 entries. A non-finite factor or bound, or a
-        ``tau`` that ``check_temperature`` rejects, is a ``ValueError`` naming which.
-        """
-        check_temperature(tau)
-        ground = np.asarray(ground, dtype=float)
-        aerial = np.asarray(aerial, dtype=float)
-        if ground.ndim != 2 or ground.shape != aerial.shape:
-            raise ValueError("similarity factors must be two (N^2, C) arrays of one shape")
-        with np.errstate(over="ignore"):   # an overflow is rejected below
-            scaled = ground / tau
-            for name, f in (("ground", scaled), ("aerial", aerial)):
-                if not np.all(np.isfinite(f)):
-                    raise ValueError(f"similarity factor {name} contains non-finite entries")
-            bound = (_max_row_norm(ground) * _max_row_norm(aerial) * (1 + 1e-12)
-                     * max(1.0, 1.0 / tau))
-        if not math.isfinite(bound):
-            raise ValueError("similarity factor norm bound overflows: entries may not be finite")
-        s = ground @ aerial.T
-        s /= tau
-        sim = cls.__new__(cls)
-        sim.s, sim.factors = s, (scaled, aerial)
-        return sim
-
     @property
     def num_patches(self) -> int:
         return self.s.shape[0]
-
-
-def _max_row_norm(f: np.ndarray) -> float:
-    """Largest row norm of the finite ``f``; scaling by its largest entry keeps squares finite."""
-    top = np.abs(f).max(initial=0.0)
-    return float(top * np.linalg.norm(f / top, axis=1).max()) if top > 0 else 0.0
 
 
 def _as_f32(a) -> np.ndarray:
@@ -237,8 +198,12 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
                        tau: float) -> SimilarityMatrix:
     """Scaled cosine similarity between flattened ground and aerial patches, with its factors.
 
-    Maps of different shapes, a feature row whose norm is zero or overflows,
-    or a ``tau`` that ``check_temperature`` rejects, is a ``ValueError``.
+    ``s = ground @ aerial.T``, then ``s /= tau``, over unit feature rows, keeping the
+    factors ``(ground / tau, aerial)``. Unit rows bound |s| by ``(1 + 1e-12) / tau``
+    (the 1e-12 covers the rounding of C-term sums for C up to a few thousand), which
+    ``check_temperature`` keeps finite, so the N^4 entries are not scanned. Maps of
+    different shapes, a feature row whose norm is zero or overflows, or a rejected
+    ``tau``, is a ``ValueError``.
     """
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
@@ -252,7 +217,14 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
     if not (np.all(np.isfinite(ng)) and np.all(np.isfinite(ns))):
         raise ValueError("feature row norm overflows: a row cannot be cosine-normalized")
-    return SimilarityMatrix.from_factors(fg / ng[:, None], fs / ns[:, None], tau)
+    check_temperature(tau)
+    ground = fg / ng[:, None]
+    aerial = fs / ns[:, None]
+    s = ground @ aerial.T
+    s /= tau
+    sim = SimilarityMatrix.__new__(SimilarityMatrix)
+    sim.s, sim.factors = s, (ground / tau, aerial)
+    return sim
 
 
 class _ConvLayer:
@@ -444,8 +416,7 @@ def _affine_stack(s: SimilarityMatrix, weights, biases) -> np.ndarray:
     factors is a ``ValueError`` rather than multiplied densely.
     """
     if s.factors is None:
-        raise ValueError("the refiner needs the feature factors of a similarity from "
-                         "initial_similarity (or SimilarityMatrix.from_factors)")
+        raise ValueError("the refiner needs the feature factors that initial_similarity keeps")
     ground, aerial = s.factors
     out = None
     last = len(weights) - 1

@@ -66,10 +66,10 @@ def json_number(d: dict, key: str, integer: bool = False, default=None):
 
 
 def read_json(path):
-    """The JSON value in the file ``path``; a syntax error is a ``ValueError`` naming it."""
+    """The JSON value in the UTF-8 file ``path``; any parse error is a ``ValueError`` naming it."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # also a byte that is not UTF-8, or an integer of over 4,300 digits
         raise ValueError(f"{path}: not JSON: {exc}") from None
 
 

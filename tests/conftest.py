@@ -83,13 +83,15 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def factored(m) -> SimilarityMatrix:
-    """The hand-made matrix ``m`` as a similarity with factors, which the refiner needs.
+    """A copy of the hand-made matrix ``m`` as a similarity with factors, which the refiner needs.
 
-    The factorization is the trivial ``m @ I.T`` at tau 1: it reproduces
-    ``m``, and ``m @ (I.T @ W)`` reproduces ``m @ W``, bit for bit.
+    A test fake of ``initial_similarity``'s output: the scanned matrix with the
+    trivial factorization ``m @ I.T`` assigned, whose ``m @ (I.T @ W)``
+    reproduces ``m @ W`` bit for bit.
     """
-    m = np.asarray(m, dtype=float)
-    return SimilarityMatrix.from_factors(m, np.eye(len(m)), 1.0)
+    sim = SimilarityMatrix(np.array(m, dtype=float))
+    sim.factors = (sim.s, np.eye(len(sim.s)))
+    return sim
 
 
 def aerial_gt_surface(scene: SyntheticScene, specs: SceneSpec) -> np.ndarray:

@@ -476,6 +476,18 @@ class TestEvalMatching:
         assert "error: --thresholds: could not convert string to float: ''" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("value, detail", [
+        ("5,x", "could not convert string to float: 'x'"),
+        ("nan,5", "thresholds must be finite and positive"),
+    ], ids=["unparsable", "nan"])
+    def test_bad_thresholds_reported_before_any_file_is_read(self, tmp_path, value, detail):
+        proc = run_cli("eval", "--pred-csv", tmp_path / "missing.csv",
+                       "--gt-dir", tmp_path / "missing-gt", "--mode", "matching",
+                       "--thresholds", value, "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert f"error: --thresholds: {detail}" in proc.stderr
+        assert "missing.csv" not in proc.stderr
+
     def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         (gt_dir / "manifest.json").unlink()
@@ -791,6 +803,15 @@ class TestMalformedJsonInput:
         ("loss-config", json.dumps({"beta1": 10**400}), "beta1: integer beyond the float range"),
         ("eval-pose", json.dumps({"tx_px": 0.0, "ty_px": 10**400, "yaw_deg": 0.0}),
          "ty_px: integer beyond the float range"),
+        # past Python's 4,300-digit limit on integer string conversion
+        ("pred-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_deg": 0.0}',
+         "not JSON: Exceeds the limit (4300 digits)"),
+        ("eval-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_deg": 0.0}',
+         "not JSON: Exceeds the limit (4300 digits)"),
+        ("pred-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0, "note": "\xff"}',
+         "not JSON: 'utf-8' codec can't decode byte 0xff"),
+        ("eval-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0, "note": "\xff"}',
+         "not JSON: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-pose-list", "config-list", "config-null-field", "pose-tx-not-a-number",
             "spec-n-not-a-number", "config-n-v-not-integer", "config-bool-as-string",
@@ -798,13 +819,14 @@ class TestMalformedJsonInput:
             "spec-n-fractional", "pose-tx-bool", "pose-not-json", "generate-spec-not-json",
             "solve-spec-not-json", "eval-pose-not-json", "config-not-json",
             "spec-extent-overflows", "pose-tx-overflows", "config-beta1-overflows",
-            "eval-pose-ty-overflows"])
+            "eval-pose-ty-overflows", "pose-tx-5000-digits", "eval-pose-tx-5000-digits",
+            "pose-not-utf8", "eval-pose-not-utf8"])
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"
         pose.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         args = {
             "pred-pose": ("loss", "--scene-dir", scene, "--pred-pose", bad),
             "loss-config": ("loss", "--scene-dir", scene, "--pred-pose", pose, "--config", bad),
@@ -851,6 +873,16 @@ class TestSceneManifestFields:
         assert proc.returncode == 2
         assert f"error: {scene}: missing or malformed field" in proc.stderr
         assert detail in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_manifest_not_utf8_is_input_error(self, tmp_path, shared_scene_dir):
+        scene = tmp_path / "scene"
+        shutil.copytree(shared_scene_dir, scene)
+        manifest = scene / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes().replace(b'"spec"', b'"\xffspec"', 1))
+        proc = run_cli("solve", "--scene-dir", scene, check=False)
+        assert proc.returncode == 2
+        assert f"error: {manifest}: not JSON: 'utf-8' codec can't decode byte 0xff" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
