@@ -44,20 +44,13 @@ def _dump_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-class _StoreGiven(argparse.Action):
-    """Store the flag's value and set ``args.<dest>_given``, which tells it from its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
-
-
 def cmd_generate(args) -> int:
     """``--n`` next to ``--spec-json`` is a ``ValueError``, raised before any file is read."""
-    if args.spec_json and args.n_given:
+    if args.spec_json and args.n is not None:
         raise ValueError("--n cannot be combined with --spec-json")
+    n = BevGridSpec.n_points_per_side if args.n is None else args.n
     specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict) \
-        if args.spec_json else SceneSpec(grid=BevGridSpec(args.n))
+        if args.spec_json else SceneSpec(grid=BevGridSpec(n))
     bundle = make_scene_bundle(specs, seed=args.seed, noise_sigma=args.noise,
                                channels=args.channels, snapped=not args.continuous_pose)
     save_scene_dir(args.out_dir, bundle)
@@ -176,15 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic scene directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=BevGridSpec.n_points_per_side, action=_StoreGiven,
-                   help="grid points per side (odd)")
+    p.add_argument("--n", type=int, help="grid points per side (odd)")
     p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma")
     p.add_argument("--channels", type=int, default=FEATURE_CHANNELS)
     p.add_argument("--continuous-pose", action="store_true",
                    help="draw a continuous pose instead of a grid-snapped one")
     p.add_argument("--spec-json", help="scene spec JSON (not with --n)")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_generate, n_given=False)
+    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="recover the pose from scene tensors")
     p.add_argument("--scene-dir")

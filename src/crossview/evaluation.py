@@ -22,7 +22,7 @@ PRED_CSV_FIELDS = ("xg", "yg", "xs", "ys")
 DEFAULT_THRESHOLDS_PX = (5.0, 10.0, 15.0)
 DEFAULT_MAX_RANGE_M = 30.0
 _PROJECTION_ROWS = 64      # panorama rows build_gt_projection projects at a time
-_GT_FORMAT = "gt-projection-v1"
+_GT_FORMAT = "gt-projection-v2"
 
 
 @dataclass
@@ -69,38 +69,28 @@ class MatchPrediction:
 
 
 def save_gt_projection(directory, gt_xy: np.ndarray) -> None:
-    """Write a (H, W, 2) target map as a ``gt-projection-v1`` directory: on disk the
-    targets are 0 outside the valid region and ``gt_valid`` stores the region as 1/0."""
-    valid = np.isfinite(gt_xy).all(axis=-1)
-    sat = np.where(valid[..., None], gt_xy, 0.0)
-    save_tensor_dir(directory, _GT_FORMAT, {"gt_sat_x": sat[..., 0], "gt_sat_y": sat[..., 1],
-                                            "gt_valid": valid.astype(np.float32)})
+    """Write a (H, W, 2) target map as the one float32 tensor ``gt_xy`` of a ``gt-projection-v2``
+    directory; a pixel with a non-finite coordinate is outside the region and reads NaN, NaN."""
+    outside = ~np.isfinite(gt_xy).all(axis=-1, keepdims=True)
+    save_tensor_dir(directory, _GT_FORMAT, {"gt_xy": np.where(outside, np.nan, gt_xy)})
 
 
 def load_gt_projection(directory) -> np.ndarray:
     """The float64 (H, W, 2) target map of a directory written by :func:`save_gt_projection`,
     NaN outside the valid region.
 
-    A ``gt_valid`` entry other than 0 or 1, target tensors whose shape
-    differs from the 2-D ``gt_valid``, or a non-finite target where
-    ``gt_valid`` is 1, is a ``ValueError`` naming the directory and the tensor.
+    A tensor not shaped (H, W, 2), an infinite entry, or a pixel with exactly
+    one NaN coordinate is a ``ValueError`` naming the directory.
     """
-    tensors = load_tensors(directory, read_manifest(directory, _GT_FORMAT),
-                           ("gt_valid", "gt_sat_x", "gt_sat_y"))
-    flag = tensors["gt_valid"]
-    if flag.ndim != 2:
-        raise ValueError(f"{directory}: gt_valid has shape {flag.shape}, expected (H, W)")
-    for name in ("gt_sat_x", "gt_sat_y"):
-        if tensors[name].shape != flag.shape:
-            raise ValueError(f"{directory}: {name} has shape {tensors[name].shape}, "
-                             f"gt_valid {flag.shape}")
-    if not np.isin(flag, (0.0, 1.0)).all():
-        raise ValueError(f"{directory}: gt_valid holds a value other than 0 or 1")
-    valid = flag == 1.0
-    sat = np.stack([tensors["gt_sat_x"], tensors["gt_sat_y"]], axis=-1).astype(float)
-    if not np.isfinite(sat[valid]).all():   # the map's valid region is where it is finite
-        raise ValueError(f"{directory}: gt_sat_x or gt_sat_y is not finite where gt_valid is 1")
-    return np.where(valid[..., None], sat, np.nan)
+    gt_xy = load_tensors(directory, read_manifest(directory, _GT_FORMAT), ("gt_xy",))["gt_xy"]
+    if gt_xy.ndim != 3 or gt_xy.shape[2] != 2:
+        raise ValueError(f"{directory}: gt_xy has shape {gt_xy.shape}, expected (H, W, 2)")
+    if np.isinf(gt_xy).any():
+        raise ValueError(f"{directory}: gt_xy holds an infinite entry")
+    nan = np.isnan(gt_xy)
+    if (nan[..., 0] != nan[..., 1]).any():
+        raise ValueError(f"{directory}: gt_xy holds a pixel with exactly one NaN coordinate")
+    return gt_xy.astype(float)
 
 
 def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3DoF,

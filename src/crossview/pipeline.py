@@ -19,9 +19,9 @@ from .refiner import (RefinerParams, SimilarityMatrix, check_temperature, extrac
                       initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
-from .surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,
-                      check_input_shapes, fuse_height_features, normalize_confidence,
-                      surface_from_accumulation)
+from .surface import (BevFeatureMap, FeatureVolume, _check_window,
+                      aerial_depth_to_height_index, check_input_shapes, fuse_height_features,
+                      normalize_confidence, surface_from_accumulation)
 from .synthetic import SceneBundle
 from .tensorio import check_integer
 
@@ -29,8 +29,8 @@ from .tensorio import check_integer
 @dataclass(frozen=True)
 class PipelineConfig:
     """Solve settings, checked on construction: ``surface_threshold`` in (0, 1), ``fuse_window``
-    None or an integer >= 0, ``top_k`` an integer >= 1 (integers per ``check_integer``),
-    ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
+    None or what ``fuse_height_features`` accepts, ``top_k`` an integer >= 1 (per
+    ``check_integer``), ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
     top_k: int = 30
@@ -41,9 +41,7 @@ class PipelineConfig:
         if not 0.0 < self.surface_threshold < 1.0:   # also catches NaN
             raise ValueError("threshold must lie strictly inside (0, 1)")
         if self.fuse_window is not None:
-            check_integer("fuse_window", self.fuse_window)
-            if self.fuse_window < 0:
-                raise ValueError("window must be >= 0")
+            _check_window("fuse_window", self.fuse_window)
         check_integer("top_k", self.top_k)
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")

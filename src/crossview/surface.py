@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HeightLayerSpec, SceneSpec
+from .tensorio import check_integer
 
 
 @dataclass
@@ -101,6 +102,13 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     return index.astype(np.int64, copy=False)
 
 
+def _check_window(key: str, window) -> None:
+    """The fusion window rule: an integer (``check_integer``) >= 0; errors name ``key``."""
+    check_integer(key, window)
+    if window < 0:
+        raise ValueError(f"{key} must be >= 0")
+
+
 def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
                          window: int | None = None) -> BevFeatureMap:
     """Confidence-weighted fusion of features across height layers.
@@ -109,15 +117,14 @@ def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
-    count is unchanged. Shapes that disagree, or a negative window, are a
-    ``ValueError``.
+    count is unchanged. Shapes that disagree, or a window that ``_check_window``
+    rejects, are a ``ValueError``.
     """
     m, n = vol.data.shape[0], vol.data.shape[1]
     if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
     window = m if window is None else window   # no layer is m or more from the surface
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    _check_window("window", window)
 
     layer_idx = np.arange(m)[:, None, None]
     mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)

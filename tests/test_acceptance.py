@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from crossview.geometry import Pose3DoF, SceneSpec, rotation_matrix
+from crossview.geometry import BevGridSpec, Pose3DoF, SceneSpec, rotation_matrix, wrap_angle
 from crossview.losses import LossConfig, height_loss, matching_loss, vce_loss
 from crossview.pipeline import run_localization
 from crossview.refiner import (RefinerParams, SimilarityMatrix,
@@ -18,7 +18,8 @@ from crossview.refiner import (RefinerParams, SimilarityMatrix,
                                normalize_doubly_stochastic, refine)
 from crossview.solver import (CorrespondenceSet, pose_error,
                               solve_weighted_procrustes)
-from crossview.surface import normalize_confidence, surface_from_accumulation
+from crossview.surface import (BevFeatureMap, FeatureVolume, normalize_confidence,
+                               surface_from_accumulation)
 from crossview.synthetic import make_scene_bundle
 
 from conftest import col_softmax, factored, identity_pose, python_subprocess, row_softmax
@@ -255,6 +256,97 @@ def test_metric_fixtures():
     report("metric-fixtures", ok,
            f"planted 12/30 -> {rep['ratios'][0]:.3f}@5px valid {rep['valid_ratio']:.3f}, "
            f"stats fixtures {stats_ok}")
+
+
+def _solve(bundle, volume=None, f_sat=None):
+    """The un-refined solve of ``bundle``, with ``volume`` or ``f_sat`` swapped in when given."""
+    inputs = bundle.inputs
+    return run_localization(FeatureVolume(inputs.volume.data if volume is None else volume),
+                            inputs.conf_logits,
+                            BevFeatureMap(inputs.f_sat.data if f_sat is None else f_sat),
+                            bundle.specs)
+
+
+def _oracle_bundles(cases):
+    """One scene bundle per (n, seed, snapped, sigma) case."""
+    for n, seed, snapped, sigma in cases:
+        yield make_scene_bundle(SceneSpec(grid=BevGridSpec(n)), seed=seed, noise_sigma=sigma,
+                                snapped=snapped)
+
+
+def test_quarter_turn_oracle():
+    """Rotating the aerial feature map by k quarter turns rotates the un-refined solve.
+
+    Solving with ``np.rot90(f_sat, k, axes=(0, 1))`` gives yaw + k pi/2 (wrapped)
+    and translation R(k pi/2) (t - c) + c, with c = ``specs.grid_center_px``,
+    within 1e-9 px and 1e-9 rad. It holds for wrong poses as well, so it checks
+    the whole chain at every noise level: n=21 for k = 1, 2, 3 at sigma 0, 0.4
+    and 1.0, snapped and continuous (two seeds each), plus one n=41 case.
+    Exact ties between similarity entries could break the relation, since the
+    rotated solve may break them the other way; random features have none.
+    The refined path is out of scope: the local branch's (N, N, N^2) cube
+    flattens aerial rows into one axis, so it is not quarter-turn equivariant.
+    """
+    cases = [(21, seed, snapped, sigma) for seed in (0, 1) for snapped in (True, False)
+             for sigma in (0.0, 0.4, 1.0)] + [(41, 3, False, 0.4)]
+    worst_px = worst_rad = 0.0
+    solves = 0
+    for bundle in _oracle_bundles(cases):
+        base = _solve(bundle)
+        c = bundle.specs.grid_center_px
+        for k in (1, 2, 3):
+            turned = _solve(bundle, f_sat=np.rot90(bundle.inputs.f_sat.data, k, axes=(0, 1)))
+            angle = k * math.pi / 2
+            expected_t = rotation_matrix(angle) @ (base.pose_px.t_px - c) + c
+            worst_px = max(worst_px, float(np.abs(turned.pose_px.t_px - expected_t).max()))
+            yaw_dev = wrap_angle(turned.pose_px.yaw_rad - (base.pose_px.yaw_rad + angle))
+            worst_rad = max(worst_rad, abs(float(yaw_dev)))
+            solves += 1
+    ok = worst_px <= 1e-9 and worst_rad <= 1e-9
+    report("quarter-turn-oracle", ok,
+           f"{solves} turned solves, worst {worst_px:.1e} px, {worst_rad:.1e} rad")
+
+
+# (n, seed, snapped, sigma) of the scale and permutation relations
+_RELATION_CASES = [(21, seed, snapped, sigma) for seed in (0, 1) for snapped in (True, False)
+                   for sigma in (0.0, 0.4)]
+
+
+def test_feature_scale_oracle():
+    """Scaling the volume by 2 and ``f_sat`` by 4 gives bit-identical poses: cosine
+    normalization divides a power-of-two factor out exactly."""
+    same = 0
+    for bundle in _oracle_bundles(_RELATION_CASES):
+        base = _solve(bundle)
+        scaled = _solve(bundle, volume=2 * bundle.inputs.volume.data,
+                        f_sat=4 * bundle.inputs.f_sat.data)
+        same += (np.array_equal(scaled.pose_px.t_px, base.pose_px.t_px)
+                 and scaled.pose_px.yaw_rad == base.pose_px.yaw_rad)
+    total = len(_RELATION_CASES)
+    report("feature-scale-oracle", same == total, f"bit-identical in {same}/{total}")
+
+
+def test_channel_permutation_oracle():
+    """Permuting the channels of the volume and ``f_sat`` the same way keeps the match
+    cells and moves the pose by at most 1e-9 px (only summation order changes)."""
+    same_cells = 0
+    worst_px = worst_rad = 0.0
+    for seed, bundle in enumerate(_oracle_bundles(_RELATION_CASES)):
+        perm = np.random.default_rng(seed).permutation(bundle.inputs.f_sat.data.shape[-1])
+        assert not np.array_equal(perm, np.sort(perm))
+        base = _solve(bundle)
+        permuted = _solve(bundle, volume=bundle.inputs.volume.data[..., perm],
+                          f_sat=bundle.inputs.f_sat.data[..., perm])
+        same_cells += (np.array_equal(permuted.matches_m.ground_xy, base.matches_m.ground_xy)
+                       and np.array_equal(permuted.matches_m.aerial_xy, base.matches_m.aerial_xy))
+        worst_px = max(worst_px, float(np.abs(permuted.pose_px.t_px - base.pose_px.t_px).max()))
+        worst_rad = max(worst_rad, abs(float(wrap_angle(permuted.pose_px.yaw_rad
+                                                         - base.pose_px.yaw_rad))))
+    total = len(_RELATION_CASES)
+    ok = same_cells == total and worst_px <= 1e-9 and worst_rad <= 1e-9
+    report("channel-permutation-oracle", ok,
+           f"same cells in {same_cells}/{total}, worst {worst_px:.1e} px, "
+           f"{worst_rad:.1e} rad")
 
 
 def _run(*args):

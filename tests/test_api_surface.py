@@ -28,7 +28,7 @@ PACKAGE = ROOT / "src" / "crossview"
 # public names without a caller in the program, each kept on purpose
 ALLOWED = {
     "evaluation.save_gt_projection":
-        "the only writer of the gt-projection-v1 directory that `crossview eval` reads",
+        "the only writer of the gt-projection-v2 directory that `crossview eval` reads",
     "refiner.RefinerParams.save":
         "the only writer of the refiner-params-v1 directory that `crossview solve` reads",
 }

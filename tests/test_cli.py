@@ -14,7 +14,7 @@ from crossview.evaluation import save_gt_projection
 from crossview.geometry import AerialMeta, BevGridSpec, SceneSpec
 from crossview.pipeline import PipelineConfig
 from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle, save_scene_dir
-from crossview.tensorio import load_tensor, save_tensor
+from crossview.tensorio import load_tensor, save_tensor, save_tensor_dir
 
 from conftest import ROOT, python_subprocess, to_legacy_scene_layout
 
@@ -57,7 +57,7 @@ class TestGenerate:
         for name, dims in manifest["tensors"].items():
             assert list(load_tensor(out / f"{name}.cvt").shape) == dims
 
-    @pytest.mark.parametrize("n", ["9", "41"])   # 41 is also the flag's default
+    @pytest.mark.parametrize("n", ["9", "41"])   # 41 is also the library default
     def test_grid_size_flag_next_to_a_spec_file_is_input_error(self, tmp_path, n):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SceneSpec(grid=BevGridSpec(11)).to_json_dict()))
@@ -491,8 +491,7 @@ class TestEvalMatching:
     def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         (gt_dir / "manifest.json").unlink()
-        assert sorted(p.name for p in gt_dir.iterdir()) == [
-            "gt_sat_x.cvt", "gt_sat_y.cvt", "gt_valid.cvt"]
+        assert sorted(p.name for p in gt_dir.iterdir()) == ["gt_xy.cvt"]
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
         proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
                        check=False)
@@ -519,38 +518,53 @@ class TestEvalMatching:
 
     def test_gt_dir_missing_tensor_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
-        self.edit_manifest_tensors(gt_dir, lambda t: t.pop("gt_valid"))
+        self.edit_manifest_tensors(gt_dir, lambda t: t.pop("gt_xy"))
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
         proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
                        check=False)
         assert proc.returncode == 2
-        assert "manifest does not list tensor 'gt_valid'" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-
-    def test_gt_dir_non_binary_mask_is_input_error(self, tmp_path):
-        # a stored 0.3 used to load as "invalid" with no error
-        gt_dir = self.build_gt_dir(tmp_path)
-        flag = load_tensor(gt_dir / "gt_valid.cvt")
-        flag[0, 0] = 0.3
-        save_tensor(gt_dir / "gt_valid.cvt", flag)
-        pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
-                       check=False)
-        assert proc.returncode == 2
-        assert f"{gt_dir}: gt_valid holds a value other than 0 or 1" in proc.stderr
+        assert "manifest does not list tensor 'gt_xy'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_gt_dir_target_shape_mismatch_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
-        save_tensor(gt_dir / "gt_sat_y.cvt", np.zeros((32, 60), dtype=np.float32))
-        self.edit_manifest_tensors(gt_dir, lambda t: t.update(gt_sat_y=[32, 60]))
+        save_tensor(gt_dir / "gt_xy.cvt", np.zeros((32, 64, 3), dtype=np.float32))
+        self.edit_manifest_tensors(gt_dir, lambda t: t.update(gt_xy=[32, 64, 3]))
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
         proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
                        check=False)
         assert proc.returncode == 2
-        assert f"{gt_dir}: gt_sat_y has shape (32, 60), gt_valid (32, 64)" in proc.stderr
+        assert f"{gt_dir}: gt_xy has shape (32, 64, 3), expected (H, W, 2)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value, detail", [
+        (np.inf, "gt_xy holds an infinite entry"),
+        (np.nan, "gt_xy holds a pixel with exactly one NaN coordinate"),
+    ], ids=["infinite", "half-nan"])
+    def test_gt_dir_bad_target_is_input_error(self, tmp_path, value, detail):
+        gt_dir = self.build_gt_dir(tmp_path)
+        stored = load_tensor(gt_dir / "gt_xy.cvt")
+        stored[5, 1, 0] = value   # a pixel inside the region
+        save_tensor(gt_dir / "gt_xy.cvt", stored)
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {gt_dir}: {detail}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_v1_gt_dir_is_input_error(self, tmp_path):
+        # the retired layout: zero-filled targets beside a 0/1 region mask
+        gt_dir = tmp_path / "gt"
+        save_tensor_dir(gt_dir, "gt-projection-v1",
+                        {"gt_sat_x": np.zeros((32, 64)), "gt_sat_y": np.zeros((32, 64)),
+                         "gt_valid": np.ones((32, 64))})
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {gt_dir}: unknown format 'gt-projection-v1', "
+                               "expected 'gt-projection-v2'\n")
 
 
 def write_pose(path, tx_px, ty_px, yaw_deg):
@@ -921,13 +935,19 @@ def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir)
         assert old == new and all(new)
 
 
-def test_parser_defaults_are_the_library_defaults():
+def test_parser_defaults_are_the_library_defaults(monkeypatch):
     parser = cli.build_parser()
     generate = parser.parse_args(["generate", "--seed", "0", "--out-dir", "d"])
     solve = parser.parse_args(["solve"])
     loss = parser.parse_args(["loss", "--scene-dir", "d", "--pred-pose", "p"])
     config = PipelineConfig()
-    assert generate.n == BevGridSpec().n_points_per_side
+    # --n has no parser default: generate builds the library's grid when it is absent
+    specs = []
+    monkeypatch.setattr(cli, "make_scene_bundle", lambda s, **kwargs: specs.append(s))
+    monkeypatch.setattr(cli, "save_scene_dir", lambda directory, bundle: None)
+    assert cli.cmd_generate(generate) == cli.EXIT_OK
+    assert specs == [SceneSpec()]
+    assert specs[0].grid.n_points_per_side == BevGridSpec().n_points_per_side
     assert generate.channels == inspect.signature(generate_scene).parameters["channels"].default
     assert generate.channels == \
         inspect.signature(make_scene_bundle).parameters["channels"].default

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,46 +205,65 @@ class TestBuildGtProjection:
         assert np.array_equal(back, sat, equal_nan=True)
 
     def test_load_rejects_wrong_format(self, tmp_path):
-        save_tensor_dir(tmp_path / "gt", "scene-v1", {"gt_valid": np.ones((2, 4))})
+        save_tensor_dir(tmp_path / "gt", "scene-v1", {"gt_xy": np.ones((2, 4, 2))})
         with pytest.raises(ValueError, match="unknown format"):
             load_gt_projection(tmp_path / "gt")
 
-    @pytest.mark.parametrize("value", [0.3, 2.0, -1.0, np.nan])
-    def test_load_rejects_a_non_binary_mask(self, tmp_path, value):
+    def test_directory_holds_the_map_once(self, tmp_path):
         proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
         save_gt_projection(tmp_path / "gt", proj)
-        flag = np.isfinite(proj).all(axis=-1).astype(np.float32)
-        flag[3, 5] = value
-        save_tensor(tmp_path / "gt" / "gt_valid.cvt", flag)
-        with pytest.raises(ValueError, match=r"gt.*gt_valid.*other than 0 or 1"):
-            load_gt_projection(tmp_path / "gt")
+        assert sorted(p.name for p in (tmp_path / "gt").iterdir()) == ["gt_xy.cvt", MANIFEST]
+        stored = load_tensor(tmp_path / "gt" / "gt_xy.cvt")
+        assert np.array_equal(stored, proj.astype(np.float32), equal_nan=True)
+        back = load_gt_projection(tmp_path / "gt")
+        assert back.dtype == np.float64
+        assert np.array_equal(back, stored.astype(float), equal_nan=True)
 
-    @pytest.mark.parametrize("name", ["gt_sat_x", "gt_sat_y"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_load_rejects_a_non_finite_target_inside_the_region(self, tmp_path, name, value):
-        # inside the region such a target would read as outside it
-        proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
-        save_gt_projection(tmp_path / "gt", proj)
-        v, u = np.argwhere(np.isfinite(proj).all(axis=-1))[0]
-        target = load_tensor(tmp_path / "gt" / f"{name}.cvt")
-        target[v, u] = value
-        save_tensor(tmp_path / "gt" / f"{name}.cvt", target)
-        with pytest.raises(ValueError, match=r"gt.*not finite where gt_valid is 1"):
-            load_gt_projection(tmp_path / "gt")
+    def test_save_writes_nan_at_every_pixel_with_a_non_finite_coordinate(self, tmp_path):
+        sat = np.arange(24.0).reshape(3, 4, 2)
+        sat[0, 1, 0] = np.nan
+        sat[1, 2, 1] = np.inf
+        sat[2, 3] = -np.inf
+        save_gt_projection(tmp_path / "gt", sat)
+        back = load_gt_projection(tmp_path / "gt")
+        outside = np.zeros((3, 4), dtype=bool)
+        outside[0, 1] = outside[1, 2] = outside[2, 3] = True
+        assert np.isnan(back[outside]).all()
+        assert np.array_equal(back[~outside], sat[~outside])
 
-    @pytest.mark.parametrize("name", ["gt_sat_x", "gt_sat_y"])
-    def test_load_rejects_a_target_shape_mismatch(self, tmp_path, name):
+    def test_load_rejects_a_v1_directory(self, tmp_path):
+        # the retired layout: zero-filled targets beside a 0/1 region mask
         tensors = {"gt_sat_x": np.zeros((4, 8)), "gt_sat_y": np.zeros((4, 8)),
                    "gt_valid": np.ones((4, 8))}
-        tensors[name] = np.zeros((4, 6))
         save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
-        with pytest.raises(ValueError, match=rf"gt.*{name} has shape \(4, 6\)"):
+        message = "unknown format 'gt-projection-v1', expected 'gt-projection-v2'"
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'gt'}: {message}")):
             load_gt_projection(tmp_path / "gt")
 
-    def test_load_rejects_a_mask_that_is_not_2d(self, tmp_path):
-        tensors = {name: np.zeros(8) for name in ("gt_sat_x", "gt_sat_y", "gt_valid")}
-        save_tensor_dir(tmp_path / "gt", "gt-projection-v1", tensors)
-        with pytest.raises(ValueError, match=r"gt.*gt_valid has shape \(8,\)"):
+    @pytest.mark.parametrize("shape", [(8,), (4, 8), (4, 8, 3), (4, 8, 2, 1)],
+                             ids=["W", "HxW", "HxWx3", "HxWx2x1"])
+    def test_load_rejects_a_tensor_not_shaped_hxwx2(self, tmp_path, shape):
+        save_tensor_dir(tmp_path / "gt", "gt-projection-v2", {"gt_xy": np.zeros(shape)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'gt'}: gt_xy has shape {shape}, expected (H, W, 2)")):
+            load_gt_projection(tmp_path / "gt")
+
+    @pytest.mark.parametrize("coord", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("value, detail", [
+        (np.inf, "gt_xy holds an infinite entry"),
+        (-np.inf, "gt_xy holds an infinite entry"),
+        # a pixel is inside the region or outside it, never half of each
+        (np.nan, "gt_xy holds a pixel with exactly one NaN coordinate"),
+    ], ids=["inf", "-inf", "nan"])
+    def test_load_rejects_a_non_finite_target_inside_the_region(self, tmp_path, value, detail,
+                                                                 coord):
+        proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
+        save_gt_projection(tmp_path / "gt", proj)
+        stored = load_tensor(tmp_path / "gt" / "gt_xy.cvt")
+        v, u = np.argwhere(np.isfinite(proj).all(axis=-1))[0]
+        stored[v, u, coord] = value
+        save_tensor(tmp_path / "gt" / "gt_xy.cvt", stored)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'gt'}: {detail}")):
             load_gt_projection(tmp_path / "gt")
 
     def test_load_rejects_missing_manifest(self, tmp_path):

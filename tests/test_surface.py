@@ -180,6 +180,22 @@ class TestFuseHeightFeatures:
         with pytest.raises(ValueError):
             fuse_height_features(vol, conf, surf)
 
+    # the rule PipelineConfig applies to fuse_window: a float window used to act as its
+    # floor, and NaN to fail later as a non-finite BEV feature map
+    @pytest.mark.parametrize("window, message", [
+        (1.5, "window: expected an integer, got 1.5"),
+        (True, "window: expected an integer, got True"),
+        (math.nan, "window: expected an integer, got nan"),
+        (-1, "window must be >= 0"),
+    ], ids=["float", "bool", "nan", "negative"])
+    def test_window_other_than_a_non_negative_integer_rejected(self, window, message):
+        rng = np.random.default_rng(8)
+        vol = FeatureVolume(rng.normal(size=(3, 2, 2, 4)))
+        conf = np.full((3, 2, 2), 1 / 3)
+        surf = np.ones((2, 2), dtype=int)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fuse_height_features(vol, conf, surf, window=window)
+
 
 class TestAerialDepthToHeightIndex:
     def test_min_depth_anchors_to_ground_tie(self):

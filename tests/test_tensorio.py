@@ -218,7 +218,7 @@ def test_manifest_layout_is_pinned(tmp_path, write, keys):
 @pytest.mark.parametrize("write,read,dropped", [
     (_write_scene_dir, load_scene_dir, "volume"),
     (_write_params_dir, RefinerParams.load, "dustbin_row"),
-    (_write_gt_dir, load_gt_projection, "gt_valid"),
+    (_write_gt_dir, load_gt_projection, "gt_xy"),
 ], ids=["scene", "refiner-params", "gt-projection"])
 def test_reader_names_a_tensor_the_manifest_does_not_list(tmp_path, write, read, dropped):
     directory = tmp_path / "d"
