@@ -32,7 +32,7 @@ _STACKS = (
     ("gate_biases", "gate{}_bias", "num_gate_layers"),
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
-_ARGMAX_BLOCK = 128   # rows per block of the column argmax
+_ARGMAX_BLOCK = 32   # rows per block of the column argmax (and per column of its gather)
 _IM2COL_CHUNK = 4096   # output positions per im2col GEMM of a one-channel conv layer (L2-sized)
 _TAP_ROWS = 8   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
 
@@ -482,16 +482,21 @@ _SINGLE_EXP_RANGE = 300.0
 
 
 def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
-               corner: float) -> np.ndarray:
+               corner: float, floor: float = -np.inf) -> np.ndarray:
     """Row- x column-softmax of ``[[body, col_bin], [row_bin, corner]]``, restricted to ``body``.
 
     The dustbin column, row and corner only add ``exp`` terms to the row
     and column sums (and widen the entry range), so the (N^2+1)^2 matrix
     is never built and the result, written into ``body``, needs no crop.
-    Its entries lie strictly inside (0, 1).
+    Its entries lie strictly inside (0, 1). A lower bound ``floor`` on ``body`` that
+    proves ``hi - lo <= _SINGLE_EXP_RANGE`` spares the ``body.min()`` scan but never picks
+    the path. That path skips the clip when b = exp(min(col_bin) - hi) + exp(min(row_bin) - hi)
+    exceeds 1e-9: entries then lie in [e^-600 / (N^2+1)^2, 1 / (1 + b)], as each e^(m-hi) <= 1.
     """
-    lo = min(body.min(), col_bin.min(), row_bin.min(), corner)
     hi = max(body.max(), col_bin.max(), row_bin.max(), corner)
+    lo = min(col_bin.min(), row_bin.min(), corner)
+    if hi - min(lo, floor) > _SINGLE_EXP_RANGE:   # the floor does not settle the path
+        lo = min(lo, body.min())
     p = body
     if hi - lo <= _SINGLE_EXP_RANGE:
         # a global shift cancels inside each softmax, so one exp serves both:
@@ -503,6 +508,8 @@ def _normalize(body: np.ndarray, col_bin: np.ndarray, row_bin: np.ndarray,
         np.multiply(p, p, out=p)
         p /= rows[:, None]
         p /= cols
+        if np.exp(col_bin.min() - hi) + np.exp(row_bin.min() - hi) > 1e-9:   # clip is inert
+            return p
     else:
         row_max = np.maximum(body.max(axis=1), col_bin)
         col_max = np.maximum(body.max(axis=0), row_bin)
@@ -527,13 +534,17 @@ def match_probabilities(s: SimilarityMatrix, params: RefinerParams | None) -> np
     entries were proven finite when ``s`` and ``params`` were built.
     Once ``params`` is accepted, ``s`` is spent: the result is normalized in
     ``s.s``'s storage, also an array that ``SimilarityMatrix`` wrapped without
-    a copy, and only vectors are allocated. So an un-refined solve holds one
-    N^2 x N^2 matrix (22.6 MB at n=41); ``tests/test_refiner.py`` pins both.
-    The spent ``s`` drops its factors, which no longer describe it.
+    a copy. The single-exp path allocates only vectors (an un-refined solve holds one
+    N^2 x N^2 matrix, 22.6 MB at n=41; ``tests/test_refiner.py`` pins both), the fallback
+    one more. While ``s`` keeps its factors, their largest row norms bound |s| (the floor
+    of ``_normalize``); the spent ``s`` drops them.
     """
     col, row, corner = _dustbin_bins(s, params)
+    with np.errstate(over="ignore"):   # an overflowing norm gives no floor
+        norms = [np.linalg.norm(f, axis=1).max() for f in s.factors or ()]
+    floor = -(1 + 1e-12) * math.prod(norms) if norms else -np.inf
     s.factors = None
-    return _normalize(s.s, col, row, corner)
+    return _normalize(s.s, col, row, corner, floor)
 
 
 def normalize_doubly_stochastic(s_dustbin: np.ndarray) -> np.ndarray:
@@ -553,22 +564,23 @@ def _ranked(p: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 def _col_argmax(p: np.ndarray) -> np.ndarray:
-    """``p.argmax(axis=0)`` as a running max/argmax over blocks of rows.
+    """``p.argmax(axis=0)`` without the transposed copy of ``p`` that it makes.
 
-    ``argmax(axis=0)`` copies the whole matrix into a transposed buffer.
-    Here each block gives its column maxima in a row-wise pass, and only the
-    columns it improves search it for their first maximal row. The strict
-    ``>`` keeps the earlier block on ties, so ties go to the lowest row.
+    One row-wise pass gives the column maxima of each ``_ARGMAX_BLOCK`` rows
+    (the short last block its own); the first block holding a column's maximum
+    wins, and one (columns, block) gather finds its first row equal to it, so
+    ties go to the lowest row. The last window ends at the last row: its rows
+    from the block before hold strictly smaller values, so none is found.
     """
-    best = np.full(p.shape[1], -np.inf)
-    arg = np.zeros(p.shape[1], dtype=np.intp)
-    for start in range(0, p.shape[0], _ARGMAX_BLOCK):
-        block = p[start:start + _ARGMAX_BLOCK]
-        block_max = block.max(axis=0)
-        better = np.nonzero(block_max > best)[0]
-        arg[better] = (block[:, better] == block_max[better]).argmax(axis=0) + start
-        best[better] = block_max[better]
-    return arg
+    nrow, ncol = p.shape
+    full = nrow - nrow % _ARGMAX_BLOCK
+    maxima = p[:full].reshape(-1, _ARGMAX_BLOCK, ncol).max(axis=1)
+    if full < nrow:
+        maxima = np.vstack([maxima, p[full:].max(axis=0)])
+    width = min(_ARGMAX_BLOCK, nrow)
+    start = np.minimum(maxima.argmax(axis=0) * _ARGMAX_BLOCK, nrow - width)
+    window = p.ravel().take((start * ncol + np.arange(ncol))[:, None] + ncol * np.arange(width))
+    return start + (window == maxima.max(axis=0)[:, None]).argmax(axis=1)
 
 
 def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:

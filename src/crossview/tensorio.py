@@ -88,11 +88,22 @@ def decode_json(source, d, decode):
             from exc
 
 
-def save_tensor(path, array) -> None:
-    """Write ``array`` as a float32 tensor file (casting if needed)."""
-    arr = np.asarray(array, dtype=np.float32)  # tobytes(order="C") handles layout
+def _float32(path, array) -> np.ndarray:
+    """``array`` as float32; a rank over ``_MAX_RANK``, or a finite entry cast to inf, is refused."""
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        arr = np.asarray(array, dtype=np.float32)  # tobytes(order="C") handles layout
     if arr.ndim > _MAX_RANK:
         raise TensorFormatError(f"rank {arr.ndim} exceeds the supported maximum {_MAX_RANK}")
+    if np.isinf(arr).any():   # one cheap pass; the index search is slow on a large array
+        overflow = np.argwhere(np.isinf(arr) & np.isfinite(array))
+        if len(overflow):
+            raise ValueError(f"{path}: entry {tuple(overflow[0].tolist())} overflows float32")
+    return arr
+
+
+def save_tensor(path, array) -> None:
+    """Write ``array`` as a float32 tensor file, cast and checked by ``_float32``."""
+    arr = _float32(path, array)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", arr.ndim))
@@ -130,8 +141,10 @@ def load_tensor(path) -> np.ndarray:
 
 def save_tensor_dir(directory, fmt: str, tensors: dict, **fields) -> None:
     """Write each named tensor as ``<name>.cvt`` plus a manifest of ``fmt``, shapes and ``fields``;
-    the one writer of a tensor directory."""
+    the one writer of a tensor directory, which checks every tensor before it makes any file."""
     directory = Path(directory)
+    for name, tensor in tensors.items():   # every check before any file, one cast at a time
+        _float32(directory / f"{name}.cvt", tensor)
     directory.mkdir(parents=True, exist_ok=True)
     for name, tensor in tensors.items():
         save_tensor(directory / f"{name}.cvt", tensor)

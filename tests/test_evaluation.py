@@ -266,6 +266,16 @@ class TestBuildGtProjection:
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'gt'}: {detail}")):
             load_gt_projection(tmp_path / "gt")
 
+    def test_save_refuses_a_target_beyond_the_float32_range(self, tmp_path):
+        # written as inf, the map would be refused by its own reader
+        sat = np.arange(12.0).reshape(2, 3, 2)
+        sat[1, 0, 1] = 1e39
+        gt_dir = tmp_path / "gt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{gt_dir / 'gt_xy.cvt'}: entry (1, 0, 1) overflows float32")):
+            save_gt_projection(gt_dir, sat)
+        assert not gt_dir.exists()
+
     def test_load_rejects_missing_manifest(self, tmp_path):
         proj = build_gt_projection(flat_depth(10.0), INTR, POSE, META)
         save_gt_projection(tmp_path / "gt", proj)

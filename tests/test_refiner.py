@@ -468,6 +468,17 @@ class TestPaperSizeRefiner:
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
+    def test_match_probabilities_is_extend_then_normalize_bit_for_bit(self, monkeypatch,
+                                                                       with_params):
+        # the factored input lets match_probabilities skip its min scan; the
+        # bare copy goes through the scan, and the bits agree
+        _, _, sim, params = self.bench_reference_input(monkeypatch)
+        params = params if with_params else None
+        ref = normalize_doubly_stochastic(dustbin_extend(SimilarityMatrix(sim.s.copy()), params))
+        assert sim.factors is not None
+        assert match_probabilities(sim, params).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["no-params", "params"])
     def test_match_probabilities_peak_memory(self, monkeypatch, with_params):
         # one 1681 x 1681 float64 is 22.6 MB; the normalization runs in the
         # similarity matrix's storage and allocates only vectors (0.1 MB), so
@@ -804,6 +815,34 @@ class TestMatchProbabilities:
         assert p.shape == (9, 9)
         assert p.min() > 0.0 and p.max() < 1.0
 
+    def test_tiny_temperature_range_the_factor_floor_does_not_settle(self):
+        # a shared feature component keeps every cosine above about 0.25: the
+        # entries span about 141 while the factor floor (-1 / tau) allows about 390,
+        # so the min scan must run and pick the single-exp path
+        rng = np.random.default_rng(9)
+        shared = np.zeros(16)
+        shared[0] = 6.0
+        f_grd = BevFeatureMap(rng.standard_normal((9, 9, 16)) + shared)
+        f_sat = BevFeatureMap(rng.standard_normal((9, 9, 16)) + shared)
+        tau = 1 / 200
+        s = initial_similarity(f_grd, f_sat, tau)
+        assert 100 < s.s.max() - s.s.min() <= _SINGLE_EXP_RANGE < s.s.max() + 1 / tau
+        ref = normalize_doubly_stochastic(dustbin_extend(SimilarityMatrix(s.s.copy()), None))
+        assert match_probabilities(s, None).tobytes() == ref.tobytes()
+
+    def test_inert_clip_skip_leaves_entries_inside_open_unit_interval(self):
+        # one-hot features at tau = 1/21: the diagonal sits at 21 and the zero bins
+        # add b = 2 e^-21 > 1e-9, so the single-exp path returns without its clip
+        eye = np.eye(9).reshape(3, 3, 9)
+        s = initial_similarity(BevFeatureMap(eye), BevFeatureMap(eye), 1 / 21)
+        hi = s.s.max()
+        assert 2 * np.exp(-hi) > 1e-9
+        p = match_probabilities(s, None)
+        clipped = np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        assert p.tobytes() == clipped.tobytes()
+        assert p.min() > 0.0 and p.max() < 1.0
+        assert np.array_equal(np.argmax(p, axis=1), np.arange(9))
+
     def test_wrong_patch_count_rejected(self):
         with pytest.raises(ValueError, match="parameters sized for a different patch count"):
             match_probabilities(SimilarityMatrix(np.zeros((9, 9))), RefinerParams.random(16))
@@ -908,8 +947,8 @@ class TestExtractMatches:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_ordered_pairs_match_oracle_across_argmax_blocks(self, seed):
-        # 144 rows span two column-argmax blocks; tied levels put equal
-        # maxima of one column on both sides of the block border
+        # 144 rows span several column-argmax blocks, the last one short; tied
+        # levels put equal maxima of one column on both sides of a block border
         rng = np.random.default_rng(70 + seed)
         n = 12
         p = rng.choice([0.2, 0.4, 0.6], size=(n * n, n * n))
@@ -973,6 +1012,29 @@ class TestColumnArgmax:
         p[[5, _ARGMAX_BLOCK + 2, 2 * _ARGMAX_BLOCK], 1] = 1.0
         p[[_ARGMAX_BLOCK + 9, 2 * _ARGMAX_BLOCK + 1], 2] = 1.0
         assert list(_col_argmax(p)) == [0, 5, _ARGMAX_BLOCK + 9, 0]
+
+    def test_tie_crossing_into_the_short_last_block(self):
+        nrow = 2 * _ARGMAX_BLOCK + 5
+        p = np.zeros((nrow, 6))
+        p[[2 * _ARGMAX_BLOCK + 1, 2 * _ARGMAX_BLOCK + 3], 1] = 1.0   # within the short block
+        p[[_ARGMAX_BLOCK + 7, 2 * _ARGMAX_BLOCK + 2], 2] = 1.0       # a full block and the short one
+        p[nrow - 1, 3] = 1.0                                         # the last row alone
+        # row _ARGMAX_BLOCK + 10 lies in the short block's window but in the block before
+        p[[_ARGMAX_BLOCK + 10, nrow - 1], 4] = [0.5, 1.0]
+        p[[_ARGMAX_BLOCK + 10, nrow - 1], 5] = 1.0
+        expected = [0, 2 * _ARGMAX_BLOCK + 1, _ARGMAX_BLOCK + 7, nrow - 1, nrow - 1,
+                    _ARGMAX_BLOCK + 10]
+        assert list(_col_argmax(p)) == expected
+        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+
+    @pytest.mark.parametrize("nrow", [2, 5, _ARGMAX_BLOCK - 1])
+    def test_fewer_rows_than_one_block(self, nrow):
+        p = np.round(np.random.default_rng(nrow).uniform(size=(nrow, 11)), 1)
+        p[:, 0] = 0.3
+        p[[0, nrow - 1], 1] = 2.0
+        p[nrow - 1, 2] = 2.0
+        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+        assert list(_col_argmax(p)[:3]) == [0, 0, nrow - 1]
 
 
 class TestPermutationEquivariance:

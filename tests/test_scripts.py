@@ -169,6 +169,12 @@ def test_noise_sweep_continuous_pose_lands_within_one_cell():
     assert max(median_m, mean_m, p90_m) > 1e-6
 
 
+def test_solve_digest_prints_one_stable_sha256_line():
+    first = run_python(ROOT / "scripts" / "solve_digest.py")
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first)
+    assert run_python(ROOT / "scripts" / "solve_digest.py") == first
+
+
 def test_bench_smoke_passes():
     out = run_python(ROOT / "bench" / "run.py", "--smoke")
     assert out.splitlines()[-1] == "smoke: ok"

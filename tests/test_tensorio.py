@@ -116,6 +116,36 @@ def test_implausible_rank_rejected(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_finite_entry_beyond_float32_rejected(tmp_path, dtype):
+    arr = np.zeros((2, 3), dtype=dtype)
+    arr[1, 2] = -1e39
+    path = tmp_path / "t.cvt"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry (1, 2) overflows float32")):
+        save_tensor(path, arr)
+    assert not path.exists()
+
+
+def test_infinite_input_entry_is_written_as_given(tmp_path):
+    # only a finite entry that the cast makes infinite is refused
+    arr = np.array([1.0, np.inf, -np.inf, np.nan])
+    save_tensor(tmp_path / "t.cvt", arr)
+    assert np.array_equal(load_tensor(tmp_path / "t.cvt"), arr.astype(np.float32), equal_nan=True)
+
+
+def test_largest_float32_round_trips(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    save_tensor(tmp_path / "t.cvt", np.array([big, -big]))
+    assert np.array_equal(load_tensor(tmp_path / "t.cvt"), np.array([big, -big], np.float32))
+
+
+def test_refused_tensor_dir_leaves_nothing_behind(tmp_path):
+    tensors = {"a": np.ones((2, 2)), "b": np.array([0.0, 3e38, 1e39])}
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'd' / 'b.cvt'}: entry (2,)")):
+        save_tensor_dir(tmp_path / "d", "toy-v1", tensors)
+    assert not (tmp_path / "d").exists()
+
+
 def test_tensor_dir_round_trip(tmp_path):
     tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(4)}
     save_tensor_dir(tmp_path / "d", "toy-v1", tensors, count=2)
