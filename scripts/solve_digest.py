@@ -6,19 +6,25 @@ list: un-refined ``run_localization`` at n = 9, 21 and 41, snapped and
 continuous, sigma 0, 0.2 and 0.4, two seeds each, and refined solves with
 ``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21. The hash covers
 each solve's pose, degenerate flag, matches (metric coordinates of the
-matched cells), match weights and ground surface. Run it on both trees
-with the same BLAS thread count: the refiner's GEMMs are bit-reproducible
-only for a fixed one. It takes no flags.
+matched cells), match weights and ground surface. For each un-refined solve
+it also covers the loss path: the JSON text of ``scene_loss_report`` for the
+solved pose, on the scene after a ``save_scene_dir``/``load_scene_dir`` round
+trip through a temporary directory. Run it on both trees with the same BLAS
+thread count: the refiner's GEMMs are bit-reproducible only for a fixed one.
+It takes no flags.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from crossview.geometry import BevGridSpec, SceneSpec
-from crossview.pipeline import run_localization
+from crossview.pipeline import run_localization, scene_loss_report
 from crossview.refiner import RefinerParams
-from crossview.synthetic import make_scene_bundle
+from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
+from crossview.tensorio import json_text
 
 SEEDS = (0, 1)
 UNREFINED = [(n, snapped, sigma) for n in (9, 21, 41) for snapped in (True, False)
@@ -41,16 +47,23 @@ def solves():
 
 def main():
     digest = hashlib.sha256()
-    for specs, bundle, params in solves():
-        inputs = bundle.inputs
-        res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs, params)
-        matches = res.matches_m
-        for part in (res.pose_px.t_px, np.float64(res.pose_px.yaw_rad),
-                     np.bool_(res.degenerate), matches.ground_xy, matches.aerial_xy,
-                     matches.weights, res.surface):
-            part = np.ascontiguousarray(part)
-            digest.update(f"{part.dtype.str}{part.shape}".encode())
-            digest.update(part.tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_dir = Path(tmp) / "scene"
+        for specs, bundle, params in solves():
+            inputs = bundle.inputs
+            res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs,
+                                   params)
+            matches = res.matches_m
+            for part in (res.pose_px.t_px, np.float64(res.pose_px.yaw_rad),
+                         np.bool_(res.degenerate), matches.ground_xy, matches.aerial_xy,
+                         matches.weights, res.surface):
+                part = np.ascontiguousarray(part)
+                digest.update(f"{part.dtype.str}{part.shape}".encode())
+                digest.update(part.tobytes())
+            if params is None:
+                save_scene_dir(scene_dir, bundle)
+                report = scene_loss_report(load_scene_dir(scene_dir), res.pose_px)
+                digest.update(json_text(report).encode())
     print(digest.hexdigest())
 
 

@@ -24,7 +24,7 @@ from .losses import LossConfig
 from .pipeline import PipelineConfig, run_localization, scene_loss_report
 from .refiner import RefinerParams
 from .solver import pose_error
-from .surface import BevFeatureMap, FeatureVolume
+from .surface import BevFeatureMap
 from .synthetic import (FEATURE_CHANNELS, load_scene_dir, make_scene_bundle,
                         read_scene_manifest, save_scene_dir)
 from .tensorio import decode_json, json_text, load_tensor, read_json
@@ -72,7 +72,7 @@ def _load_solve_inputs(args):
     if None in loose.values():
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
     specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict)
-    volume = FeatureVolume(load_tensor(args.volume))
+    volume = load_tensor(args.volume).astype(float)
     conf_logits = load_tensor(args.conf_logits)
     f_sat = BevFeatureMap(load_tensor(args.f_sat))
     return volume, conf_logits, f_sat, specs

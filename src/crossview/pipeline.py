@@ -15,12 +15,12 @@ import numpy as np
 from .geometry import Pose3DoF, SceneSpec
 from .losses import (LossConfig, height_loss, loss_report, matching_loss,
                      vce_loss)
-from .refiner import (RefinerParams, SimilarityMatrix, check_temperature, extract_matches,
-                      initial_similarity, match_probabilities, refine)
+from .refiner import (RefinerParams, SimilarityMatrix, _check_top_k, check_temperature,
+                      extract_matches, initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
-from .surface import (BevFeatureMap, FeatureVolume, _check_window,
-                      aerial_depth_to_height_index, check_input_shapes, fuse_height_features,
+from .surface import (BevFeatureMap, _check_threshold, _check_window,
+                      aerial_depth_to_height_index, check_inputs, fuse_height_features,
                       normalize_confidence, surface_from_accumulation)
 from .synthetic import SceneBundle
 from .tensorio import check_integer
@@ -28,9 +28,9 @@ from .tensorio import check_integer
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Solve settings, checked on construction: ``surface_threshold`` in (0, 1), ``fuse_window``
-    None or what ``fuse_height_features`` accepts, ``top_k`` an integer >= 1 (per
-    ``check_integer``), ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
+    """Solve settings, checked on construction: ``surface_threshold`` per ``_check_threshold``,
+    ``fuse_window`` None or what ``fuse_height_features`` accepts, ``top_k`` an integer (per
+    ``check_integer``) >= 1, ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
     top_k: int = 30
@@ -38,13 +38,11 @@ class PipelineConfig:
     known_yaw_rad: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.surface_threshold < 1.0:   # also catches NaN
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+        _check_threshold(self.surface_threshold)
         if self.fuse_window is not None:
             _check_window("fuse_window", self.fuse_window)
         check_integer("top_k", self.top_k)
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
+        _check_top_k(self.top_k, math.inf)   # the grid, and so the upper bound, comes later
         check_temperature(self.tau)
         if self.known_yaw_rad is not None and not math.isfinite(self.known_yaw_rad):
             raise ValueError("known yaw must be finite")
@@ -71,27 +69,26 @@ def matches_cells_to_metric(matches: CorrespondenceSet, specs: SceneSpec) -> Cor
     return CorrespondenceSet(ground, aerial_px * specs.aerial.gsd_m_per_px, matches.weights)
 
 
-def ground_similarity(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevFeatureMap,
+def ground_similarity(volume: np.ndarray, conf_logits: np.ndarray, f_sat: BevFeatureMap,
                       specs: SceneSpec, config: PipelineConfig = PipelineConfig()
                       ) -> tuple[np.ndarray, SimilarityMatrix]:
-    """Input shapes against ``specs``, then confidence softmax -> ground surface ->
-    height fusion -> initial similarity."""
-    check_input_shapes(specs, volume.data, conf_logits, f_sat.data)
+    """``check_inputs`` against ``specs``, then confidence softmax -> ground surface ->
+    height fusion of the (M, N, N, C) float64 volume -> initial similarity."""
+    check_inputs(specs, volume, conf_logits, f_sat.data)
     conf = normalize_confidence(conf_logits)
     surf = surface_from_accumulation(conf, config.surface_threshold, specs.layers)
     f_grd = fuse_height_features(volume, conf, surf, window=config.fuse_window)
     return surf, initial_similarity(f_grd, f_sat, config.tau)
 
 
-def run_localization(volume: FeatureVolume, conf_logits: np.ndarray, f_sat: BevFeatureMap,
+def run_localization(volume: np.ndarray, conf_logits: np.ndarray, f_sat: BevFeatureMap,
                      specs: SceneSpec, params: RefinerParams | None = None,
                      config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Surface model -> similarity -> refine -> normalize -> match -> pose; a ``top_k`` above
     the N^4 matrix entries is rejected before any stage runs, and refiner parameters sized
     for another patch count before any refiner stage. ``params=None`` skips the refinement
     and uses zero dustbins, without a log line."""
-    if config.top_k > specs.grid.num_cells ** 2:
-        raise ValueError("k exceeds the number of matrix entries")
+    _check_top_k(config.top_k, specs.grid.num_cells ** 2)
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)
     if params is not None:
         sim = refine(sim, params)

@@ -76,9 +76,9 @@ class RefinerParams:
     ``gate_*`` the gating stack whose sigmoid output scales the residual,
     and ``dustbin_*`` the learnable bin row/column/corner. Shapes that do
     not chain, or a tensor holding NaN or inf, are a ``ValueError`` at
-    construction, so also on load, before any refinement runs. On disk it is
-    a ``refiner-params-v1`` tensor directory whose manifest adds the three
-    layer counts; the round trip is bit-exact.
+    construction, so also on load (naming the directory), before any
+    refinement runs. On disk it is a ``refiner-params-v1`` tensor directory
+    whose manifest adds the three layer counts; the round trip is bit-exact.
     """
 
     conv_kernels: tuple
@@ -184,7 +184,10 @@ class RefinerParams:
             # lazy names: a count past the listed tensors stops at the first unlisted one
             names = map(pattern.format, range(counts[field]))
             fields[field] = tuple(load_tensors(directory, manifest, names).values())
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except ValueError as exc:   # a rule of _validate
+            raise ValueError(f"{directory}: {exc}") from None
 
 
 def check_temperature(tau: float) -> None:
@@ -583,6 +586,14 @@ def _col_argmax(p: np.ndarray) -> np.ndarray:
     return start + (window == maxima.max(axis=0)[:, None]).argmax(axis=1)
 
 
+def _check_top_k(k: int, entries: float) -> None:
+    """The match-count rule: ``1 <= k <= entries``, the probability matrix's N^4 entries."""
+    if k < 1:
+        raise ValueError("top_k must be at least 1")
+    if k > entries:
+        raise ValueError("top_k exceeds the number of matrix entries")
+
+
 def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
@@ -591,15 +602,12 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     come back in grid-cell units (row index -> (ix, iy) ground cell, column
     index -> aerial cell); weights are the probability values, which
     ``CorrespondenceSet`` checks finite and non-negative. A matrix that is
-    not square, or ``k`` outside [1, N^4], is a ``ValueError``.
+    not square, or ``k`` that ``_check_top_k`` rejects, is a ``ValueError``.
     """
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("probability matrix must be square")
     n2 = p.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > p.size:
-        raise ValueError("k exceeds the number of matrix entries")
+    _check_top_k(k, p.size)
     n = _cube_side(n2)
 
     row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties

@@ -18,20 +18,6 @@ from .tensorio import check_integer
 
 
 @dataclass
-class FeatureVolume:
-    """Volumetric BEV features of shape (M, N, N, C), float64 and finite."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 4:
-            raise ValueError(f"feature volume must be (M, N, N, C), got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature volume contains non-finite entries")
-
-
-@dataclass
 class BevFeatureMap:
     """Flat N x N x c BEV feature grid, float64 and finite."""
 
@@ -45,10 +31,11 @@ class BevFeatureMap:
             raise ValueError("BEV feature map contains non-finite entries")
 
 
-def check_input_shapes(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
-                       where: str = "") -> None:
+def check_inputs(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
+                 where: str = "") -> None:
     """Require volume (M, N, N, c), conf_logits (M, N, N), f_sat (N, N, c) and, if given,
-    depth_sat (N, N) of ``specs``, with one c; an error message starts with ``where``."""
+    depth_sat (N, N) of ``specs``, with one c, each finite; an error names the array and
+    starts with ``where``."""
     m, n = specs.layers.num_layers, specs.grid.n_points_per_side
     c = np.shape(volume)[-1:]
     for name, array, want in (("volume", volume, (m, n, n, *c)),
@@ -58,6 +45,8 @@ def check_input_shapes(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=N
         if array is not None and np.shape(array) != want:
             raise ValueError(f"{where}{name} must be {want} for the scene's specs, "
                              f"got {np.shape(array)}")
+        if array is not None and not np.isfinite(array).all():
+            raise ValueError(f"{where}{name} holds a non-finite entry")
 
 
 def normalize_confidence(raw: np.ndarray) -> np.ndarray:
@@ -77,6 +66,12 @@ def normalize_confidence(raw: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def _check_threshold(threshold: float) -> None:
+    """The surface threshold rule: strictly inside (0, 1), so NaN fails too."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie strictly inside (0, 1)")
+
+
 def surface_from_accumulation(conf: np.ndarray, threshold: float,
                               layer_spec: HeightLayerSpec) -> np.ndarray:
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
@@ -88,8 +83,7 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     outside (0, 1), or a layer count other than ``layer_spec``'s, is a
     ``ValueError``.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
+    _check_threshold(threshold)
     m = conf.shape[0]
     if m != layer_spec.num_layers:
         raise ValueError(f"confidence volume has {m} layers, layer spec has {layer_spec.num_layers}")
@@ -109,18 +103,18 @@ def _check_window(key: str, window) -> None:
         raise ValueError(f"{key} must be >= 0")
 
 
-def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
+def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
                          window: int | None = None) -> BevFeatureMap:
-    """Confidence-weighted fusion of features across height layers.
+    """Confidence-weighted fusion of the (M, N, N, C) feature volume across height layers.
 
     Layers within ``window`` of the (N, N) surface index contribute, weighted by
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
     count is unchanged. Shapes that disagree, or a window that ``_check_window``
-    rejects, are a ``ValueError``.
+    rejects, are a ``ValueError``. The volume is not scanned: ``check_inputs`` does that.
     """
-    m, n = vol.data.shape[0], vol.data.shape[1]
+    m, n = vol.shape[0], vol.shape[1]
     if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
     window = m if window is None else window   # no layer is m or more from the surface
@@ -132,7 +126,7 @@ def fuse_height_features(vol: FeatureVolume, conf: np.ndarray, surf: np.ndarray,
     totals = weights.sum(axis=0, keepdims=True)
     uniform = mask / mask.sum(axis=0, keepdims=True)
     weights = np.where(totals > 0, weights / np.where(totals > 0, totals, 1.0), uniform)
-    return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol.data))
+    return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol))
 
 
 def check_depth_rule(ground_anchor_m: float, scale: float) -> None:

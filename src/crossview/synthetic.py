@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
-from .surface import BevFeatureMap, FeatureVolume, check_depth_rule, check_input_shapes
+from .surface import BevFeatureMap, check_depth_rule, check_inputs
 from .tensorio import decode_json, json_number, load_tensors, read_manifest, save_tensor_dir
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
@@ -53,7 +53,7 @@ class SyntheticScene(SceneTruth):
 class RenderedInputs:
     """Pipeline inputs consistent with one scene."""
 
-    volume: FeatureVolume
+    volume: np.ndarray        # (M, N, N, c) float64 feature volume
     conf_logits: np.ndarray   # (M, N, N)
     f_sat: BevFeatureMap
     depth_sat: np.ndarray     # (N, N) aerial pseudo-depth
@@ -203,10 +203,9 @@ def render_inputs(scene: SyntheticScene, specs: SceneSpec) -> RenderedInputs:
 
     gt_index = specs.layers.nearest_index(scene.height_field_m)
 
-    vol = sigma * rng.standard_normal((m, n, n, c))
+    volume = sigma * rng.standard_normal((m, n, n, c))
     ii, jj = np.moveaxis(grid_cells(specs.grid), -1, 0)
-    vol[gt_index, ii, jj] = scene.feature_texture
-    volume = FeatureVolume(vol)
+    volume[gt_index, ii, jj] = scene.feature_texture
 
     conf_logits = sigma * rng.standard_normal((m, n, n))
     conf_logits[gt_index, ii, jj] += CONFIDENCE_PEAK
@@ -233,7 +232,7 @@ def save_scene_dir(directory, bundle: SceneBundle) -> None:
     """
     inputs = bundle.inputs
     tensors = {
-        "volume": inputs.volume.data,
+        "volume": inputs.volume,
         "conf_logits": inputs.conf_logits,
         "f_sat": inputs.f_sat.data,
         "depth_sat": inputs.depth_sat,
@@ -269,7 +268,8 @@ def read_scene_manifest(directory) -> dict:
 
 
 def load_scene_dir(directory) -> SceneBundle:
-    """Read a scene directory: its manifest, then its four tensors, checked against its specs.
+    """Read a scene directory: its manifest, then its four tensors as float64, which
+    ``check_inputs`` checks against its specs, naming the directory.
 
     Earlier layouts load the same way. Directories written before the world left
     the format also list ``height_field`` and ``texture``, and older ones a
@@ -280,9 +280,8 @@ def load_scene_dir(directory) -> SceneBundle:
     fields = decode_json(directory, manifest, _manifest_fields)
     raw = load_tensors(directory, manifest, ("volume", "conf_logits", "f_sat", "depth_sat"))
     volume, conf_logits, f_sat, depth_sat = (t.astype(float) for t in raw.values())
-    check_input_shapes(fields["specs"], volume, conf_logits, f_sat, depth_sat,
-                       where=f"{directory}: ")
-    inputs = RenderedInputs(FeatureVolume(volume), conf_logits, BevFeatureMap(f_sat), depth_sat)
+    check_inputs(fields["specs"], volume, conf_logits, f_sat, depth_sat, where=f"{directory}: ")
+    inputs = RenderedInputs(volume, conf_logits, BevFeatureMap(f_sat), depth_sat)
     return SceneBundle(fields["specs"],
                        SceneTruth(fields["gt_pose"], fields["noise_sigma"], fields["seed"]),
                        inputs, fields["depth_anchor_m"], fields["depth_scale"])

@@ -18,8 +18,7 @@ from crossview.refiner import (RefinerParams, SimilarityMatrix,
                                normalize_doubly_stochastic, refine)
 from crossview.solver import (CorrespondenceSet, pose_error,
                               solve_weighted_procrustes)
-from crossview.surface import (BevFeatureMap, FeatureVolume, normalize_confidence,
-                               surface_from_accumulation)
+from crossview.surface import BevFeatureMap, normalize_confidence, surface_from_accumulation
 from crossview.synthetic import make_scene_bundle
 
 from conftest import col_softmax, factored, identity_pose, python_subprocess, row_softmax
@@ -261,8 +260,7 @@ def test_metric_fixtures():
 def _solve(bundle, volume=None, f_sat=None):
     """The un-refined solve of ``bundle``, with ``volume`` or ``f_sat`` swapped in when given."""
     inputs = bundle.inputs
-    return run_localization(FeatureVolume(inputs.volume.data if volume is None else volume),
-                            inputs.conf_logits,
+    return run_localization(inputs.volume if volume is None else volume, inputs.conf_logits,
                             BevFeatureMap(inputs.f_sat.data if f_sat is None else f_sat),
                             bundle.specs)
 
@@ -318,7 +316,7 @@ def test_feature_scale_oracle():
     same = 0
     for bundle in _oracle_bundles(_RELATION_CASES):
         base = _solve(bundle)
-        scaled = _solve(bundle, volume=2 * bundle.inputs.volume.data,
+        scaled = _solve(bundle, volume=2 * bundle.inputs.volume,
                         f_sat=4 * bundle.inputs.f_sat.data)
         same += (np.array_equal(scaled.pose_px.t_px, base.pose_px.t_px)
                  and scaled.pose_px.yaw_rad == base.pose_px.yaw_rad)
@@ -335,7 +333,7 @@ def test_channel_permutation_oracle():
         perm = np.random.default_rng(seed).permutation(bundle.inputs.f_sat.data.shape[-1])
         assert not np.array_equal(perm, np.sort(perm))
         base = _solve(bundle)
-        permuted = _solve(bundle, volume=bundle.inputs.volume.data[..., perm],
+        permuted = _solve(bundle, volume=bundle.inputs.volume[..., perm],
                           f_sat=bundle.inputs.f_sat.data[..., perm])
         same_cells += (np.array_equal(permuted.matches_m.ground_xy, base.matches_m.ground_xy)
                        and np.array_equal(permuted.matches_m.aerial_xy, base.matches_m.aerial_xy))

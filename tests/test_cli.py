@@ -258,7 +258,8 @@ class TestSolve:
         code = cli.main(["solve", "--scene-dir", str(out),
                          "--refiner-params", str(tmp_path / "params")])
         assert code == 2
-        assert "refiner parameters must be finite" in capsys.readouterr().err
+        assert f"error: {tmp_path / 'params'}: refiner parameters must be finite" \
+            in capsys.readouterr().err
 
     def test_refiner_params_for_another_grid_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=5)
@@ -279,7 +280,21 @@ class TestSolve:
         proc = run_cli("solve", "--scene-dir", out, "--refiner-params", params_dir,
                        check=False)
         assert proc.returncode == 2
-        assert "error: convolution channel chain is inconsistent" in proc.stderr
+        assert f"error: {params_dir}: convolution channel chain is inconsistent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_refiner_params_name_their_directory(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        params_dir = tmp_path / "rp"
+        params = refiner.RefinerParams.random(81)
+        params.save(params_dir)
+        weight = params.global_weights[0].copy()
+        weight[0, 0] = np.nan
+        save_tensor(params_dir / "global0_weight.cvt", weight)
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", params_dir,
+                       check=False)
+        assert proc.returncode == 2
+        assert f"error: {params_dir}: refiner parameters must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_refiner_params_without_layer_count_is_input_error(self, tmp_path):
@@ -917,6 +932,27 @@ def test_surface_index_off_the_grid_is_input_error(tmp_path, shared_scene_dir):
     assert f"error: {scene}: depth_sat must be (9, 9) for the scene's specs, " \
            "got (5, 5)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "loss"])
+@pytest.mark.parametrize("name", ["volume", "conf_logits", "f_sat", "depth_sat"])
+def test_non_finite_scene_tensor_is_input_error_naming_it(tmp_path, shared_scene_dir,
+                                                          command, name):
+    # one NaN in one tensor; solve never reads depth_sat, yet the scene is refused
+    scene = tmp_path / "scene"
+    shutil.copytree(shared_scene_dir, scene)
+    tensor = load_tensor(scene / f"{name}.cvt")
+    tensor.flat[tensor.size // 2] = np.nan
+    save_tensor(scene / f"{name}.cvt", tensor)
+    pose_path = tmp_path / "pose.json"
+    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+    extra = ("--pred-pose", pose_path) if command == "loss" else ()
+    proc = run_cli(command, "--scene-dir", scene, *extra, "--out", tmp_path / "out.json",
+                   check=False)
+    assert proc.returncode == 2
+    assert f"error: {scene}: {name} holds a non-finite entry" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir):

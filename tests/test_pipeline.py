@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import crossview.pipeline as pipeline
-from crossview.geometry import BevGridSpec, Pose3DoF
+from crossview.geometry import BevGridSpec, HeightLayerSpec, Pose3DoF
 from crossview.losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
 from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
                                 scene_loss_report)
-from crossview.refiner import RefinerParams, initial_similarity
+from crossview.refiner import RefinerParams, extract_matches, initial_similarity
 from crossview.surface import (BevFeatureMap, aerial_depth_to_height_index,
                                fuse_height_features, normalize_confidence,
                                surface_from_accumulation)
@@ -42,6 +42,15 @@ class TestConfigValidation:
     def test_surface_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValueError, match=r"threshold must lie strictly inside \(0, 1\)"):
             PipelineConfig(surface_threshold=threshold)
+
+    # one rule, one message, whichever caller applies it
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, 1.0, -0.5, 1.5])
+    def test_surface_threshold_rule_has_one_message(self, threshold):
+        conf = np.full((3, 2, 2), 1 / 3)
+        for call in (lambda: PipelineConfig(surface_threshold=threshold),
+                     lambda: surface_from_accumulation(conf, threshold, HeightLayerSpec(3))):
+            with pytest.raises(ValueError, match=r"^threshold must lie strictly inside \(0, 1\)$"):
+                call()
 
     def test_negative_fuse_window_rejected(self):
         with pytest.raises(ValueError, match="window must be >= 0"):
@@ -75,6 +84,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k exceeds the number of matrix entries"):
             run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
                              bundle.inputs.f_sat, small_specs, config=PipelineConfig(top_k=n4 + 1))
+
+    # the match-count rule: the config and run_localization give extract_matches' messages
+    @pytest.mark.parametrize("k, message", [
+        (0, "top_k must be at least 1"), (-3, "top_k must be at least 1"),
+        (None, "top_k exceeds the number of matrix entries"),   # None: N^4 + 1
+    ], ids=["zero", "negative", "above"])
+    def test_top_k_rule_has_one_message_per_bound(self, small_specs, k, message):
+        n2 = small_specs.grid.num_cells
+        k = n2 ** 2 + 1 if k is None else k
+        inputs = make_scene_bundle(small_specs, seed=0).inputs
+        for call in (lambda: extract_matches(np.full((n2, n2), 0.5), k),
+                     lambda: run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat,
+                                              small_specs, config=PipelineConfig(top_k=k))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     @pytest.mark.parametrize("change, message", [
         ("grid", "volume must be (11, 11, 11, 16) for the scene's specs, got (11, 9, 9, 16)"),

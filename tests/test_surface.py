@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.geometry import BevGridSpec, HeightLayerSpec, SceneSpec
-from crossview.surface import (BevFeatureMap, FeatureVolume, aerial_depth_to_height_index,
-                               check_input_shapes, fuse_height_features,
-                               normalize_confidence, surface_from_accumulation)
+from crossview.surface import (BevFeatureMap, aerial_depth_to_height_index, check_inputs,
+                               fuse_height_features, normalize_confidence,
+                               surface_from_accumulation)
 
 LAYERS = HeightLayerSpec(11, -10.0, 10.0)
 
@@ -136,45 +136,45 @@ class TestSurfaceFromAccumulation:
 class TestFuseHeightFeatures:
     def test_uniform_confidence_full_window_is_mean(self):
         rng = np.random.default_rng(0)
-        vol = FeatureVolume(rng.normal(size=(4, 3, 3, 5)))
+        vol = rng.normal(size=(4, 3, 3, 5))
         conf = np.full((4, 3, 3), 0.25)
         surf = np.ones((3, 3), dtype=int)
         fused = fuse_height_features(vol, conf, surf, window=None)
-        assert np.allclose(fused.data, vol.data.mean(axis=0), atol=1e-12)
+        assert np.allclose(fused.data, vol.mean(axis=0), atol=1e-12)
 
     def test_zero_window_is_direct_indexing(self):
         rng = np.random.default_rng(1)
-        vol = FeatureVolume(rng.normal(size=(5, 3, 3, 4)))
+        vol = rng.normal(size=(5, 3, 3, 4))
         conf = normalize_confidence(rng.normal(size=(5, 3, 3)))
         surf = rng.integers(0, 5, size=(3, 3))
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-        assert np.array_equal(fused.data, vol.data[surf, ii, jj])
+        assert np.array_equal(fused.data, vol[surf, ii, jj])
 
     def test_hand_computed_window(self):
         # conf (0.2, 0.3, 0.5), surface 2, window 1 -> (0.3 v1 + 0.5 v2) / 0.8
         rng = np.random.default_rng(2)
-        vol = FeatureVolume(rng.normal(size=(3, 2, 2, 4)))
+        vol = rng.normal(size=(3, 2, 2, 4))
         conf = np.broadcast_to(
             np.array([0.2, 0.3, 0.5])[:, None, None], (3, 2, 2)).copy()
         surf = np.full((2, 2), 2)
         fused = fuse_height_features(vol, conf, surf, window=1)
-        expected = (0.3 * vol.data[1] + 0.5 * vol.data[2]) / 0.8
+        expected = (0.3 * vol[1] + 0.5 * vol[2]) / 0.8
         assert np.allclose(fused.data, expected, atol=1e-12)
 
     def test_zero_mass_window_falls_back_to_uniform(self):
         rng = np.random.default_rng(3)
-        vol = FeatureVolume(rng.normal(size=(3, 2, 2, 2)))
+        vol = rng.normal(size=(3, 2, 2, 2))
         conf = np.broadcast_to(
             np.array([1.0, 0.0, 0.0])[:, None, None], (3, 2, 2)).copy()
         surf = np.full((2, 2), 2)
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
-        assert np.array_equal(fused.data, vol.data[surf, ii, jj])
+        assert np.array_equal(fused.data, vol[surf, ii, jj])
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)
-        vol = FeatureVolume(rng.normal(size=(3, 2, 2, 6)))
+        vol = rng.normal(size=(3, 2, 2, 6))
         conf = np.full((4, 2, 2), 0.25)
         surf = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestFuseHeightFeatures:
     ], ids=["float", "bool", "nan", "negative"])
     def test_window_other_than_a_non_negative_integer_rejected(self, window, message):
         rng = np.random.default_rng(8)
-        vol = FeatureVolume(rng.normal(size=(3, 2, 2, 4)))
+        vol = rng.normal(size=(3, 2, 2, 4))
         conf = np.full((3, 2, 2), 1 / 3)
         surf = np.ones((2, 2), dtype=int)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -250,23 +250,24 @@ class TestContainerValidation:
         specs = SceneSpec(grid=BevGridSpec(4, 2.0), layers=HeightLayerSpec(5, 0, 1))
         with pytest.raises(ValueError, match=re.escape(
                 "volume must be (5, 4, 4, 2) for the scene's specs, got (3, 4, 4, 2)")):
-            check_input_shapes(specs, np.zeros((3, 4, 4, 2)), np.zeros((5, 4, 4)),
-                               np.zeros((4, 4, 2)))
-        with pytest.raises(ValueError, match=re.escape("feature volume must be (M, N, N, C)")):
-            FeatureVolume(np.zeros((3, 4, 4)))
+            check_inputs(specs, np.zeros((3, 4, 4, 2)), np.zeros((5, 4, 4)), np.zeros((4, 4, 2)))
+        # a volume of the wrong rank: its last axis is taken as the channel count
+        with pytest.raises(ValueError, match=re.escape(
+                "volume must be (5, 4, 4, 4) for the scene's specs, got (3, 4, 4)")):
+            check_inputs(specs, np.zeros((3, 4, 4)), np.zeros((5, 4, 4)), np.zeros((4, 4, 4)))
 
     def test_feature_volume_rejects_nan(self):
+        specs = SceneSpec(grid=BevGridSpec(4, 2.0), layers=HeightLayerSpec(3, 0, 1))
         data = np.zeros((3, 4, 4, 2))
         data[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            FeatureVolume(data)
+        with pytest.raises(ValueError, match="^volume holds a non-finite entry$"):
+            check_inputs(specs, data, np.zeros((3, 4, 4)), np.zeros((4, 4, 2)))
 
     def test_bev_feature_map_shape_checked(self):
         specs = SceneSpec(grid=BevGridSpec(4, 2.0), layers=HeightLayerSpec(5, 0, 1))
         with pytest.raises(ValueError, match=re.escape(
                 "f_sat must be (4, 4, 2) for the scene's specs, got (3, 4, 2)")):
-            check_input_shapes(specs, np.zeros((5, 4, 4, 2)), np.zeros((5, 4, 4)),
-                               np.zeros((3, 4, 2)))
+            check_inputs(specs, np.zeros((5, 4, 4, 2)), np.zeros((5, 4, 4)), np.zeros((3, 4, 2)))
         with pytest.raises(ValueError, match=re.escape("BEV feature map must be (N, N, c)")):
             BevFeatureMap(np.zeros((4, 4)))
 
@@ -278,12 +279,12 @@ class TestCheckInputShapes:
 
     def check(self, where="", **shapes):
         arrays = {name: np.zeros(shape) for name, shape in {**self.GOOD, **shapes}.items()}
-        check_input_shapes(self.SPECS, **arrays, where=where)
+        check_inputs(self.SPECS, **arrays, where=where)
 
     def test_shapes_of_the_specs_pass(self):
         self.check()
-        check_input_shapes(self.SPECS, np.zeros((3, 5, 5, 7)), np.zeros((3, 5, 5)),
-                           np.zeros((5, 5, 7)))   # any c, and no depth map
+        check_inputs(self.SPECS, np.zeros((3, 5, 5, 7)), np.zeros((3, 5, 5)),
+                     np.zeros((5, 5, 7)))   # any c, and no depth map
 
     @pytest.mark.parametrize("name, shape, wanted", [
         ("volume", (3, 5, 4, 2), "(3, 5, 5, 2)"),
@@ -296,3 +297,11 @@ class TestCheckInputShapes:
         with pytest.raises(ValueError, match=re.escape(
                 f"scene: {name} must be {wanted} for the scene's specs, got {shape}")):
             self.check(where="scene: ", **{name: shape})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(GOOD))
+    def test_non_finite_entry_names_the_input(self, name, value):
+        arrays = {key: np.zeros(shape) for key, shape in self.GOOD.items()}
+        arrays[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^scene: {name} holds a non-finite entry$"):
+            check_inputs(self.SPECS, **arrays, where="scene: ")

@@ -110,7 +110,7 @@ class TestRenderInputs:
         scene = generate_scene(small_specs, seed=3, noise_sigma=0.3)
         a = render_inputs(scene, small_specs)
         b = render_inputs(scene, small_specs)
-        assert np.array_equal(a.volume.data, b.volume.data)
+        assert np.array_equal(a.volume, b.volume)
         assert np.array_equal(a.conf_logits, b.conf_logits)
         assert np.array_equal(a.f_sat.data, b.f_sat.data)
         assert np.array_equal(a.depth_sat, b.depth_sat)
@@ -249,8 +249,7 @@ class TestSceneIo:
         assert back.scene.noise_sigma == pytest.approx(0.1)
         assert np.array_equal(back.scene.gt_pose.t_px, bundle.scene.gt_pose.t_px)
         # tensors persist in float32
-        assert np.array_equal(back.inputs.volume.data,
-                              bundle.inputs.volume.data.astype(np.float32))
+        assert np.array_equal(back.inputs.volume, bundle.inputs.volume.astype(np.float32))
         assert np.array_equal(back.inputs.f_sat.data,
                               bundle.inputs.f_sat.data.astype(np.float32))
 
@@ -281,10 +280,9 @@ class TestSceneIo:
         assert (a.scene.seed, a.scene.noise_sigma) == (b.scene.seed, b.scene.noise_sigma)
         assert np.array_equal(a.scene.gt_pose.t_px, b.scene.gt_pose.t_px)
         assert a.scene.gt_pose.yaw_rad == b.scene.gt_pose.yaw_rad
-        for name in ("volume", "f_sat"):
-            assert np.array_equal(getattr(a.inputs, name).data, getattr(b.inputs, name).data)
-        assert np.array_equal(a.inputs.conf_logits, b.inputs.conf_logits)
-        assert np.array_equal(a.inputs.depth_sat, b.inputs.depth_sat)
+        assert np.array_equal(a.inputs.f_sat.data, b.inputs.f_sat.data)
+        for name in ("volume", "conf_logits", "depth_sat"):
+            assert np.array_equal(getattr(a.inputs, name), getattr(b.inputs, name))
 
     def test_legacy_layout_loads_the_same_scene(self, tmp_path, small_specs):
         # scene-v1 directories written before the world left the format also hold
