@@ -9,9 +9,10 @@ each solve's pose, degenerate flag, matches (metric coordinates of the
 matched cells), match weights and ground surface. For each un-refined solve
 it also covers the loss path: the JSON text of ``scene_loss_report`` for the
 solved pose, on the scene after a ``save_scene_dir``/``load_scene_dir`` round
-trip through a temporary directory. Run it on both trees with the same BLAS
-thread count: the refiner's GEMMs are bit-reproducible only for a fixed one.
-It takes no flags.
+trip through a temporary directory, under the default ``LossConfig`` and under
+``LOSS_CONFIG``, a non-default one decoded by ``LossConfig.from_json_dict``.
+Run it on both trees with the same BLAS thread count: the refiner's GEMMs are
+bit-reproducible only for a fixed one. It takes no flags.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.losses import LossConfig
 from crossview.pipeline import run_localization, scene_loss_report
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
@@ -31,6 +33,7 @@ UNREFINED = [(n, snapped, sigma) for n in (9, 21, 41) for snapped in (True, Fals
              for sigma in (0.0, 0.2, 0.4)]
 REFINED = [(n, snapped, sigma) for n in (9, 21) for snapped in (True, False)
            for sigma in (0.0, 0.2)]
+LOSS_CONFIG = {"beta2": 0.5, "k_norm": 7.5, "n_s": 300, "rng_seed": 3}
 
 
 def solves():
@@ -47,6 +50,7 @@ def solves():
 
 def main():
     digest = hashlib.sha256()
+    loss_cfgs = (LossConfig(), LossConfig.from_json_dict(LOSS_CONFIG))
     with tempfile.TemporaryDirectory() as tmp:
         scene_dir = Path(tmp) / "scene"
         for specs, bundle, params in solves():
@@ -62,8 +66,10 @@ def main():
                 digest.update(part.tobytes())
             if params is None:
                 save_scene_dir(scene_dir, bundle)
-                report = scene_loss_report(load_scene_dir(scene_dir), res.pose_px)
-                digest.update(json_text(report).encode())
+                loaded = load_scene_dir(scene_dir)
+                for cfg in loss_cfgs:
+                    report = scene_loss_report(loaded, res.pose_px, cfg)
+                    digest.update(json_text(report).encode())
     print(digest.hexdigest())
 
 

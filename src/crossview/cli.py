@@ -24,7 +24,7 @@ from .losses import LossConfig
 from .pipeline import PipelineConfig, run_localization, scene_loss_report
 from .refiner import RefinerParams
 from .solver import pose_error
-from .surface import BevFeatureMap
+from .surface import BevFeatureMap, check_inputs
 from .synthetic import (FEATURE_CHANNELS, load_scene_dir, make_scene_bundle,
                         read_scene_manifest, save_scene_dir)
 from .tensorio import decode_json, json_text, load_tensor, read_json
@@ -60,7 +60,8 @@ def cmd_generate(args) -> int:
 
 def _load_solve_inputs(args):
     """A scene directory, or all four loose tensor flags; a loose flag next to ``--scene-dir``
-    is a ``ValueError`` naming the first one, raised before any file is read."""
+    is a ``ValueError`` naming the first one, raised before any file is read. ``check_inputs``
+    checks each loose tensor as it is read, naming its file (f_sat against the volume's c)."""
     loose = {"--volume": args.volume, "--conf-logits": args.conf_logits,
              "--f-sat": args.f_sat, "--spec-json": args.spec_json}
     if args.scene_dir:
@@ -73,9 +74,12 @@ def _load_solve_inputs(args):
         raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
     specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict)
     volume = load_tensor(args.volume).astype(float)
+    check_inputs(specs, volume, None, None, where=f"{args.volume}: ")
     conf_logits = load_tensor(args.conf_logits)
-    f_sat = BevFeatureMap(load_tensor(args.f_sat))
-    return volume, conf_logits, f_sat, specs
+    check_inputs(specs, None, conf_logits, None, where=f"{args.conf_logits}: ")
+    f_sat = load_tensor(args.f_sat)
+    check_inputs(specs, volume, None, f_sat, where=f"{args.f_sat}: ")
+    return volume, conf_logits, BevFeatureMap(f_sat), specs
 
 
 def cmd_solve(args) -> int:

@@ -133,10 +133,6 @@ class HeightLayerSpec:
     def spacing_m(self) -> float:
         return (self.z_max_m - self.z_min_m) / (self.num_layers - 1)
 
-    def height_of(self, index):
-        """Height in meters of a layer index (scalar or array)."""
-        return self.z_min_m + np.asarray(index) * self.spacing_m
-
     def nearest_index(self, height_m):
         """Nearest layer index to a height, ties rounding toward the lower index."""
         with np.errstate(over="ignore"):   # a finite height may scale to +-inf: still clipped

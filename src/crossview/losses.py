@@ -20,7 +20,8 @@ from .tensorio import check_integer, json_number
 @dataclass(frozen=True)
 class LossConfig:
     """Weights and scales finite and positive; the sample counts ``n_v`` and ``n_s`` integers
-    >= 1 and ``rng_seed`` an integer >= 0, integers per ``check_integer``."""
+    >= 1 and ``rng_seed`` an integer >= 0, integers per ``check_integer``. ``k_norm`` divides
+    the height gap, which is in layer indices."""
     beta1: float = 1.0
     beta2: float = 1.0
     n_v: int = 100
@@ -28,7 +29,6 @@ class LossConfig:
     n_s: int = 1024
     k_norm: float = 100.0
     rng_seed: int = 0
-    height_in_meters: bool = False
 
     def __post_init__(self):
         for name in ("n_v", "n_s", "rng_seed"):
@@ -44,7 +44,8 @@ class LossConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
         """A missing key takes the default and a key that names no field is a ``ValueError``;
-        each value is decoded through ``json_number`` by its default's kind."""
+        each value is decoded through ``json_number`` as an integer or a float, by its
+        default's kind."""
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown loss config key(s): {', '.join(map(repr, unknown))}")
@@ -141,9 +142,8 @@ def height_loss(surf_grd: np.ndarray, surf_sat: np.ndarray, gt: Pose3DoF,
     """Mean normalized L1 gap between ground and aerial (N, N) surface layer indices.
 
     Pairs follow the same ground -> aerial sampling as the matching loss.
-    Heights compare in layer-index units by default (``height_in_meters``
-    switches to meters through ``HeightLayerSpec.height_of``) and are
-    scaled by 1/k_norm.
+    Heights compare in layer-index units, scaled by 1/k_norm; the gap in
+    meters is the one ``k_norm / specs.layers.spacing_m`` gives.
     """
     n = specs.grid.n_points_per_side
     if surf_grd.shape != (n, n) or surf_sat.shape != (n, n):
@@ -152,8 +152,6 @@ def height_loss(surf_grd: np.ndarray, surf_sat: np.ndarray, gt: Pose3DoF,
     g_src, g_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=False)
     a = surf_grd.reshape(-1)[g_src].astype(float)
     b = surf_sat.reshape(-1)[g_tgt].astype(float)
-    if cfg.height_in_meters:
-        a, b = specs.layers.height_of(a), specs.layers.height_of(b)
     return float(np.mean(np.abs(a - b)) / cfg.k_norm)
 
 

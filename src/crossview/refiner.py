@@ -205,8 +205,8 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     factors ``(ground / tau, aerial)``. Unit rows bound |s| by ``(1 + 1e-12) / tau``
     (the 1e-12 covers the rounding of C-term sums for C up to a few thousand), which
     ``check_temperature`` keeps finite, so the N^4 entries are not scanned. Maps of
-    different shapes, a feature row whose norm is zero or overflows, or a rejected
-    ``tau``, is a ``ValueError``.
+    different shapes, a feature row whose norm is zero, overflows or is not finite (it
+    holds a non-finite entry), or a rejected ``tau``, is a ``ValueError``.
     """
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
@@ -219,7 +219,7 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     if np.any(ng == 0) or np.any(ns == 0):
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
     if not (np.all(np.isfinite(ng)) and np.all(np.isfinite(ns))):
-        raise ValueError("feature row norm overflows: a row cannot be cosine-normalized")
+        raise ValueError("feature row norm overflows or is not finite")
     check_temperature(tau)
     ground = fg / ng[:, None]
     aerial = fs / ns[:, None]

@@ -19,7 +19,8 @@ from .tensorio import check_integer
 
 @dataclass
 class BevFeatureMap:
-    """Flat N x N x c BEV feature grid, float64 and finite."""
+    """Flat N x N x c BEV feature grid, float64. Its values are not scanned: ``check_inputs``
+    checks them at the boundary and ``initial_similarity`` refuses a non-finite row."""
 
     data: np.ndarray
 
@@ -27,8 +28,6 @@ class BevFeatureMap:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 3:
             raise ValueError(f"BEV feature map must be (N, N, c), got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("BEV feature map contains non-finite entries")
 
 
 def check_inputs(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
@@ -77,11 +76,10 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
 
     ``conf`` is the (M, N, N) output of ``normalize_confidence``. Returns the
-    (N, N) int64 layer index, which ``HeightLayerSpec.height_of`` turns into
-    meters. Cells that never cross (possible only through numerical loss,
-    since the columns sum to 1) fall back to the top layer. A threshold
-    outside (0, 1), or a layer count other than ``layer_spec``'s, is a
-    ``ValueError``.
+    (N, N) int64 layer index, the one unit of a surface height. Cells that
+    never cross (possible only through numerical loss, since the columns sum
+    to 1) fall back to the top layer. A threshold outside (0, 1), or a layer
+    count other than ``layer_spec``'s, is a ``ValueError``.
     """
     _check_threshold(threshold)
     m = conf.shape[0]

@@ -43,22 +43,18 @@ def check_integer(key: str, v) -> None:
 
 
 def json_number(d: dict, key: str, integer: bool = False, default=None):
-    """``d[key]`` (``default`` when absent and given) as an int, a float or, for a bool
-    ``default``, a bool.
+    """``d[key]`` (``default`` when absent and given) as an int or a float.
 
-    A bool field takes a bool; an integer field what ``check_integer`` passes; a
-    float field an int or a float, not a bool, within the float range. Any other
-    kind is a ``ValueError`` naming ``key``.
+    An integer field takes what ``check_integer`` passes; a float field an int
+    or a float, not a bool, within the float range. Any other kind is a
+    ``ValueError`` naming ``key``.
     """
     v = d[key] if default is None else d.get(key, default)
     if integer:
         check_integer(key, v)
         return int(v)
-    flag = isinstance(default, bool)
-    if isinstance(v, bool) != flag or not isinstance(v, (int, float)):
-        raise ValueError(f"{key}: expected {'a bool' if flag else 'a number'}, got {v!r}")
-    if flag:
-        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key}: expected a number, got {v!r}")
     try:
         return float(v)
     except OverflowError:

@@ -782,6 +782,19 @@ class TestLoss:
         assert "rng_seed must be non-negative, got -1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_height_in_meters_key_is_unknown(self, tmp_path, shared_scene_dir):
+        # a surface height has one unit, the layer index; k_norm / spacing_m gives meters
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"height_in_meters": true}')
+        proc = run_cli("loss", "--scene-dir", shared_scene_dir, "--pred-pose", pose_path,
+                       "--config", cfg_path, "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert f"error: {cfg_path}: " in proc.stderr
+        assert "unknown loss config key(s): 'height_in_meters'" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_finite_config_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=12)
         pose_path = tmp_path / "pose.json"
@@ -815,6 +828,7 @@ class TestMalformedJsonInput:
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": "nine"}), "ValueError"),
         ("loss-config", '{"n_v": 2.7}', "n_v: expected an integer, got 2.7"),
+        # not a field: the unknown-key rule refuses it before any kind check
         ("loss-config", '{"height_in_meters": "false"}', "height_in_meters"),
         ("loss-config", '{"beta_1": 5.0}', "unknown loss config key(s): 'beta_1'"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
@@ -953,6 +967,32 @@ def test_non_finite_scene_tensor_is_input_error_naming_it(tmp_path, shared_scene
     assert f"error: {scene}: {name} holds a non-finite entry" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+@pytest.mark.parametrize("name", ["volume", "conf_logits", "f_sat"])
+def test_bad_loose_tensor_is_input_error_naming_its_file(tmp_path, shared_scene_dir,
+                                                         name, fault):
+    # checked as it is read, before any stage, as a scene directory's tensors are
+    paths = {key: shared_scene_dir / f"{key}.cvt" for key in ("volume", "conf_logits", "f_sat")}
+    tensor = load_tensor(paths[name])
+    if fault == "nan":
+        tensor.flat[tensor.size // 2] = np.nan
+        detail = f"{name} holds a non-finite entry"
+    else:
+        tensor = tensor[:-1]
+        detail = f"{name} must be "
+    paths[name] = tmp_path / f"bad_{name}.cvt"
+    save_tensor(paths[name], tensor)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(load_scene_dir(shared_scene_dir).specs.to_json_dict()))
+    proc = run_cli("solve", "--volume", paths["volume"], "--conf-logits", paths["conf_logits"],
+                   "--f-sat", paths["f_sat"], "--spec-json", spec_path,
+                   "--out", tmp_path / "pose.json", check=False)
+    assert proc.returncode == 2
+    assert f"error: {paths[name]}: {detail}" in proc.stderr
+    assert "Traceback" not in proc.stderr and "skipping refinement" not in proc.stderr
+    assert not (tmp_path / "pose.json").exists()
 
 
 def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir):

@@ -128,7 +128,6 @@ class TestHeightLayerSpec:
         heights = layer_heights(spec)
         diffs = np.diff(heights)
         assert np.allclose(diffs, diffs[0])
-        assert spec.height_of(3) == pytest.approx(-3.0 + 3 * spec.spacing_m)
 
     def test_nearest_index_ties_round_down(self):
         spec = HeightLayerSpec(11, -10.0, 10.0)

@@ -304,11 +304,12 @@ class TestHeightLoss:
         assert loss == pytest.approx(direct, abs=1e-9)
 
     def test_meter_units_scale_by_layer_spacing(self):
+        # a gap in meters is the layer-index gap under k_norm / spacing_m
         specs = tiny_specs()
         a = np.full((4, 4), 4)
         b = np.full((4, 4), 5)
         cfg_idx = LossConfig(n_s=16, rng_seed=0)
-        cfg_m = LossConfig(n_s=16, rng_seed=0, height_in_meters=True)
+        cfg_m = LossConfig(n_s=16, rng_seed=0, k_norm=100.0 / specs.layers.spacing_m)
         li = height_loss(a, b, identity_pose(specs), specs, cfg_idx)
         lm = height_loss(a, b, identity_pose(specs), specs, cfg_m)
         assert lm == pytest.approx(li * specs.layers.spacing_m, abs=1e-12)
@@ -395,11 +396,11 @@ class TestLossConfig:
 
     def test_json_round_trip(self):
         cfg = LossConfig(beta1=0.5, beta2=2.0, n_v=7, l_v_m=3.0, n_s=12,
-                         k_norm=50.0, rng_seed=9, height_in_meters=True)
+                         k_norm=50.0, rng_seed=9)
         assert LossConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("field, value", [
-        ("height_in_meters", "false"), ("height_in_meters", 1), ("height_in_meters", None),
+        ("l_v_m", "5"), ("beta2", False), ("k_norm", None),
         ("n_v", 2.7), ("n_v", 2.0), ("n_v", True), ("rng_seed", True), ("n_s", "16"),
         ("beta1", "2"), ("beta1", True), ("beta1", None), ("k_norm", [1.0]),
     ])
@@ -415,3 +416,7 @@ class TestLossConfig:
     def test_json_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="^unknown loss config key\\(s\\): 'beta_1', 'x'$"):
             LossConfig.from_json_dict({"beta_1": 5.0, "x": 1, "n_v": 7})
+        # heights have one unit, the layer index: no key switches them to meters
+        with pytest.raises(ValueError,
+                           match="^unknown loss config key\\(s\\): 'height_in_meters'$"):
+            LossConfig.from_json_dict({"height_in_meters": True})

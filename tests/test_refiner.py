@@ -125,6 +125,17 @@ class TestInitialSimilarity:
         with pytest.raises(ValueError, match="feature row norm overflows"):
             initial_similarity(BevFeatureMap(f_grd), BevFeatureMap(f_sat), tau=0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["ground", "aerial"])
+    def test_non_finite_feature_row_rejected(self, side, value):
+        # a BevFeatureMap does not scan its values; the row norm check refuses them
+        plain = np.ones((3, 3, 4))
+        bad = plain.copy()
+        bad[2, 0, 1] = value
+        f_grd, f_sat = (bad, plain) if side == "ground" else (plain, bad)
+        with pytest.raises(ValueError, match="^feature row norm overflows or is not finite$"):
+            initial_similarity(BevFeatureMap(f_grd), BevFeatureMap(f_sat), tau=0.1)
+
     def test_overflowing_aerial_norm_stops_localization(self, small_specs):
         inputs = make_scene_bundle(small_specs, seed=3).inputs
         f_sat = inputs.f_sat.data.copy()
