@@ -4,13 +4,15 @@
 Two trees that print the same digest give bit-identical solves on this
 list: un-refined ``run_localization`` at n = 9, 21 and 41, snapped and
 continuous, sigma 0, 0.2 and 0.4, two seeds each, and refined solves with
-``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21. The hash covers
-each solve's pose, degenerate flag, matches (metric coordinates of the
-matched cells), match weights and ground surface. For each un-refined solve
-it also covers the loss path: the JSON text of ``scene_loss_report`` for the
-solved pose, on the scene after a ``save_scene_dir``/``load_scene_dir`` round
-trip through a temporary directory, under the default ``LossConfig`` and under
-``LOSS_CONFIG``, a non-default one decoded by ``LossConfig.from_json_dict``.
+``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21, whose parameters
+first make a ``RefinerParams.save``/``load`` round trip through a temporary
+directory. The hash covers each solve's pose, degenerate flag, matches
+(metric coordinates of the matched cells), match weights and ground
+surface. For each un-refined solve it also covers the loss path: the JSON
+text of ``scene_loss_report`` for the solved pose, on the scene after a
+``save_scene_dir``/``load_scene_dir`` round trip through a temporary
+directory, under the default ``LossConfig`` and under ``LOSS_CONFIG``, a
+non-default one decoded by ``LossConfig.from_json_dict``.
 Run it on both trees with the same BLAS thread count: the refiner's GEMMs are
 bit-reproducible only for a fixed one. It takes no flags.
 """
@@ -52,8 +54,11 @@ def main():
     digest = hashlib.sha256()
     loss_cfgs = (LossConfig(), LossConfig.from_json_dict(LOSS_CONFIG))
     with tempfile.TemporaryDirectory() as tmp:
-        scene_dir = Path(tmp) / "scene"
+        scene_dir, params_dir = Path(tmp) / "scene", Path(tmp) / "params"
         for specs, bundle, params in solves():
+            if params is not None:
+                params.save(params_dir)
+                params = RefinerParams.load(params_dir)
             inputs = bundle.inputs
             res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs,
                                    params)

@@ -1,8 +1,8 @@
 """Command-line surface: scene generation, pose solving, evaluation, losses.
 
 Exit codes: 0 success, 2 input error, 3 degenerate solution. All randomness
-flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING (any
-case) for verbosity; an unknown level is an input error naming CROSSVIEW_LOG,
+flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING|ERROR|CRITICAL
+(any case) for verbosity; an unknown level is an input error naming CROSSVIEW_LOG,
 raised before the command runs. Reports go to stdout or --out. ``loss`` reads
 its JSON inputs before the scene.
 """

@@ -10,6 +10,7 @@ product of its row-wise and column-wise softmax.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,19 +18,18 @@ from numpy.lib.stride_tricks import as_strided
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
-from .tensorio import json_number, load_tensors, read_manifest, save_tensor_dir
+from .tensorio import load_tensors, read_manifest, save_tensor_dir
 
-_PARAMS_FORMAT = "refiner-params-v1"
-# The refiner-params-v1 layout: each layer stack's field, its tensor-name
-# pattern and the manifest key holding its layer count; then the single
-# tensors of the dustbin, stored under their field names.
+_PARAMS_FORMAT = "refiner-params-v2"
+# The refiner-params-v2 layout: each layer stack's field and its tensor-name pattern (the
+# stack's depth is its run of listed names, from 0); the dustbin tensors keep their field names.
 _STACKS = (
-    ("conv_kernels", "conv{}_kernel", "num_conv_layers"),
-    ("conv_biases", "conv{}_bias", "num_conv_layers"),
-    ("global_weights", "global{}_weight", "num_global_layers"),
-    ("global_biases", "global{}_bias", "num_global_layers"),
-    ("gate_weights", "gate{}_weight", "num_gate_layers"),
-    ("gate_biases", "gate{}_bias", "num_gate_layers"),
+    ("conv_kernels", "conv{}_kernel"),
+    ("conv_biases", "conv{}_bias"),
+    ("global_weights", "global{}_weight"),
+    ("global_biases", "global{}_bias"),
+    ("gate_weights", "gate{}_weight"),
+    ("gate_biases", "gate{}_bias"),
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
 _ARGMAX_BLOCK = 32   # rows per block of the column argmax (and per column of its gather)
@@ -77,8 +77,8 @@ class RefinerParams:
     and ``dustbin_*`` the learnable bin row/column/corner. Shapes that do
     not chain, or a tensor holding NaN or inf, are a ``ValueError`` at
     construction, so also on load (naming the directory), before any
-    refinement runs. On disk it is a ``refiner-params-v1`` tensor directory
-    whose manifest adds the three layer counts; the round trip is bit-exact.
+    refinement runs. On disk it is a ``refiner-params-v2`` tensor directory; a
+    stack's depth is its run of listed names. The round trip is bit-exact.
     """
 
     conv_kernels: tuple
@@ -92,12 +92,12 @@ class RefinerParams:
     dustbin_theta: np.ndarray  # scalar
 
     def __post_init__(self):
-        for field, _, _ in _STACKS:
+        for field, _ in _STACKS:
             setattr(self, field, tuple(_as_f32(t) for t in getattr(self, field)))
         for field in _DUSTBIN_FIELDS:
             setattr(self, field, _as_f32(getattr(self, field)))
-        self.dustbin_theta = self.dustbin_theta.reshape(())
         self._validate()
+        self.dustbin_theta = self.dustbin_theta.reshape(())
 
     def _validate(self):
         if len(self.conv_kernels) != 3 or len(self.conv_biases) != 3:
@@ -126,6 +126,8 @@ class RefinerParams:
                 raise ValueError("affine stack output width is wrong")
         if self.dustbin_row.shape != (n2,) or self.dustbin_col.shape != (n2,):
             raise ValueError("dustbin vectors must have length N^2")
+        if self.dustbin_theta.size != 1:
+            raise ValueError("dustbin_theta must hold one value")
         if not all(np.isfinite(t).all() for t in self._named_tensors().values()):
             raise ValueError("refiner parameters must be finite")
 
@@ -159,30 +161,23 @@ class RefinerParams:
         )
 
     def _named_tensors(self) -> dict:
-        named = {pattern.format(i): t for field, pattern, _ in _STACKS
+        named = {pattern.format(i): t for field, pattern in _STACKS
                  for i, t in enumerate(getattr(self, field))}
         named.update((field, getattr(self, field)) for field in _DUSTBIN_FIELDS)
         return named
 
     def save(self, directory) -> None:
-        counts = {key: len(getattr(self, field)) for field, _, key in _STACKS}
-        save_tensor_dir(directory, _PARAMS_FORMAT, self._named_tensors(), **counts)
+        save_tensor_dir(directory, _PARAMS_FORMAT, self._named_tensors())
 
     @classmethod
     def load(cls, directory) -> "RefinerParams":
         manifest = read_manifest(directory, _PARAMS_FORMAT)
-        counts = {}
-        for field, _, key in _STACKS:
-            if key not in manifest:
-                raise ValueError(f"{directory}: manifest does not list layer count {key!r}")
-            try:
-                counts[field] = json_number(manifest, key, integer=True)
-            except ValueError as exc:
-                raise ValueError(f"{directory}: manifest layer count {exc}") from exc
         fields = load_tensors(directory, manifest, _DUSTBIN_FIELDS)
-        for field, pattern, _ in _STACKS:
-            # lazy names: a count past the listed tensors stops at the first unlisted one
-            names = map(pattern.format, range(counts[field]))
+        for field, pattern in _STACKS:
+            # every listed layer is read, so a gap in the run is an unlisted name
+            depth = sum(bool(re.fullmatch(pattern.format("[0-9]+"), name))
+                        for name in manifest["tensors"])
+            names = map(pattern.format, range(depth))
             fields[field] = tuple(load_tensors(directory, manifest, names).values())
         try:
             return cls(**fields)

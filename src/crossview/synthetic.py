@@ -149,7 +149,8 @@ def _is_snapped(scene: SyntheticScene, specs: SceneSpec) -> bool:
 
 
 def _bilinear(img: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Bilinear sample at fractional cell coordinates (caller clamps to range)."""
+    """Bilinear sample at fractional cell coordinates. Only the corner index is clipped, so a
+    position off the grid extrapolates from the edge cells; the caller masks such cells."""
     n = img.shape[0]
     x0 = np.clip(np.floor(fx).astype(int), 0, n - 2)
     y0 = np.clip(np.floor(fy).astype(int), 0, n - 2)

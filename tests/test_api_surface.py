@@ -29,8 +29,6 @@ PACKAGE = ROOT / "src" / "crossview"
 ALLOWED = {
     "evaluation.save_gt_projection":
         "the only writer of the gt-projection-v2 directory that `crossview eval` reads",
-    "refiner.RefinerParams.save":
-        "the only writer of the refiner-params-v1 directory that `crossview solve` reads",
 }
 
 # defaulted parameters that no program call sets, each kept on purpose

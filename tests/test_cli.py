@@ -297,32 +297,18 @@ class TestSolve:
         assert f"error: {params_dir}: refiner parameters must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_refiner_params_without_layer_count_is_input_error(self, tmp_path):
+    def test_v1_refiner_params_is_input_error(self, tmp_path):
+        # the retired layout: the same tensors beside three layer-count fields
         out = generate_scene_dir(tmp_path, seed=5)
-        refiner.RefinerParams.random(81, seed=1).save(tmp_path / "params")
-        manifest_path = tmp_path / "params" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["num_conv_layers"]
-        manifest_path.write_text(json.dumps(manifest))
-        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
+        params_dir = tmp_path / "params"
+        save_tensor_dir(params_dir, "refiner-params-v1",
+                        refiner.RefinerParams.random(81, seed=1)._named_tensors(),
+                        num_conv_layers=3, num_global_layers=2, num_gate_layers=2)
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", params_dir,
                        check=False)
         assert proc.returncode == 2
-        assert "manifest does not list layer count 'num_conv_layers'" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_refiner_params_with_bool_layer_count_is_input_error(self, tmp_path):
-        out = generate_scene_dir(tmp_path, seed=5)
-        refiner.RefinerParams.random(81, seed=1).save(tmp_path / "params")
-        manifest_path = tmp_path / "params" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["num_gate_layers"] = True
-        manifest_path.write_text(json.dumps(manifest))
-        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", tmp_path / "params",
-                       check=False)
-        assert proc.returncode == 2
-        assert "params: manifest layer count num_gate_layers: expected an integer, got True" \
-            in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: {params_dir}: unknown format 'refiner-params-v1', "
+                               "expected 'refiner-params-v2'\n")
 
     @pytest.mark.parametrize("edit", ["drop-tensors", "not-an-object"])
     def test_refiner_params_manifest_without_tensors_is_input_error(self, tmp_path, edit):

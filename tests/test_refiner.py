@@ -23,7 +23,7 @@ from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, RefinerParams,
 from crossview.solver import pose_error
 from crossview.surface import BevFeatureMap
 from crossview.synthetic import make_scene_bundle
-from crossview.tensorio import save_tensor
+from crossview.tensorio import save_tensor, save_tensor_dir
 
 from conftest import col_softmax, conv3d, factored, row_softmax
 
@@ -1102,7 +1102,16 @@ _LAYOUT_BREAKS = {
     "stack-output": (lambda p: {"gate_weights": (p.gate_weights[0], np.zeros((64, 2))),
                                 "gate_biases": (p.gate_biases[0], np.zeros(2))},
                      "affine stack output width is wrong"),
+    "dustbin-corner": (lambda p: {"dustbin_theta": np.zeros(2)},
+                       "dustbin_theta must hold one value"),
 }
+
+
+def _edit_manifest(directory, edit) -> None:
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
 
 
 class TestParamsSerialization:
@@ -1117,7 +1126,7 @@ class TestParamsSerialization:
 
     def test_round_trip_keeps_stack_depths(self, tmp_path):
         # random() builds depth-2 stacks only; a three-layer global stack and
-        # a one-layer gate stack pin the layer counts and names per stack
+        # a one-layer gate stack pin the depths, read from the names per stack
         rng = np.random.default_rng(41)
         base = RefinerParams.random(9, seed=41)
         widths = (9, 5, 4, 9)
@@ -1130,8 +1139,8 @@ class TestParamsSerialization:
             dustbin_theta=base.dustbin_theta)
         params.save(tmp_path / "params")
         manifest = json.loads((tmp_path / "params" / "manifest.json").read_text())
-        assert (manifest["num_conv_layers"], manifest["num_global_layers"],
-                manifest["num_gate_layers"]) == (3, 3, 1)
+        assert set(manifest) == {"format", "tensors"}
+        assert manifest["format"] == "refiner-params-v2"
         assert set(manifest["tensors"]) == {
             *(f"conv{i}_{kind}" for i in range(3) for kind in ("kernel", "bias")),
             *(f"global{i}_{kind}" for i in range(3) for kind in ("weight", "bias")),
@@ -1158,38 +1167,57 @@ class TestParamsSerialization:
         with pytest.raises(ValueError):
             RefinerParams.load(tmp_path / "params")
 
-    @pytest.mark.parametrize("count_key", ["num_conv_layers", "num_global_layers",
-                                           "num_gate_layers"])
-    def test_manifest_without_layer_count_rejected(self, tmp_path, count_key):
-        RefinerParams.random(9, seed=39).save(tmp_path / "params")
-        manifest_path = tmp_path / "params" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest[count_key]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError,
-                           match=f"params: manifest does not list layer count '{count_key}'"):
-            RefinerParams.load(tmp_path / "params")
-
-    @pytest.mark.parametrize("value", [True, 3.0, "3"])
-    def test_manifest_layer_count_of_wrong_kind_rejected(self, tmp_path, value):
-        RefinerParams.random(9, seed=39).save(tmp_path / "params")
-        manifest_path = tmp_path / "params" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["num_gate_layers"] = value
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError,
-                           match="params: manifest layer count num_gate_layers: expected an integer"):
-            RefinerParams.load(tmp_path / "params")
-
     def test_manifest_layer_count_past_the_listed_tensors_rejected(self, tmp_path):
+        # a gap in a run of names: two listed conv kernels make a depth of two,
+        # and the second index, conv1, is not listed
         RefinerParams.random(9, seed=39).save(tmp_path / "params")
-        manifest_path = tmp_path / "params" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["num_conv_layers"] = 10**6
-        manifest_path.write_text(json.dumps(manifest))
+        _edit_manifest(tmp_path / "params", lambda m: m["tensors"].pop("conv1_kernel"))
         with pytest.raises(ValueError,
-                           match="params: manifest does not list tensor 'conv3_kernel'"):
+                           match="params: manifest does not list tensor 'conv1_kernel'"):
             RefinerParams.load(tmp_path / "params")
+
+    def test_listed_fourth_conv_layer_rejected(self, tmp_path):
+        params = RefinerParams.random(9, seed=39)
+        params.save(tmp_path / "params")
+        extra = {"conv3_kernel": params.conv_kernels[2], "conv3_bias": params.conv_biases[2]}
+        for name, tensor in extra.items():
+            save_tensor(tmp_path / "params" / f"{name}.cvt", tensor)
+        _edit_manifest(tmp_path / "params", lambda m: m["tensors"].update(
+            {name: list(t.shape) for name, t in extra.items()}))
+        with pytest.raises(ValueError,
+                           match="params: expected exactly three convolution layers"):
+            RefinerParams.load(tmp_path / "params")
+
+    def test_v1_directory_rejected(self, tmp_path):
+        # the retired layout: the same tensors beside three layer-count fields
+        params = RefinerParams.random(9, seed=39)
+        save_tensor_dir(tmp_path / "params", "refiner-params-v1", params._named_tensors(),
+                        num_conv_layers=3, num_global_layers=2, num_gate_layers=2)
+        message = "unknown format 'refiner-params-v1', expected 'refiner-params-v2'"
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'params'}: {message}")):
+            RefinerParams.load(tmp_path / "params")
+
+    def test_depth_comes_from_the_manifest_not_the_files(self, tmp_path):
+        # a deeper global stack leaves global2_* on disk; the shallower save does not list them
+        rng = np.random.default_rng(42)
+        base = RefinerParams.random(9, seed=42)
+        widths = (9, 5, 4, 9)
+        deeper = dataclasses.replace(
+            base,
+            global_weights=tuple(rng.normal(size=(a, b)) for a, b in zip(widths, widths[1:])),
+            global_biases=tuple(rng.normal(size=b) for b in widths[1:]))
+        deeper.save(tmp_path / "params")
+        base.save(tmp_path / "params")
+        assert (tmp_path / "params" / "global2_weight.cvt").exists()
+        back = RefinerParams.load(tmp_path / "params")
+        assert len(back.global_weights) == len(back.global_biases) == 2
+        for a, b in zip(base._named_tensors().values(), back._named_tensors().values()):
+            assert np.array_equal(a, b)
+
+    def test_one_by_one_dustbin_theta_becomes_a_scalar(self):
+        params = dataclasses.replace(RefinerParams.random(9, seed=36),
+                                     dustbin_theta=np.full((1, 1), 0.5))
+        assert params.dustbin_theta.shape == () and params.dustbin_theta == np.float32(0.5)
 
     def test_inconsistent_shapes_rejected(self):
         params = RefinerParams.random(9, seed=36)

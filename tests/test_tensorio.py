@@ -231,8 +231,7 @@ def _write_gt_dir(directory):
 @pytest.mark.parametrize("write,keys", [
     (_write_scene_dir, {"format", "spec", "gt_pose", "seed", "noise_sigma", "depth_anchor_m",
                         "depth_scale", "tensors"}),
-    (_write_params_dir, {"format", "num_conv_layers", "num_global_layers",
-                         "num_gate_layers", "tensors"}),
+    (_write_params_dir, {"format", "tensors"}),
     (_write_gt_dir, {"format", "tensors"}),
 ], ids=["scene", "refiner-params", "gt-projection"])
 def test_manifest_layout_is_pinned(tmp_path, write, keys):
