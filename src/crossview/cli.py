@@ -95,14 +95,8 @@ def cmd_solve(args) -> int:
     result = run_localization(volume, conf_logits, f_sat, specs, params, config)
     if params is None:
         log.warning("no refiner parameters given: skipping refinement (identity)")
-    payload = {
-        "tx_px": float(result.pose_px.t_px[0]),
-        "ty_px": float(result.pose_px.t_px[1]),
-        "yaw_deg": result.pose_px.yaw_deg,
-        "num_matches": result.num_matches,
-        "degenerate_flag": result.degenerate,
-    }
-    _dump_json(payload, args.out)
+    _dump_json({**result.pose_px.to_json_dict(), "num_matches": result.num_matches,
+                "degenerate_flag": result.degenerate}, args.out)
     return EXIT_DEGENERATE if result.degenerate else EXIT_OK
 
 

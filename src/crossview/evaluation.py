@@ -9,9 +9,11 @@ which predicted matches are scored.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,23 +47,28 @@ class MatchPrediction:
 
     @classmethod
     def from_csv(cls, path) -> "MatchPrediction":
-        """Read a CSV whose header is exactly ``xg,yg,xs,ys``, one row of finite floats per pair.
+        """Read a UTF-8 CSV whose header is exactly ``xg,yg,xs,ys``, four finite floats a row.
 
-        Errors name the file and, for an unparsable or non-finite row, its
-        line number; a file with no rows is an error too.
+        Errors name the file and, for a byte that is not UTF-8 or a row that is not
+        four finite floats, its line number; a file with no rows is an error too.
         """
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: not UTF-8 at line {line_no}: {exc}") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
+            raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
         rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
-                raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    rows.append([float(row[f]) for f in PRED_CSV_FIELDS])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}: malformed row at line {line_no}") from exc
-                if not np.isfinite(rows[-1]).all():
-                    raise ValueError(f"{path}: non-finite value at line {line_no}")
+        for line_no, row in enumerate(reader, start=2):
+            try:   # a short row holds None, a long one a list of the rest: float refuses both
+                rows.append([float(v) for v in row.values()])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed row at line {line_no}") from exc
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}: non-finite value at line {line_no}")
         if not rows:
             raise ValueError(f"{path}: no prediction rows")
         rows = np.array(rows)

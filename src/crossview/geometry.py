@@ -205,21 +205,16 @@ class Pose3DoF:
         object.__setattr__(self, "t_px", t)
         object.__setattr__(self, "yaw_rad", float(wrap_angle(self.yaw_rad)))
 
-    @property
-    def yaw_deg(self) -> float:
-        return math.degrees(self.yaw_rad)
-
     def to_json_dict(self) -> dict:
         return {"tx_px": float(self.t_px[0]), "ty_px": float(self.t_px[1]),
                 "yaw_rad": self.yaw_rad}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Pose3DoF":
-        """Yaw from ``yaw_rad``, else ``yaw_deg``; other keys are ignored. A non-number
-        field is a ``ValueError``."""
+        """The keys :meth:`to_json_dict` writes, the yaw in radians; other keys are ignored.
+        A missing field is a ``KeyError``, a non-number one a ``ValueError``."""
         num = functools.partial(json_number, d)
-        yaw = num("yaw_rad") if "yaw_rad" in d else math.radians(num("yaw_deg"))
-        return cls(np.array([num("tx_px"), num("ty_px")]), yaw)
+        return cls(np.array([num("tx_px"), num("ty_px")]), num("yaw_rad"))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ parameter of one, has a caller outside the tests.
 The program is ``src/crossview`` (the package ``__init__``'s re-exports
 aside), ``scripts/`` and ``bench/``. A function counts as called when its
 name appears in a program file as a name, an attribute or an imported name;
-so does a method, matched by attribute name. Where several classes define a
+a method only when it appears as an attribute, so a local variable of the
+same name (``yaw_deg = ...``) calls nothing. Where several classes define a
 method name, a use counts for a class only in the class's own module or in a
 file that also names the class: an attribute name alone cannot tell
 ``LossConfig.to_json_dict`` from ``SceneSpec.to_json_dict``.
@@ -43,17 +44,17 @@ def _program_files():
 
 
 def _names_by_file() -> dict:
-    """Program file -> every name, attribute and imported name it mentions."""
+    """Program file -> (every name and imported name it mentions, every attribute name)."""
     names = {}
     for path in _program_files():
-        used = names.setdefault(path, set())
+        bare, attrs = names.setdefault(path, (set(), set()))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+                bare.update(alias.name for alias in node.names)
     return names
 
 
@@ -75,9 +76,13 @@ def _qualified(module, cls, name) -> str:
 
 
 def _is_called(names: dict, shared: set, module, cls, name) -> bool:
+    def uses(bare, attrs):
+        return name in attrs or cls is None and name in bare
+
     if name not in shared:
-        return any(name in used for used in names.values())
-    return any(name in used and (path == module or cls in used) for path, used in names.items())
+        return any(uses(*used) for used in names.values())
+    return any(uses(bare, attrs) and (path == module or cls in bare | attrs)
+               for path, (bare, attrs) in names.items())
 
 
 def test_every_public_function_has_a_program_caller():

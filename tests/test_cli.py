@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from crossview import cli, refiner
-from crossview.evaluation import save_gt_projection
-from crossview.geometry import AerialMeta, BevGridSpec, SceneSpec
-from crossview.pipeline import PipelineConfig
+from crossview.evaluation import localization_stats, save_gt_projection
+from crossview.geometry import AerialMeta, BevGridSpec, Pose3DoF, SceneSpec
+from crossview.pipeline import PipelineConfig, run_localization
+from crossview.solver import pose_error
 from crossview.synthetic import generate_scene, load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import load_tensor, save_tensor, save_tensor_dir
 
@@ -140,7 +141,7 @@ class TestSolve:
         proc = run_cli("solve", "--scene-dir", out, "--topk", "20",
                        "--known-yaw", "0")
         payload = json.loads(proc.stdout)
-        assert payload["yaw_deg"] == 0.0
+        assert payload["yaw_rad"] == 0.0
         gt = manifest["gt_pose"]
         err_px = math.hypot(payload["tx_px"] - gt["tx_px"],
                             payload["ty_px"] - gt["ty_px"])
@@ -155,7 +156,7 @@ class TestSolve:
     @pytest.mark.parametrize("threshold", ["1.5", "0", "nan"])
     def test_bad_threshold_fails_before_reading_the_scene(self, tmp_path, command, threshold):
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0}))
         extra = ("--pred-pose", pose_path) if command == "loss" else ()
         proc = run_cli(command, "--scene-dir", tmp_path / "nope", *extra,
                        "--threshold", threshold, check=False)
@@ -228,7 +229,7 @@ class TestSolve:
                        "--f-sat", tmp_path / "f_sat.cvt", "--spec-json", spec_path)
         payload = json.loads(proc.stdout)
         assert payload["num_matches"] == PipelineConfig().top_k
-        assert payload["yaw_deg"] == pytest.approx(0.0, abs=1e-9)
+        assert math.degrees(payload["yaw_rad"]) == pytest.approx(0.0, abs=1e-9)
 
     def test_truncated_tensor_header_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=7)
@@ -449,6 +450,26 @@ class TestEvalMatching:
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_row_with_an_extra_field_is_input_error(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, ["1,2,3,4,5"])
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {pred}: malformed row at line 2\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(b"xg,yg,xs,ys\n1,5,101,55\n1,5,101,\xff\n")
+        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+                       "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {pred}: not UTF-8 at line 3: 'utf-8' codec can't decode "
+                               "byte 0xff in position 31: invalid start byte\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_nan_threshold_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
@@ -569,7 +590,8 @@ class TestEvalMatching:
 
 
 def write_pose(path, tx_px, ty_px, yaw_deg):
-    path.write_text(json.dumps({"tx_px": tx_px, "ty_px": ty_px, "yaw_deg": yaw_deg}))
+    path.write_text(json.dumps({"tx_px": tx_px, "ty_px": ty_px,
+                                "yaw_rad": math.radians(yaw_deg)}))
     return path
 
 
@@ -587,7 +609,7 @@ class TestEvalLocalization:
             save_scene_dir(scene, make_scene_bundle(specs, seed=i))
             gt = load_scene_dir(scene).scene.gt_pose
             shift = 10.0 if i < 2 else 0.0
-            yaw = gt.yaw_deg + (10.0 if i == 0 else 0.0)
+            yaw = math.degrees(gt.yaw_rad) + (10.0 if i == 0 else 0.0)
             scenes.append(scene)
             poses.append(write_pose(tmp_path / f"pose{i}.json", gt.t_px[0] + shift,
                                     gt.t_px[1], yaw))
@@ -701,7 +723,7 @@ class TestLoss:
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps(
             {"tx_px": gt["tx_px"], "ty_px": gt["ty_px"],
-             "yaw_deg": math.degrees(gt["yaw_rad"])}))
+             "yaw_rad": gt["yaw_rad"]}))
         proc = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path)
         report = json.loads(proc.stdout)
         assert report["vce"] == 0.0
@@ -712,7 +734,7 @@ class TestLoss:
         out = generate_scene_dir(tmp_path, seed=10)
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0,
-                                         "yaw_deg": 0.0}))
+                                         "yaw_rad": 0.0}))
         a = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path)
         b = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path)
         assert a.stdout == b.stdout
@@ -721,7 +743,7 @@ class TestLoss:
         out = generate_scene_dir(tmp_path, seed=11, noise=0.2)
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps({"tx_px": 190.0, "ty_px": 210.0,
-                                         "yaw_deg": 10.0}))
+                                         "yaw_rad": math.radians(10.0)}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"beta1": 0.5, "beta2": 2.0, "rng_seed": 4}))
         proc = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path,
@@ -733,14 +755,14 @@ class TestLoss:
 
     def test_missing_scene_is_input_error(self, tmp_path):
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0}))
         proc = run_cli("loss", "--scene-dir", tmp_path / "nope",
                        "--pred-pose", pose_path, check=False)
         assert proc.returncode == 2
 
     def test_infinite_tau_fails_before_reading_the_scene(self, tmp_path):
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0}))
         proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
                        "--tau", "inf", check=False)
         assert proc.returncode == 2
@@ -749,7 +771,7 @@ class TestLoss:
 
     def test_subnormal_tau_fails_before_reading_the_scene(self, tmp_path):
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0}))
         proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
                        "--tau", "5e-324", check=False)
         assert proc.returncode == 2
@@ -758,7 +780,7 @@ class TestLoss:
 
     def test_negative_rng_seed_fails_before_reading_the_scene(self, tmp_path):
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"rng_seed": -1}))
         proc = run_cli("loss", "--scene-dir", tmp_path / "nope", "--pred-pose", pose_path,
@@ -771,7 +793,7 @@ class TestLoss:
     def test_height_in_meters_key_is_unknown(self, tmp_path, shared_scene_dir):
         # a surface height has one unit, the layer index; k_norm / spacing_m gives meters
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_rad": 0.0}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"height_in_meters": true}')
         proc = run_cli("loss", "--scene-dir", shared_scene_dir, "--pred-pose", pose_path,
@@ -784,7 +806,7 @@ class TestLoss:
     def test_non_finite_config_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=12)
         pose_path = tmp_path / "pose.json"
-        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_rad": 0.0}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"beta1": NaN}')
         proc = run_cli("loss", "--scene-dir", out, "--pred-pose", pose_path,
@@ -799,18 +821,63 @@ def shared_scene_dir(tmp_path_factory):
     return generate_scene_dir(tmp_path_factory.mktemp("json-inputs"))
 
 
+@pytest.fixture(scope="module")
+def solved_continuous_scene(tmp_path_factory):
+    """A continuous-pose scene, its ``solve --out`` record and the library's solve of it."""
+    tmp = tmp_path_factory.mktemp("pose-record")
+    scene, pose_path = tmp / "scene", tmp / "pose.json"
+    run_cli("generate", "--seed", 2, "--n", 21, "--continuous-pose", "--out-dir", scene)
+    run_cli("solve", "--scene-dir", scene, "--out", pose_path)
+    bundle = load_scene_dir(scene)
+    result = run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
+                              bundle.inputs.f_sat, bundle.specs)
+    return scene, pose_path, bundle, result.pose_px
+
+
+class TestPoseRecord:
+    """``solve --out`` writes the pose as ``Pose3DoF.to_json_dict`` does, the yaw in radians."""
+
+    def test_solve_record_reads_back_as_the_library_pose(self, solved_continuous_scene):
+        _, pose_path, _, pose = solved_continuous_scene
+        record = json.loads(pose_path.read_text())
+        assert sorted(record) == ["degenerate_flag", "num_matches", "tx_px", "ty_px", "yaw_rad"]
+        back = Pose3DoF.from_json_dict(record)
+        assert back.t_px.tobytes() == pose.t_px.tobytes()
+        assert back.yaw_rad == pose.yaw_rad
+
+    def test_eval_scores_the_library_pose(self, solved_continuous_scene):
+        scene, pose_path, bundle, pose = solved_continuous_scene
+        report = json.loads(run_cli("eval", "--mode", "localization", "--scene-dir", scene,
+                                    "--pred-pose", pose_path).stdout)
+        errors = [pose_error(pose, bundle.scene.gt_pose, bundle.specs.aerial)]
+        assert report == {**localization_stats(errors), "mode": "localization"}
+
+    @pytest.mark.parametrize("command", ["loss", "eval"])
+    def test_degrees_only_pose_is_input_error_naming_the_file(self, tmp_path, shared_scene_dir,
+                                                             command):
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        mode = ("--mode", "localization") if command == "eval" else ()
+        proc = run_cli(command, *mode, "--scene-dir", shared_scene_dir, "--pred-pose", pose_path,
+                       "--out", tmp_path / "r.json", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            f"error: {pose_path}: missing or malformed field (KeyError: 'yaw_rad')\n"
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestMalformedJsonInput:
     """A JSON input that is not an object, or lacks a field, is an input error naming the file."""
 
     @pytest.mark.parametrize("which, text, detail", [
         ("pred-pose", "[1, 2]", "expected a JSON object"),
-        ("pred-pose", '{"ty_px": 0.0, "yaw_deg": 0.0}', "'tx_px'"),
+        ("pred-pose", '{"ty_px": 0.0, "yaw_rad": 0.0}', "'tx_px'"),
         ("generate-spec", "[]", "expected a JSON object"),
         ("solve-spec", "[]", "expected a JSON object"),
         ("eval-pose", "[]", "expected a JSON object"),
         ("loss-config", "[1]", "expected a JSON object"),
         ("loss-config", '{"beta1": null}', "beta1: expected a number, got None"),
-        ("pred-pose", '{"tx_px": "a", "ty_px": 0.0, "yaw_deg": 0.0}', "ValueError"),
+        ("pred-pose", '{"tx_px": "a", "ty_px": 0.0, "yaw_rad": 0.0}', "ValueError"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": "nine"}), "ValueError"),
         ("loss-config", '{"n_v": 2.7}', "n_v: expected an integer, got 2.7"),
@@ -819,7 +886,7 @@ class TestMalformedJsonInput:
         ("loss-config", '{"beta_1": 5.0}', "unknown loss config key(s): 'beta_1'"),
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "n": 9.7}), "n: expected an integer, got 9.7"),
-        ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_deg": 0.0}',
+        ("pred-pose", '{"tx_px": true, "ty_px": 0.0, "yaw_rad": 0.0}',
          "tx_px: expected a number, got True"),
         *((which, '{"tx_px": 1,', "not JSON: Expecting property name")
           for which in ("pred-pose", "generate-spec", "solve-spec", "eval-pose", "loss-config")),
@@ -827,19 +894,19 @@ class TestMalformedJsonInput:
         ("generate-spec", json.dumps({**SceneSpec(grid=BevGridSpec(9)).to_json_dict(),
                                       "extent_m": 10**400}),
          "extent_m: integer beyond the float range"),
-        ("pred-pose", json.dumps({"tx_px": 10**400, "ty_px": 0.0, "yaw_deg": 0.0}),
+        ("pred-pose", json.dumps({"tx_px": 10**400, "ty_px": 0.0, "yaw_rad": 0.0}),
          "tx_px: integer beyond the float range"),
         ("loss-config", json.dumps({"beta1": 10**400}), "beta1: integer beyond the float range"),
-        ("eval-pose", json.dumps({"tx_px": 0.0, "ty_px": 10**400, "yaw_deg": 0.0}),
+        ("eval-pose", json.dumps({"tx_px": 0.0, "ty_px": 10**400, "yaw_rad": 0.0}),
          "ty_px: integer beyond the float range"),
         # past Python's 4,300-digit limit on integer string conversion
-        ("pred-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_deg": 0.0}',
+        ("pred-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_rad": 0.0}',
          "not JSON: Exceeds the limit (4300 digits)"),
-        ("eval-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_deg": 0.0}',
+        ("eval-pose", '{"tx_px": 1' + "0" * 4999 + ', "ty_px": 0.0, "yaw_rad": 0.0}',
          "not JSON: Exceeds the limit (4300 digits)"),
-        ("pred-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0, "note": "\xff"}',
+        ("pred-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0, "note": "\xff"}',
          "not JSON: 'utf-8' codec can't decode byte 0xff"),
-        ("eval-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_deg": 0.0, "note": "\xff"}',
+        ("eval-pose", b'{"tx_px": 0.0, "ty_px": 0.0, "yaw_rad": 0.0, "note": "\xff"}',
          "not JSON: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["pose-list", "pose-without-tx", "generate-spec-list", "solve-spec-list",
             "eval-pose-list", "config-list", "config-null-field", "pose-tx-not-a-number",
@@ -853,7 +920,7 @@ class TestMalformedJsonInput:
     def test_is_input_error(self, tmp_path, shared_scene_dir, which, text, detail):
         scene = shared_scene_dir
         pose = tmp_path / "pose.json"
-        pose.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+        pose.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_rad": 0.0}))
         bad = tmp_path / "bad.json"
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         args = {
@@ -926,7 +993,7 @@ def test_surface_index_off_the_grid_is_input_error(tmp_path, shared_scene_dir):
     manifest["tensors"]["depth_sat"] = [5, 5]
     (scene / "manifest.json").write_text(json.dumps(manifest))
     pose_path = tmp_path / "pose.json"
-    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_rad": 0.0}))
     proc = run_cli("loss", "--scene-dir", scene, "--pred-pose", pose_path, check=False)
     assert proc.returncode == 2
     assert f"error: {scene}: depth_sat must be (9, 9) for the scene's specs, " \
@@ -945,7 +1012,7 @@ def test_non_finite_scene_tensor_is_input_error_naming_it(tmp_path, shared_scene
     tensor.flat[tensor.size // 2] = np.nan
     save_tensor(scene / f"{name}.cvt", tensor)
     pose_path = tmp_path / "pose.json"
-    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
+    pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_rad": 0.0}))
     extra = ("--pred-pose", pose_path) if command == "loss" else ()
     proc = run_cli(command, "--scene-dir", scene, *extra, "--out", tmp_path / "out.json",
                    check=False)
@@ -983,7 +1050,8 @@ def test_bad_loose_tensor_is_input_error_naming_its_file(tmp_path, shared_scene_
 
 def test_legacy_scene_layout_gives_identical_outputs(tmp_path, shared_scene_dir):
     pose_path = tmp_path / "pose.json"
-    pose_path.write_text(json.dumps({"tx_px": 190.0, "ty_px": 210.0, "yaw_deg": 10.0}))
+    pose_path.write_text(json.dumps({"tx_px": 190.0, "ty_px": 210.0,
+                                     "yaw_rad": math.radians(10.0)}))
     runs = [("solve",), ("loss", "--pred-pose", pose_path)]
     new = [run_cli(*args, "--scene-dir", shared_scene_dir).stdout for args in runs]
     for with_surface in (False, True):

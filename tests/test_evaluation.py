@@ -437,6 +437,21 @@ class TestPredictionCsv:
         with pytest.raises(ValueError, match="line 3"):
             MatchPrediction.from_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5", "1,2,3,4,"],
+                             ids=["short", "long", "trailing-comma"])
+    def test_row_of_other_than_four_fields_reports_line(self, tmp_path, row):
+        path = tmp_path / "pred.csv"
+        path.write_text(f"xg,yg,xs,ys\n1,2,3,4\n{row}\n")
+        with pytest.raises(ValueError, match=r"pred\.csv: malformed row at line 3$"):
+            MatchPrediction.from_csv(path)
+
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_bytes(b"xg,yg,xs,ys\n1,2,3,4\n1,2,3,\xff\n")
+        with pytest.raises(ValueError, match=r"pred\.csv: not UTF-8 at line 3: 'utf-8' codec "
+                                             r"can't decode byte 0xff in position 26"):
+            MatchPrediction.from_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("xg,yg,xs,ys\n")

@@ -470,17 +470,22 @@ class TestPoseJson:
         back = Pose3DoF.from_json_dict(json.loads(json.dumps(pose.to_json_dict())))
         assert np.array_equal(back.t_px, pose.t_px) and back.yaw_rad == pose.yaw_rad
 
-    def test_integers_and_degrees_accepted(self):
-        pose = Pose3DoF.from_json_dict({"tx_px": 200, "ty_px": 100, "yaw_deg": 90})
+    def test_integers_accepted(self):
+        pose = Pose3DoF.from_json_dict({"tx_px": 200, "ty_px": 100, "yaw_rad": math.radians(90)})
         assert np.array_equal(pose.t_px, [200.0, 100.0])
         assert pose.yaw_rad == pytest.approx(math.pi / 2)
 
+    def test_degrees_only_rejected(self):
+        # the yaw has one unit; a pose without yaw_rad is refused, not converted
+        with pytest.raises(KeyError, match="yaw_rad"):
+            Pose3DoF.from_json_dict({"tx_px": 1.0, "ty_px": 2.0, "yaw_deg": 90.0})
+
     @pytest.mark.parametrize("key, value", [
         ("tx_px", True), ("tx_px", "1.5"), ("ty_px", None), ("ty_px", [2.0]),
-        ("yaw_deg", "90"), ("yaw_rad", False),
+        ("yaw_rad", "90"), ("yaw_rad", False),
     ])
     def test_field_of_wrong_kind_rejected(self, key, value):
-        d = {"tx_px": 1.0, "ty_px": 2.0, "yaw_deg": 0.0, key: value}
+        d = {"tx_px": 1.0, "ty_px": 2.0, "yaw_rad": 0.0, key: value}
         with pytest.raises(ValueError, match=f"^{key}: expected a number"):
             Pose3DoF.from_json_dict(d)
 
