@@ -66,7 +66,7 @@ def main():
             res = run_localization(bundle.inputs.volume, bundle.inputs.conf_logits,
                                    bundle.inputs.f_sat, specs)
             errors.append(pose_error(res.pose_px, bundle.scene.gt_pose, specs.aerial))
-        # the median and mean rule of `crossview eval --mode localization`
+        # the median and mean rule of `crossview eval localization`
         stats = localization_stats(errors)
         p90 = np.percentile([t for t, _ in errors], 90)
         print(f"{sigma:>6.2f} {stats['median_translation_m']:>10.4g} "

@@ -6,13 +6,17 @@ list: un-refined ``run_localization`` at n = 9, 21 and 41, snapped and
 continuous, sigma 0, 0.2 and 0.4, two seeds each, and refined solves with
 ``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21, whose parameters
 first make a ``RefinerParams.save``/``load`` round trip through a temporary
-directory. The hash covers each solve's pose, degenerate flag, matches
-(metric coordinates of the matched cells), match weights and ground
-surface. For each un-refined solve it also covers the loss path: the JSON
-text of ``scene_loss_report`` for the solved pose, on the scene after a
-``save_scene_dir``/``load_scene_dir`` round trip through a temporary
-directory, under the default ``LossConfig`` and under ``LOSS_CONFIG``, a
-non-default one decoded by ``LossConfig.from_json_dict``.
+directory. Un-refined solves at n = 9 and 21, snapped and continuous,
+sigma 0.2, two seeds each, run twice more: under ``PipelineConfig(tau=0.005)``,
+whose similarity range takes the two-exp path of ``refiner._normalize``, and
+with ``known_yaw_rad`` set to the scene's true yaw, which solves through
+``solve_translation_only``. The hash covers each solve's pose, degenerate
+flag, matches (metric coordinates of the matched cells), match weights and
+ground surface. For each un-refined solve it also covers the loss path: the
+JSON text of ``scene_loss_report`` for the solved pose under the solve's
+config, on the scene after a ``save_scene_dir``/``load_scene_dir`` round trip
+through a temporary directory, under the default ``LossConfig`` and under
+``LOSS_CONFIG``, a non-default one decoded by ``LossConfig.from_json_dict``.
 Run it on both trees with the same BLAS thread count: the refiner's GEMMs are
 bit-reproducible only for a fixed one. It takes no flags.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.losses import LossConfig
-from crossview.pipeline import run_localization, scene_loss_report
+from crossview.pipeline import PipelineConfig, run_localization, scene_loss_report
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import json_text
@@ -35,19 +39,26 @@ UNREFINED = [(n, snapped, sigma) for n in (9, 21, 41) for snapped in (True, Fals
              for sigma in (0.0, 0.2, 0.4)]
 REFINED = [(n, snapped, sigma) for n in (9, 21) for snapped in (True, False)
            for sigma in (0.0, 0.2)]
+OTHER_PATHS = [(n, snapped, 0.2) for n in (9, 21) for snapped in (True, False)]
 LOSS_CONFIG = {"beta2": 0.5, "k_norm": 7.5, "n_s": 300, "rng_seed": 3}
 
 
 def solves():
-    """(specs, bundle, params) of every solve on the list, in a fixed order."""
-    for refined, cases in ((False, UNREFINED), (True, REFINED)):
+    """(specs, bundle, params, config) of every solve on the list, in a fixed order."""
+    for kind, cases in (("default", UNREFINED), ("refined", REFINED), ("tau", OTHER_PATHS),
+                        ("known-yaw", OTHER_PATHS)):
         for n, snapped, sigma in cases:
             specs = SceneSpec(grid=BevGridSpec(n))
             for seed in SEEDS:
                 bundle = make_scene_bundle(specs, seed=seed, noise_sigma=sigma, snapped=snapped)
                 params = (RefinerParams.random(specs.grid.num_cells, scale=0.03, seed=seed)
-                          if refined else None)
-                yield specs, bundle, params
+                          if kind == "refined" else None)
+                config = PipelineConfig()
+                if kind == "tau":
+                    config = PipelineConfig(tau=0.005)
+                elif kind == "known-yaw":
+                    config = PipelineConfig(known_yaw_rad=bundle.scene.gt_pose.yaw_rad)
+                yield specs, bundle, params, config
 
 
 def main():
@@ -55,13 +66,13 @@ def main():
     loss_cfgs = (LossConfig(), LossConfig.from_json_dict(LOSS_CONFIG))
     with tempfile.TemporaryDirectory() as tmp:
         scene_dir, params_dir = Path(tmp) / "scene", Path(tmp) / "params"
-        for specs, bundle, params in solves():
+        for specs, bundle, params, config in solves():
             if params is not None:
                 params.save(params_dir)
                 params = RefinerParams.load(params_dir)
             inputs = bundle.inputs
             res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs,
-                                   params)
+                                   params, config)
             matches = res.matches_m
             for part in (res.pose_px.t_px, np.float64(res.pose_px.yaw_rad),
                          np.bool_(res.degenerate), matches.ground_xy, matches.aerial_xy,
@@ -73,7 +84,7 @@ def main():
                 save_scene_dir(scene_dir, bundle)
                 loaded = load_scene_dir(scene_dir)
                 for cfg in loss_cfgs:
-                    report = scene_loss_report(loaded, res.pose_px, cfg)
+                    report = scene_loss_report(loaded, res.pose_px, cfg, config)
                     digest.update(json_text(report).encode())
     print(digest.hexdigest())
 

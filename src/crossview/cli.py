@@ -4,7 +4,10 @@ Exit codes: 0 success, 2 input error, 3 degenerate solution. All randomness
 flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING|ERROR|CRITICAL
 (any case) for verbosity; an unknown level is an input error naming CROSSVIEW_LOG,
 raised before the command runs. Reports go to stdout or --out. ``loss`` reads
-its JSON inputs before the scene.
+its JSON inputs before the scene. ``eval`` takes its mode as a subcommand,
+``eval matching`` or ``eval localization``. The parser owns each command's flags:
+a flag of another command or mode, a missing required one, ``generate --n`` next
+to ``--spec-json`` and a bad ``--thresholds`` exit 2 before any file is read.
 """
 
 from __future__ import annotations
@@ -45,9 +48,6 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
-    """``--n`` next to ``--spec-json`` is a ``ValueError``, raised before any file is read."""
-    if args.spec_json and args.n is not None:
-        raise ValueError("--n cannot be combined with --spec-json")
     n = BevGridSpec.n_points_per_side if args.n is None else args.n
     specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict) \
         if args.spec_json else SceneSpec(grid=BevGridSpec(n))
@@ -100,52 +100,34 @@ def cmd_solve(args) -> int:
     return EXIT_DEGENERATE if result.degenerate else EXIT_OK
 
 
-# eval mode -> {flag: whether the mode requires it}
-_EVAL_FLAGS = {"matching": {"--pred-csv": True, "--gt-dir": True, "--thresholds": False},
-               "localization": {"--scene-dir": True, "--pred-pose": True}}
+def _thresholds(value: str) -> list:
+    """The ``--thresholds`` type: a comma-separated list that ``check_thresholds`` accepts."""
+    try:
+        return check_thresholds(value.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _check_eval_flags(args) -> None:
-    """A flag of the other mode, or a missing one of this mode, is a ``ValueError`` naming it."""
-    for mode, flags in _EVAL_FLAGS.items():
-        for flag, required in flags.items():
-            given = getattr(args, flag[2:].replace("-", "_")) is not None
-            if given and mode != args.mode:
-                raise ValueError(f"{flag} applies only to --mode {mode}")
-            if required and not given and mode == args.mode:
-                raise ValueError(f"--mode {mode} needs {flag}")
+def cmd_eval_matching(args) -> int:
+    report = matching_success_ratio(MatchPrediction.from_csv(args.pred_csv),
+                                    load_gt_projection(args.gt_dir), args.thresholds)
+    _dump_json({**report, "mode": args.mode}, args.out)
+    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    """Matching mode: a ``--thresholds`` value that is not a comma-separated list that
-    ``check_thresholds`` accepts is a ``ValueError`` naming the flag, before any file is read.
-
-    Localization mode: the repeated ``--pred-pose`` and ``--scene-dir`` pair in order, and
-    each pose is scored in meters at its own scene's GSD. Every pose is read before any
-    scene, and of a scene only its manifest. Flag errors (``_check_eval_flags``) and counts
-    that differ are raised before any file is read.
-    """
-    _check_eval_flags(args)
-    if args.mode == "matching":
-        try:
-            thresholds = check_thresholds(DEFAULT_THRESHOLDS_PX if args.thresholds is None
-                                          else args.thresholds.split(","))
-        except ValueError as exc:
-            raise ValueError(f"--thresholds: {exc}") from None
-        pred = MatchPrediction.from_csv(args.pred_csv)
-        gt = load_gt_projection(args.gt_dir)
-        report = matching_success_ratio(pred, gt, thresholds)
-    else:
-        if len(args.pred_pose) != len(args.scene_dir):
-            raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
-                             f"{len(args.scene_dir)} --scene-dir directories")
-        poses = [decode_json(path, read_json(path), Pose3DoF.from_json_dict)
-                 for path in args.pred_pose]
-        truths = map(read_scene_manifest, args.scene_dir)
-        report = localization_stats([pose_error(pose, t["gt_pose"], t["specs"].aerial)
-                                     for pose, t in zip(poses, truths)])
-    report["mode"] = args.mode
-    _dump_json(report, args.out)
+def cmd_eval_localization(args) -> int:
+    """The repeated ``--pred-pose`` and ``--scene-dir`` pair in order, and each pose is scored
+    in meters at its own scene's GSD. Every pose is read before any scene, and of a scene only
+    its manifest; counts that differ are a ``ValueError``, raised before any file is read."""
+    if len(args.pred_pose) != len(args.scene_dir):
+        raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
+                         f"{len(args.scene_dir)} --scene-dir directories")
+    poses = [decode_json(path, read_json(path), Pose3DoF.from_json_dict)
+             for path in args.pred_pose]
+    truths = map(read_scene_manifest, args.scene_dir)
+    report = localization_stats([pose_error(pose, t["gt_pose"], t["specs"].aerial)
+                                 for pose, t in zip(poses, truths)])
+    _dump_json({**report, "mode": args.mode}, args.out)
     return EXIT_OK
 
 
@@ -167,12 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic scene directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, help="grid points per side (odd)")
+    # --n keeps no default: the group counts a flag as given only if it differs from its default
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--n", type=int, help="grid points per side (odd)")
+    grid.add_argument("--spec-json", help="scene spec JSON")
     p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma")
     p.add_argument("--channels", type=int, default=FEATURE_CHANNELS)
     p.add_argument("--continuous-pose", action="store_true",
                    help="draw a continuous pose instead of a grid-snapped one")
-    p.add_argument("--spec-json", help="scene spec JSON (not with --n)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -191,17 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    p.add_argument("--mode", choices=("localization", "matching"), required=True)
-    p.add_argument("--pred-csv", help="match prediction CSV (matching mode)")
-    p.add_argument("--gt-dir", help="ground-truth projection directory (matching mode)")
-    p.add_argument("--thresholds", help="comma-separated pixel thresholds (matching mode)")
-    p.add_argument("--scene-dir", action="append",
-                   help="scene directory (localization mode; repeat, paired with --pred-pose)")
-    p.add_argument("--pred-pose", action="append",
-                   help="pose JSON from solve --out (localization mode; repeat, in order)")
+    modes = sub.add_parser("eval", help="score predictions against ground truth") \
+        .add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("matching", help="match prediction CSV against a ground-truth projection")
+    p.add_argument("--pred-csv", required=True, help="match prediction CSV")
+    p.add_argument("--gt-dir", required=True, help="ground-truth projection directory")
+    p.add_argument("--thresholds", type=_thresholds, default=DEFAULT_THRESHOLDS_PX,
+                   help="comma-separated pixel thresholds")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval_matching)
+    p = modes.add_parser("localization", help="solved poses against the scenes' true poses")
+    p.add_argument("--scene-dir", action="append", required=True,
+                   help="scene directory (repeat, paired with --pred-pose)")
+    p.add_argument("--pred-pose", action="append", required=True,
+                   help="pose JSON from solve --out (repeat, in order)")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_eval_localization)
 
     p = sub.add_parser("loss", help="evaluate the training losses on a scene")
     p.add_argument("--scene-dir", required=True)

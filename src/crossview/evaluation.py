@@ -62,13 +62,13 @@ class MatchPrediction:
         if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:   # blank lines yield no row, so the line is the reader's count
             try:   # a short row holds None, a long one a list of the rest: float refuses both
                 rows.append([float(v) for v in row.values()])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row at line {line_no}") from exc
+                raise ValueError(f"{path}: malformed row at line {reader.line_num}") from exc
             if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"{path}: non-finite value at line {line_no}")
+                raise ValueError(f"{path}: non-finite value at line {reader.line_num}")
         if not rows:
             raise ValueError(f"{path}: no prediction rows")
         rows = np.array(rows)

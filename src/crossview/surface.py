@@ -33,10 +33,10 @@ class BevFeatureMap:
 def check_inputs(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
                  where: str = "") -> None:
     """Require volume (M, N, N, c), conf_logits (M, N, N), f_sat (N, N, c) and, if given,
-    depth_sat (N, N) of ``specs``, with one c, each finite; an error names the array and
-    starts with ``where``."""
+    depth_sat (N, N) of ``specs``, with one c (the volume's last axis, else f_sat's), each
+    finite; an error names the array and starts with ``where``."""
     m, n = specs.layers.num_layers, specs.grid.n_points_per_side
-    c = np.shape(volume)[-1:]
+    c = np.shape(f_sat if volume is None else volume)[-1:]
     for name, array, want in (("volume", volume, (m, n, n, *c)),
                               ("conf_logits", conf_logits, (m, n, n)),
                               ("f_sat", f_sat, (n, n, *c)),

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from crossview.evaluation import localization_stats
 from crossview.geometry import BevGridSpec, Pose3DoF, SceneSpec, rotation_matrix, wrap_angle
 from crossview.losses import LossConfig, height_loss, matching_loss, vce_loss
 from crossview.pipeline import run_localization
@@ -229,8 +230,7 @@ def test_loss_closed_forms():
 
 
 def test_metric_fixtures():
-    from crossview.evaluation import (MatchPrediction, localization_stats,
-                                      matching_success_ratio)
+    from crossview.evaluation import MatchPrediction, matching_success_ratio
     h, w = 32, 64
     valid = np.zeros((h, w), dtype=bool)
     valid[:, :32] = True
@@ -347,6 +347,37 @@ def test_channel_permutation_oracle():
            f"{worst_rad:.1e} rad")
 
 
+# (snapped, sigma) -> floor on the within-cell count of seeds 0-9: the count measured when the
+# floor was set, minus one, never below 0. An accuracy change raises floors, never lowers one.
+_LADDER_FLOORS = {(True, 0.3): 0, (True, 0.6): 0, (True, 0.8): 0, (True, 1.0): 0,
+                  (False, 0.0): 9, (False, 0.2): 0, (False, 0.4): 0, (False, 0.5): 0,
+                  (False, 0.6): 0}
+_LADDER_NOISE_FREE_MEDIAN_M = 0.04
+
+
+def test_accuracy_ladder():
+    """Un-refined n=41 solves of seeds 0-9 per (pose kind, sigma) case. Each case's count within
+    a cell (translation under ``grid.spacing_m``, yaw under 5 degrees, the bench's rule) is at
+    least its floor, and the continuous noise-free median translation error (the lower middle,
+    as ``localization_stats`` reports it) is at most 0.04 m. The report prints every count."""
+    cell_m = SceneSpec(grid=BevGridSpec(41)).grid.spacing_m
+    curve, short = [], []
+    for (snapped, sigma), floor in _LADDER_FLOORS.items():
+        errors = [pose_error(_solve(b).pose_px, b.scene.gt_pose, b.specs.aerial)
+                  for b in _oracle_bundles([(41, seed, snapped, sigma) for seed in range(10)])]
+        within = sum(trans_m < cell_m and yaw_deg < 5.0 for trans_m, yaw_deg in errors)
+        case = f"{'snapped' if snapped else 'continuous'} {sigma}"
+        curve.append(f"{case} {within}/10")
+        if within < floor:
+            short.append(f"{case} below floor {floor}")
+        if (snapped, sigma) == (False, 0.0):
+            median_m = localization_stats(errors)["median_translation_m"]
+    ok = not short and median_m <= _LADDER_NOISE_FREE_MEDIAN_M
+    report("accuracy-ladder", ok,
+           f"within a cell: {', '.join(curve)}; continuous noise-free median {median_m:.4f} m "
+           f"(<= {_LADDER_NOISE_FREE_MEDIAN_M}){'; ' + ', '.join(short) if short else ''}")
+
+
 def _run(*args):
     return python_subprocess("-m", "crossview", *args)
 
@@ -378,7 +409,7 @@ def test_cli_determinism(tmp_path):
     details.append(f"loss {same_loss}")
 
     # eval (localization mode over the solve of g1)
-    eval_args = ("eval", "--mode", "localization", "--scene-dir", tmp_path / "g1",
+    eval_args = ("eval", "localization", "--scene-dir", tmp_path / "g1",
                  "--pred-pose", pose_path)
     e1 = _run(*eval_args)
     e2 = _run(*eval_args)

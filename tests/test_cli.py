@@ -65,7 +65,8 @@ class TestGenerate:
         proc = run_cli("generate", "--seed", "0", "--n", n, "--spec-json", spec_path,
                        "--out-dir", tmp_path / "out", check=False)
         assert proc.returncode == 2
-        assert proc.stderr == "error: --n cannot be combined with --spec-json\n"
+        assert "argument --spec-json: not allowed with argument --n" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_even_grid_is_input_error(self, tmp_path):
@@ -405,8 +406,7 @@ class TestEvalMatching:
         gt_dir = self.build_gt_dir(tmp_path)
         rows = [f"{u},{5},{100 + u},{55}" for u in range(30)]
         pred = self.write_pred(tmp_path, rows)
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "matching")
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir)
         report = json.loads(proc.stdout)
         assert report["ratios"] == [1.0, 1.0, 1.0]
         assert report["valid_ratio"] == 1.0
@@ -417,8 +417,8 @@ class TestEvalMatching:
         rows += [f"{40 + u % 20},5,0,0" for u in range(18)]
         pred = self.write_pred(tmp_path, rows)
         out_json = tmp_path / "report.json"
-        run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                "--mode", "matching", "--thresholds", "5", "--out", out_json)
+        run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
+                "--thresholds", "5", "--out", out_json)
         report = json.loads(out_json.read_text())
         assert report["ratios"] == [pytest.approx(0.4)]
         assert report["valid_ratio"] == pytest.approx(0.4)
@@ -426,24 +426,22 @@ class TestEvalMatching:
     def test_empty_prediction_file_is_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, [])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "matching", "--out", tmp_path / "r.json",
-                       check=False)
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
+                       "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert not (tmp_path / "r.json").exists()
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,2,3,4", "nope,2,3,4"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir,
-                       "--mode", "matching", check=False)
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir, check=False)
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
     def test_non_finite_row_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55", "nan,2,3,4"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert "pred.csv: non-finite value at line 3" in proc.stderr
@@ -453,7 +451,7 @@ class TestEvalMatching:
     def test_row_with_an_extra_field_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,2,3,4,5"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert proc.stderr == f"error: {pred}: malformed row at line 2\n"
@@ -463,7 +461,7 @@ class TestEvalMatching:
         gt_dir = self.build_gt_dir(tmp_path)
         pred = tmp_path / "pred.csv"
         pred.write_bytes(b"xg,yg,xs,ys\n1,5,101,55\n1,5,101,\xff\n")
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert proc.stderr == (f"error: {pred}: not UTF-8 at line 3: 'utf-8' codec can't decode "
@@ -473,7 +471,7 @@ class TestEvalMatching:
     def test_nan_threshold_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--thresholds", "nan,5", "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert "finite and positive" in proc.stderr
@@ -483,19 +481,21 @@ class TestEvalMatching:
     def test_unparsable_threshold_names_the_flag(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--thresholds", "5,x", "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert "error: --thresholds: could not convert string to float: 'x'" in proc.stderr
+        assert "argument --thresholds: could not convert string to float: 'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
     def test_empty_thresholds_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--thresholds", "", "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert "error: --thresholds: could not convert string to float: ''" in proc.stderr
+        assert "argument --thresholds: could not convert string to float: ''" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("value, detail", [
@@ -503,19 +503,20 @@ class TestEvalMatching:
         ("nan,5", "thresholds must be finite and positive"),
     ], ids=["unparsable", "nan"])
     def test_bad_thresholds_reported_before_any_file_is_read(self, tmp_path, value, detail):
-        proc = run_cli("eval", "--pred-csv", tmp_path / "missing.csv",
-                       "--gt-dir", tmp_path / "missing-gt", "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", tmp_path / "missing.csv",
+                       "--gt-dir", tmp_path / "missing-gt",
                        "--thresholds", value, "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert f"error: --thresholds: {detail}" in proc.stderr
-        assert "missing.csv" not in proc.stderr
+        assert f"argument --thresholds: {detail}" in proc.stderr
+        assert "missing.csv" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_gt_dir_without_manifest_is_input_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         (gt_dir / "manifest.json").unlink()
         assert sorted(p.name for p in gt_dir.iterdir()) == ["gt_xy.cvt"]
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        check=False)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
@@ -532,7 +533,7 @@ class TestEvalMatching:
         save_tensor(tmp_path / "outside" / "secret.cvt", np.zeros((32, 64)))
         self.edit_manifest_tensors(gt_dir, lambda t: t.update({"../outside/secret": [32, 64]}))
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        check=False)
         assert proc.returncode == 2
         assert "'../outside/secret' is not a bare file name" in proc.stderr
@@ -542,7 +543,7 @@ class TestEvalMatching:
         gt_dir = self.build_gt_dir(tmp_path)
         self.edit_manifest_tensors(gt_dir, lambda t: t.pop("gt_xy"))
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        check=False)
         assert proc.returncode == 2
         assert "manifest does not list tensor 'gt_xy'" in proc.stderr
@@ -553,7 +554,7 @@ class TestEvalMatching:
         save_tensor(gt_dir / "gt_xy.cvt", np.zeros((32, 64, 3), dtype=np.float32))
         self.edit_manifest_tensors(gt_dir, lambda t: t.update(gt_xy=[32, 64, 3]))
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        check=False)
         assert proc.returncode == 2
         assert f"{gt_dir}: gt_xy has shape (32, 64, 3), expected (H, W, 2)" in proc.stderr
@@ -569,7 +570,7 @@ class TestEvalMatching:
         stored[5, 1, 0] = value   # a pixel inside the region
         save_tensor(gt_dir / "gt_xy.cvt", stored)
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
         assert proc.stderr == f"error: {gt_dir}: {detail}\n"
@@ -582,7 +583,7 @@ class TestEvalMatching:
                         {"gt_sat_x": np.zeros((32, 64)), "gt_sat_y": np.zeros((32, 64)),
                          "gt_valid": np.ones((32, 64))})
         pred = self.write_pred(tmp_path, ["1,5,101,55"])
-        proc = run_cli("eval", "--pred-csv", pred, "--gt-dir", gt_dir, "--mode", "matching",
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
                        check=False)
         assert proc.returncode == 2
         assert proc.stderr == (f"error: {gt_dir}: unknown format 'gt-projection-v1', "
@@ -624,7 +625,7 @@ class TestEvalLocalization:
 
     def test_stats_report(self, tmp_path):
         scenes, poses = self.setup_scenes(tmp_path)
-        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses))
+        proc = run_cli("eval", "localization", *self.pair_args(scenes, poses))
         report = json.loads(proc.stdout)
         assert report["mode"] == "localization"
         assert report["count"] == 3
@@ -640,13 +641,13 @@ class TestEvalLocalization:
             pose = tmp_path / f"pose{seed}.json"
             run_cli("solve", "--scene-dir", scene, "--out", pose)
             args += ["--scene-dir", scene, "--pred-pose", pose]
-        report = json.loads(run_cli("eval", "--mode", "localization", *args).stdout)
+        report = json.loads(run_cli("eval", "localization", *args).stdout)
         assert report["count"] == 3
         assert report["median_translation_m"] <= 1e-9
 
     def test_reads_the_manifests_and_no_tensor(self, tmp_path):
         scenes, poses = self.setup_scenes(tmp_path)
-        args = ("eval", "--mode", "localization", *self.pair_args(scenes, poses))
+        args = ("eval", "localization", *self.pair_args(scenes, poses))
         before = run_cli(*args).stdout
         for scene in scenes:
             for tensor in scene.glob("*.cvt"):
@@ -655,7 +656,7 @@ class TestEvalLocalization:
 
     def test_count_mismatch_is_error(self, tmp_path):
         scenes, poses = self.setup_scenes(tmp_path)
-        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses),
+        proc = run_cli("eval", "localization", *self.pair_args(scenes, poses),
                        "--scene-dir", tmp_path / "nope", "--out", tmp_path / "r.json",
                        check=False)
         assert proc.returncode == 2
@@ -664,28 +665,28 @@ class TestEvalLocalization:
 
     def test_thresholds_flag_is_input_error(self, tmp_path):
         scenes, poses = self.setup_scenes(tmp_path)
-        proc = run_cli("eval", "--mode", "localization", *self.pair_args(scenes, poses),
+        proc = run_cli("eval", "localization", *self.pair_args(scenes, poses),
                        "--thresholds", "5,x", "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert "error: --thresholds applies only to --mode matching" in proc.stderr
+        assert "unrecognized arguments: --thresholds" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("mode, given, flag, other", [
+    @pytest.mark.parametrize("mode, given, flag", [
         ("localization", ("--pred-pose", "p.json", "--scene-dir", "s", "--pred-csv", "x.csv"),
-         "--pred-csv", "matching"),
+         "--pred-csv"),
         ("localization", ("--pred-pose", "p.json", "--scene-dir", "s", "--gt-dir", "g"),
-         "--gt-dir", "matching"),
+         "--gt-dir"),
         ("matching", ("--pred-csv", "x.csv", "--gt-dir", "g", "--scene-dir", "s"),
-         "--scene-dir", "localization"),
+         "--scene-dir"),
         ("matching", ("--pred-csv", "x.csv", "--gt-dir", "g", "--pred-pose", "p.json"),
-         "--pred-pose", "localization"),
+         "--pred-pose"),
     ], ids=["pred-csv", "gt-dir", "scene-dir", "pred-pose"])
-    def test_flag_of_the_other_mode_is_input_error(self, tmp_path, mode, given, flag, other):
-        # none of the named files exists: the flag check comes before any read
-        proc = run_cli("eval", "--mode", mode, *given, "--out", tmp_path / "r.json",
-                       check=False)
+    def test_flag_of_the_other_mode_is_input_error(self, tmp_path, mode, given, flag):
+        # none of the named files exists: the parser refuses the flag before any read
+        proc = run_cli("eval", mode, *given, "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert f"error: {flag} applies only to --mode {other}" in proc.stderr
+        assert f"unrecognized arguments: {flag}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
@@ -696,10 +697,9 @@ class TestEvalLocalization:
         ("matching", ("--gt-dir", "g"), "--pred-csv"),
     ], ids=["pred-pose", "scene-dir", "gt-dir", "pred-csv"])
     def test_missing_flag_of_the_mode_is_input_error(self, tmp_path, mode, given, missing):
-        proc = run_cli("eval", "--mode", mode, *given, "--out", tmp_path / "r.json",
-                       check=False)
+        proc = run_cli("eval", mode, *given, "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
-        assert f"error: --mode {mode} needs {missing}" in proc.stderr
+        assert f"the following arguments are required: {missing}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
@@ -707,7 +707,7 @@ class TestEvalLocalization:
         # the scenes do not exist: every pose file is read before any scene
         good = write_pose(tmp_path / "good.json", 100.0, 100.0, 0.0)
         bad = write_pose(tmp_path / "bad.json", 100.0, math.inf, 0.0)   # written as Infinity
-        proc = run_cli("eval", "--mode", "localization",
+        proc = run_cli("eval", "localization",
                        *self.pair_args([tmp_path / "s1", tmp_path / "s2"], [good, bad]),
                        check=False)
         assert proc.returncode == 2
@@ -847,7 +847,7 @@ class TestPoseRecord:
 
     def test_eval_scores_the_library_pose(self, solved_continuous_scene):
         scene, pose_path, bundle, pose = solved_continuous_scene
-        report = json.loads(run_cli("eval", "--mode", "localization", "--scene-dir", scene,
+        report = json.loads(run_cli("eval", "localization", "--scene-dir", scene,
                                     "--pred-pose", pose_path).stdout)
         errors = [pose_error(pose, bundle.scene.gt_pose, bundle.specs.aerial)]
         assert report == {**localization_stats(errors), "mode": "localization"}
@@ -857,7 +857,7 @@ class TestPoseRecord:
                                                              command):
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps({"tx_px": 200.0, "ty_px": 200.0, "yaw_deg": 0.0}))
-        mode = ("--mode", "localization") if command == "eval" else ()
+        mode = ("localization",) if command == "eval" else ()
         proc = run_cli(command, *mode, "--scene-dir", shared_scene_dir, "--pred-pose", pose_path,
                        "--out", tmp_path / "r.json", check=False)
         assert proc.returncode == 2
@@ -931,7 +931,7 @@ class TestMalformedJsonInput:
             "solve-spec": ("solve", "--volume", scene / "volume.cvt",
                            "--conf-logits", scene / "conf_logits.cvt",
                            "--f-sat", scene / "f_sat.cvt", "--spec-json", bad),
-            "eval-pose": ("eval", "--mode", "localization", "--scene-dir", scene,
+            "eval-pose": ("eval", "localization", "--scene-dir", scene,
                           "--pred-pose", bad),
         }[which]
         proc = run_cli(*args, check=False)
@@ -1088,11 +1088,19 @@ def test_parser_defaults_are_the_library_defaults(monkeypatch):
 def test_readme_cli_section_names_every_option():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    missing = [f"{name} {option}" for name, sub in commands.items()
-               for action in sub._actions for option in action.option_strings
-               if option not in ("-h", "--help")
-               and not re.search(re.escape(option) + r"(?![\w-])", section)]
+
+    def options(parser, prog):
+        """(command, option) of every option of ``parser`` and of its subcommands, recursively."""
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from options(sub, f"{prog} {name}")
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    yield prog, option
+
+    found = list(options(cli.build_parser(), "crossview"))
+    assert ("crossview eval matching", "--thresholds") in found   # eval's modes are walked
+    missing = [f"{prog} {option}" for prog, option in found
+               if not re.search(re.escape(option) + r"(?![\w-])", section)]
     assert not missing

@@ -433,9 +433,14 @@ class TestPredictionCsv:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "pred.csv"
-        path.write_text("xg,yg,xs,ys\n1,2,3,4\nbad,2,3,4\n")
-        with pytest.raises(ValueError, match="line 3"):
-            MatchPrediction.from_csv(path)
+        for text, detail in (
+                ("xg,yg,xs,ys\n1,2,3,4\nbad,2,3,4\n", "malformed row at line 3"),
+                # the line of the file, not the count of rows: blank lines count too
+                ("xg,yg,xs,ys\n1,2,3,4\n\n\nbad,2,3,4\n", "malformed row at line 5"),
+                ("xg,yg,xs,ys\n\n1,2,3,4\n\nnan,2,3,4\n", "non-finite value at line 5")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf"pred\.csv: {detail}$"):
+                MatchPrediction.from_csv(path)
 
     @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5", "1,2,3,4,"],
                              ids=["short", "long", "trailing-comma"])

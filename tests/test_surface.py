@@ -285,6 +285,7 @@ class TestCheckInputShapes:
         self.check()
         check_inputs(self.SPECS, np.zeros((3, 5, 5, 7)), np.zeros((3, 5, 5)),
                      np.zeros((5, 5, 7)))   # any c, and no depth map
+        check_inputs(self.SPECS, None, None, np.zeros((5, 5, 16)))   # c of f_sat alone
 
     @pytest.mark.parametrize("name, shape, wanted", [
         ("volume", (3, 5, 4, 2), "(3, 5, 5, 2)"),
