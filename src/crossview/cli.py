@@ -5,9 +5,10 @@ flows from explicit --seed flags; set CROSSVIEW_LOG=DEBUG|INFO|WARNING|ERROR|CRI
 (any case) for verbosity; an unknown level is an input error naming CROSSVIEW_LOG,
 raised before the command runs. Reports go to stdout or --out. ``loss`` reads
 its JSON inputs before the scene. ``eval`` takes its mode as a subcommand,
-``eval matching`` or ``eval localization``. The parser owns each command's flags:
-a flag of another command or mode, a missing required one, ``generate --n`` next
-to ``--spec-json`` and a bad ``--thresholds`` exit 2 before any file is read.
+``eval matching`` or ``eval localization``. The parser owns every flag rule: a flag
+of another command or mode, a missing required one, two flags of one exclusive group
+(``generate --n``/``--spec-json``, ``solve --scene-dir``/``--tensors``), a wrong value
+count and a bad ``--thresholds`` exit 2 before any file is read.
 """
 
 from __future__ import annotations
@@ -59,26 +60,20 @@ def cmd_generate(args) -> int:
 
 
 def _load_solve_inputs(args):
-    """A scene directory, or all four loose tensor flags; a loose flag next to ``--scene-dir``
-    is a ``ValueError`` naming the first one, raised before any file is read. ``check_inputs``
-    checks each loose tensor as it is read, naming its file (f_sat against the volume's c)."""
-    loose = {"--volume": args.volume, "--conf-logits": args.conf_logits,
-             "--f-sat": args.f_sat, "--spec-json": args.spec_json}
+    """The inputs of ``--scene-dir``, or of ``--tensors VOLUME CONF_LOGITS F_SAT SPEC_JSON``:
+    the spec is read first, then ``check_inputs`` checks each tensor as it is read, naming
+    its file (f_sat against the volume's c)."""
     if args.scene_dir:
-        given = [flag for flag, path in loose.items() if path is not None]
-        if given:
-            raise ValueError(f"{given[0]} cannot be combined with --scene-dir")
         bundle = load_scene_dir(args.scene_dir)
         return bundle.inputs.volume, bundle.inputs.conf_logits, bundle.inputs.f_sat, bundle.specs
-    if None in loose.values():
-        raise ValueError("either --scene-dir or all of --volume/--conf-logits/--f-sat/--spec-json")
-    specs = decode_json(args.spec_json, read_json(args.spec_json), SceneSpec.from_json_dict)
-    volume = load_tensor(args.volume).astype(float)
-    check_inputs(specs, volume, None, None, where=f"{args.volume}: ")
-    conf_logits = load_tensor(args.conf_logits)
-    check_inputs(specs, None, conf_logits, None, where=f"{args.conf_logits}: ")
-    f_sat = load_tensor(args.f_sat)
-    check_inputs(specs, volume, None, f_sat, where=f"{args.f_sat}: ")
+    volume_path, conf_logits_path, f_sat_path, spec_path = args.tensors
+    specs = decode_json(spec_path, read_json(spec_path), SceneSpec.from_json_dict)
+    volume = load_tensor(volume_path).astype(float)
+    check_inputs(specs, volume, None, None, where=f"{volume_path}: ")
+    conf_logits = load_tensor(conf_logits_path)
+    check_inputs(specs, None, conf_logits, None, where=f"{conf_logits_path}: ")
+    f_sat = load_tensor(f_sat_path)
+    check_inputs(specs, volume, None, f_sat, where=f"{f_sat_path}: ")
     return volume, conf_logits, BevFeatureMap(f_sat), specs
 
 
@@ -116,15 +111,11 @@ def cmd_eval_matching(args) -> int:
 
 
 def cmd_eval_localization(args) -> int:
-    """The repeated ``--pred-pose`` and ``--scene-dir`` pair in order, and each pose is scored
-    in meters at its own scene's GSD. Every pose is read before any scene, and of a scene only
-    its manifest; counts that differ are a ``ValueError``, raised before any file is read."""
-    if len(args.pred_pose) != len(args.scene_dir):
-        raise ValueError(f"{len(args.pred_pose)} --pred-pose files for "
-                         f"{len(args.scene_dir)} --scene-dir directories")
+    """Each ``--pair`` pose is scored in meters at its own scene's GSD. Every pose is read
+    before any scene, and of a scene only its manifest."""
     poses = [decode_json(path, read_json(path), Pose3DoF.from_json_dict)
-             for path in args.pred_pose]
-    truths = map(read_scene_manifest, args.scene_dir)
+             for _, path in args.pair]
+    truths = (read_scene_manifest(scene_dir) for scene_dir, _ in args.pair)
     report = localization_stats([pose_error(pose, t["gt_pose"], t["specs"].aerial)
                                  for pose, t in zip(poses, truths)])
     _dump_json({**report, "mode": args.mode}, args.out)
@@ -161,11 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="recover the pose from scene tensors")
-    p.add_argument("--scene-dir")
-    p.add_argument("--volume")
-    p.add_argument("--conf-logits")
-    p.add_argument("--f-sat")
-    p.add_argument("--spec-json")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scene-dir", help="scene directory")
+    source.add_argument("--tensors", nargs=4,
+                        metavar=("VOLUME", "CONF_LOGITS", "F_SAT", "SPEC_JSON"),
+                        help="tensor files and a scene spec JSON, in place of a scene directory")
     p.add_argument("--refiner-params", help="directory of refiner parameter tensors")
     p.add_argument("--threshold", type=float, default=PipelineConfig.surface_threshold,
                    help="surface threshold")
@@ -185,10 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval_matching)
     p = modes.add_parser("localization", help="solved poses against the scenes' true poses")
-    p.add_argument("--scene-dir", action="append", required=True,
-                   help="scene directory (repeat, paired with --pred-pose)")
-    p.add_argument("--pred-pose", action="append", required=True,
-                   help="pose JSON from solve --out (repeat, in order)")
+    p.add_argument("--pair", nargs=2, action="append", required=True,
+                   metavar=("SCENE_DIR", "POSE_JSON"),
+                   help="a scene directory and a pose JSON from solve --out (repeat)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval_localization)
 

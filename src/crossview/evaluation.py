@@ -49,26 +49,34 @@ class MatchPrediction:
     def from_csv(cls, path) -> "MatchPrediction":
         """Read a UTF-8 CSV whose header is exactly ``xg,yg,xs,ys``, four finite floats a row.
 
-        Errors name the file and, for a byte that is not UTF-8 or a row that is not
-        four finite floats, its line number; a file with no rows is an error too.
+        A leading byte-order mark is dropped. Errors name the file and, for a byte that is
+        not UTF-8 or a row that is not four finite floats, its line number; a file with no
+        rows is an error too.
         """
         data = Path(path).read_bytes()
-        try:
-            text = data.decode("utf-8")
+        try:   # decoded whole, so the codec's offsets are the file's, mark included
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             line_no = data.count(b"\n", 0, exc.start) + 1
             raise ValueError(f"{path}: not UTF-8 at line {line_no}: {exc}") from None
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        if reader.fieldnames is None or tuple(reader.fieldnames) != PRED_CSV_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        malformed = f"{path}: malformed row at line"
         rows = []
-        for row in reader:   # blank lines yield no row, so the line is the reader's count
-            try:   # a short row holds None, a long one a list of the rest: float refuses both
-                rows.append([float(v) for v in row.values()])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row at line {reader.line_num}") from exc
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"{path}: non-finite value at line {reader.line_num}")
+        try:   # a field past the csv module's size limit is a csv.Error, header included
+            if next(reader, None) != list(PRED_CSV_FIELDS):
+                raise ValueError(f"{path}: expected header {','.join(PRED_CSV_FIELDS)}")
+            for fields in filter(None, reader):   # a blank line is an empty row
+                try:
+                    row = [float(v) for v in fields]
+                except ValueError:
+                    row = []
+                if len(row) != len(PRED_CSV_FIELDS):
+                    raise ValueError(f"{malformed} {reader.line_num}")
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}: non-finite value at line {reader.line_num}")
+                rows.append(row)
+        except csv.Error:
+            raise ValueError(f"{malformed} {reader.line_num}") from None
         if not rows:
             raise ValueError(f"{path}: no prediction rows")
         rows = np.array(rows)

@@ -65,7 +65,8 @@ def read_json(path):
     """The JSON value in the UTF-8 file ``path``; any parse error is a ``ValueError`` naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:   # also a byte that is not UTF-8, or an integer of over 4,300 digits
+    # also a byte that is not UTF-8, an integer of over 4,300 digits, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
 
 

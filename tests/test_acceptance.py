@@ -409,8 +409,7 @@ def test_cli_determinism(tmp_path):
     details.append(f"loss {same_loss}")
 
     # eval (localization mode over the solve of g1)
-    eval_args = ("eval", "localization", "--scene-dir", tmp_path / "g1",
-                 "--pred-pose", pose_path)
+    eval_args = ("eval", "localization", "--pair", tmp_path / "g1", pose_path)
     e1 = _run(*eval_args)
     e2 = _run(*eval_args)
     same_eval = e1.stdout == e2.stdout and e1.returncode == e2.returncode == 0

@@ -1,3 +1,4 @@
+import codecs
 import math
 import re
 import tracemalloc
@@ -437,7 +438,11 @@ class TestPredictionCsv:
                 ("xg,yg,xs,ys\n1,2,3,4\nbad,2,3,4\n", "malformed row at line 3"),
                 # the line of the file, not the count of rows: blank lines count too
                 ("xg,yg,xs,ys\n1,2,3,4\n\n\nbad,2,3,4\n", "malformed row at line 5"),
-                ("xg,yg,xs,ys\n\n1,2,3,4\n\nnan,2,3,4\n", "non-finite value at line 5")):
+                ("xg,yg,xs,ys\n\n1,2,3,4\n\nnan,2,3,4\n", "non-finite value at line 5"),
+                # past the csv module's field size limit (131,072 characters)
+                ("xg,yg,xs,ys\n1,2,3,4\n\n" + "1" * 131_073 + ",2,3,4\n",
+                 "malformed row at line 4"),
+                ("xg" * 70_000 + ",yg,xs,ys\n1,2,3,4\n", "malformed row at line 1")):
             path.write_text(text)
             with pytest.raises(ValueError, match=rf"pred\.csv: {detail}$"):
                 MatchPrediction.from_csv(path)
@@ -455,6 +460,18 @@ class TestPredictionCsv:
         path.write_bytes(b"xg,yg,xs,ys\n1,2,3,4\n1,2,3,\xff\n")
         with pytest.raises(ValueError, match=r"pred\.csv: not UTF-8 at line 3: 'utf-8' codec "
                                              r"can't decode byte 0xff in position 26"):
+            MatchPrediction.from_csv(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes it
+        path = tmp_path / "pred.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"xg,yg,xs,ys\r\n1,2,3,4\r\n")
+        back = MatchPrediction.from_csv(path)
+        assert back.grd_px.tolist() == [[1.0, 2.0]] and back.sat_px.tolist() == [[3.0, 4.0]]
+        # a bad byte's position stays its offset in the file, the mark counted
+        path.write_bytes(codecs.BOM_UTF8 + b"xg\n\xff,yg,xs,ys\n")
+        with pytest.raises(ValueError, match=r"pred\.csv: not UTF-8 at line 2: 'utf-8' codec "
+                                             r"can't decode byte 0xff in position 6"):
             MatchPrediction.from_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

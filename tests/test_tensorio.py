@@ -12,7 +12,7 @@ from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.refiner import RefinerParams
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import (MAGIC, MANIFEST, TensorFormatError, load_tensor, load_tensors,
-                                read_manifest, save_tensor, save_tensor_dir)
+                                read_json, read_manifest, save_tensor, save_tensor_dir)
 
 from conftest import ROOT
 
@@ -212,6 +212,17 @@ def test_tensor_dir_manifest_not_json_rejected(tmp_path):
     (tmp_path / "d" / MANIFEST).write_text("{oops")
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'd' / MANIFEST}: not JSON: ")):
         read_manifest(tmp_path / "d", "toy-v1")
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+    ("\ufeff{}", "Unexpected UTF-8 BOM"),   # json's own refusal of a byte-order mark
+], ids=["deeply-nested", "byte-order-mark"])
+def test_read_json_refusal_names_the_file(tmp_path, text, detail):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not JSON: ") + ".*" + detail):
+        read_json(path)
 
 
 def _write_scene_dir(directory):
