@@ -81,7 +81,6 @@ def cmd_solve(args) -> int:
     """Without ``--refiner-params`` the solve skips the refinement and uses zero dustbins; the
     CLI then logs a warning after the solve, where the library logs nothing."""
     config = PipelineConfig(
-        surface_threshold=args.threshold,
         top_k=args.topk,
         known_yaw_rad=math.radians(args.known_yaw) if args.known_yaw is not None else None,
     )
@@ -158,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=("VOLUME", "CONF_LOGITS", "F_SAT", "SPEC_JSON"),
                         help="tensor files and a scene spec JSON, in place of a scene directory")
     p.add_argument("--refiner-params", help="directory of refiner parameter tensors")
-    p.add_argument("--threshold", type=float, default=PipelineConfig.surface_threshold,
-                   help="surface threshold")
     p.add_argument("--topk", type=int, default=PipelineConfig.top_k)
     p.add_argument("--known-yaw", type=float, default=None,
                    help="fix the yaw (degrees) and solve translation only")

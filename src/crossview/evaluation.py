@@ -90,16 +90,21 @@ def save_gt_projection(directory, gt_xy: np.ndarray) -> None:
     save_tensor_dir(directory, _GT_FORMAT, {"gt_xy": np.where(outside, np.nan, gt_xy)})
 
 
+def _check_target_shape(gt_xy: np.ndarray, name: str) -> None:
+    """The target map rule: shaped (H, W, 2) with H and W at least 1; errors start with ``name``."""
+    if gt_xy.ndim != 3 or gt_xy.shape[2] != 2 or 0 in gt_xy.shape:
+        raise ValueError(f"{name} has shape {gt_xy.shape}, expected (H, W, 2) with H, W >= 1")
+
+
 def load_gt_projection(directory) -> np.ndarray:
     """The float64 (H, W, 2) target map of a directory written by :func:`save_gt_projection`,
     NaN outside the valid region.
 
-    A tensor not shaped (H, W, 2), an infinite entry, or a pixel with exactly
-    one NaN coordinate is a ``ValueError`` naming the directory.
+    A tensor that ``_check_target_shape`` rejects, an infinite entry, or a pixel
+    with exactly one NaN coordinate is a ``ValueError`` naming the directory.
     """
     gt_xy = load_tensors(directory, read_manifest(directory, _GT_FORMAT), ("gt_xy",))["gt_xy"]
-    if gt_xy.ndim != 3 or gt_xy.shape[2] != 2:
-        raise ValueError(f"{directory}: gt_xy has shape {gt_xy.shape}, expected (H, W, 2)")
+    _check_target_shape(gt_xy, f"{directory}: gt_xy")
     if np.isinf(gt_xy).any():
         raise ValueError(f"{directory}: gt_xy holds an infinite entry")
     nan = np.isnan(gt_xy)
@@ -163,18 +168,17 @@ def matching_success_ratio(pred: MatchPrediction, gt_xy: np.ndarray,
                            thresholds_px=DEFAULT_THRESHOLDS_PX) -> dict:
     """Per-threshold success ratios plus the valid-prediction ratio.
 
-    ``gt_xy`` is a (H, W, 2) target map (``build_gt_projection``); its valid
-    region is where the target is finite. Every predicted pair counts in the
-    denominator; a pair is correct at a threshold only when its ground pixel
-    lies in the valid region and the predicted aerial point falls within the
-    threshold of the true target, per ``check_thresholds``.
+    ``gt_xy`` is a target map (``build_gt_projection``) that ``_check_target_shape``
+    accepts, else a ``ValueError``; its valid region is where the target is finite.
+    Every predicted pair counts in the denominator; a pair is correct at a threshold
+    only when its ground pixel lies in the valid region and the predicted aerial
+    point falls within the threshold of the true target, per ``check_thresholds``.
     """
     if len(pred) == 0:
         raise ValueError("empty prediction set")
     thresholds = check_thresholds(thresholds_px)
 
-    if gt_xy.ndim != 3 or gt_xy.shape[2] != 2:
-        raise ValueError(f"target map has shape {gt_xy.shape}, expected (H, W, 2)")
+    _check_target_shape(gt_xy, "target map")
     h, w = gt_xy.shape[:2]
     # in_pano is decided on the rounded floats: casting a huge pixel to int is platform-defined
     u = np.rint(pred.grd_px[:, 0])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .refiner import (RefinerParams, SimilarityMatrix, _check_top_k, check_tempe
                       extract_matches, initial_similarity, match_probabilities, refine)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
-from .surface import (BevFeatureMap, _check_threshold, _check_window,
-                      aerial_depth_to_height_index, check_inputs, fuse_height_features,
-                      normalize_confidence, surface_from_accumulation)
+from .surface import (BevFeatureMap, _check_threshold, aerial_depth_to_height_index,
+                      check_inputs, fuse_height_features, normalize_confidence,
+                      surface_from_accumulation)
 from .synthetic import SceneBundle
 from .tensorio import check_integer
 
@@ -29,18 +30,16 @@ from .tensorio import check_integer
 @dataclass(frozen=True)
 class PipelineConfig:
     """Solve settings, checked on construction: ``surface_threshold`` per ``_check_threshold``,
-    ``fuse_window`` None or what ``fuse_height_features`` accepts, ``top_k`` an integer (per
-    ``check_integer``) >= 1, ``tau`` per ``check_temperature`` and a finite ``known_yaw_rad``."""
+    ``top_k`` an integer (per ``check_integer``) >= 1, ``tau`` per ``check_temperature`` and a
+    finite ``known_yaw_rad``. Every solve fuses with the class constant ``fuse_window``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
     top_k: int = 30
-    fuse_window: int | None = None   # None = fuse over all layers
     known_yaw_rad: float | None = None
+    fuse_window: ClassVar[int | None] = None   # all layers: the surface does not reach the pose
 
     def __post_init__(self):
         _check_threshold(self.surface_threshold)
-        if self.fuse_window is not None:
-            _check_window("fuse_window", self.fuse_window)
         check_integer("top_k", self.top_k)
         _check_top_k(self.top_k, math.inf)   # the grid, and so the upper bound, comes later
         check_temperature(self.tau)

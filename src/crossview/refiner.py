@@ -71,14 +71,13 @@ def _as_f32(a) -> np.ndarray:
 class RefinerParams:
     """Learnable refinement parameters, kept in float32 for lossless storage.
 
-    ``conv_*`` hold the three 3D-convolution layers (kernels shaped
-    (out_c, in_c, 3, 3, 3)), ``global_*`` the per-row affine stack,
-    ``gate_*`` the gating stack whose sigmoid output scales the residual,
-    and ``dustbin_*`` the learnable bin row/column/corner. Shapes that do
-    not chain, or a tensor holding NaN or inf, are a ``ValueError`` at
-    construction, so also on load (naming the directory), before any
-    refinement runs. On disk it is a ``refiner-params-v2`` tensor directory; a
-    stack's depth is its run of listed names. The round trip is bit-exact.
+    ``conv_*`` hold the three 3D-convolution layers (kernels shaped (out_c, in_c, 3, 3, 3)),
+    ``global_*`` the per-row affine stack, ``gate_*`` the gating stack whose sigmoid output
+    scales the residual, and ``dustbin_*`` the learnable bin row/column/corner. Shapes that
+    do not chain, a conv layer with no output channel, or a tensor holding NaN or inf, are a
+    ``ValueError`` at construction, so also on load (naming the directory), before any
+    refinement runs. On disk it is a ``refiner-params-v2`` tensor directory; a stack's
+    depth is its run of listed names. The round trip is bit-exact.
     """
 
     conv_kernels: tuple
@@ -108,6 +107,8 @@ class RefinerParams:
                 raise ValueError("convolution kernels must be (out_c, in_c, 3, 3, 3)")
             if k.shape[1] != in_c or b.shape != (k.shape[0],):
                 raise ValueError("convolution channel chain is inconsistent")
+            if k.shape[0] == 0:
+                raise ValueError("convolution layers need at least one output channel")
             in_c = k.shape[0]
         if in_c != 1:
             raise ValueError("final convolution layer must emit one channel")

@@ -94,13 +94,6 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     return index.astype(np.int64, copy=False)
 
 
-def _check_window(key: str, window) -> None:
-    """The fusion window rule: an integer (``check_integer``) >= 0; errors name ``key``."""
-    check_integer(key, window)
-    if window < 0:
-        raise ValueError(f"{key} must be >= 0")
-
-
 def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
                          window: int | None = None) -> BevFeatureMap:
     """Confidence-weighted fusion of the (M, N, N, C) feature volume across height layers.
@@ -109,14 +102,17 @@ def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
-    count is unchanged. Shapes that disagree, or a window that ``_check_window``
-    rejects, are a ``ValueError``. The volume is not scanned: ``check_inputs`` does that.
+    count is unchanged. Shapes that disagree, or a window not an integer (``check_integer``)
+    >= 0, are a ``ValueError``. The volume is not scanned: ``check_inputs`` does that. The
+    solve's window is ``PipelineConfig.fuse_window``.
     """
     m, n = vol.shape[0], vol.shape[1]
     if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
     window = m if window is None else window   # no layer is m or more from the surface
-    _check_window("window", window)
+    check_integer("window", window)
+    if window < 0:
+        raise ValueError("window must be >= 0")
 
     layer_idx = np.arange(m)[:, None, None]
     mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)

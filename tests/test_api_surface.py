@@ -12,7 +12,10 @@ file that also names the class: an attribute name alone cannot tell
 
 A defaulted parameter counts as set when a program call of the function's
 name passes it by keyword, or passes enough positional arguments to reach
-it (``self`` and ``cls`` aside). A call through a name bound to
+it (``self`` and ``cls`` aside); a ``**`` argument sets every one. The
+defaulted init fields of a public ``@dataclass`` are its parameters
+(``ClassVar`` annotations and ``field(init=False)`` are no fields), and a
+classmethod's ``cls(...)`` calls its own class. A call through a name bound to
 ``functools.partial(f, ...)`` is a call of ``f`` with the partial's
 arguments first, and the bench recorders' ``rec(label, f, ...)`` and
 ``rec.branch(label, f, ...)`` are calls of ``f`` with the arguments after it.
@@ -109,8 +112,8 @@ def _callee(func) -> str | None:
 def _calls(tree):
     """(callee name, positional count, keyword names) of every call in ``tree``.
 
-    A ``functools.partial`` bound to a name, and a bench recorder's stage
-    argument, resolve to the function they call.
+    A classmethod's ``cls(...)`` is a call of its class. A ``functools.partial`` bound to a
+    name, and a bench recorder's stage argument, resolve to the function they call.
     """
     partials = {}
     for node in ast.walk(tree):
@@ -120,10 +123,14 @@ def _calls(tree):
             call = node.value
             partials[node.targets[0].id] = (_callee(call.args[0]), len(call.args) - 1,
                                             {k.arg for k in call.keywords})
+    own_class = {id(call): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for call in ast.walk(cls)
+                 if isinstance(call, ast.Call) and _callee(call.func) == "cls"}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name, args, keywords = _callee(node.func), node.args, {k.arg for k in node.keywords}
+        name = own_class.get(id(node), _callee(node.func))
+        args, keywords = node.args, {k.arg for k in node.keywords}   # ** is arg None
         if name in ("rec", "branch") and len(args) >= 2:
             name, args = _callee(args[1]), args[2:]
         positional = len(args)
@@ -151,12 +158,44 @@ def _defaulted_parameters():
             yield f"{path.stem}.{fn.name}({param})", fn.name, param, index
 
 
+def _is_dataclass(node) -> bool:
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_fields(cls):
+    """(name, defaulted) of each init field of a dataclass body, in ``__init__`` order."""
+    for s in cls.body:
+        if (not isinstance(s, ast.AnnAssign)
+                or _callee(getattr(s.annotation, "value", s.annotation)) == "ClassVar"):
+            continue
+        is_field = isinstance(s.value, ast.Call) and _callee(s.value.func) == "field"
+        options = {k.arg: k.value for k in s.value.keywords} if is_field else {}
+        if getattr(options.get("init"), "value", True) is not False:
+            yield s.target.id, (s.value is not None and not is_field
+                                or bool({"default", "default_factory"} & set(options)))
+
+
+def _defaulted_fields():
+    """(``module.Class(field)``, class name, field, positional index) of every defaulted init
+    field of a public ``@dataclass``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and _is_dataclass(node)):
+                for index, (field, defaulted) in enumerate(_init_fields(node)):
+                    if defaulted:
+                        yield f"{path.stem}.{node.name}({field})", node.name, field, index
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     calls = [c for path in _program_files()
              for c in _calls(ast.parse(path.read_text(), filename=str(path)))]
+    defaulted = [*_defaulted_parameters(), *_defaulted_fields()]
     unset = sorted(
-        qualified for qualified, fn, param, index in _defaulted_parameters()
-        if not any(name == fn and (param in keywords or index is not None and positional > index)
+        qualified for qualified, fn, param, index in defaulted
+        if not any(name == fn and (param in keywords or None in keywords
+                                   or index is not None and positional > index)
                    for name, positional, keywords in calls))
     assert unset == sorted(ALLOWED_DEFAULTS), (
         "defaulted parameters only tests set (make them required, or fix them in the "

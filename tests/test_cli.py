@@ -153,6 +153,7 @@ class TestSolve:
         proc = run_cli("solve", "--scene-dir", out)
         assert "skipping refinement" in proc.stderr
 
+    # solve fuses every layer, so no threshold reaches its record: the parser refuses the flag
     @pytest.mark.parametrize("command", ["solve", "loss"])
     @pytest.mark.parametrize("threshold", ["1.5", "0", "nan"])
     def test_bad_threshold_fails_before_reading_the_scene(self, tmp_path, command, threshold):
@@ -162,7 +163,8 @@ class TestSolve:
         proc = run_cli(command, "--scene-dir", tmp_path / "nope", *extra,
                        "--threshold", threshold, check=False)
         assert proc.returncode == 2
-        assert "error: threshold must lie strictly inside (0, 1)" in proc.stderr
+        assert ("unrecognized arguments: --threshold" if command == "solve"
+                else "error: threshold must lie strictly inside (0, 1)") in proc.stderr
         assert "manifest" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag,value", [("--topk", "100000"), ("--known-yaw", "nan")])
@@ -308,6 +310,26 @@ class TestSolve:
                        check=False)
         assert proc.returncode == 2
         assert f"error: {params_dir}: convolution channel chain is inconsistent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_refiner_params_with_a_zero_channel_conv_name_their_directory(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=5)
+        params_dir = tmp_path / "params"
+        refiner.RefinerParams.random(81, seed=1).save(params_dir)
+        for name, shape in (("conv0_kernel", (0, 1, 3, 3, 3)), ("conv0_bias", (0,)),
+                            ("conv1_kernel", (1, 0, 3, 3, 3)), ("conv1_bias", (1,)),
+                            ("conv2_kernel", (1, 1, 3, 3, 3))):
+            save_tensor(params_dir / f"{name}.cvt", np.zeros(shape))
+        manifest = json.loads((params_dir / "manifest.json").read_text())
+        manifest["tensors"].update(conv0_kernel=[0, 1, 3, 3, 3], conv0_bias=[0],
+                                   conv1_kernel=[1, 0, 3, 3, 3], conv1_bias=[1],
+                                   conv2_kernel=[1, 1, 3, 3, 3])
+        (params_dir / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("solve", "--scene-dir", out, "--refiner-params", params_dir,
+                       check=False)
+        assert proc.returncode == 2
+        assert (f"error: {params_dir}: convolution layers need at least one output channel"
+                in proc.stderr)
         assert "Traceback" not in proc.stderr
 
     def test_non_finite_refiner_params_name_their_directory(self, tmp_path):
@@ -582,6 +604,18 @@ class TestEvalMatching:
         assert f"{gt_dir}: gt_xy has shape (32, 64, 3), expected (H, W, 2)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("shape", [(0, 5, 2), (4, 0, 2)], ids=["0xWx2", "Hx0x2"])
+    def test_empty_gt_dir_target_is_input_error(self, tmp_path, shape):
+        gt_dir = tmp_path / "gt"
+        save_gt_projection(gt_dir, np.zeros(shape))
+        pred = self.write_pred(tmp_path, ["1,5,101,55"])
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
+                       check=False)
+        assert proc.returncode == 2
+        assert (f"error: {gt_dir}: gt_xy has shape {shape}, expected (H, W, 2) with H, W >= 1"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("value, detail", [
         (np.inf, "gt_xy holds an infinite entry"),
         (np.nan, "gt_xy holds a pixel with exactly one NaN coordinate"),
@@ -825,6 +859,31 @@ class TestLoss:
         assert f"error: {cfg_path}: " in proc.stderr
         assert "unknown loss config key(s): 'height_in_meters'" in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+    def loss_report(self, scene, pose_path, *flags):
+        return json.loads(run_cli("loss", "--scene-dir", scene, "--pred-pose", pose_path,
+                                  *flags).stdout)
+
+    def test_tau_flag_reaches_the_matching_loss(self, tmp_path):
+        out = generate_scene_dir(tmp_path, seed=1)
+        run_cli("solve", "--scene-dir", out, "--out", tmp_path / "pose.json")
+        default = self.loss_report(out, tmp_path / "pose.json")
+        warm = self.loss_report(out, tmp_path / "pose.json", "--tau", "0.2")
+        assert default["matching"] == pytest.approx(0.0560, abs=1e-4)
+        assert warm["matching"] == pytest.approx(0.7617, abs=1e-4)
+        assert (warm["vce"], warm["height"]) == (default["vce"], default["height"])
+
+    def test_threshold_flag_reaches_the_height_loss(self, tmp_path):
+        # a generated scene's +15 logit peak puts every threshold on one surface; flat
+        # logits spread each column's confidence evenly, so the threshold moves the surface
+        out = generate_scene_dir(tmp_path, seed=1)
+        run_cli("solve", "--scene-dir", out, "--out", tmp_path / "pose.json")
+        save_tensor(out / "conf_logits.cvt", np.zeros_like(load_tensor(out / "conf_logits.cvt")))
+        low = self.loss_report(out, tmp_path / "pose.json", "--threshold", "0.2")
+        high = self.loss_report(out, tmp_path / "pose.json", "--threshold", "0.8")
+        assert low["height"] == pytest.approx(0.0545, abs=1e-4)
+        assert high["height"] == pytest.approx(0.0120, abs=1e-4)
+        assert (high["vce"], high["matching"]) == (low["vce"], low["matching"])
 
     def test_non_finite_config_is_input_error(self, tmp_path):
         out = generate_scene_dir(tmp_path, seed=12)
@@ -1116,7 +1175,7 @@ def test_parser_defaults_are_the_library_defaults(monkeypatch):
     assert generate.channels == inspect.signature(generate_scene).parameters["channels"].default
     assert generate.channels == \
         inspect.signature(make_scene_bundle).parameters["channels"].default
-    assert (solve.threshold, solve.topk) == (config.surface_threshold, config.top_k)
+    assert solve.topk == config.top_k
     assert (loss.threshold, loss.tau) == (config.surface_threshold, config.tau)
 
 

@@ -241,8 +241,9 @@ class TestBuildGtProjection:
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'gt'}: {message}")):
             load_gt_projection(tmp_path / "gt")
 
-    @pytest.mark.parametrize("shape", [(8,), (4, 8), (4, 8, 3), (4, 8, 2, 1)],
-                             ids=["W", "HxW", "HxWx3", "HxWx2x1"])
+    @pytest.mark.parametrize("shape", [(8,), (4, 8), (4, 8, 3), (4, 8, 2, 1), (0, 8, 2),
+                                       (4, 0, 2)],
+                             ids=["W", "HxW", "HxWx3", "HxWx2x1", "0xWx2", "Hx0x2"])
     def test_load_rejects_a_tensor_not_shaped_hxwx2(self, tmp_path, shape):
         save_tensor_dir(tmp_path / "gt", "gt-projection-v2", {"gt_xy": np.zeros(shape)})
         with pytest.raises(ValueError, match=re.escape(
@@ -351,7 +352,8 @@ class TestMatchingSuccessRatio:
         b = matching_success_ratio(MatchPrediction(grd[perm], sat[perm]), gt)
         assert a == b
 
-    @pytest.mark.parametrize("shape", [(32, 64), (32, 64, 3), (64, 2)], ids=["HxW", "HxWx3", "Kx2"])
+    @pytest.mark.parametrize("shape", [(32, 64), (32, 64, 3), (64, 2), (0, 5, 2), (4, 0, 2)],
+                             ids=["HxW", "HxWx3", "Kx2", "0xWx2", "Hx0x2"])
     def test_target_map_of_another_shape_rejected(self, shape):
         pred = MatchPrediction(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError, match=r"target map has shape .*expected \(H, W, 2\)"):

@@ -52,22 +52,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"^threshold must lie strictly inside \(0, 1\)$"):
                 call()
 
-    def test_negative_fuse_window_rejected(self):
-        with pytest.raises(ValueError, match="window must be >= 0"):
-            PipelineConfig(fuse_window=-1)
-
-    # at construction, not after the solve: a float top_k failed in extract_matches'
-    # slicing, and a float window acted as its floor
-    @pytest.mark.parametrize("field, value", [
-        ("top_k", 30.0), ("top_k", True), ("top_k", "30"), ("fuse_window", 1.5),
-        ("fuse_window", False),
-    ])
+    # at construction, not after the solve: a float top_k failed in extract_matches' slicing
+    @pytest.mark.parametrize("field, value", [("top_k", 30.0), ("top_k", True), ("top_k", "30")])
     def test_integer_field_of_another_kind_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
             PipelineConfig(**{field: value})
 
     def test_numpy_integers_pass_the_integer_rule(self):
-        assert PipelineConfig(top_k=np.int64(5), fuse_window=np.int32(1)).top_k == 5
+        assert PipelineConfig(top_k=np.int64(5)).top_k == 5
         assert LossConfig(n_v=np.int64(3), n_s=np.uint16(4), rng_seed=np.int8(2)).n_s == 4
         report = loss_report(1.0, 2.0, 3.0, LossConfig(rng_seed=np.int64(7)))
         assert json.loads(json.dumps(report))["seed"] == 7
@@ -142,12 +134,12 @@ class TestSharedChain:
     def test_ground_similarity_matches_stage_by_stage_chain(self, small_specs):
         bundle = make_scene_bundle(small_specs, seed=2, noise_sigma=0.2)
         inputs = bundle.inputs
-        config = PipelineConfig(surface_threshold=0.3, tau=0.2, fuse_window=1)
+        config = PipelineConfig(surface_threshold=0.3, tau=0.2)
         surf, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
                                       small_specs, config)
         conf = normalize_confidence(inputs.conf_logits)
         surf_ref = surface_from_accumulation(conf, 0.3, small_specs.layers)
-        f_grd = fuse_height_features(inputs.volume, conf, surf_ref, window=1)
+        f_grd = fuse_height_features(inputs.volume, conf, surf_ref)
         sim_ref = initial_similarity(f_grd, inputs.f_sat, 0.2)
         assert np.array_equal(surf, surf_ref)
         assert np.array_equal(sim.s, sim_ref.s)

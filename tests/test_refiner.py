@@ -1091,6 +1091,12 @@ _LAYOUT_BREAKS = {
     "channel-chain": (lambda p: {"conv_kernels": (p.conv_kernels[0], np.zeros((8, 4, 3, 3, 3)),
                                                   p.conv_kernels[2])},
                       "convolution channel chain is inconsistent"),
+    # a chain through zero channels would otherwise fail mid-solve, in a reshape
+    "zero-channels": (lambda p: {"conv_kernels": (np.zeros((0, 1, 3, 3, 3)),
+                                                  np.zeros((1, 0, 3, 3, 3)),
+                                                  np.zeros((1, 1, 3, 3, 3))),
+                                 "conv_biases": (np.zeros(0), np.zeros(1), np.zeros(1))},
+                      "convolution layers need at least one output channel"),
     "final-channels": (lambda p: {"conv_kernels": (*p.conv_kernels[:2],
                                                    np.zeros((2, 8, 3, 3, 3))),
                                   "conv_biases": (*p.conv_biases[:2], np.zeros(2))},

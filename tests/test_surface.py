@@ -180,8 +180,8 @@ class TestFuseHeightFeatures:
         with pytest.raises(ValueError):
             fuse_height_features(vol, conf, surf)
 
-    # the rule PipelineConfig applies to fuse_window: a float window used to act as its
-    # floor, and NaN to fail later as a non-finite BEV feature map
+    # the one window rule, whatever PipelineConfig.fuse_window holds: a float window used to
+    # act as its floor, and NaN to fail later as a non-finite BEV feature map
     @pytest.mark.parametrize("window, message", [
         (1.5, "window: expected an integer, got 1.5"),
         (True, "window: expected an integer, got True"),
