@@ -34,7 +34,9 @@ _STACKS = (
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
 _ARGMAX_BLOCK = 32   # rows per block of the column argmax (and per column of its gather)
 _IM2COL_CHUNK = 4096   # output positions per im2col GEMM of a one-channel conv layer (L2-sized)
-_TAP_ROWS = 8   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
+_TAP_ROWS = 16   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
+_W_WINDOW = 576   # aerial-axis cells per conv wavefront of local_residual (one window to n=24)
+_AFFINE_ROWS = 64   # rows per block of an affine stack's last layer
 
 
 @dataclass
@@ -331,22 +333,25 @@ class _ConvLayer:
                     done = end
 
 
-def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
+def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray, x0: int = 0) -> None:
     """3x3x3 conv layers with a ReLU between them, from ``x`` (D, in_c, H, W) into ``out``.
 
-    ``out`` is (D, out_c, H, W). The layers form a wavefront over depth:
-    at step t layer i takes in its input slice t - i and emits its output
-    slice t - i - 1, written straight into the next layer's incoming ring
-    slot at flat offset W + 3, so that output (y, x) lands on the slot's
-    interior cell (y + 1, x + 1). Every layer but the last applies its ReLU
-    chunk by chunk as it writes. The garbage past each row's end falls on
-    the slot's left and right pad columns, which are zeroed again. Only
-    the last layer goes through a one-slice buffer into ``out``.
+    ``out`` is (D, out_c, H, w) and receives the output columns ``x0`` to
+    ``x0 + w`` of the stack; it may be a strided view. The layers form a
+    wavefront over depth: at step t layer i takes in its input slice t - i
+    and emits its output slice t - i - 1, written straight into the next
+    layer's incoming ring slot at flat offset W + 3, so that output (y, x)
+    lands on the slot's interior cell (y + 1, x + 1). Every layer but the
+    last applies its ReLU chunk by chunk as it writes. The garbage past
+    each row's end falls on the slot's left and right pad columns, which
+    are zeroed again. Only the last layer goes through a one-slice buffer,
+    whose columns ``x0`` to ``x0 + w`` are copied into ``out``.
     """
     d, _, h, w = x.shape
     layers = [_ConvLayer(k, b, h, w, relu=i + 1 < len(kernels))
               for i, (k, b) in enumerate(zip(kernels, biases))]
     wp, span = w + 2, layers[0].span
+    cols = slice(x0, x0 + out.shape[3])
     last = np.empty((out.shape[1], h * wp))
     for t in range(d + len(layers)):
         for i, layer in enumerate(layers):
@@ -368,7 +373,7 @@ def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray) -> None:
                 nxt[:, 1:-1, ::wp - 1] = 0.0
             else:
                 layer.advance(last[:, :span])
-                out[z - 1] = last.reshape(-1, h, wp)[:, :, :w]
+                out[z - 1] = last.reshape(-1, h, wp)[:, :, cols]
 
 
 def _cube_side(n2: int) -> int:
@@ -391,10 +396,15 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     3-tap W neighbourhood therefore wraps across aerial rows: ``(i, n - 1)``
     and ``(i + 1, 0)`` are W-adjacent, and zero padding applies only at the
     two ends of W. The layers run as one wavefront over depth, so no
-    multi-channel cube is ever held (one 8-channel cube is 181 MB at n=41;
-    the whole call peaks at about 65 MB, under the bound of
-    ``tests/test_refiner.py``), and the last layer writes straight into the
-    result.
+    multi-channel cube is ever held (one 8-channel cube is 181 MB at n=41).
+
+    The wavefront runs once per window of ``_W_WINDOW`` cells of W (a
+    contiguous range of the flat aerial index), over the window widened by a
+    halo of one cell per layer on each side, clipped at the ends of W; so each
+    window cell sees only true inputs, and the last layer writes the window's
+    columns into the result. The rings and GEMM buffers scale with the window:
+    the call peaks at about 40 MB at n=41 (three windows), under the bound of
+    ``tests/test_refiner.py``. Grids with N^2 <= ``_W_WINDOW`` run one window.
     """
     _require_patch_count(s, params)
     n2 = s.num_patches
@@ -402,59 +412,74 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     # allocated before the rings: allocated after them it raised the process's peak RSS
     # by 12 MB at n=41, as the freed rings' memory stayed with the allocator
     out = np.empty((n2, n2))
-    _conv_stack(s.s.reshape(n, 1, n, n2), params.conv_kernels, params.conv_biases,
-                out.reshape(n, 1, n, n2))
+    cube, result = s.s.reshape(n, 1, n, n2), out.reshape(n, 1, n, n2)
+    halo = len(params.conv_kernels)
+    for w0 in range(0, n2, _W_WINDOW):
+        w1 = min(w0 + _W_WINDOW, n2)
+        lo, hi = max(w0 - halo, 0), min(w1 + halo, n2)
+        _conv_stack(cube[..., lo:hi], params.conv_kernels, params.conv_biases,
+                    result[..., w0:w1], w0 - lo)
     return out
 
 
-def _affine_stack(s: SimilarityMatrix, weights, biases) -> np.ndarray:
-    """ReLU-separated affine layers over the rows of ``s``, the first one through its factors.
+def _affine_stack(s: SimilarityMatrix, weights, biases, target: np.ndarray) -> None:
+    """ReLU-separated affine layers over the rows of ``s``, the first one through its factors;
+    the last layer is added into ``target`` (N^2, out) by blocks of ``_AFFINE_ROWS`` rows.
 
     For h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and
     ``ground @ (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without
-    factors is a ``ValueError`` rather than multiplied densely.
+    factors is a ``ValueError`` rather than multiplied densely. The hidden
+    layers are (N^2, h); the last layer's block products stay
+    ``_AFFINE_ROWS`` rows high, so no N^2-wide output is made beside ``target``.
     """
     if s.factors is None:
         raise ValueError("the refiner needs the feature factors that initial_similarity keeps")
     ground, aerial = s.factors
-    out = None
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        w = w.astype(float)
-        # the bias is added to the fresh product: no second full-size array
-        out = ground @ (aerial.T @ w) if out is None else out @ w
-        out += b.astype(float)
-        if i < last:
-            np.maximum(out, 0.0, out=out)
-    return out
+    weights = [w.astype(float) for w in weights]
+    biases = [b.astype(float) for b in biases]
+    weights[0] = aerial.T @ weights[0]
+    x = ground
+    for w, b in zip(weights[:-1], biases[:-1]):
+        # the bias is added to the fresh product: no second array of its size
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
+    for r0 in range(0, len(target), _AFFINE_ROWS):
+        block = x[r0:r0 + _AFFINE_ROWS] @ weights[-1]
+        block += biases[-1]
+        target[r0:r0 + _AFFINE_ROWS] += block
 
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from the per-row affine stack, applied independently to every row
-    through the factors of ``s`` (see ``_affine_stack``)."""
+    through the factors of ``s`` (see ``_affine_stack``), added into zeros."""
     _require_patch_count(s, params)
-    return _affine_stack(s, params.global_weights, params.global_biases)
+    out = np.zeros((s.num_patches, s.num_patches))
+    _affine_stack(s, params.global_weights, params.global_biases, out)
+    return out
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Per-ground-patch gate in [0, 1], computed from each row of the matrix through the
     factors of ``s`` (see ``_affine_stack``)."""
     _require_patch_count(s, params)
-    logits = _affine_stack(s, params.gate_weights, params.gate_biases)[:, 0]
-    return 1.0 / (1.0 + np.exp(-logits))
+    logits = np.zeros((s.num_patches, 1))
+    _affine_stack(s, params.gate_weights, params.gate_biases, logits)
+    return 1.0 / (1.0 + np.exp(-logits[:, 0]))
 
 
 def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     """Gated residual correction: S + alpha * (local + global), alpha broadcast per row.
 
     The gate runs first, so a matrix without factors (see ``SimilarityMatrix``)
-    is rejected before any branch runs. The result is a bare matrix, scanned
-    for overflow.
+    is rejected before any branch runs. The global residual is added into the
+    local one by row blocks and every later step works in place, so the call
+    holds two N^2 x N^2 matrices at most, ``s`` and the result. The result is a
+    bare matrix, scanned for overflow.
     """
     alpha = gate_values(s, params)
-    # accumulate in place: each step would otherwise be a fresh N^2 x N^2 array
     delta = local_residual(s, params)
-    delta += global_residual(s, params)
+    _affine_stack(s, params.global_weights, params.global_biases, delta)
     delta *= alpha[:, None]
     delta += s.s
     return SimilarityMatrix(delta)
@@ -594,7 +619,10 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
     A pair survives the mutual filter only when it is the argmax of both
-    its row and its column; pairs are ordered by ``_ranked``. Coordinates
+    its row and its column; pairs are ordered by ``_ranked``. With fewer than
+    ``k`` mutual pairs, the padding ranks only the entries above the k-th
+    largest value and the first ``k`` equal to it, so a matrix of ties (a
+    featureless scene) ranks at most 2k entries, not N^4. Coordinates
     come back in grid-cell units (row index -> (ix, iy) ground cell, column
     index -> aerial cell); weights are the probability values, which
     ``CorrespondenceSet`` checks finite and non-negative. A matrix that is
@@ -612,10 +640,15 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     rows, cols = _ranked(p, rows, row_arg[rows])
     rows, cols = rows[:k], cols[:k]
     if len(rows) < k:
-        # pad with the best non-mutual entries among the global top-k
+        # pad with the best non-mutual entries among the global top-k: those above the
+        # k-th largest value, then the first k equal to it (ties rank in flat order), of
+        # which at most k - 1 are mutual
         flat = p.ravel()
         kth = np.partition(flat, flat.size - k)[flat.size - k]
-        cand_r, cand_c = np.divmod(np.nonzero(flat >= kth)[0], n2)
+        ties = p == kth
+        upto = np.searchsorted(np.cumsum(ties.sum(axis=1)), k) + 1   # rows that hold k ties
+        flat_idx = np.concatenate([np.flatnonzero(flat > kth), np.flatnonzero(ties[:upto])[:k]])
+        cand_r, cand_c = np.divmod(flat_idx, n2)
         other = (row_arg[cand_r] != cand_c) | (col_arg[cand_c] != cand_r)
         pad_r, pad_c = _ranked(p, cand_r[other], cand_c[other])
         need = k - len(rows)

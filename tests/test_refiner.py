@@ -202,6 +202,22 @@ class TestFactoredStages:
                                  BevFeatureMap(rng.standard_normal((9, 9, 16))), 0.1)
         assert_factored_stages_match_dense(sim, RefinerParams.random(81, scale=0.1, seed=seed))
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_blocks_match_dense_products(self, monkeypatch, rows):
+        # the last affine layer over 81 rows in blocks of one row, and of 7 with a short
+        # last block of 4; refine adds the global residual into the local one by blocks
+        monkeypatch.setattr(refiner, "_AFFINE_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        sim = initial_similarity(BevFeatureMap(rng.standard_normal((9, 9, 16))),
+                                 BevFeatureMap(rng.standard_normal((9, 9, 16))), 0.1)
+        params = RefinerParams.random(81, scale=0.1, seed=rows)
+        assert_factored_stages_match_dense(sim, params)
+        logits = dense_affine_stack(sim.s, params.gate_weights, params.gate_biases)[:, 0]
+        glob = dense_affine_stack(sim.s, params.global_weights, params.global_biases)
+        dense = sim.s + (local_residual(sim, params) + glob) / (1.0 + np.exp(-logits))[:, None]
+        refined = refine(sim, params).s
+        assert np.abs(refined - dense).max() <= 1e-12 * np.abs(dense).max()
+
     @pytest.mark.parametrize("stage", [gate_values, global_residual, refine],
                              ids=lambda f: f.__name__)
     def test_bare_matrix_rejected(self, stage):
@@ -340,6 +356,29 @@ def test_streamed_stack_equals_layer_by_layer_conv3d(n, channels):
     assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
 
 
+@pytest.mark.parametrize("window", [1, 2, 4])
+@pytest.mark.parametrize("n", [3, 4])
+def test_aerial_windows_match_naive(monkeypatch, n, window):
+    # windows narrower than the 3-cell halo, short last windows (9 cells in windows of
+    # 2 and 4) and windows at both ends of W, where the halo is clipped
+    monkeypatch.setattr(refiner, "_W_WINDOW", window)
+    rng = np.random.default_rng(60 + n)
+    params = RefinerParams.random(n * n, seed=61 + n)
+    s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
+    assert np.allclose(local_residual(s, params), local_residual_naive(s, params), atol=1e-10)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 1000])
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_window_covers_the_whole_aerial_axis(monkeypatch, n, extra):
+    # a window of N^2 cells or more is one run over the whole of W, bit for bit
+    monkeypatch.setattr(refiner, "_W_WINDOW", n * n + extra)
+    rng = np.random.default_rng(70 + n)
+    params = RefinerParams.random(n * n, seed=71 + n)
+    s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
+    assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
+
+
 @pytest.mark.parametrize("chunk,rows", [(7, 3), (5, 1)], ids=str)
 def test_relu_per_chunk_matches_whole_cube_relu(monkeypatch, chunk, rows):
     # n=3: spans of 31 positions end on a partial im2col chunk, and a 1-row input
@@ -414,8 +453,9 @@ class TestPaperSizeRefiner:
         assert math.radians(yaw_deg) < 1e-8
 
     @staticmethod
-    def bench_reference_input(monkeypatch):
-        """(reference module, its record, similarity, params) of the benchmark's n=41 input."""
+    def bench_reference_problem(monkeypatch):
+        """(reference module, its record, specs, scene inputs, params) of the benchmark's
+        n=41 input."""
         # bench/ imports its modules by bare name
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         reference = importlib.import_module("reference")
@@ -425,7 +465,12 @@ class TestPaperSizeRefiner:
         bundle = make_scene_bundle(specs, spec["scene_seed"], noise_sigma=spec["sigma"])
         params = RefinerParams.random(specs.grid.num_cells, seed=spec["params_seed"],
                                       scale=spec["scale"])
-        inputs = bundle.inputs
+        return reference, record, specs, bundle.inputs, params
+
+    @classmethod
+    def bench_reference_input(cls, monkeypatch):
+        """(reference module, its record, similarity, params) of the benchmark's n=41 input."""
+        reference, record, specs, inputs, params = cls.bench_reference_problem(monkeypatch)
         _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat, specs)
         return reference, record, sim, params
 
@@ -436,7 +481,9 @@ class TestPaperSizeRefiner:
     def test_local_residual_peak_memory(self, monkeypatch):
         # a full 8-channel (41, 41, 1681) cube is 181 MB; the depth wavefront
         # holds three-slice rings, the GEMM chunk buffers and the 1681 x 1681
-        # result instead (about 65 MB), each layer writing into the next ring
+        # result instead, each layer writing into the next ring. Rings that span
+        # the whole aerial axis peaked at 62.5 MB; over three aerial-axis windows
+        # the call peaks at 40 MB
         _, _, sim, params = self.bench_reference_input(monkeypatch)
         tracemalloc.start()
         try:
@@ -445,7 +492,22 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 80.0
+        assert peak_mb < 50.0
+
+    def test_refined_localization_peak_memory(self, monkeypatch):
+        # a refined solve peaks twice: in the conv phase (the similarity, the local
+        # residual and the conv buffers) and in the tail (the similarity, the residual
+        # and the global residual's last layer). Whole-axis conv rings and a separate
+        # 22.6 MB global residual peaked at 85.6 MB; windows and row blocks at 63.1 MB
+        _, _, specs, inputs, params = self.bench_reference_problem(monkeypatch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs, params)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 70.0
 
     def test_factored_stages_match_dense_products(self, monkeypatch):
         _, _, sim, params = self.bench_reference_input(monkeypatch)
@@ -504,6 +566,22 @@ class TestPaperSizeRefiner:
         finally:
             tracemalloc.stop()
         assert peak_mb < 1.0
+
+    def test_tied_matrix_padding_peak_memory(self):
+        # a constant matrix (a featureless scene) has one mutual pair, (0, 0), and ties
+        # at every entry; ranking all N^4 of them as padding candidates peaked at 161 MB.
+        # The first k ties suffice, and np.partition's 22.6 MB copy sets the peak
+        p = np.full((1681, 1681), 1.0 / 1682 ** 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cs = extract_matches(p, 30)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 30.0
+        assert np.array_equal(cs.ground_xy, np.zeros((30, 2)))
+        assert np.array_equal(cs.aerial_xy[:, 0] * 41 + cs.aerial_xy[:, 1], np.arange(30))
 
     def test_unrefined_localization_peak_memory(self):
         # the solve holds one 22.6 MB matrix, the similarity matrix that becomes
