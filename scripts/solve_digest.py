@@ -12,7 +12,10 @@ whose similarity range takes the two-exp path of ``refiner._normalize``, and
 with ``known_yaw_rad`` set to the scene's true yaw, which solves through
 ``solve_translation_only``. The hash covers each solve's pose, degenerate
 flag, matches (metric coordinates of the matched cells), match weights and
-ground surface. For each un-refined solve it also covers the loss path: the
+ground surface. For each refined solve it also covers the refined matrix,
+``refine`` of the solve's ground similarity, so a change that moves the
+refiner's numbers changes the digest even where the solve keeps its outputs.
+For each un-refined solve it also covers the loss path: the
 JSON text of ``scene_loss_report`` for the solved pose under the solve's
 config, on the scene after a ``save_scene_dir``/``load_scene_dir`` round trip
 through a temporary directory, under the default ``LossConfig`` and under
@@ -29,8 +32,9 @@ import numpy as np
 
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.losses import LossConfig
-from crossview.pipeline import PipelineConfig, run_localization, scene_loss_report
-from crossview.refiner import RefinerParams
+from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
+                                scene_loss_report)
+from crossview.refiner import RefinerParams, refine
 from crossview.synthetic import load_scene_dir, make_scene_bundle, save_scene_dir
 from crossview.tensorio import json_text
 
@@ -74,9 +78,13 @@ def main():
             res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, specs,
                                    params, config)
             matches = res.matches_m
-            for part in (res.pose_px.t_px, np.float64(res.pose_px.yaw_rad),
-                         np.bool_(res.degenerate), matches.ground_xy, matches.aerial_xy,
-                         matches.weights, res.surface):
+            parts = [res.pose_px.t_px, np.float64(res.pose_px.yaw_rad), np.bool_(res.degenerate),
+                     matches.ground_xy, matches.aerial_xy, matches.weights, res.surface]
+            if params is not None:
+                _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
+                                           specs, config)
+                parts.append(refine(sim, params).s)
+            for part in parts:
                 part = np.ascontiguousarray(part)
                 digest.update(f"{part.dtype.str}{part.shape}".encode())
                 digest.update(part.tobytes())

@@ -16,8 +16,9 @@ import numpy as np
 from .geometry import Pose3DoF, SceneSpec
 from .losses import (LossConfig, height_loss, loss_report, matching_loss,
                      vce_loss)
-from .refiner import (RefinerParams, SimilarityMatrix, _check_top_k, check_temperature,
-                      extract_matches, initial_similarity, match_probabilities, refine)
+from .refiner import (RefinerParams, SimilarityMatrix, _check_top_k, _refine_in_place,
+                      check_temperature, extract_matches, initial_similarity,
+                      match_probabilities)
 from .solver import (CorrespondenceSet, solve_translation_only,
                      solve_weighted_procrustes)
 from .surface import (BevFeatureMap, _check_threshold, aerial_depth_to_height_index,
@@ -86,11 +87,15 @@ def run_localization(volume: np.ndarray, conf_logits: np.ndarray, f_sat: BevFeat
     """Surface model -> similarity -> refine -> normalize -> match -> pose; a ``top_k`` above
     the N^4 matrix entries is rejected before any stage runs, and refiner parameters sized
     for another patch count before any refiner stage. ``params=None`` skips the refinement
-    and uses zero dustbins, without a log line."""
+    and uses zero dustbins, without a log line.
+
+    The similarity is refined in place (``refine``'s numbers, not its copy) and then
+    normalized in place by ``match_probabilities``, so a solve holds one N^2 x N^2
+    matrix, refined or not (22.6 MB at n=41)."""
     _check_top_k(config.top_k, specs.grid.num_cells ** 2)
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)
     if params is not None:
-        sim = refine(sim, params)
+        sim = _refine_in_place(sim, params)
     probs = match_probabilities(sim, params)
     matches = extract_matches(probs, config.top_k)
     matches_m = matches_cells_to_metric(matches, specs)

@@ -32,10 +32,10 @@ _STACKS = (
     ("gate_biases", "gate{}_bias"),
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
-_ARGMAX_BLOCK = 32   # rows per block of the column argmax (and per column of its gather)
+_ARGMAX_BLOCK = 32   # rows per block of the column argmax and of the padding's top-k values
 _IM2COL_CHUNK = 4096   # output positions per im2col GEMM of a one-channel conv layer (L2-sized)
 _TAP_ROWS = 16   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
-_W_WINDOW = 576   # aerial-axis cells per conv wavefront of local_residual (one window to n=24)
+_W_WINDOW = 448   # aerial-axis cells per conv wavefront (one window to n=21)
 _AFFINE_ROWS = 64   # rows per block of an affine stack's last layer
 
 
@@ -46,7 +46,7 @@ class SimilarityMatrix:
     A matrix built here is scanned for NaN and inf. ``initial_similarity``'s
     output is not: it keeps the (N^2, C) feature factors that ``_affine_stack``
     multiplies through, and only it can be refined, until ``match_probabilities``
-    spends it.
+    or ``run_localization``'s refinement in place spends it.
     """
 
     s: np.ndarray
@@ -388,6 +388,35 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
         raise ValueError("parameters sized for a different patch count")
 
 
+def _conv_windows(s: np.ndarray, params: RefinerParams, out: np.ndarray):
+    """Run the conv stack over ``s`` (N^2, N^2) into ``out``, one aerial-axis window at a time.
+
+    Each window ``[w0, w1)`` of ``_W_WINDOW`` cells of W is copied, with a halo
+    of one cell per layer on each side clipped at the ends of W, into one
+    buffer, and the wavefront runs from the buffer into ``out``'s columns
+    ``w0:w1``. ``out`` may be ``s`` itself: the columns before ``w0`` then
+    already hold outputs, so the left halo comes from the last window's copy.
+    After each window the generator yields ``(w0, w1, orig)``, with ``orig``
+    the buffer's view of the window's input columns, valid until it resumes.
+    """
+    n2 = len(s)
+    n = _cube_side(n2)
+    halo = len(params.conv_kernels)
+    result = out.reshape(n, 1, n, n2)
+    buf = np.empty((n2, min(_W_WINDOW + 2 * halo, n2)))
+    last_lo = 0
+    for w0 in range(0, n2, _W_WINDOW):
+        w1 = min(w0 + _W_WINDOW, n2)
+        lo, hi = max(w0 - halo, 0), min(w1 + halo, n2)
+        buf[:, :w0 - lo] = buf[:, lo - last_lo:w0 - last_lo]   # the left halo, from the last copy
+        buf[:, w0 - lo:hi - lo] = s[:, w0:hi]
+        x = buf[:, :hi - lo]
+        _conv_stack(x.reshape(n, 1, n, hi - lo), params.conv_kernels, params.conv_biases,
+                    result[..., w0:w1], w0 - lo)
+        yield w0, w1, x[:, w0 - lo:w1 - lo]
+        last_lo = lo
+
+
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Residual from three 3D convolutions over the (N, N, N^2) similarity cube.
 
@@ -399,38 +428,29 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     multi-channel cube is ever held (one 8-channel cube is 181 MB at n=41).
 
     The wavefront runs once per window of ``_W_WINDOW`` cells of W (a
-    contiguous range of the flat aerial index), over the window widened by a
-    halo of one cell per layer on each side, clipped at the ends of W; so each
-    window cell sees only true inputs, and the last layer writes the window's
-    columns into the result. The rings and GEMM buffers scale with the window:
-    the call peaks at about 40 MB at n=41 (three windows), under the bound of
-    ``tests/test_refiner.py``. Grids with N^2 <= ``_W_WINDOW`` run one window.
+    contiguous range of the flat aerial index; see ``_conv_windows``), so each
+    window cell sees only true inputs, and the rings and GEMM buffers scale
+    with the window. ``s`` is left as it was; the result is a new N^2 x N^2
+    matrix beside it, and ``refine`` runs the same windows into ``s``'s copy
+    instead. Grids with N^2 <= ``_W_WINDOW`` run one window.
     """
     _require_patch_count(s, params)
-    n2 = s.num_patches
-    n = _cube_side(n2)
     # allocated before the rings: allocated after them it raised the process's peak RSS
     # by 12 MB at n=41, as the freed rings' memory stayed with the allocator
-    out = np.empty((n2, n2))
-    cube, result = s.s.reshape(n, 1, n, n2), out.reshape(n, 1, n, n2)
-    halo = len(params.conv_kernels)
-    for w0 in range(0, n2, _W_WINDOW):
-        w1 = min(w0 + _W_WINDOW, n2)
-        lo, hi = max(w0 - halo, 0), min(w1 + halo, n2)
-        _conv_stack(cube[..., lo:hi], params.conv_kernels, params.conv_biases,
-                    result[..., w0:w1], w0 - lo)
+    out = np.empty_like(s.s)
+    for _ in _conv_windows(s.s, params, out):
+        pass
     return out
 
 
-def _affine_stack(s: SimilarityMatrix, weights, biases, target: np.ndarray) -> None:
-    """ReLU-separated affine layers over the rows of ``s``, the first one through its factors;
-    the last layer is added into ``target`` (N^2, out) by blocks of ``_AFFINE_ROWS`` rows.
+def _affine_stack(s: SimilarityMatrix, weights, biases):
+    """ReLU-separated affine layers over the rows of ``s``, the first one through its factors.
 
-    For h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and
-    ``ground @ (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without
-    factors is a ``ValueError`` rather than multiplied densely. The hidden
-    layers are (N^2, h); the last layer's block products stay
-    ``_AFFINE_ROWS`` rows high, so no N^2-wide output is made beside ``target``.
+    Returns the last hidden activations (N^2, h) with the last layer's weight
+    and bias, in float64, for ``_add_last_layer``. For h hidden units
+    ``s.s @ W0`` costs N^4 * h multiply-adds and ``ground @ (aerial.T @ W0)``
+    2 * N^2 * C * h, so a matrix without factors is a ``ValueError`` rather
+    than multiplied densely.
     """
     if s.factors is None:
         raise ValueError("the refiner needs the feature factors that initial_similarity keeps")
@@ -444,10 +464,24 @@ def _affine_stack(s: SimilarityMatrix, weights, biases, target: np.ndarray) -> N
         x = x @ w
         x += b
         np.maximum(x, 0.0, out=x)
+    return x, weights[-1], biases[-1]
+
+
+def _add_last_layer(stack, target: np.ndarray, cols: slice = slice(None)):
+    """Add columns ``cols`` of the last layer of ``stack`` into ``target`` (N^2, width).
+
+    The products go by blocks of ``_AFFINE_ROWS`` rows, so no N^2-wide output
+    is made beside ``target``; the generator yields each block's rows once
+    ``target`` holds them.
+    """
+    x, w, b = stack
+    w, b = w[:, cols], b[cols]
     for r0 in range(0, len(target), _AFFINE_ROWS):
-        block = x[r0:r0 + _AFFINE_ROWS] @ weights[-1]
-        block += biases[-1]
-        target[r0:r0 + _AFFINE_ROWS] += block
+        rows = slice(r0, r0 + _AFFINE_ROWS)
+        block = x[rows] @ w
+        block += b
+        target[rows] += block
+        yield rows
 
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
@@ -455,34 +489,56 @@ def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     through the factors of ``s`` (see ``_affine_stack``), added into zeros."""
     _require_patch_count(s, params)
     out = np.zeros((s.num_patches, s.num_patches))
-    _affine_stack(s, params.global_weights, params.global_biases, out)
+    for _ in _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out):
+        pass
     return out
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     """Per-ground-patch gate in [0, 1], computed from each row of the matrix through the
-    factors of ``s`` (see ``_affine_stack``)."""
+    factors of ``s`` (see ``_affine_stack``); a logit below about -709 gives exactly 0."""
     _require_patch_count(s, params)
     logits = np.zeros((s.num_patches, 1))
-    _affine_stack(s, params.gate_weights, params.gate_biases, logits)
-    return 1.0 / (1.0 + np.exp(-logits[:, 0]))
+    for _ in _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits):
+        pass
+    with np.errstate(over="ignore"):   # exp(-logit) = inf makes the gate 0.0
+        return 1.0 / (1.0 + np.exp(-logits[:, 0]))
+
+
+def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
+    """``refine`` in ``s``'s own storage: the result wraps ``s.s``, and ``s`` is spent.
+
+    The gate and the global stack's hidden layers run first, through the
+    factors of ``s``, which are then dropped; so a matrix without them is
+    rejected before ``s.s`` changes. Each aerial-axis window of
+    ``_conv_windows`` then writes the local residual into its own columns of
+    ``s.s``, and those columns are finished by blocks of ``_AFFINE_ROWS`` rows:
+    plus the global residual, times the gate, plus the window's original
+    values. No N^2 x N^2 matrix is made beside ``s.s``. The result is a bare
+    matrix, scanned for overflow.
+    """
+    alpha = gate_values(s, params)[:, None]
+    stack = _affine_stack(s, params.global_weights, params.global_biases)
+    s.factors = None
+    for w0, w1, orig in _conv_windows(s.s, params, s.s):
+        delta = s.s[:, w0:w1]
+        for rows in _add_last_layer(stack, delta, slice(w0, w1)):
+            delta[rows] *= alpha[rows]
+            delta[rows] += orig[rows]
+    return SimilarityMatrix(s.s)
 
 
 def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     """Gated residual correction: S + alpha * (local + global), alpha broadcast per row.
 
-    The gate runs first, so a matrix without factors (see ``SimilarityMatrix``)
-    is rejected before any branch runs. The global residual is added into the
-    local one by row blocks and every later step works in place, so the call
-    holds two N^2 x N^2 matrices at most, ``s`` and the result. The result is a
-    bare matrix, scanned for overflow.
+    Each entry is ``((local + global) * alpha) + s``. ``s`` is left as it was:
+    the result is ``_refine_in_place`` run on a copy of it, so the call holds
+    two N^2 x N^2 matrices, ``s`` and the result. ``run_localization`` refines
+    its own similarity in place instead, holding one.
     """
-    alpha = gate_values(s, params)
-    delta = local_residual(s, params)
-    _affine_stack(s, params.global_weights, params.global_biases, delta)
-    delta *= alpha[:, None]
-    delta += s.s
-    return SimilarityMatrix(delta)
+    copy = SimilarityMatrix.__new__(SimilarityMatrix)
+    copy.s, copy.factors = s.s.copy(), s.factors
+    return _refine_in_place(copy, params)
 
 
 def _dustbin_bins(s: SimilarityMatrix, params: RefinerParams | None):
@@ -615,6 +671,24 @@ def _check_top_k(k: int, entries: float) -> None:
         raise ValueError("top_k exceeds the number of matrix entries")
 
 
+def _kth_largest(p: np.ndarray, k: int) -> float:
+    """The k-th largest entry of ``p``, without a copy of ``p``.
+
+    The top ``min(k, size)`` values of each block of ``_ARGMAX_BLOCK`` rows
+    hold every entry above the k-th largest value (a block holds fewer than k
+    of them) and at least k entries not below it, so their k-th largest is
+    the same value.
+    """
+    tops = []
+    for r0 in range(0, len(p), _ARGMAX_BLOCK):
+        block = p[r0:r0 + _ARGMAX_BLOCK]
+        m = min(k, block.size)
+        # copied out, so the block's partitioned copy is freed
+        tops.append(np.partition(block, block.size - m, axis=None)[block.size - m:].copy())
+    tops = np.concatenate(tops)
+    return np.partition(tops, tops.size - k)[tops.size - k]
+
+
 def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     """Top-k matches: mutual row/column argmaxes first, padded from the global top-k.
 
@@ -644,7 +718,7 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
         # k-th largest value, then the first k equal to it (ties rank in flat order), of
         # which at most k - 1 are mutual
         flat = p.ravel()
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
+        kth = _kth_largest(p, k)
         ties = p == kth
         upto = np.searchsorted(np.cumsum(ties.sum(axis=1)), k) + 1   # rows that hold k ties
         flat_idx = np.concatenate([np.flatnonzero(flat > kth), np.flatnonzero(ties[:upto])[:k]])

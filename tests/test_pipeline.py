@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import crossview.pipeline as pipeline
+from crossview import refiner
 from crossview.geometry import BevGridSpec, HeightLayerSpec, Pose3DoF
 from crossview.losses import LossConfig, height_loss, loss_report, matching_loss, vce_loss
 from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
                                 scene_loss_report)
-from crossview.refiner import RefinerParams, extract_matches, initial_similarity
+from crossview.refiner import (RefinerParams, extract_matches, initial_similarity,
+                               match_probabilities, refine)
+from crossview.solver import solve_weighted_procrustes
 from crossview.surface import (BevFeatureMap, aerial_depth_to_height_index,
                                fuse_height_features, normalize_confidence,
                                surface_from_accumulation)
@@ -168,6 +171,28 @@ class TestSharedChain:
             cfg)
         assert report == expected
         assert report["vce"] > 0.0
+
+    @pytest.mark.parametrize("window", [None, 10], ids=["one-window", "nine-windows"])
+    def test_refined_solve_equals_the_public_stages(self, small_specs, monkeypatch, window):
+        # the solve refines its similarity in place; refine works on a copy, and the
+        # matches, weights and pose of the two chains agree bit for bit
+        if window is not None:
+            monkeypatch.setattr(refiner, "_W_WINDOW", window)
+        inputs = make_scene_bundle(small_specs, seed=6, noise_sigma=0.2).inputs
+        params = RefinerParams.random(small_specs.grid.num_cells, scale=0.1, seed=6)
+        res = run_localization(inputs.volume, inputs.conf_logits, inputs.f_sat, small_specs,
+                               params)
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat, small_specs)
+        cells = extract_matches(match_probabilities(refine(sim, params), params),
+                                PipelineConfig().top_k)
+        expected = pipeline.matches_cells_to_metric(cells, small_specs)
+        pose_m, degenerate = solve_weighted_procrustes(expected)
+        for got, want in ((res.matches_m.ground_xy, expected.ground_xy),
+                          (res.matches_m.aerial_xy, expected.aerial_xy),
+                          (res.matches_m.weights, expected.weights),
+                          (res.pose_px.t_px, pose_m.t_px / small_specs.aerial.gsd_m_per_px)):
+            assert got.tobytes() == want.tobytes()
+        assert (res.pose_px.yaw_rad, res.degenerate) == (pose_m.yaw_rad, degenerate)
 
     def test_true_pose_has_zero_vce(self, small_specs):
         bundle = make_scene_bundle(small_specs, seed=4)

@@ -368,6 +368,29 @@ def test_aerial_windows_match_naive(monkeypatch, n, window):
     assert np.allclose(local_residual(s, params), local_residual_naive(s, params), atol=1e-10)
 
 
+@pytest.mark.parametrize("window", [1, 2, 4, None], ids=lambda w: f"window={w or 'N^2'}")
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_in_place_refinement_matches_dense_oracle(monkeypatch, n, window):
+    # in place, the columns left of a window already hold outputs, so its left halo comes
+    # from the last window's copy: windows narrower than the 3-cell halo, and windows near
+    # the left end, where the halo is clipped at 0, take a carry of 1 to 3 columns
+    monkeypatch.setattr(refiner, "_W_WINDOW", window or n * n)
+    rng = np.random.default_rng(80 + n)
+    params = RefinerParams.random(n * n, seed=81 + n)
+    sim = factored(rng.normal(size=(n * n, n * n)))
+    s = sim.s.copy()
+    logits = dense_affine_stack(s, params.gate_weights, params.gate_biases)[:, 0]
+    glob = dense_affine_stack(s, params.global_weights, params.global_biases)
+    local = local_residual_naive(sim, params, conv=conv3d)
+    oracle = s + (local + glob) / (1.0 + np.exp(-logits))[:, None]
+    copied = refine(sim, params)
+    assert np.array_equal(sim.s, s) and sim.factors is not None
+    refined = refiner._refine_in_place(sim, params)
+    assert refined.s is sim.s and sim.factors is None and refined.factors is None
+    assert np.array_equal(refined.s, copied.s)
+    assert np.abs(refined.s - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 @pytest.mark.parametrize("extra", [0, 1, 1000])
 @pytest.mark.parametrize("n", [3, 4])
 def test_one_window_covers_the_whole_aerial_axis(monkeypatch, n, extra):
@@ -483,7 +506,7 @@ class TestPaperSizeRefiner:
         # holds three-slice rings, the GEMM chunk buffers and the 1681 x 1681
         # result instead, each layer writing into the next ring. Rings that span
         # the whole aerial axis peaked at 62.5 MB; over three aerial-axis windows
-        # the call peaks at 40 MB
+        # the call peaks at 40 MB (43 MB with windows of 448 cells copied into one buffer)
         _, _, sim, params = self.bench_reference_input(monkeypatch)
         tracemalloc.start()
         try:
@@ -495,10 +518,10 @@ class TestPaperSizeRefiner:
         assert peak_mb < 50.0
 
     def test_refined_localization_peak_memory(self, monkeypatch):
-        # a refined solve peaks twice: in the conv phase (the similarity, the local
-        # residual and the conv buffers) and in the tail (the similarity, the residual
-        # and the global residual's last layer). Whole-axis conv rings and a separate
-        # 22.6 MB global residual peaked at 85.6 MB; windows and row blocks at 63.1 MB
+        # the solve refines its 22.6 MB similarity in place, so it peaks once, in the
+        # conv phase: the similarity, one window's copy of its input columns, the conv
+        # rings and tap buffers and the global stack's hidden layer, 49.6 MB. A refined
+        # matrix beside the similarity peaked at 63.1 MB, and three matrices at 85.6 MB
         _, _, specs, inputs, params = self.bench_reference_problem(monkeypatch)
         tracemalloc.start()
         try:
@@ -507,7 +530,7 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 70.0
+        assert peak_mb < 55.0
 
     def test_factored_stages_match_dense_products(self, monkeypatch):
         _, _, sim, params = self.bench_reference_input(monkeypatch)
@@ -570,7 +593,9 @@ class TestPaperSizeRefiner:
     def test_tied_matrix_padding_peak_memory(self):
         # a constant matrix (a featureless scene) has one mutual pair, (0, 0), and ties
         # at every entry; ranking all N^4 of them as padding candidates peaked at 161 MB.
-        # The first k ties suffice, and np.partition's 22.6 MB copy sets the peak
+        # The first k ties suffice; finding the k-th largest value through a copy of all
+        # N^4 entries peaked at 22.6 MB, through each row block's top k at 5.7 MB (two
+        # N^4 boolean masks)
         p = np.full((1681, 1681), 1.0 / 1682 ** 2)
         tracemalloc.start()
         try:
@@ -579,7 +604,7 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 30.0
+        assert peak_mb < 7.0
         assert np.array_equal(cs.ground_xy, np.zeros((30, 2)))
         assert np.array_equal(cs.aerial_xy[:, 0] * 41 + cs.aerial_xy[:, 1], np.arange(30))
 
@@ -680,6 +705,15 @@ class TestRefine:
         s = factored(rng.normal(size=(16, 16)))
         refined = refine(s, params)
         assert np.array_equal(refined.s, s.s)
+
+    def test_gate_past_exp_overflow_is_zero_without_a_warning(self):
+        # exp(1000) overflows to inf, so the gate is 1 / inf = 0.0; the overflow raises no
+        # RuntimeWarning (an error under the test suite's warning filter)
+        rng = np.random.default_rng(15)
+        params = _with_gate_bias(RefinerParams.random(16, seed=16), -1000.0)
+        s = factored(rng.normal(size=(16, 16)))
+        assert np.array_equal(gate_values(s, params), np.zeros(16))
+        assert np.array_equal(refine(s, params).s, s.s)
 
     def test_open_gate_adds_local_residual(self):
         rng = np.random.default_rng(17)
@@ -1033,6 +1067,21 @@ class TestExtractMatches:
                    for g, a in zip(cs.ground_xy, cs.aerial_xy)]
             assert got == extract_matches_oracle(p, k), f"k={k}"
             assert np.array_equal(cs.weights, [p[i, j] for i, j in got])
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_padding_threshold_across_small_row_blocks(self, monkeypatch, n, block):
+        # the k-th largest value comes from each row block's top k: blocks of 1 and 3 rows
+        # hold fewer entries than most k here, and 3 leaves a short last block at n=4
+        monkeypatch.setattr(refiner, "_ARGMAX_BLOCK", block)
+        rng = np.random.default_rng(90 + n)
+        n2 = n * n
+        p = rng.choice([0.2, 0.4, 0.6], size=(n2, n2))
+        for k in range(1, n2 * n2 + 1):
+            cs = extract_matches(p, k)
+            got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
+                   for g, a in zip(cs.ground_xy, cs.aerial_xy)]
+            assert got == extract_matches_oracle(p, k), f"k={k}"
 
     @pytest.mark.parametrize("seed", range(2))
     def test_ordered_pairs_match_oracle_across_argmax_blocks(self, seed):
