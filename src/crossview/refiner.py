@@ -471,8 +471,7 @@ def _add_last_layer(stack, target: np.ndarray, cols: slice = slice(None)):
     """Add columns ``cols`` of the last layer of ``stack`` into ``target`` (N^2, width).
 
     The products go by blocks of ``_AFFINE_ROWS`` rows, so no N^2-wide output
-    is made beside ``target``; the generator yields each block's rows once
-    ``target`` holds them.
+    is made beside ``target``.
     """
     x, w, b = stack
     w, b = w[:, cols], b[cols]
@@ -481,7 +480,6 @@ def _add_last_layer(stack, target: np.ndarray, cols: slice = slice(None)):
         block = x[rows] @ w
         block += b
         target[rows] += block
-        yield rows
 
 
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
@@ -489,8 +487,7 @@ def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     through the factors of ``s`` (see ``_affine_stack``), added into zeros."""
     _require_patch_count(s, params)
     out = np.zeros((s.num_patches, s.num_patches))
-    for _ in _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out):
-        pass
+    _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out)
     return out
 
 
@@ -499,8 +496,7 @@ def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     factors of ``s`` (see ``_affine_stack``); a logit below about -709 gives exactly 0."""
     _require_patch_count(s, params)
     logits = np.zeros((s.num_patches, 1))
-    for _ in _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits):
-        pass
+    _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits)
     with np.errstate(over="ignore"):   # exp(-logit) = inf makes the gate 0.0
         return 1.0 / (1.0 + np.exp(-logits[:, 0]))
 
@@ -512,19 +508,19 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
     factors of ``s``, which are then dropped; so a matrix without them is
     rejected before ``s.s`` changes. Each aerial-axis window of
     ``_conv_windows`` then writes the local residual into its own columns of
-    ``s.s``, and those columns are finished by blocks of ``_AFFINE_ROWS`` rows:
-    plus the global residual, times the gate, plus the window's original
-    values. No N^2 x N^2 matrix is made beside ``s.s``. The result is a bare
-    matrix, scanned for overflow.
+    ``s.s``; those columns then get the global residual (by blocks of
+    ``_AFFINE_ROWS`` rows), times the gate, plus the window's original values.
+    No N^2 x N^2 matrix is made beside ``s.s``. The result is a bare matrix,
+    scanned for overflow.
     """
     alpha = gate_values(s, params)[:, None]
     stack = _affine_stack(s, params.global_weights, params.global_biases)
     s.factors = None
     for w0, w1, orig in _conv_windows(s.s, params, s.s):
         delta = s.s[:, w0:w1]
-        for rows in _add_last_layer(stack, delta, slice(w0, w1)):
-            delta[rows] *= alpha[rows]
-            delta[rows] += orig[rows]
+        _add_last_layer(stack, delta, slice(w0, w1))
+        delta *= alpha
+        delta += orig
     return SimilarityMatrix(s.s)
 
 
@@ -671,22 +667,25 @@ def _check_top_k(k: int, entries: float) -> None:
         raise ValueError("top_k exceeds the number of matrix entries")
 
 
-def _kth_largest(p: np.ndarray, k: int) -> float:
-    """The k-th largest entry of ``p``, without a copy of ``p``.
+def _first_ranked(p: np.ndarray, k: int):
+    """Row and column indices of the k entries of ``p`` that ``_ranked`` puts first.
 
-    The top ``min(k, size)`` values of each block of ``_ARGMAX_BLOCK`` rows
-    hold every entry above the k-th largest value (a block holds fewer than k
-    of them) and at least k entries not below it, so their k-th largest is
-    the same value.
+    Each block of ``_ARGMAX_BLOCK`` rows gives its own first ``m = min(k, size)``:
+    its entries above its m-th largest value, then its first entries equal to
+    that value in flat order. Every entry of the global first k is among its
+    block's first m, so ranking the blocks' picks together and keeping k is exact.
     """
-    tops = []
+    ncol = p.shape[1]
+    flat_idx = []
     for r0 in range(0, len(p), _ARGMAX_BLOCK):
-        block = p[r0:r0 + _ARGMAX_BLOCK]
+        block = p[r0:r0 + _ARGMAX_BLOCK].ravel()
         m = min(k, block.size)
-        # copied out, so the block's partitioned copy is freed
-        tops.append(np.partition(block, block.size - m, axis=None)[block.size - m:].copy())
-    tops = np.concatenate(tops)
-    return np.partition(tops, tops.size - k)[tops.size - k]
+        t = np.partition(block, block.size - m)[block.size - m]
+        above = np.flatnonzero(block > t)
+        ties = np.flatnonzero(block == t)[:m - len(above)]
+        flat_idx.append(r0 * ncol + np.concatenate([above, ties]))
+    rows, cols = _ranked(p, *np.divmod(np.concatenate(flat_idx), ncol))
+    return rows[:k], cols[:k]
 
 
 def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
@@ -694,13 +693,14 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
 
     A pair survives the mutual filter only when it is the argmax of both
     its row and its column; pairs are ordered by ``_ranked``. With fewer than
-    ``k`` mutual pairs, the padding ranks only the entries above the k-th
-    largest value and the first ``k`` equal to it, so a matrix of ties (a
-    featureless scene) ranks at most 2k entries, not N^4. Coordinates
-    come back in grid-cell units (row index -> (ix, iy) ground cell, column
-    index -> aerial cell); weights are the probability values, which
-    ``CorrespondenceSet`` checks finite and non-negative. A matrix that is
-    not square, or ``k`` that ``_check_top_k`` rejects, is a ``ValueError``.
+    ``k`` mutual pairs, the padding takes the first non-mutual entries of the
+    global first k in rank order (``_first_ranked``, one pass over row blocks),
+    so a matrix of ties (a featureless scene) ranks a few k entries, not N^4.
+    Coordinates come back in grid-cell units (row index -> (ix, iy) ground
+    cell, column index -> aerial cell); weights are the probability values,
+    which ``CorrespondenceSet`` checks finite and non-negative. A matrix that
+    is not square or holds a NaN, or ``k`` that ``_check_top_k`` rejects, is a
+    ``ValueError``.
     """
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("probability matrix must be square")
@@ -708,23 +708,19 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     _check_top_k(k, p.size)
     n = _cube_side(n2)
 
-    row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties
+    row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties, or a row's first NaN
+    if np.isnan(p[np.arange(n2), row_arg]).any():
+        raise ValueError("probability matrix contains NaN")
     col_arg = _col_argmax(p)     # lowest row on ties
     rows = np.nonzero(col_arg[row_arg] == np.arange(n2))[0]
     rows, cols = _ranked(p, rows, row_arg[rows])
     rows, cols = rows[:k], cols[:k]
     if len(rows) < k:
-        # pad with the best non-mutual entries among the global top-k: those above the
-        # k-th largest value, then the first k equal to it (ties rank in flat order), of
-        # which at most k - 1 are mutual
-        flat = p.ravel()
-        kth = _kth_largest(p, k)
-        ties = p == kth
-        upto = np.searchsorted(np.cumsum(ties.sum(axis=1)), k) + 1   # rows that hold k ties
-        flat_idx = np.concatenate([np.flatnonzero(flat > kth), np.flatnonzero(ties[:upto])[:k]])
-        cand_r, cand_c = np.divmod(flat_idx, n2)
+        # fewer than k pairs are mutual, so the global first k hold the first `need`
+        # non-mutual entries
+        cand_r, cand_c = _first_ranked(p, k)
         other = (row_arg[cand_r] != cand_c) | (col_arg[cand_c] != cand_r)
-        pad_r, pad_c = _ranked(p, cand_r[other], cand_c[other])
+        pad_r, pad_c = cand_r[other], cand_c[other]
         need = k - len(rows)
         rows, cols = _ranked(p, np.concatenate([rows, pad_r[:need]]),
                              np.concatenate([cols, pad_c[:need]]))

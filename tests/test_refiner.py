@@ -593,9 +593,9 @@ class TestPaperSizeRefiner:
     def test_tied_matrix_padding_peak_memory(self):
         # a constant matrix (a featureless scene) has one mutual pair, (0, 0), and ties
         # at every entry; ranking all N^4 of them as padding candidates peaked at 161 MB.
-        # The first k ties suffice; finding the k-th largest value through a copy of all
-        # N^4 entries peaked at 22.6 MB, through each row block's top k at 5.7 MB (two
-        # N^4 boolean masks)
+        # Ranking each 32-row block's first k peaks at 1.6 MB (one block's partition copy,
+        # masks and indices beside the column argmax); an N^4 copy (22.6 MB) or one N^4
+        # boolean mask (2.8 MB) breaks the bound
         p = np.full((1681, 1681), 1.0 / 1682 ** 2)
         tracemalloc.start()
         try:
@@ -604,7 +604,7 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 7.0
+        assert peak_mb < 2.0
         assert np.array_equal(cs.ground_xy, np.zeros((30, 2)))
         assert np.array_equal(cs.aerial_xy[:, 0] * 41 + cs.aerial_xy[:, 1], np.arange(30))
 
@@ -1071,8 +1071,9 @@ class TestExtractMatches:
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("n", [3, 4])
     def test_padding_threshold_across_small_row_blocks(self, monkeypatch, n, block):
-        # the k-th largest value comes from each row block's top k: blocks of 1 and 3 rows
-        # hold fewer entries than most k here, and 3 leaves a short last block at n=4
+        # the padding ranks each row block's first min(k, block size) entries: blocks of
+        # 1 and 3 rows hold fewer entries than most k here, and 3 leaves a short last
+        # block at n=4
         monkeypatch.setattr(refiner, "_ARGMAX_BLOCK", block)
         rng = np.random.default_rng(90 + n)
         n2 = n * n
@@ -1113,8 +1114,17 @@ class TestExtractMatches:
         # with row 0 as the only mutual match
         p = np.full((9, 9), 0.5)
         p[0, 0] = np.nan
-        with pytest.raises(ValueError, match="^correspondences must be finite$"):
+        with pytest.raises(ValueError, match="^probability matrix contains NaN$"):
             extract_matches(p, 1)
+
+    @pytest.mark.parametrize("k", [1, 15, 16])
+    def test_nan_is_an_error_not_a_short_result(self, k):
+        # the NaN wins row 1's argmax but not column 2's, so it was never chosen: k = 1 and
+        # 15 returned without an error, and k = 16 gave 15 matches
+        p = np.full((4, 4), 0.5)
+        p[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^probability matrix contains NaN$"):
+            extract_matches(p, k)
 
     def test_negative_padding_entries_rejected(self):
         # four mutual diagonal pairs; the fifth match pads from the negatives
