@@ -25,13 +25,12 @@ from .surface import (BevFeatureMap, _check_threshold, aerial_depth_to_height_in
                       check_inputs, fuse_height_features, normalize_confidence,
                       surface_from_accumulation)
 from .synthetic import SceneBundle
-from .tensorio import check_integer
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Solve settings, checked on construction: ``surface_threshold`` per ``_check_threshold``,
-    ``top_k`` an integer (per ``check_integer``) >= 1, ``tau`` per ``check_temperature`` and a
+    ``top_k`` per ``_check_top_k`` (an integer >= 1), ``tau`` per ``check_temperature`` and a
     finite ``known_yaw_rad``. Every solve fuses with the class constant ``fuse_window``."""
     surface_threshold: float = 0.5
     tau: float = 0.1
@@ -41,7 +40,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_threshold(self.surface_threshold)
-        check_integer("top_k", self.top_k)
         _check_top_k(self.top_k, math.inf)   # the grid, and so the upper bound, comes later
         check_temperature(self.tau)
         if self.known_yaw_rad is not None and not math.isfinite(self.known_yaw_rad):

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .solver import CorrespondenceSet
 from .surface import BevFeatureMap
-from .tensorio import load_tensors, read_manifest, save_tensor_dir
+from .tensorio import check_integer, load_tensors, read_manifest, save_tensor_dir
 
 _PARAMS_FORMAT = "refiner-params-v2"
 # The refiner-params-v2 layout: each layer stack's field and its tensor-name pattern (the
@@ -208,19 +208,15 @@ def initial_similarity(f_grd: BevFeatureMap, f_sat: BevFeatureMap,
     """
     if f_grd.data.shape != f_sat.data.shape:
         raise ValueError("ground and aerial feature maps must share a shape")
-    n2 = f_grd.data.shape[0] * f_grd.data.shape[1]
-    fg = f_grd.data.reshape(n2, -1)
-    fs = f_sat.data.reshape(n2, -1)
+    rows = [f.data.reshape(f.data.shape[0] * f.data.shape[1], -1) for f in (f_grd, f_sat)]
     with np.errstate(over="ignore"):   # an overflowing norm is rejected below
-        ng = np.linalg.norm(fg, axis=1)
-        ns = np.linalg.norm(fs, axis=1)
-    if np.any(ng == 0) or np.any(ns == 0):
+        norms = [np.linalg.norm(r, axis=1, keepdims=True) for r in rows]
+    if any(np.any(nm == 0) for nm in norms):
         raise ValueError("zero-norm feature row cannot be cosine-normalized")
-    if not (np.all(np.isfinite(ng)) and np.all(np.isfinite(ns))):
+    if not all(np.all(np.isfinite(nm)) for nm in norms):
         raise ValueError("feature row norm overflows or is not finite")
     check_temperature(tau)
-    ground = fg / ng[:, None]
-    aerial = fs / ns[:, None]
+    ground, aerial = (r / nm for r, nm in zip(rows, norms))
     s = ground @ aerial.T
     s /= tau
     sim = SimilarityMatrix.__new__(SimilarityMatrix)
@@ -388,21 +384,21 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
         raise ValueError("parameters sized for a different patch count")
 
 
-def _conv_windows(s: np.ndarray, params: RefinerParams, out: np.ndarray):
-    """Run the conv stack over ``s`` (N^2, N^2) into ``out``, one aerial-axis window at a time.
+def _conv_windows(s: np.ndarray, params: RefinerParams):
+    """Run the conv stack over ``s`` (N^2, N^2) in place, one aerial-axis window at a time.
 
     Each window ``[w0, w1)`` of ``_W_WINDOW`` cells of W is copied, with a halo
     of one cell per layer on each side clipped at the ends of W, into one
-    buffer, and the wavefront runs from the buffer into ``out``'s columns
-    ``w0:w1``. ``out`` may be ``s`` itself: the columns before ``w0`` then
-    already hold outputs, so the left halo comes from the last window's copy.
-    After each window the generator yields ``(w0, w1, orig)``, with ``orig``
-    the buffer's view of the window's input columns, valid until it resumes.
+    buffer, and the wavefront runs from the buffer into ``s``'s columns
+    ``w0:w1``. The columns before ``w0`` then already hold outputs, so the left
+    halo comes from the last window's copy. After each window the generator
+    yields ``(w0, w1, orig)``, with ``orig`` the buffer's view of the window's
+    input columns, valid until it resumes.
     """
     n2 = len(s)
     n = _cube_side(n2)
     halo = len(params.conv_kernels)
-    result = out.reshape(n, 1, n, n2)
+    result = s.reshape(n, 1, n, n2)
     buf = np.empty((n2, min(_W_WINDOW + 2 * halo, n2)))
     last_lo = 0
     for w0 in range(0, n2, _W_WINDOW):
@@ -430,15 +426,13 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     The wavefront runs once per window of ``_W_WINDOW`` cells of W (a
     contiguous range of the flat aerial index; see ``_conv_windows``), so each
     window cell sees only true inputs, and the rings and GEMM buffers scale
-    with the window. ``s`` is left as it was; the result is a new N^2 x N^2
-    matrix beside it, and ``refine`` runs the same windows into ``s``'s copy
-    instead. Grids with N^2 <= ``_W_WINDOW`` run one window.
+    with the window. ``s`` is left as it was: the windows run in place on a
+    copy of ``s.s``, which is the result, as ``refine`` runs them on its copy.
+    Grids with N^2 <= ``_W_WINDOW`` run one window.
     """
     _require_patch_count(s, params)
-    # allocated before the rings: allocated after them it raised the process's peak RSS
-    # by 12 MB at n=41, as the freed rings' memory stayed with the allocator
-    out = np.empty_like(s.s)
-    for _ in _conv_windows(s.s, params, out):
+    out = s.s.copy()
+    for _ in _conv_windows(out, params):
         pass
     return out
 
@@ -516,7 +510,7 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
     alpha = gate_values(s, params)[:, None]
     stack = _affine_stack(s, params.global_weights, params.global_biases)
     s.factors = None
-    for w0, w1, orig in _conv_windows(s.s, params, s.s):
+    for w0, w1, orig in _conv_windows(s.s, params):
         delta = s.s[:, w0:w1]
         _add_last_layer(stack, delta, slice(w0, w1))
         delta *= alpha
@@ -660,7 +654,9 @@ def _col_argmax(p: np.ndarray) -> np.ndarray:
 
 
 def _check_top_k(k: int, entries: float) -> None:
-    """The match-count rule: ``1 <= k <= entries``, the probability matrix's N^4 entries."""
+    """The one match-count rule: ``k`` an integer (``check_integer``) with
+    ``1 <= k <= entries``, the probability matrix's N^4 entries."""
+    check_integer("top_k", k)
     if k < 1:
         raise ValueError("top_k must be at least 1")
     if k > entries:

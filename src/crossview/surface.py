@@ -19,15 +19,17 @@ from .tensorio import check_integer
 
 @dataclass
 class BevFeatureMap:
-    """Flat N x N x c BEV feature grid, float64. Its values are not scanned: ``check_inputs``
-    checks them at the boundary and ``initial_similarity`` refuses a non-finite row."""
+    """Flat N x N x c BEV feature grid, float64, with N >= 1; any other shape is a
+    ``ValueError`` on construction. Its values are not scanned: ``check_inputs`` checks them
+    at the boundary and ``initial_similarity`` refuses a non-finite row."""
 
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3:
-            raise ValueError(f"BEV feature map must be (N, N, c), got shape {self.data.shape}")
+        shape = self.data.shape
+        if len(shape) != 3 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"BEV feature map must be (N, N, c), got shape {shape}")
 
 
 def check_inputs(specs: SceneSpec, volume, conf_logits, f_sat, depth_sat=None,
@@ -102,13 +104,16 @@ def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
     with zero total confidence falls back to uniform weights. The channel
-    count is unchanged. Shapes that disagree, or a window not an integer (``check_integer``)
-    >= 0, are a ``ValueError``. The volume is not scanned: ``check_inputs`` does that. The
-    solve's window is ``PipelineConfig.fuse_window``.
+    count is unchanged. Shapes that disagree, a surface entry that is not an integer layer
+    index in [0, M), or a window not an integer (``check_integer``) >= 0, are a
+    ``ValueError``. The volume is not scanned: ``check_inputs`` does that. The solve's
+    window is ``PipelineConfig.fuse_window``.
     """
     m, n = vol.shape[0], vol.shape[1]
     if conf.shape != (m, n, n) or surf.shape != (n, n):
         raise ValueError("volume, confidence, and surface shapes disagree")
+    if not np.isin(surf, range(m)).all():
+        raise ValueError(f"surface must hold integer layer indices in [0, {m})")
     window = m if window is None else window   # no layer is m or more from the surface
     check_integer("window", window)
     if window < 0:

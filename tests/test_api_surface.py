@@ -1,5 +1,5 @@
-"""Every public function and method of ``src/crossview``, and every defaulted
-parameter of one, has a caller outside the tests.
+"""Every function and method of ``src/crossview``, public or private (dunders
+aside), and every defaulted parameter of one, has a caller outside the tests.
 
 The program is ``src/crossview`` (the package ``__init__``'s re-exports
 aside), ``scripts/`` and ``bench/``. A function counts as called when its
@@ -29,7 +29,7 @@ from conftest import ROOT
 
 PACKAGE = ROOT / "src" / "crossview"
 
-# public names without a caller in the program, each kept on purpose
+# names without a caller in the program, each kept on purpose
 ALLOWED = {
     "evaluation.save_gt_projection":
         "the only writer of the gt-projection-v2 directory that `crossview eval` reads",
@@ -74,6 +74,10 @@ def _defs():
                         yield path, node.name, item
 
 
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _qualified(module, cls, name) -> str:
     return ".".join(filter(None, (module.stem, cls, name)))
 
@@ -90,13 +94,12 @@ def _is_called(names: dict, shared: set, module, cls, name) -> bool:
 
 def test_every_public_function_has_a_program_caller():
     names = _names_by_file()
-    defs = [(path, cls, fn.name) for path, cls, fn in _defs()]
+    defs = [(path, cls, fn.name) for path, cls, fn in _defs() if not _is_dunder(fn.name)]
     method_counts = Counter(name for _, cls, name in defs if cls is not None)
     shared = {name for name, count in method_counts.items() if count > 1}
-    uncalled = sorted(_qualified(*d) for d in defs
-                      if not d[2].startswith("_") and not _is_called(names, shared, *d))
+    uncalled = sorted(_qualified(*d) for d in defs if not _is_called(names, shared, *d))
     assert uncalled == sorted(ALLOWED), (
-        "public names only tests call (move them to tests/conftest.py, or delete them): "
+        "names only tests call (move them to tests/conftest.py, or delete them): "
         f"{sorted(set(uncalled) - set(ALLOWED))}; allowed names now called or gone: "
         f"{sorted(set(ALLOWED) - set(uncalled))}")
 
@@ -143,9 +146,9 @@ def _calls(tree):
 
 def _defaulted_parameters():
     """(``module.function(parameter)``, function name, parameter, positional index or None)
-    of every defaulted parameter of a public function or method."""
+    of every defaulted parameter of a function or method, dunders aside."""
     for path, _, fn in _defs():
-        if fn.name.startswith("_"):
+        if _is_dunder(fn.name):
             continue
         a = fn.args
         positional = [p.arg for p in a.posonlyargs + a.args]

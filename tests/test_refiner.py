@@ -365,7 +365,9 @@ def test_aerial_windows_match_naive(monkeypatch, n, window):
     rng = np.random.default_rng(60 + n)
     params = RefinerParams.random(n * n, seed=61 + n)
     s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
+    before = s.s.copy()
     assert np.allclose(local_residual(s, params), local_residual_naive(s, params), atol=1e-10)
+    assert np.array_equal(s.s, before)
 
 
 @pytest.mark.parametrize("window", [1, 2, 4, None], ids=lambda w: f"window={w or 'N^2'}")
@@ -399,7 +401,9 @@ def test_one_window_covers_the_whole_aerial_axis(monkeypatch, n, extra):
     rng = np.random.default_rng(70 + n)
     params = RefinerParams.random(n * n, seed=71 + n)
     s = SimilarityMatrix(rng.normal(size=(n * n, n * n)))
+    before = s.s.copy()
     assert np.array_equal(local_residual(s, params), local_residual_naive(s, params, conv=conv3d))
+    assert np.array_equal(s.s, before)
 
 
 @pytest.mark.parametrize("chunk,rows", [(7, 3), (5, 1)], ids=str)
@@ -1103,6 +1107,14 @@ class TestExtractMatches:
             extract_matches(p, 0)
         with pytest.raises(ValueError):
             extract_matches(p, 17)
+
+    # the integer rule of PipelineConfig's top_k: 2.0 raised numpy's TypeError from a slice,
+    # and True gave one match
+    @pytest.mark.parametrize("k", [2.0, True], ids=["float", "bool"])
+    def test_k_other_than_an_integer_rejected(self, k):
+        p = np.full((4, 4), 0.5)
+        with pytest.raises(ValueError, match=f"^top_k: expected an integer, got {k!r}$"):
+            extract_matches(p, k)
 
     @pytest.mark.parametrize("shape", [(16,), (4, 9), (2, 4, 4)])
     def test_non_square_array_rejected(self, shape):

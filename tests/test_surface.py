@@ -196,6 +196,21 @@ class TestFuseHeightFeatures:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fuse_height_features(vol, conf, surf, window=window)
 
+    # at window 0 an index of M or a fraction left no layer in the window, and the uniform
+    # fallback divided 0 by 0 into NaN features; at window None an index of 20 on 11
+    # layers fused layers 9 and 10
+    @pytest.mark.parametrize("window", [0, None], ids=["window=0", "window=None"])
+    @pytest.mark.parametrize("index", [11, -1, 20, 0.5, 2.5, math.nan])
+    def test_surface_other_than_a_layer_index_rejected(self, index, window):
+        rng = np.random.default_rng(9)
+        vol = rng.normal(size=(11, 2, 2, 3))
+        conf = np.full((11, 2, 2), 1 / 11)
+        surf = np.ones((2, 2))
+        surf[1, 0] = index
+        with pytest.raises(ValueError, match=re.escape(
+                "surface must hold integer layer indices in [0, 11)")):
+            fuse_height_features(vol, conf, surf, window=window)
+
 
 class TestAerialDepthToHeightIndex:
     def test_min_depth_anchors_to_ground_tie(self):
@@ -270,6 +285,14 @@ class TestContainerValidation:
             check_inputs(specs, np.zeros((5, 4, 4, 2)), np.zeros((5, 4, 4)), np.zeros((3, 4, 2)))
         with pytest.raises(ValueError, match=re.escape("BEV feature map must be (N, N, c)")):
             BevFeatureMap(np.zeros((4, 4)))
+
+    # a (41, 40, 16) pair ran the whole similarity before extract_matches refused its patch
+    # count, and a (0, 0, 3) map failed inside numpy's reshape
+    @pytest.mark.parametrize("shape", [(41, 40, 16), (3, 4, 2), (0, 0, 3), (0, 4, 2)], ids=str)
+    def test_bev_feature_map_not_square_or_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"BEV feature map must be (N, N, c), got shape {shape}")):
+            BevFeatureMap(np.zeros(shape))
 
 
 class TestCheckInputShapes:
