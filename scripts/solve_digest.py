@@ -4,9 +4,10 @@
 Two trees that print the same digest give bit-identical solves on this
 list: un-refined ``run_localization`` at n = 9, 21 and 41, snapped and
 continuous, sigma 0, 0.2 and 0.4, two seeds each, and refined solves with
-``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21, whose parameters
-first make a ``RefinerParams.save``/``load`` round trip through a temporary
-directory. Un-refined solves at n = 9 and 21, snapped and continuous,
+``RefinerParams.random(n^2, scale=0.03)`` at n = 9 and 21, two seeds each, and
+at n = 41, snapped, sigma 0.2, seed 0, whose conv runs over several aerial-axis
+windows; their parameters first make a ``RefinerParams.save``/``load`` round
+trip through a temporary directory. Un-refined solves at n = 9 and 21, snapped and continuous,
 sigma 0.2, two seeds each, run twice more: under ``PipelineConfig(tau=0.005)``,
 whose similarity range takes the two-exp path of ``refiner._normalize``, and
 with ``known_yaw_rad`` set to the scene's true yaw, which solves through
@@ -43,17 +44,19 @@ UNREFINED = [(n, snapped, sigma) for n in (9, 21, 41) for snapped in (True, Fals
              for sigma in (0.0, 0.2, 0.4)]
 REFINED = [(n, snapped, sigma) for n in (9, 21) for snapped in (True, False)
            for sigma in (0.0, 0.2)]
+WINDOWED = [(41, True, 0.2)]   # N^2 above refiner._W_WINDOW: the conv crosses window seams
 OTHER_PATHS = [(n, snapped, 0.2) for n in (9, 21) for snapped in (True, False)]
 LOSS_CONFIG = {"beta2": 0.5, "k_norm": 7.5, "n_s": 300, "rng_seed": 3}
 
 
 def solves():
     """(specs, bundle, params, config) of every solve on the list, in a fixed order."""
-    for kind, cases in (("default", UNREFINED), ("refined", REFINED), ("tau", OTHER_PATHS),
-                        ("known-yaw", OTHER_PATHS)):
+    for kind, cases, seeds in (("default", UNREFINED, SEEDS), ("refined", REFINED, SEEDS),
+                               ("refined", WINDOWED, SEEDS[:1]), ("tau", OTHER_PATHS, SEEDS),
+                               ("known-yaw", OTHER_PATHS, SEEDS)):
         for n, snapped, sigma in cases:
             specs = SceneSpec(grid=BevGridSpec(n))
-            for seed in SEEDS:
+            for seed in seeds:
                 bundle = make_scene_bundle(specs, seed=seed, noise_sigma=sigma, snapped=snapped)
                 params = (RefinerParams.random(specs.grid.num_cells, scale=0.03, seed=seed)
                           if kind == "refined" else None)

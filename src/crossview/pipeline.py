@@ -89,7 +89,9 @@ def run_localization(volume: np.ndarray, conf_logits: np.ndarray, f_sat: BevFeat
 
     The similarity is refined in place (``refine``'s numbers, not its copy) and then
     normalized in place by ``match_probabilities``, so a solve holds one N^2 x N^2
-    matrix, refined or not (22.6 MB at n=41)."""
+    matrix, refined or not (22.6 MB at n=41). A refined solve peaks in the conv
+    phase, beside which it holds only the global stack's hidden layer and one
+    aerial-axis window's conv buffers (41.6 MB traced at n=41)."""
     _check_top_k(config.top_k, specs.grid.num_cells ** 2)
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)
     if params is not None:

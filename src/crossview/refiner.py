@@ -329,26 +329,27 @@ class _ConvLayer:
                     done = end
 
 
-def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray, x0: int = 0) -> None:
-    """3x3x3 conv layers with a ReLU between them, from ``x`` (D, in_c, H, W) into ``out``.
+def _conv_stack(read, emit, shape, kernels, biases) -> None:
+    """3x3x3 conv layers with a ReLU between them over a (D, H, W) volume, slice by slice.
 
-    ``out`` is (D, out_c, H, w) and receives the output columns ``x0`` to
-    ``x0 + w`` of the stack; it may be a strided view. The layers form a
-    wavefront over depth: at step t layer i takes in its input slice t - i
-    and emits its output slice t - i - 1, written straight into the next
-    layer's incoming ring slot at flat offset W + 3, so that output (y, x)
-    lands on the slot's interior cell (y + 1, x + 1). Every layer but the
-    last applies its ReLU chunk by chunk as it writes. The garbage past
-    each row's end falls on the slot's left and right pad columns, which
-    are zeroed again. Only the last layer goes through a one-slice buffer,
-    whose columns ``x0`` to ``x0 + w`` are copied into ``out``.
+    ``read(z, dst)`` writes input slice z into ``dst`` (in_c, H, W), and
+    ``emit(z, y)`` takes output slice z as ``y`` (out_c, H, W), a view valid
+    until it returns. The layers form a wavefront over depth: at step t layer
+    i takes in its input slice t - i and emits its output slice t - i - 1,
+    written straight into the next layer's incoming ring slot at flat offset
+    W + 3, so that output (y, x) lands on the slot's interior cell (y + 1,
+    x + 1). Every layer but the last applies its ReLU chunk by chunk as it
+    writes. The garbage past each row's end falls on the slot's left and right
+    pad columns, which are zeroed again. Only the last layer goes through a
+    one-slice buffer. Step t reads input slice t before it emits output slice
+    t - len(kernels), so ``emit`` may write over the input slices up to its
+    own plus len(kernels) where the caller keeps them: they are all read.
     """
-    d, _, h, w = x.shape
+    d, h, w = shape
     layers = [_ConvLayer(k, b, h, w, relu=i + 1 < len(kernels))
               for i, (k, b) in enumerate(zip(kernels, biases))]
     wp, span = w + 2, layers[0].span
-    cols = slice(x0, x0 + out.shape[3])
-    last = np.empty((out.shape[1], h * wp))
+    last = np.empty((len(kernels[-1]), h * wp))
     for t in range(d + len(layers)):
         for i, layer in enumerate(layers):
             z = t - i
@@ -359,7 +360,7 @@ def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray, x0: int = 0) ->
             if z == d:   # the zero slice past the end
                 layer.incoming.fill(0.0)
             elif i == 0:
-                layer.incoming[:, 1:-1, 1:-1] = x[z]
+                read(z, layer.incoming[:, 1:-1, 1:-1])
             # else the layer before has just written input slice z into the incoming slot
             if z == 0:
                 layer.advance(None)
@@ -369,7 +370,7 @@ def _conv_stack(x: np.ndarray, kernels, biases, out: np.ndarray, x0: int = 0) ->
                 nxt[:, 1:-1, ::wp - 1] = 0.0
             else:
                 layer.advance(last[:, :span])
-                out[z - 1] = last.reshape(-1, h, wp)[:, :, cols]
+                emit(z - 1, last.reshape(-1, h, wp)[:, :, :w])
 
 
 def _cube_side(n2: int) -> int:
@@ -384,33 +385,36 @@ def _require_patch_count(s: SimilarityMatrix, params: RefinerParams) -> None:
         raise ValueError("parameters sized for a different patch count")
 
 
-def _conv_windows(s: np.ndarray, params: RefinerParams):
-    """Run the conv stack over ``s`` (N^2, N^2) in place, one aerial-axis window at a time.
+def _conv_windows(s: np.ndarray, params: RefinerParams, sink) -> None:
+    """Run the conv stack over ``s`` (N^2, N^2) one aerial-axis window at a time.
 
-    Each window ``[w0, w1)`` of ``_W_WINDOW`` cells of W is copied, with a halo
-    of one cell per layer on each side clipped at the ends of W, into one
-    buffer, and the wavefront runs from the buffer into ``s``'s columns
-    ``w0:w1``. The columns before ``w0`` then already hold outputs, so the left
-    halo comes from the last window's copy. After each window the generator
-    yields ``(w0, w1, orig)``, with ``orig`` the buffer's view of the window's
-    input columns, valid until it resumes.
+    Each window ``[w0, w1)`` of ``_W_WINDOW`` cells of W runs the wavefront
+    over its columns with a halo of one cell per layer on each side, clipped at
+    the ends of W. Input depth slice z (rows z * N to z * N + N - 1) is read
+    straight from ``s``, and the window's output slice z, ``y`` (N, w1 - w0),
+    goes to ``emit(z, y)`` with ``emit = sink(w0, w1)``. The sink may write its
+    outputs into ``s``'s columns ``w0:w1`` as they come (see ``_conv_stack``),
+    so a window reads its left halo from a carry: the original values of
+    those columns, saved before the window before it ran.
     """
     n2 = len(s)
     n = _cube_side(n2)
     halo = len(params.conv_kernels)
-    result = s.reshape(n, 1, n, n2)
-    buf = np.empty((n2, min(_W_WINDOW + 2 * halo, n2)))
-    last_lo = 0
+    carry = s[:, :0]
     for w0 in range(0, n2, _W_WINDOW):
         w1 = min(w0 + _W_WINDOW, n2)
         lo, hi = max(w0 - halo, 0), min(w1 + halo, n2)
-        buf[:, :w0 - lo] = buf[:, lo - last_lo:w0 - last_lo]   # the left halo, from the last copy
-        buf[:, w0 - lo:hi - lo] = s[:, w0:hi]
-        x = buf[:, :hi - lo]
-        _conv_stack(x.reshape(n, 1, n, hi - lo), params.conv_kernels, params.conv_biases,
-                    result[..., w0:w1], w0 - lo)
-        yield w0, w1, x[:, w0 - lo:w1 - lo]
-        last_lo = lo
+        left, keep = carry, max(w1 - halo, 0)   # columns lo:w0, and the next window's lo
+        carry = np.concatenate((left[:, min(keep, w0) - lo:], s[:, max(keep, w0):w1]), axis=1)
+
+        def read(z, dst):
+            rows = slice(z * n, z * n + n)
+            dst[0, :, :w0 - lo] = left[rows]
+            dst[0, :, w0 - lo:] = s[rows, w0:hi]
+
+        emit = sink(w0, w1)
+        _conv_stack(read, lambda z, y: emit(z, y[0, :, w0 - lo:w1 - lo]), (n, n, hi - lo),
+                    params.conv_kernels, params.conv_biases)
 
 
 def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
@@ -426,14 +430,19 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     The wavefront runs once per window of ``_W_WINDOW`` cells of W (a
     contiguous range of the flat aerial index; see ``_conv_windows``), so each
     window cell sees only true inputs, and the rings and GEMM buffers scale
-    with the window. ``s`` is left as it was: the windows run in place on a
-    copy of ``s.s``, which is the result, as ``refine`` runs them on its copy.
+    with the window. The windows read ``s.s`` and write each output slice into
+    a fresh result, so ``s`` is left as it was and no copy of it is made.
     Grids with N^2 <= ``_W_WINDOW`` run one window.
     """
     _require_patch_count(s, params)
-    out = s.s.copy()
-    for _ in _conv_windows(out, params):
-        pass
+    out = np.empty_like(s.s)
+
+    def sink(w0, w1):
+        def emit(z, y):
+            out[z * len(y):(z + 1) * len(y), w0:w1] = y
+        return emit
+
+    _conv_windows(s.s, params, sink)
     return out
 
 
@@ -441,34 +450,33 @@ def _affine_stack(s: SimilarityMatrix, weights, biases):
     """ReLU-separated affine layers over the rows of ``s``, the first one through its factors.
 
     Returns the last hidden activations (N^2, h) with the last layer's weight
-    and bias, in float64, for ``_add_last_layer``. For h hidden units
-    ``s.s @ W0`` costs N^4 * h multiply-adds and ``ground @ (aerial.T @ W0)``
-    2 * N^2 * C * h, so a matrix without factors is a ``ValueError`` rather
-    than multiplied densely.
+    and its bias in float64, for ``_add_last_layer``; a last weight other than
+    the first stays in float32, for the caller to widen where it is used. For
+    h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and ``ground @
+    (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without factors is a
+    ``ValueError`` rather than multiplied densely.
     """
     if s.factors is None:
         raise ValueError("the refiner needs the feature factors that initial_similarity keeps")
     ground, aerial = s.factors
-    weights = [w.astype(float) for w in weights]
-    biases = [b.astype(float) for b in biases]
-    weights[0] = aerial.T @ weights[0]
+    weights = (aerial.T @ weights[0].astype(float), *weights[1:])
     x = ground
     for w, b in zip(weights[:-1], biases[:-1]):
         # the bias is added to the fresh product: no second array of its size
-        x = x @ w
+        x = x @ w.astype(float, copy=False)
         x += b
         np.maximum(x, 0.0, out=x)
-    return x, weights[-1], biases[-1]
+    return x, weights[-1], biases[-1].astype(float)
 
 
-def _add_last_layer(stack, target: np.ndarray, cols: slice = slice(None)):
-    """Add columns ``cols`` of the last layer of ``stack`` into ``target`` (N^2, width).
+def _add_last_layer(stack, target: np.ndarray):
+    """Add the last layer of ``stack`` into ``target`` (rows, width), widening its weight.
 
     The products go by blocks of ``_AFFINE_ROWS`` rows, so no N^2-wide output
     is made beside ``target``.
     """
     x, w, b = stack
-    w, b = w[:, cols], b[cols]
+    w = w.astype(float, copy=False)
     for r0 in range(0, len(target), _AFFINE_ROWS):
         rows = slice(r0, r0 + _AFFINE_ROWS)
         block = x[rows] @ w
@@ -501,20 +509,35 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
     The gate and the global stack's hidden layers run first, through the
     factors of ``s``, which are then dropped; so a matrix without them is
     rejected before ``s.s`` changes. Each aerial-axis window of
-    ``_conv_windows`` then writes the local residual into its own columns of
-    ``s.s``; those columns then get the global residual (by blocks of
-    ``_AFFINE_ROWS`` rows), times the gate, plus the window's original values.
-    No N^2 x N^2 matrix is made beside ``s.s``. The result is a bare matrix,
-    scanned for overflow.
+    ``_conv_windows`` then stages its local residual slice by slice. Every
+    complete block of ``_AFFINE_ROWS`` rows gets the global residual of the
+    window's columns (their weight columns widened once per window), times the
+    gate, and is added into the window's original values in ``s.s``. The stage
+    holds under ``_AFFINE_ROWS`` + N rows of the window, and no copy of ``s.s``
+    or of a window is made. The result is a bare matrix, scanned for overflow.
     """
     alpha = gate_values(s, params)[:, None]
-    stack = _affine_stack(s, params.global_weights, params.global_biases)
+    x, w, b = _affine_stack(s, params.global_weights, params.global_biases)
     s.factors = None
-    for w0, w1, orig in _conv_windows(s.s, params):
-        delta = s.s[:, w0:w1]
-        _add_last_layer(stack, delta, slice(w0, w1))
-        delta *= alpha
-        delta += orig
+    n2 = s.num_patches
+
+    def sink(w0, w1):
+        wc, bc = w[:, w0:w1].astype(float), b[w0:w1]
+        stage = np.empty((_AFFINE_ROWS + _cube_side(n2), w1 - w0))
+
+        def emit(z, y):
+            r0, end = z * len(y) // _AFFINE_ROWS * _AFFINE_ROWS, (z + 1) * len(y)
+            stage[z * len(y) - r0:end - r0] = y   # rows r0:end are staged
+            done = end if end == n2 else end // _AFFINE_ROWS * _AFFINE_ROWS
+            if done > r0:   # rows r0:done make whole blocks
+                delta = stage[:done - r0]
+                _add_last_layer((x[r0:done], wc, bc), delta)
+                delta *= alpha[r0:done]
+                s.s[r0:done, w0:w1] += delta
+                stage[:end - done] = stage[done - r0:end - r0]
+        return emit
+
+    _conv_windows(s.s, params, sink)
     return SimilarityMatrix(s.s)
 
 
@@ -523,8 +546,9 @@ def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
 
     Each entry is ``((local + global) * alpha) + s``. ``s`` is left as it was:
     the result is ``_refine_in_place`` run on a copy of it, so the call holds
-    two N^2 x N^2 matrices, ``s`` and the result. ``run_localization`` refines
-    its own similarity in place instead, holding one.
+    two N^2 x N^2 matrices, ``s`` and the result, beside one window's conv
+    rings and stage. ``run_localization`` refines its own similarity in place
+    instead, holding one.
     """
     copy = SimilarityMatrix.__new__(SimilarityMatrix)
     copy.s, copy.factors = s.s.copy(), s.factors

@@ -72,13 +72,20 @@ def conv3d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     ``x`` is (in_c, D, H, W), ``kernel`` is (out_c, in_c, 3, 3, 3). Drives the
     library's depth wavefront ``_conv_stack`` as a one-layer stack over a
-    whole volume of any shape.
+    whole volume of any shape, reading and emitting one depth slice at a time.
     """
     in_c, d, h, w = x.shape
     if kernel.shape[1] != in_c:
         raise ValueError("kernel input channels disagree with the volume")
     out = np.empty((kernel.shape[0], d, h, w))
-    _conv_stack(x.transpose(1, 0, 2, 3), [kernel], [bias], out.transpose(1, 0, 2, 3))
+
+    def read(z, dst):
+        dst[...] = x[:, z]
+
+    def emit(z, y):
+        out[:, z] = y
+
+    _conv_stack(read, emit, (d, h, w), [kernel], [bias])
     return out
 
 

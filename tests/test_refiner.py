@@ -370,15 +370,11 @@ def test_aerial_windows_match_naive(monkeypatch, n, window):
     assert np.array_equal(s.s, before)
 
 
-@pytest.mark.parametrize("window", [1, 2, 4, None], ids=lambda w: f"window={w or 'N^2'}")
-@pytest.mark.parametrize("n", [3, 4, 9])
-def test_in_place_refinement_matches_dense_oracle(monkeypatch, n, window):
-    # in place, the columns left of a window already hold outputs, so its left halo comes
-    # from the last window's copy: windows narrower than the 3-cell halo, and windows near
-    # the left end, where the halo is clipped at 0, take a carry of 1 to 3 columns
-    monkeypatch.setattr(refiner, "_W_WINDOW", window or n * n)
-    rng = np.random.default_rng(80 + n)
-    params = RefinerParams.random(n * n, seed=81 + n)
+def assert_in_place_refinement_matches_dense_oracle(n, seed):
+    """``_refine_in_place`` equals ``refine`` on a copy bit for bit, both within 1e-12 of
+    the dense oracle, and spends its input while ``refine`` leaves it as it was."""
+    rng = np.random.default_rng(seed)
+    params = RefinerParams.random(n * n, seed=seed + 1)
     sim = factored(rng.normal(size=(n * n, n * n)))
     s = sim.s.copy()
     logits = dense_affine_stack(s, params.gate_weights, params.gate_biases)[:, 0]
@@ -391,6 +387,26 @@ def test_in_place_refinement_matches_dense_oracle(monkeypatch, n, window):
     assert refined.s is sim.s and sim.factors is None and refined.factors is None
     assert np.array_equal(refined.s, copied.s)
     assert np.abs(refined.s - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("window", [1, 2, 4, None], ids=lambda w: f"window={w or 'N^2'}")
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_in_place_refinement_matches_dense_oracle(monkeypatch, n, window):
+    # in place, the columns left of a window already hold outputs, so its left halo comes
+    # from a carry of their original values: windows narrower than the 3-cell halo, and
+    # windows near the left end, where the halo is clipped at 0, carry 1 to 3 columns
+    monkeypatch.setattr(refiner, "_W_WINDOW", window or n * n)
+    assert_in_place_refinement_matches_dense_oracle(n, 80 + n)
+
+
+@pytest.mark.parametrize("n,rows,window", [(4, 5, 1), (4, 5, 2), (4, 5, 4), (9, 7, 4)])
+def test_row_blocks_straddle_depth_slices_and_windows(monkeypatch, n, rows, window):
+    # each window stages its output slices of N rows until a whole block of _AFFINE_ROWS
+    # rows is in; blocks of 5 rows over slices of 4 (and of 7 over slices of 9) start and
+    # end inside a slice, one slice completes two blocks of 7, and the last block is short
+    monkeypatch.setattr(refiner, "_AFFINE_ROWS", rows)
+    monkeypatch.setattr(refiner, "_W_WINDOW", window)
+    assert_in_place_refinement_matches_dense_oracle(n, 90 + n + rows + window)
 
 
 @pytest.mark.parametrize("extra", [0, 1, 1000])
@@ -509,8 +525,11 @@ class TestPaperSizeRefiner:
         # a full 8-channel (41, 41, 1681) cube is 181 MB; the depth wavefront
         # holds three-slice rings, the GEMM chunk buffers and the 1681 x 1681
         # result instead, each layer writing into the next ring. Rings that span
-        # the whole aerial axis peaked at 62.5 MB; over three aerial-axis windows
-        # the call peaks at 40 MB (43 MB with windows of 448 cells copied into one buffer)
+        # the whole aerial axis peaked at 62.5 MB. Over four aerial-axis windows of
+        # 448 cells, read straight from the similarity, the call peaks at 36.6 MB:
+        # the result (22.6 MB) and one window's rings and tap buffers (13.7 MB).
+        # Refining a copy in place, each window's input columns copied into one
+        # buffer (6.1 MB), peaked at 42.6 MB
         _, _, sim, params = self.bench_reference_input(monkeypatch)
         tracemalloc.start()
         try:
@@ -519,13 +538,15 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 50.0
+        assert peak_mb < 40.0
 
     def test_refined_localization_peak_memory(self, monkeypatch):
         # the solve refines its 22.6 MB similarity in place, so it peaks once, in the
-        # conv phase: the similarity, one window's copy of its input columns, the conv
-        # rings and tap buffers and the global stack's hidden layer, 49.6 MB. A refined
-        # matrix beside the similarity peaked at 63.1 MB, and three matrices at 85.6 MB
+        # conv phase: the similarity, the global stack's hidden layer (3.4 MB), one
+        # window's conv rings and tap buffers (13.7 MB), and its widened weight columns
+        # and row stage (1.3 MB), 41.6 MB. Each window's input columns copied into one
+        # buffer (6.1 MB) and the whole last global weight widened (3.4 MB) peaked at
+        # 49.6 MB; a refined matrix beside the similarity at 63.1 MB, three at 85.6 MB
         _, _, specs, inputs, params = self.bench_reference_problem(monkeypatch)
         tracemalloc.start()
         try:
@@ -534,7 +555,7 @@ class TestPaperSizeRefiner:
             peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < 55.0
+        assert peak_mb < 46.0
 
     def test_factored_stages_match_dense_products(self, monkeypatch):
         _, _, sim, params = self.bench_reference_input(monkeypatch)
