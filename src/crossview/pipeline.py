@@ -48,6 +48,13 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
+    """One solve. ``pose_px`` maps the BEV metric frame into aerial pixels (``Pose3DoF``: a
+    translation in aerial pixels, a yaw in radians). ``matches_m`` holds the matches in metres,
+    ground points in the BEV metric frame and aerial points as aerial pixels times the GSD,
+    weighted by their match probabilities; ``num_matches == len(matches_m)``. ``degenerate``
+    is ``solve_weighted_procrustes``' flag: the rotation is unobservable (below
+    ``DEGENERACY_EPS``), so the pose is a translation-only fit at yaw 0. A known-yaw solve
+    hard-wires it to ``False``."""
     pose_px: Pose3DoF
     degenerate: bool
     num_matches: int
@@ -91,7 +98,7 @@ def run_localization(volume: np.ndarray, conf_logits: np.ndarray, f_sat: BevFeat
     normalized in place by ``match_probabilities``, so a solve holds one N^2 x N^2
     matrix, refined or not (22.6 MB at n=41). A refined solve peaks in the conv
     phase, beside which it holds only the global stack's hidden layer and one
-    aerial-axis window's conv buffers (41.6 MB traced at n=41)."""
+    aerial-axis window's conv buffers (41.2 MB traced at n=41)."""
     _check_top_k(config.top_k, specs.grid.num_cells ** 2)
     surf, sim = ground_similarity(volume, conf_logits, f_sat, specs, config)
     if params is not None:

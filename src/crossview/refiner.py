@@ -32,11 +32,9 @@ _STACKS = (
     ("gate_biases", "gate{}_bias"),
 )
 _DUSTBIN_FIELDS = ("dustbin_row", "dustbin_col", "dustbin_theta")
-_ARGMAX_BLOCK = 32   # rows per block of the column argmax and of the padding's top-k values
 _IM2COL_CHUNK = 4096   # output positions per im2col GEMM of a one-channel conv layer (L2-sized)
 _TAP_ROWS = 16   # padded input rows per stacked-tap GEMM of a multi-channel conv layer
 _W_WINDOW = 448   # aerial-axis cells per conv wavefront (one window to n=21)
-_AFFINE_ROWS = 64   # rows per block of an affine stack's last layer
 
 
 @dataclass
@@ -334,16 +332,17 @@ def _conv_stack(read, emit, shape, kernels, biases) -> None:
 
     ``read(z, dst)`` writes input slice z into ``dst`` (in_c, H, W), and
     ``emit(z, y)`` takes output slice z as ``y`` (out_c, H, W), a view valid
-    until it returns. The layers form a wavefront over depth: at step t layer
-    i takes in its input slice t - i and emits its output slice t - i - 1,
-    written straight into the next layer's incoming ring slot at flat offset
-    W + 3, so that output (y, x) lands on the slot's interior cell (y + 1,
-    x + 1). Every layer but the last applies its ReLU chunk by chunk as it
-    writes. The garbage past each row's end falls on the slot's left and right
-    pad columns, which are zeroed again. Only the last layer goes through a
-    one-slice buffer. Step t reads input slice t before it emits output slice
-    t - len(kernels), so ``emit`` may write over the input slices up to its
-    own plus len(kernels) where the caller keeps them: they are all read.
+    until it returns; ``emit`` may write into it, as the next step overwrites
+    it. The layers form a wavefront over depth: at step t layer i takes in its
+    input slice t - i and emits its output slice t - i - 1, written straight
+    into the next layer's incoming ring slot at flat offset W + 3, so that
+    output (y, x) lands on the slot's interior cell (y + 1, x + 1). Every layer
+    but the last applies its ReLU chunk by chunk as it writes. The garbage past
+    each row's end falls on the slot's left and right pad columns, which are
+    zeroed again. Only the last layer goes through a one-slice buffer. Step t
+    reads input slice t before it emits output slice t - len(kernels), so
+    ``emit`` may write over the input slices up to its own plus len(kernels)
+    where the caller keeps them: they are all read.
     """
     d, h, w = shape
     layers = [_ConvLayer(k, b, h, w, relu=i + 1 < len(kernels))
@@ -469,16 +468,16 @@ def _affine_stack(s: SimilarityMatrix, weights, biases):
     return x, weights[-1], biases[-1].astype(float)
 
 
-def _add_last_layer(stack, target: np.ndarray):
+def _add_last_layer(stack, target: np.ndarray, n: int):
     """Add the last layer of ``stack`` into ``target`` (rows, width), widening its weight.
 
-    The products go by blocks of ``_AFFINE_ROWS`` rows, so no N^2-wide output
-    is made beside ``target``.
+    The products go by depth slices of ``n`` rows, the row blocks of every
+    N^2-row matrix here, so no N^2-wide output is made beside ``target``.
     """
     x, w, b = stack
     w = w.astype(float, copy=False)
-    for r0 in range(0, len(target), _AFFINE_ROWS):
-        rows = slice(r0, r0 + _AFFINE_ROWS)
+    for r0 in range(0, len(target), n):
+        rows = slice(r0, r0 + n)
         block = x[rows] @ w
         block += b
         target[rows] += block
@@ -489,7 +488,8 @@ def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     through the factors of ``s`` (see ``_affine_stack``), added into zeros."""
     _require_patch_count(s, params)
     out = np.zeros((s.num_patches, s.num_patches))
-    _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out)
+    _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out,
+                    _cube_side(s.num_patches))
     return out
 
 
@@ -498,7 +498,8 @@ def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
     factors of ``s`` (see ``_affine_stack``); a logit below about -709 gives exactly 0."""
     _require_patch_count(s, params)
     logits = np.zeros((s.num_patches, 1))
-    _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits)
+    _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits,
+                    _cube_side(s.num_patches))
     with np.errstate(over="ignore"):   # exp(-logit) = inf makes the gate 0.0
         return 1.0 / (1.0 + np.exp(-logits[:, 0]))
 
@@ -509,32 +510,26 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
     The gate and the global stack's hidden layers run first, through the
     factors of ``s``, which are then dropped; so a matrix without them is
     rejected before ``s.s`` changes. Each aerial-axis window of
-    ``_conv_windows`` then stages its local residual slice by slice. Every
-    complete block of ``_AFFINE_ROWS`` rows gets the global residual of the
-    window's columns (their weight columns widened once per window), times the
-    gate, and is added into the window's original values in ``s.s``. The stage
-    holds under ``_AFFINE_ROWS`` + N rows of the window, and no copy of ``s.s``
-    or of a window is made. The result is a bare matrix, scanned for overflow.
+    ``_conv_windows`` then finishes its local residual slice by slice, as it
+    is emitted: the slice's N rows get the global residual of the window's
+    columns (their weight columns widened once per window), times the gate,
+    and are added into the window's original values in ``s.s``. No copy of
+    ``s.s``, of a window or of its output slices is made. The result is a bare
+    matrix, scanned for overflow.
     """
     alpha = gate_values(s, params)[:, None]
     x, w, b = _affine_stack(s, params.global_weights, params.global_biases)
     s.factors = None
-    n2 = s.num_patches
+    n = _cube_side(s.num_patches)
 
     def sink(w0, w1):
         wc, bc = w[:, w0:w1].astype(float), b[w0:w1]
-        stage = np.empty((_AFFINE_ROWS + _cube_side(n2), w1 - w0))
 
         def emit(z, y):
-            r0, end = z * len(y) // _AFFINE_ROWS * _AFFINE_ROWS, (z + 1) * len(y)
-            stage[z * len(y) - r0:end - r0] = y   # rows r0:end are staged
-            done = end if end == n2 else end // _AFFINE_ROWS * _AFFINE_ROWS
-            if done > r0:   # rows r0:done make whole blocks
-                delta = stage[:done - r0]
-                _add_last_layer((x[r0:done], wc, bc), delta)
-                delta *= alpha[r0:done]
-                s.s[r0:done, w0:w1] += delta
-                stage[:end - done] = stage[done - r0:end - r0]
+            rows = slice(z * n, z * n + n)
+            _add_last_layer((x[rows], wc, bc), y, n)
+            y *= alpha[rows]
+            s.s[rows, w0:w1] += y
         return emit
 
     _conv_windows(s.s, params, sink)
@@ -547,8 +542,8 @@ def refine(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMatrix:
     Each entry is ``((local + global) * alpha) + s``. ``s`` is left as it was:
     the result is ``_refine_in_place`` run on a copy of it, so the call holds
     two N^2 x N^2 matrices, ``s`` and the result, beside one window's conv
-    rings and stage. ``run_localization`` refines its own similarity in place
-    instead, holding one.
+    rings. ``run_localization`` refines its own similarity in place instead,
+    holding one.
     """
     copy = SimilarityMatrix.__new__(SimilarityMatrix)
     copy.s, copy.factors = s.s.copy(), s.factors
@@ -657,23 +652,17 @@ def _ranked(p: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return rows[order], cols[order]
 
 
-def _col_argmax(p: np.ndarray) -> np.ndarray:
-    """``p.argmax(axis=0)`` without the transposed copy of ``p`` that it makes.
+def _col_argmax(p: np.ndarray, n: int) -> np.ndarray:
+    """``p.argmax(axis=0)`` of an N^2 x N^2 ``p`` without the transposed copy that it makes.
 
-    One row-wise pass gives the column maxima of each ``_ARGMAX_BLOCK`` rows
-    (the short last block its own); the first block holding a column's maximum
-    wins, and one (columns, block) gather finds its first row equal to it, so
-    ties go to the lowest row. The last window ends at the last row: its rows
-    from the block before hold strictly smaller values, so none is found.
+    One row-wise pass gives the column maxima of each depth slice of ``n``
+    rows; the first slice holding a column's maximum wins, and one (columns,
+    ``n``) gather finds its first row equal to it, so ties go to the lowest row.
     """
-    nrow, ncol = p.shape
-    full = nrow - nrow % _ARGMAX_BLOCK
-    maxima = p[:full].reshape(-1, _ARGMAX_BLOCK, ncol).max(axis=1)
-    if full < nrow:
-        maxima = np.vstack([maxima, p[full:].max(axis=0)])
-    width = min(_ARGMAX_BLOCK, nrow)
-    start = np.minimum(maxima.argmax(axis=0) * _ARGMAX_BLOCK, nrow - width)
-    window = p.ravel().take((start * ncol + np.arange(ncol))[:, None] + ncol * np.arange(width))
+    ncol = p.shape[1]
+    maxima = p.reshape(-1, n, ncol).max(axis=1)
+    start = maxima.argmax(axis=0) * n
+    window = p.ravel().take((start * ncol + np.arange(ncol))[:, None] + ncol * np.arange(n))
     return start + (window == maxima.max(axis=0)[:, None]).argmax(axis=1)
 
 
@@ -687,18 +676,18 @@ def _check_top_k(k: int, entries: float) -> None:
         raise ValueError("top_k exceeds the number of matrix entries")
 
 
-def _first_ranked(p: np.ndarray, k: int):
+def _first_ranked(p: np.ndarray, k: int, n: int):
     """Row and column indices of the k entries of ``p`` that ``_ranked`` puts first.
 
-    Each block of ``_ARGMAX_BLOCK`` rows gives its own first ``m = min(k, size)``:
+    Each depth slice of ``n`` rows gives its own first ``m = min(k, size)``:
     its entries above its m-th largest value, then its first entries equal to
     that value in flat order. Every entry of the global first k is among its
-    block's first m, so ranking the blocks' picks together and keeping k is exact.
+    slice's first m, so ranking the slices' picks together and keeping k is exact.
     """
     ncol = p.shape[1]
     flat_idx = []
-    for r0 in range(0, len(p), _ARGMAX_BLOCK):
-        block = p[r0:r0 + _ARGMAX_BLOCK].ravel()
+    for r0 in range(0, len(p), n):
+        block = p[r0:r0 + n].ravel()
         m = min(k, block.size)
         t = np.partition(block, block.size - m)[block.size - m]
         above = np.flatnonzero(block > t)
@@ -714,7 +703,7 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     A pair survives the mutual filter only when it is the argmax of both
     its row and its column; pairs are ordered by ``_ranked``. With fewer than
     ``k`` mutual pairs, the padding takes the first non-mutual entries of the
-    global first k in rank order (``_first_ranked``, one pass over row blocks),
+    global first k in rank order (``_first_ranked``, one pass over depth slices),
     so a matrix of ties (a featureless scene) ranks a few k entries, not N^4.
     Coordinates come back in grid-cell units (row index -> (ix, iy) ground
     cell, column index -> aerial cell); weights are the probability values,
@@ -731,14 +720,14 @@ def extract_matches(p: np.ndarray, k: int) -> CorrespondenceSet:
     row_arg = p.argmax(axis=1)   # first occurrence = lowest column on ties, or a row's first NaN
     if np.isnan(p[np.arange(n2), row_arg]).any():
         raise ValueError("probability matrix contains NaN")
-    col_arg = _col_argmax(p)     # lowest row on ties
+    col_arg = _col_argmax(p, n)  # lowest row on ties
     rows = np.nonzero(col_arg[row_arg] == np.arange(n2))[0]
     rows, cols = _ranked(p, rows, row_arg[rows])
     rows, cols = rows[:k], cols[:k]
     if len(rows) < k:
         # fewer than k pairs are mutual, so the global first k hold the first `need`
         # non-mutual entries
-        cand_r, cand_c = _first_ranked(p, k)
+        cand_r, cand_c = _first_ranked(p, k, n)
         other = (row_arg[cand_r] != cand_c) | (col_arg[cand_c] != cand_r)
         pad_r, pad_c = cand_r[other], cand_c[other]
         need = k - len(rows)

@@ -16,7 +16,8 @@ import numpy as np
 from .geometry import (Pose3DoF, SceneSpec, aerial_cell_in_ground_grid,
                        aerial_cell_to_ground_cell, grid_cells)
 from .surface import BevFeatureMap, check_depth_rule, check_inputs
-from .tensorio import decode_json, json_number, load_tensors, read_manifest, save_tensor_dir
+from .tensorio import (check_integer, decode_json, json_number, load_tensors, read_manifest,
+                       save_tensor_dir)
 
 GROUND_LEVEL_M = -3.0      # scene ground level relative to the camera origin
 DEPTH_SCALE = 1.0          # rendered aerial depth is meters above ground level
@@ -94,15 +95,17 @@ def generate_scene(specs: SceneSpec, seed: int, noise_sigma: float = 0.0,
     Heights are a sum of Gaussian bumps on a flat ground plane, rescaled to
     span exactly [ground level, top layer]. Snapped poses translate by
     whole cells and rotate by quarter turns, which makes nearest-cell
-    resampling exact; ``snapped=False`` draws a continuous pose instead. A negative ``seed``,
-    fewer than one channel, a negative or non-finite ``noise_sigma`` or an even grid is a
-    ``ValueError``.
+    resampling exact; ``snapped=False`` draws a continuous pose instead. A ``seed`` or
+    ``channels`` other than an integer (``check_integer``), a negative ``seed``, fewer than
+    one channel, a negative or non-finite ``noise_sigma`` or an even grid is a ``ValueError``.
 
     The translation is placed here as ``grid_center_px + offset * cell_spacing_px``,
     not through ``SceneSpec.aerial_cell_px``: for a continuous offset that rule
     would add and then subtract the center index, which changes the low bits.
     """
     _require_camera_centered(specs)
+    check_integer("seed", seed)
+    check_integer("channels", channels)
     _check_seed_and_noise(seed, noise_sigma)
     if channels < 1:
         raise ValueError(f"channels must be at least 1, got {channels}")

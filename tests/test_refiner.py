@@ -13,7 +13,7 @@ import pytest
 from crossview import pipeline, refiner
 from crossview.geometry import BevGridSpec, SceneSpec
 from crossview.pipeline import ground_similarity, run_localization
-from crossview.refiner import (_ARGMAX_BLOCK, _SINGLE_EXP_RANGE, RefinerParams,
+from crossview.refiner import (_SINGLE_EXP_RANGE, RefinerParams,
                                SimilarityMatrix, _col_argmax,
                                dustbin_extend, extract_matches,
                                gate_values, global_residual,
@@ -200,18 +200,9 @@ class TestFactoredStages:
         rng = np.random.default_rng(seed)
         sim = initial_similarity(BevFeatureMap(rng.standard_normal((9, 9, 16))),
                                  BevFeatureMap(rng.standard_normal((9, 9, 16))), 0.1)
-        assert_factored_stages_match_dense(sim, RefinerParams.random(81, scale=0.1, seed=seed))
-
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_row_blocks_match_dense_products(self, monkeypatch, rows):
-        # the last affine layer over 81 rows in blocks of one row, and of 7 with a short
-        # last block of 4; refine adds the global residual into the local one by blocks
-        monkeypatch.setattr(refiner, "_AFFINE_ROWS", rows)
-        rng = np.random.default_rng(rows)
-        sim = initial_similarity(BevFeatureMap(rng.standard_normal((9, 9, 16))),
-                                 BevFeatureMap(rng.standard_normal((9, 9, 16))), 0.1)
-        params = RefinerParams.random(81, scale=0.1, seed=rows)
+        params = RefinerParams.random(81, scale=0.1, seed=seed)
         assert_factored_stages_match_dense(sim, params)
+        # refine adds the global residual into the local one by depth slices of 9 rows
         logits = dense_affine_stack(sim.s, params.gate_weights, params.gate_biases)[:, 0]
         glob = dense_affine_stack(sim.s, params.global_weights, params.global_biases)
         dense = sim.s + (local_residual(sim, params) + glob) / (1.0 + np.exp(-logits))[:, None]
@@ -399,16 +390,6 @@ def test_in_place_refinement_matches_dense_oracle(monkeypatch, n, window):
     assert_in_place_refinement_matches_dense_oracle(n, 80 + n)
 
 
-@pytest.mark.parametrize("n,rows,window", [(4, 5, 1), (4, 5, 2), (4, 5, 4), (9, 7, 4)])
-def test_row_blocks_straddle_depth_slices_and_windows(monkeypatch, n, rows, window):
-    # each window stages its output slices of N rows until a whole block of _AFFINE_ROWS
-    # rows is in; blocks of 5 rows over slices of 4 (and of 7 over slices of 9) start and
-    # end inside a slice, one slice completes two blocks of 7, and the last block is short
-    monkeypatch.setattr(refiner, "_AFFINE_ROWS", rows)
-    monkeypatch.setattr(refiner, "_W_WINDOW", window)
-    assert_in_place_refinement_matches_dense_oracle(n, 90 + n + rows + window)
-
-
 @pytest.mark.parametrize("extra", [0, 1, 1000])
 @pytest.mark.parametrize("n", [3, 4])
 def test_one_window_covers_the_whole_aerial_axis(monkeypatch, n, extra):
@@ -544,9 +525,10 @@ class TestPaperSizeRefiner:
         # the solve refines its 22.6 MB similarity in place, so it peaks once, in the
         # conv phase: the similarity, the global stack's hidden layer (3.4 MB), one
         # window's conv rings and tap buffers (13.7 MB), and its widened weight columns
-        # and row stage (1.3 MB), 41.6 MB. Each window's input columns copied into one
-        # buffer (6.1 MB) and the whole last global weight widened (3.4 MB) peaked at
-        # 49.6 MB; a refined matrix beside the similarity at 63.1 MB, three at 85.6 MB
+        # and one depth slice's global product (1.1 MB), 41.2 MB. A stage of 64-row
+        # blocks peaked at 41.6 MB; each window's input columns copied into one buffer
+        # (6.1 MB) and the whole last global weight widened (3.4 MB) at 49.6 MB; a
+        # refined matrix beside the similarity at 63.1 MB, three at 85.6 MB
         _, _, specs, inputs, params = self.bench_reference_problem(monkeypatch)
         tracemalloc.start()
         try:
@@ -618,9 +600,9 @@ class TestPaperSizeRefiner:
     def test_tied_matrix_padding_peak_memory(self):
         # a constant matrix (a featureless scene) has one mutual pair, (0, 0), and ties
         # at every entry; ranking all N^4 of them as padding candidates peaked at 161 MB.
-        # Ranking each 32-row block's first k peaks at 1.6 MB (one block's partition copy,
-        # masks and indices beside the column argmax); an N^4 copy (22.6 MB) or one N^4
-        # boolean mask (2.8 MB) breaks the bound
+        # Ranking each 41-row depth slice's first k peaks at 1.7 MB (one slice's partition
+        # copy, masks and indices beside the column argmax); an N^4 copy (22.6 MB) or one
+        # N^4 boolean mask (2.8 MB) breaks the bound
         p = np.full((1681, 1681), 1.0 / 1682 ** 2)
         tracemalloc.start()
         try:
@@ -1093,13 +1075,10 @@ class TestExtractMatches:
             assert got == extract_matches_oracle(p, k), f"k={k}"
             assert np.array_equal(cs.weights, [p[i, j] for i, j in got])
 
-    @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_padding_threshold_across_small_row_blocks(self, monkeypatch, n, block):
-        # the padding ranks each row block's first min(k, block size) entries: blocks of
-        # 1 and 3 rows hold fewer entries than most k here, and 3 leaves a short last
-        # block at n=4
-        monkeypatch.setattr(refiner, "_ARGMAX_BLOCK", block)
+    def test_padding_threshold_across_small_row_blocks(self, n):
+        # the padding ranks each depth slice's first min(k, slice size) entries: slices of
+        # 3 rows (27 entries) and of 4 (64 entries) hold fewer entries than most k here
         rng = np.random.default_rng(90 + n)
         n2 = n * n
         p = rng.choice([0.2, 0.4, 0.6], size=(n2, n2))
@@ -1111,8 +1090,8 @@ class TestExtractMatches:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_ordered_pairs_match_oracle_across_argmax_blocks(self, seed):
-        # 144 rows span several column-argmax blocks, the last one short; tied
-        # levels put equal maxima of one column on both sides of a block border
+        # 144 rows span twelve depth slices of 12 rows; tied levels put equal
+        # maxima of one column on both sides of a slice border
         rng = np.random.default_rng(70 + seed)
         n = 12
         p = rng.choice([0.2, 0.4, 0.6], size=(n * n, n * n))
@@ -1169,53 +1148,30 @@ class TestExtractMatches:
 
 
 class TestColumnArgmax:
-    """The blocked column argmax equals ``argmax(axis=0)``, lowest row on ties."""
+    """The column argmax by depth slices equals ``argmax(axis=0)``, lowest row on ties."""
 
-    @pytest.mark.parametrize("shape", [(1681, 1681), (1, 7), (_ARGMAX_BLOCK, 5),
-                                       (_ARGMAX_BLOCK + 1, 9), (300, 300)])
+    @pytest.mark.parametrize("shape", [(n * n, n * n) for n in (1, 2, 5, 17, 41)])
     def test_tied_levels(self, shape):
         p = np.round(np.random.default_rng(shape[0]).uniform(size=shape), 1)
-        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+        assert np.array_equal(_col_argmax(p, math.isqrt(shape[0])), p.argmax(axis=0))
 
     def test_all_zero(self):
         p = np.zeros((1681, 1681))
-        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+        assert np.array_equal(_col_argmax(p, 41), p.argmax(axis=0))
 
     def test_random_and_near_identity(self):
         rng = np.random.default_rng(5)
         p = rng.uniform(size=(1681, 1681))
-        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
+        assert np.array_equal(_col_argmax(p, 41), p.argmax(axis=0))
         near = 0.5 * np.eye(1681)[rng.permutation(1681)] + 1e-3 * p
-        assert np.array_equal(_col_argmax(near), near.argmax(axis=0))
+        assert np.array_equal(_col_argmax(near, 41), near.argmax(axis=0))
 
     def test_tie_across_blocks_keeps_lowest_row(self):
-        p = np.zeros((3 * _ARGMAX_BLOCK, 4))
-        p[[5, _ARGMAX_BLOCK + 2, 2 * _ARGMAX_BLOCK], 1] = 1.0
-        p[[_ARGMAX_BLOCK + 9, 2 * _ARGMAX_BLOCK + 1], 2] = 1.0
-        assert list(_col_argmax(p)) == [0, 5, _ARGMAX_BLOCK + 9, 0]
-
-    def test_tie_crossing_into_the_short_last_block(self):
-        nrow = 2 * _ARGMAX_BLOCK + 5
-        p = np.zeros((nrow, 6))
-        p[[2 * _ARGMAX_BLOCK + 1, 2 * _ARGMAX_BLOCK + 3], 1] = 1.0   # within the short block
-        p[[_ARGMAX_BLOCK + 7, 2 * _ARGMAX_BLOCK + 2], 2] = 1.0       # a full block and the short one
-        p[nrow - 1, 3] = 1.0                                         # the last row alone
-        # row _ARGMAX_BLOCK + 10 lies in the short block's window but in the block before
-        p[[_ARGMAX_BLOCK + 10, nrow - 1], 4] = [0.5, 1.0]
-        p[[_ARGMAX_BLOCK + 10, nrow - 1], 5] = 1.0
-        expected = [0, 2 * _ARGMAX_BLOCK + 1, _ARGMAX_BLOCK + 7, nrow - 1, nrow - 1,
-                    _ARGMAX_BLOCK + 10]
-        assert list(_col_argmax(p)) == expected
-        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
-
-    @pytest.mark.parametrize("nrow", [2, 5, _ARGMAX_BLOCK - 1])
-    def test_fewer_rows_than_one_block(self, nrow):
-        p = np.round(np.random.default_rng(nrow).uniform(size=(nrow, 11)), 1)
-        p[:, 0] = 0.3
-        p[[0, nrow - 1], 1] = 2.0
-        p[nrow - 1, 2] = 2.0
-        assert np.array_equal(_col_argmax(p), p.argmax(axis=0))
-        assert list(_col_argmax(p)[:3]) == [0, 0, nrow - 1]
+        n = 5   # slices of 5 rows
+        p = np.zeros((n * n, n * n))
+        p[[2, n + 2, 2 * n], 1] = 1.0
+        p[[n + 4, 2 * n, 4 * n + 1], 2] = 1.0
+        assert list(_col_argmax(p, n)) == [0, 2, n + 4] + [0] * (n * n - 3)
 
 
 class TestPermutationEquivariance:

@@ -104,6 +104,13 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="channels must be at least 1"):
             generate_scene(small_specs, seed=0, channels=channels)
 
+    # seed=1.5 and channels=2.5 raised numpy's TypeError, and seed=True drew seed 1's scene
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True), ("channels", 2.5)])
+    def test_integer_fields_other_than_an_integer_rejected(self, small_specs, field, value):
+        kwargs = {"seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+            make_scene_bundle(small_specs, **kwargs)
+
 
 class TestRenderInputs:
     def test_deterministic(self, small_specs):
