@@ -1075,13 +1075,15 @@ class TestExtractMatches:
             assert got == extract_matches_oracle(p, k), f"k={k}"
             assert np.array_equal(cs.weights, [p[i, j] for i, j in got])
 
+    @pytest.mark.parametrize("levels", [1, 3])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_padding_threshold_across_small_row_blocks(self, n):
+    def test_padding_threshold_across_small_row_blocks(self, n, levels):
         # the padding ranks each depth slice's first min(k, slice size) entries: slices of
-        # 3 rows (27 entries) and of 4 (64 entries) hold fewer entries than most k here
+        # 3 rows (27 entries) and of 4 (64 entries) hold fewer entries than most k here;
+        # one level ties every entry, so the rank order alone decides across slices
         rng = np.random.default_rng(90 + n)
         n2 = n * n
-        p = rng.choice([0.2, 0.4, 0.6], size=(n2, n2))
+        p = rng.choice([0.2, 0.4, 0.6][:levels], size=(n2, n2))
         for k in range(1, n2 * n2 + 1):
             cs = extract_matches(p, k)
             got = [(int(g[0] * n + g[1]), int(a[0] * n + a[1]))
