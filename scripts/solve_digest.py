@@ -20,7 +20,11 @@ For each un-refined solve it also covers the loss path: the
 JSON text of ``scene_loss_report`` for the solved pose under the solve's
 config, on the scene after a ``save_scene_dir``/``load_scene_dir`` round trip
 through a temporary directory, under the default ``LossConfig`` and under
-``LOSS_CONFIG``, a non-default one decoded by ``LossConfig.from_json_dict``.
+``LOSS_CONFIG``, a non-default one decoded by ``LossConfig.from_json_dict``,
+and the ground-truth projection (``build_gt_projection``) under the scene's
+true pose of one fixed seeded depth map, ``depth_map``, whose top third is NaN
+like the sky rows of a panorama, so that both the skipped and the projected
+row blocks are hashed.
 Run it on both trees with the same BLAS thread count: the refiner's GEMMs are
 bit-reproducible only for a fixed one. It takes no flags.
 """
@@ -31,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from crossview.geometry import BevGridSpec, SceneSpec
+from crossview.evaluation import build_gt_projection
+from crossview.geometry import BevGridSpec, CameraIntrinsics, SceneSpec
 from crossview.losses import LossConfig
 from crossview.pipeline import (PipelineConfig, ground_similarity, run_localization,
                                 scene_loss_report)
@@ -47,6 +52,17 @@ REFINED = [(n, snapped, sigma) for n in (9, 21) for snapped in (True, False)
 WINDOWED = [(41, True, 0.2)]   # N^2 above refiner._W_WINDOW: the conv crosses window seams
 OTHER_PATHS = [(n, snapped, 0.2) for n in (9, 21) for snapped in (True, False)]
 LOSS_CONFIG = {"beta2": 0.5, "k_norm": 7.5, "n_s": 300, "rng_seed": 3}
+DEPTH_SEED = 5
+
+
+def depth_map(intr: CameraIntrinsics) -> np.ndarray:
+    """Ranges drawn from -5 to 45 m, 5% of them NaN, with the top third of the rows NaN."""
+    h, w = intr.panorama_height, intr.panorama_width
+    rng = np.random.default_rng(DEPTH_SEED)
+    depth = rng.uniform(-5.0, 45.0, (h, w))
+    depth[rng.uniform(size=depth.shape) < 0.05] = np.nan
+    depth[:h // 3] = np.nan
+    return depth
 
 
 def solves():
@@ -71,6 +87,7 @@ def solves():
 def main():
     digest = hashlib.sha256()
     loss_cfgs = (LossConfig(), LossConfig.from_json_dict(LOSS_CONFIG))
+    depth = depth_map(SceneSpec().intrinsics)
     with tempfile.TemporaryDirectory() as tmp:
         scene_dir, params_dir = Path(tmp) / "scene", Path(tmp) / "params"
         for specs, bundle, params, config in solves():
@@ -87,6 +104,9 @@ def main():
                 _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
                                            specs, config)
                 parts.append(refine(sim, params).s)
+            else:
+                parts.append(build_gt_projection(depth, specs.intrinsics, bundle.scene.gt_pose,
+                                                 specs.aerial))
             for part in parts:
                 part = np.ascontiguousarray(part)
                 digest.update(f"{part.dtype.str}{part.shape}".encode())

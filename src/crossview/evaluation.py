@@ -125,7 +125,9 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     512 x 1024 the call peaks at 12.2 MB, its 8.4 MB result included
     (``tests/test_evaluation.py`` pins it). That keeps the score path below
     glibc's dynamic trim threshold, twice the 22.6 MB similarity matrix at
-    n=41, so its heap is not handed back to the OS on every call.
+    n=41, so its heap is not handed back to the OS on every call. A block
+    with no valid depth, such as the sky rows of a panorama, is written as
+    NaN and not projected.
     """
     depth = np.asarray(depth_grd, dtype=float)
     h, w = intr.panorama_height, intr.panorama_width
@@ -142,9 +144,13 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
     for top in range(0, h, _PROJECTION_ROWS):
         rows = slice(top, top + _PROJECTION_ROWS)
         d = depth[rows]
-        dx, dy, _ = panorama_pixel_ray(intr, u, v[rows])
         with np.errstate(invalid="ignore"):
             ok = np.isfinite(d) & (d > 0) & (d <= DEFAULT_MAX_RANGE_M)
+        if not ok.any():
+            sat_xy[rows] = np.nan
+            continue
+        dx, dy, _ = panorama_pixel_ray(intr, u, v[rows])
+        with np.errstate(invalid="ignore"):
             dx *= d
             dy *= d
             xs, ys = metric_to_aerial_px(meta, gt, dx, dy)
@@ -157,8 +163,16 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
 
 
 def check_thresholds(thresholds_px) -> list:
-    """The pixel thresholds as floats; one that is not finite and positive is a ``ValueError``."""
+    """The pixel thresholds as floats; elements may be strings, as ``--thresholds`` splits them.
+
+    A string or bytes (read as one-character thresholds), an empty sequence, or a threshold
+    that is not finite and positive is a ``ValueError``.
+    """
+    if isinstance(thresholds_px, (str, bytes, bytearray)):
+        raise ValueError(f"thresholds must be a sequence of numbers, not {thresholds_px!r}")
     thresholds = [float(t) for t in thresholds_px]
+    if not thresholds:
+        raise ValueError("thresholds must not be empty")
     if not all(math.isfinite(t) and t > 0 for t in thresholds):
         raise ValueError("thresholds must be finite and positive")
     return thresholds

@@ -116,7 +116,10 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
     log-sum-exp: they are gathered into one fresh copy, and the max-subtract
     and ``exp`` run in place on it, so the caller's matrix is never written.
     At n=41 with ``n_s=1024`` that copy (13.8 MB) is the one full-size array;
-    ``tests/test_losses.py`` pins the peak.
+    ``tests/test_losses.py`` pins the peak. The sampled columns are gathered
+    in ascending order, about twice as fast as in sample order, and each
+    log-sum-exp goes back to its sample's position: a column is summed row by
+    row whatever columns sit beside it, so the loss keeps its bits.
     """
     n = specs.grid.n_points_per_side
     if s_orig.num_patches != n * n:
@@ -131,7 +134,9 @@ def matching_loss(s_orig: SimilarityMatrix, gt: Pose3DoF, specs: SceneSpec,
     a_src, a_tgt = _sample_pairs(specs, gt, cfg.n_s, rng, reverse=True)
     # take() keeps the sampled columns C-ordered; s[:, a_src] is Fortran-ordered,
     # which numpy sums pairwise rather than row by row, one ulp off the full matrix
-    lse_cols = _logsumexp(s.take(a_src, axis=1), axis=0)
+    order = np.argsort(a_src)
+    lse_cols = np.empty(len(a_src))
+    lse_cols[order] = _logsumexp(s.take(a_src[order], axis=1), axis=0)
     loss_s2g = float(np.mean(lse_cols - s[a_tgt, a_src]))
 
     return 0.5 * (loss_g2s + loss_s2g)

@@ -467,6 +467,15 @@ class TestEvalMatching:
         assert report["ratios"] == [pytest.approx(0.4)]
         assert report["valid_ratio"] == pytest.approx(0.4)
 
+    def test_comma_separated_thresholds_read_as_floats(self, tmp_path):
+        gt_dir = self.build_gt_dir(tmp_path)
+        pred = self.write_pred(tmp_path, [f"{u},5,{100 + u + 7},55" for u in range(10)])
+        proc = run_cli("eval", "matching", "--pred-csv", pred, "--gt-dir", gt_dir,
+                       "--thresholds", "5,10")
+        report = json.loads(proc.stdout)
+        assert report["thresholds_px"] == [5.0, 10.0]
+        assert report["ratios"] == [0.0, 1.0]
+
     def test_empty_prediction_file_is_error(self, tmp_path):
         gt_dir = self.build_gt_dir(tmp_path)
         pred = self.write_pred(tmp_path, [])

@@ -160,6 +160,67 @@ class TestBuildGtProjection:
         assert np.array_equal(np.isfinite(proj).all(axis=-1), valid)
         assert np.array_equal(proj, sat, equal_nan=True)
 
+    @staticmethod
+    def whole_array_formula(depth, intr, pose):
+        dx, dy, _ = panorama_pixel_ray(intr, np.arange(intr.panorama_width),
+                                       np.arange(intr.panorama_height)[:, None])
+        with np.errstate(invalid="ignore"):
+            xs, ys = metric_to_aerial_px(META, pose, depth * dx, depth * dy)
+            valid = (np.isfinite(depth) & (depth > 0) & (depth <= 30.0)
+                     & META.contains(xs) & META.contains(ys))
+        return valid, np.where(valid[..., None], np.stack([xs, ys], axis=-1), np.nan)
+
+    @pytest.mark.parametrize("block", [0, 1, 2], ids=["first", "middle", "partial-last"])
+    @pytest.mark.parametrize("case", ["nan", "out-of-range", "one-on-first-row",
+                                      "one-on-last-row"])
+    def test_blocks_with_no_or_one_valid_depth_match_the_whole_array_formula(self, case, block):
+        # one block of a 150-row panorama holds no valid depth, or a single one on its
+        # first or last row; the blocks around it are random
+        intr = CameraIntrinsics(panorama_width=300, panorama_height=150, camera_height_m=2.5,
+                                azimuth_offset_rad=0.3)
+        pose = Pose3DoF(np.array([210.0, 290.5]), 1.1)
+        rng = np.random.default_rng(13)
+        h, w = intr.panorama_height, intr.panorama_width
+        depth = rng.uniform(-5.0, 45.0, (h, w))
+        depth[rng.uniform(size=depth.shape) < 0.05] = np.nan
+        top = block * evaluation._PROJECTION_ROWS
+        rows = slice(top, min(top + evaluation._PROJECTION_ROWS, h))
+        if case == "out-of-range":
+            beyond = rng.uniform(30.0, 60.0, depth[rows].shape)
+            beyond[beyond == 30.0] = 60.0
+            nonpositive = -rng.uniform(0.0, 5.0, depth[rows].shape)
+            depth[rows] = np.where(rng.uniform(size=beyond.shape) < 0.5, beyond, nonpositive)
+            depth[top, :3] = (0.0, np.inf, -np.inf)
+        else:
+            depth[rows] = np.nan
+        if case == "one-on-first-row":
+            depth[top, 17] = 12.0
+        elif case == "one-on-last-row":
+            depth[rows.stop - 1, 211] = 12.0
+        valid, sat = self.whole_array_formula(depth, intr, pose)
+        proj = build_gt_projection(depth, intr, pose, META)
+        assert np.count_nonzero(valid[rows]) == case.startswith("one-on")
+        assert np.array_equal(proj, sat, equal_nan=True)
+
+    def test_only_blocks_with_a_valid_depth_are_projected(self, monkeypatch):
+        # the top half of a 512 x 1024 panorama is sky: 4 of its 8 blocks hold no depth
+        intr = CameraIntrinsics(panorama_width=1024, panorama_height=512)
+        depth = np.random.default_rng(14).uniform(1.0, 25.0, (512, 1024))
+        depth[:256] = np.nan
+        pose = Pose3DoF(np.array([250.0, 260.0]), 0.4)
+        projected = []
+
+        def counting_ray(intr, u, v):
+            projected.append((int(v[0, 0]), int(v[-1, 0])))
+            return panorama_pixel_ray(intr, u, v)
+
+        monkeypatch.setattr(evaluation, "panorama_pixel_ray", counting_ray)
+        proj = build_gt_projection(depth, intr, pose, META)
+        assert projected == [(top, top + 63) for top in range(256, 512, 64)]
+        assert np.isnan(proj[:256]).all() and np.isfinite(proj[256:]).any()
+        assert np.array_equal(proj, self.whole_array_formula(depth, intr, pose)[1],
+                              equal_nan=True)
+
     def test_leaves_the_depth_map_unchanged(self):
         rng = np.random.default_rng(9)
         depth = rng.uniform(-5.0, 45.0, (INTR.panorama_height, INTR.panorama_width))
@@ -372,6 +433,13 @@ class TestMatchingSuccessRatio:
         for bad in ((math.nan, 5.0), (math.inf,), (-1.0,)):
             with pytest.raises(ValueError, match="finite and positive"):
                 matching_success_ratio(pred, gt, bad)
+
+    @pytest.mark.parametrize("value", ["15", b"5", []], ids=["str", "bytes", "empty"])
+    def test_string_or_empty_thresholds_rejected(self, value):
+        # a string would read as one-character thresholds, "15" as 1 px and 5 px
+        pred = MatchPrediction(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError, match="thresholds must"):
+            matching_success_ratio(pred, make_gt(), value)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [1e300, -1e300])

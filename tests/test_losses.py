@@ -118,6 +118,21 @@ class TestMatchingLossExactness:
         assert matching_loss(sim, gt, default_specs, cfg) \
             == matching_loss_full_matrix_oracle(sim.s, gt, default_specs, cfg)
 
+    # at n_s = 64 on these scenes, pairing the sampled columns' log-sum-exps with the
+    # targets in another order moves the loss by an ulp; 5000 samples exceed the 1681
+    # cells, so every valid pair is used
+    @pytest.mark.parametrize("n_s", [64, 5000])
+    @pytest.mark.parametrize("snapped, seed", [(True, 5), (False, 6)],
+                             ids=["snapped", "continuous"])
+    def test_paper_size_sample_counts(self, default_specs, snapped, seed, n_s):
+        bundle = make_scene_bundle(default_specs, seed, noise_sigma=0.3, snapped=snapped)
+        inputs, gt = bundle.inputs, bundle.scene.gt_pose
+        _, sim = ground_similarity(inputs.volume, inputs.conf_logits, inputs.f_sat,
+                                   default_specs)
+        cfg = LossConfig(n_s=n_s, rng_seed=seed)
+        assert matching_loss(sim, gt, default_specs, cfg) \
+            == matching_loss_full_matrix_oracle(sim.s, gt, default_specs, cfg)
+
     def test_fortran_ordered_matrix_gives_the_same_loss(self, default_specs):
         bundle = make_scene_bundle(default_specs, 24, noise_sigma=0.3)
         inputs, gt = bundle.inputs, bundle.scene.gt_pose
