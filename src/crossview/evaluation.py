@@ -29,16 +29,19 @@ _GT_FORMAT = "gt-projection-v2"
 
 @dataclass
 class MatchPrediction:
-    """Predicted pixel correspondences (ground panorama -> aerial image), paired and finite."""
+    """Predicted pixel correspondences (ground panorama -> aerial image), paired and finite:
+    two (K, 2) arrays, else a ``ValueError``."""
 
     grd_px: np.ndarray  # (K, 2) as (x, y)
     sat_px: np.ndarray  # (K, 2)
 
     def __post_init__(self):
-        self.grd_px = np.asarray(self.grd_px, dtype=float).reshape(-1, 2)
-        self.sat_px = np.asarray(self.sat_px, dtype=float).reshape(-1, 2)
-        if self.grd_px.shape != self.sat_px.shape:
-            raise ValueError("prediction arrays disagree in length")
+        self.grd_px = np.asarray(self.grd_px, dtype=float)
+        self.sat_px = np.asarray(self.sat_px, dtype=float)
+        shape = self.grd_px.shape
+        if len(shape) != 2 or shape[1] != 2 or self.sat_px.shape != shape:
+            raise ValueError(f"prediction arrays must be (K, 2) of one length, got {shape} "
+                             f"and {self.sat_px.shape}")
         if not (np.isfinite(self.grd_px).all() and np.isfinite(self.sat_px).all()):
             raise ValueError("prediction pixel coordinates must be finite")
 
@@ -165,11 +168,15 @@ def build_gt_projection(depth_grd: np.ndarray, intr: CameraIntrinsics, gt: Pose3
 def check_thresholds(thresholds_px) -> list:
     """The pixel thresholds as floats; elements may be strings, as ``--thresholds`` splits them.
 
-    A string or bytes (read as one-character thresholds), an empty sequence, or a threshold
-    that is not finite and positive is a ``ValueError``.
+    A string or bytes (read as one-character thresholds), a bare number, an empty sequence,
+    a bool (read as 0 or 1 px) or a threshold that is not finite and positive is a
+    ``ValueError``.
     """
-    if isinstance(thresholds_px, (str, bytes, bytearray)):
+    if isinstance(thresholds_px, (str, bytes, bytearray)) or not np.iterable(thresholds_px):
         raise ValueError(f"thresholds must be a sequence of numbers, not {thresholds_px!r}")
+    thresholds_px = list(thresholds_px)
+    if any(isinstance(t, (bool, np.bool_)) for t in thresholds_px):
+        raise ValueError(f"thresholds must be numbers, not bools: {thresholds_px!r}")
     thresholds = [float(t) for t in thresholds_px]
     if not thresholds:
         raise ValueError("thresholds must not be empty")

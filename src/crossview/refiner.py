@@ -448,12 +448,11 @@ def local_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
 def _affine_stack(s: SimilarityMatrix, weights, biases):
     """ReLU-separated affine layers over the rows of ``s``, the first one through its factors.
 
-    Returns the last hidden activations (N^2, h) with the last layer's weight
-    and its bias in float64, for ``_add_last_layer``; a last weight other than
-    the first stays in float32, for the caller to widen where it is used. For
-    h hidden units ``s.s @ W0`` costs N^4 * h multiply-adds and ``ground @
-    (aerial.T @ W0)`` 2 * N^2 * C * h, so a matrix without factors is a
-    ``ValueError`` rather than multiplied densely.
+    Returns the last hidden activations (N^2, h), the last layer's weight and
+    its bias in float64; a last weight other than the first stays in float32,
+    for the caller to widen where it is used. For h hidden units ``s.s @ W0``
+    costs N^4 * h multiply-adds and ``ground @ (aerial.T @ W0)`` 2 * N^2 * C * h,
+    so a matrix without factors is a ``ValueError`` rather than multiplied densely.
     """
     if s.factors is None:
         raise ValueError("the refiner needs the feature factors that initial_similarity keeps")
@@ -468,38 +467,24 @@ def _affine_stack(s: SimilarityMatrix, weights, biases):
     return x, weights[-1], biases[-1].astype(float)
 
 
-def _add_last_layer(stack, target: np.ndarray, n: int):
-    """Add the last layer of ``stack`` into ``target`` (rows, width), widening its weight.
-
-    The products go by depth slices of ``n`` rows, the row blocks of every
-    N^2-row matrix here, so no N^2-wide output is made beside ``target``.
-    """
-    x, w, b = stack
-    w = w.astype(float, copy=False)
-    for r0 in range(0, len(target), n):
-        rows = slice(r0, r0 + n)
-        block = x[rows] @ w
-        block += b
-        target[rows] += block
-
-
 def global_residual(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Residual from the per-row affine stack, applied independently to every row
-    through the factors of ``s`` (see ``_affine_stack``), added into zeros."""
+    """Residual from the per-row affine stack through the factors of ``s`` (see
+    ``_affine_stack``): one product by the widened last weight, plus the last bias."""
     _require_patch_count(s, params)
-    out = np.zeros((s.num_patches, s.num_patches))
-    _add_last_layer(_affine_stack(s, params.global_weights, params.global_biases), out,
-                    _cube_side(s.num_patches))
+    x, w, b = _affine_stack(s, params.global_weights, params.global_biases)
+    out = x @ w.astype(float, copy=False)
+    out += b
     return out
 
 
 def gate_values(s: SimilarityMatrix, params: RefinerParams) -> np.ndarray:
-    """Per-ground-patch gate in [0, 1], computed from each row of the matrix through the
-    factors of ``s`` (see ``_affine_stack``); a logit below about -709 gives exactly 0."""
+    """Per-ground-patch gate in [0, 1]: the sigmoid of the gate stack through the factors of
+    ``s`` (see ``_affine_stack``), its last layer one product plus the bias; a logit below
+    about -709 gives exactly 0."""
     _require_patch_count(s, params)
-    logits = np.zeros((s.num_patches, 1))
-    _add_last_layer(_affine_stack(s, params.gate_weights, params.gate_biases), logits,
-                    _cube_side(s.num_patches))
+    x, w, b = _affine_stack(s, params.gate_weights, params.gate_biases)
+    logits = x @ w.astype(float, copy=False)
+    logits += b
     with np.errstate(over="ignore"):   # exp(-logit) = inf makes the gate 0.0
         return 1.0 / (1.0 + np.exp(-logits[:, 0]))
 
@@ -512,10 +497,10 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
     rejected before ``s.s`` changes. Each aerial-axis window of
     ``_conv_windows`` then finishes its local residual slice by slice, as it
     is emitted: the slice's N rows get the global residual of the window's
-    columns (their weight columns widened once per window), times the gate,
-    and are added into the window's original values in ``s.s``. No copy of
-    ``s.s``, of a window or of its output slices is made. The result is a bare
-    matrix, scanned for overflow.
+    columns (one slice-sized product by the weight columns, widened once per
+    window, plus the bias), times the gate, and are added into the window's
+    original values in ``s.s``. No copy of ``s.s``, of a window or of its
+    output slices is made. The result is a bare matrix, scanned for overflow.
     """
     alpha = gate_values(s, params)[:, None]
     x, w, b = _affine_stack(s, params.global_weights, params.global_biases)
@@ -527,7 +512,9 @@ def _refine_in_place(s: SimilarityMatrix, params: RefinerParams) -> SimilarityMa
 
         def emit(z, y):
             rows = slice(z * n, z * n + n)
-            _add_last_layer((x[rows], wc, bc), y, n)
+            block = x[rows] @ wc
+            block += bc
+            y += block
             y *= alpha[rows]
             s.s[rows, w0:w1] += y
         return emit

@@ -25,8 +25,8 @@ class CorrespondenceSet:
 
     Both sides live in caller-chosen planar frames (cells, pixels, or
     meters); the solver only requires that the two frames share a scale.
-    Arrays of different lengths, an empty set, a non-finite entry, a
-    negative weight or no positive weight is a ``ValueError``.
+    A point array that is not (K, 2) for K weights, an empty set, a non-finite
+    entry, a negative weight or no positive weight is a ``ValueError``.
     """
 
     ground_xy: np.ndarray  # (K, 2)
@@ -34,12 +34,13 @@ class CorrespondenceSet:
     weights: np.ndarray    # (K,)
 
     def __post_init__(self):
-        self.ground_xy = np.asarray(self.ground_xy, dtype=float).reshape(-1, 2)
-        self.aerial_xy = np.asarray(self.aerial_xy, dtype=float).reshape(-1, 2)
+        self.ground_xy = np.asarray(self.ground_xy, dtype=float)
+        self.aerial_xy = np.asarray(self.aerial_xy, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         k = len(self.weights)
         if self.ground_xy.shape != (k, 2) or self.aerial_xy.shape != (k, 2):
-            raise ValueError("correspondence arrays disagree in length")
+            raise ValueError(f"correspondence points must be ({k}, 2) for {k} weights, got "
+                             f"{self.ground_xy.shape} and {self.aerial_xy.shape}")
         if k == 0:
             raise ValueError("empty correspondence set")
         if not (np.all(np.isfinite(self.ground_xy)) and np.all(np.isfinite(self.aerial_xy))

@@ -78,22 +78,17 @@ def surface_from_accumulation(conf: np.ndarray, threshold: float,
     """First layer (bottom-up) whose cumulative confidence strictly exceeds the threshold.
 
     ``conf`` is the (M, N, N) output of ``normalize_confidence``. Returns the
-    (N, N) int64 layer index, the one unit of a surface height. Cells that
-    never cross (possible only through numerical loss, since the columns sum
-    to 1) fall back to the top layer. A threshold outside (0, 1), or a layer
-    count other than ``layer_spec``'s, is a ``ValueError``.
+    (N, N) int64 layer index, the one unit of a surface height. A cell that
+    never crosses (possible only through numerical loss, since the columns sum
+    to 1) takes the top layer. A threshold outside (0, 1), or a layer count
+    other than ``layer_spec``'s, is a ``ValueError``.
     """
     _check_threshold(threshold)
     m = conf.shape[0]
     if m != layer_spec.num_layers:
         raise ValueError(f"confidence volume has {m} layers, layer spec has {layer_spec.num_layers}")
-    cum = np.cumsum(conf, axis=0)
-    above = cum > threshold
-    index = np.argmax(above, axis=0)
-    never = ~above.any(axis=0)
-    if never.any():
-        index = np.where(never, m - 1, index)
-    return index.astype(np.int64, copy=False)
+    above = np.cumsum(conf, axis=0) > threshold
+    return np.where(above.any(axis=0), above.argmax(axis=0), m - 1)
 
 
 def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
@@ -103,7 +98,8 @@ def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
     Layers within ``window`` of the (N, N) surface index contribute, weighted by
     their confidence renormalized over the window; ``window=None`` uses all
     layers and ``window=0`` reduces to direct surface indexing. A window
-    with zero total confidence falls back to uniform weights. The channel
+    with no positive confidence mass weights its layers equally; the one division
+    by the sum over layers is never by 0, as the window holds the surface. The channel
     count is unchanged. Shapes that disagree, a surface entry that is not an integer layer
     index in [0, M), or a window not an integer (``check_integer``) >= 0, are a
     ``ValueError``. The volume is not scanned: ``check_inputs`` does that. The solve's
@@ -122,9 +118,8 @@ def fuse_height_features(vol: np.ndarray, conf: np.ndarray, surf: np.ndarray,
     layer_idx = np.arange(m)[:, None, None]
     mask = (np.abs(layer_idx - surf[None, :, :]) <= window).astype(float)
     weights = conf * mask
-    totals = weights.sum(axis=0, keepdims=True)
-    uniform = mask / mask.sum(axis=0, keepdims=True)
-    weights = np.where(totals > 0, weights / np.where(totals > 0, totals, 1.0), uniform)
+    weights = np.where(weights.sum(axis=0) > 0, weights, mask)
+    weights /= weights.sum(axis=0)
     return BevFeatureMap(np.einsum("mij,mijc->ijc", weights, vol))
 
 

@@ -434,9 +434,10 @@ class TestMatchingSuccessRatio:
             with pytest.raises(ValueError, match="finite and positive"):
                 matching_success_ratio(pred, gt, bad)
 
-    @pytest.mark.parametrize("value", ["15", b"5", []], ids=["str", "bytes", "empty"])
+    @pytest.mark.parametrize("value", ["15", b"5", [], 5.0, np.array(5.0), [True]],
+                             ids=["str", "bytes", "empty", "number", "0-d array", "bool"])
     def test_string_or_empty_thresholds_rejected(self, value):
-        # a string would read as one-character thresholds, "15" as 1 px and 5 px
+        # a string would read as one-character thresholds, "15" as 1 px and 5 px; True as 1 px
         pred = MatchPrediction(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError, match="thresholds must"):
             matching_success_ratio(pred, make_gt(), value)
@@ -451,6 +452,13 @@ class TestMatchingSuccessRatio:
         report = matching_success_ratio(MatchPrediction(grd, sat), gt, (5.0,))
         assert report["ratios"] == [1 / 3]
         assert report["valid_ratio"] == 1 / 3
+
+    @pytest.mark.parametrize("grd_shape, sat_shape", [((3, 4), (6, 2)), ((2, 3), (2, 3)),
+                                                      ((4,), (4,)), ((2, 2, 2), (4, 2))])
+    def test_prediction_arrays_not_k_by_2_rejected(self, grd_shape, sat_shape):
+        # read in twos, each pair would pass: a (3, 4) beside a (6, 2) as six pairs
+        with pytest.raises(ValueError, match=r"prediction arrays must be \(K, 2\) of one length"):
+            MatchPrediction(np.zeros(grd_shape), np.zeros(sat_shape))
 
     @pytest.mark.parametrize("side", ["grd", "sat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

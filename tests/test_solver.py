@@ -176,3 +176,11 @@ class TestCorrespondenceSetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             CorrespondenceSet([[np.nan, 0]], [[1, 1]], [1.0])
+
+    @pytest.mark.parametrize("ground_shape, aerial_shape", [((2, 3), (3, 2)), ((3, 2), (6,)),
+                                                          ((3, 2, 1), (3, 2)), ((6,), (6,))])
+    def test_points_not_k_by_2_rejected(self, ground_shape, aerial_shape):
+        # read in twos, a (2, 3) ground array would pass as three points
+        with pytest.raises(ValueError, match=r"correspondence points must be \(3, 2\)"):
+            CorrespondenceSet(np.arange(6.0).reshape(ground_shape), np.zeros(aerial_shape),
+                              np.ones(3))

@@ -89,6 +89,15 @@ class TestSurfaceFromAccumulation:
         conf = column_volume([0.4999990, 0.4999990])
         assert surface_from_accumulation(conf, 0.9999995, layers)[0, 0] == 1
 
+    def test_crossing_and_never_crossing_columns_in_one_grid(self):
+        layers = HeightLayerSpec(4, 0.0, 3.0)
+        columns = [[0.5, 0.5, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2], [0.95, 0.05, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.95, 0.05], [0.3, 0.3, 0.3, 0.05]]
+        # the second, fourth and sixth columns never pass 0.9 and take the top layer
+        conf = column_volume(*columns).reshape(4, 2, 3)
+        surf = surface_from_accumulation(conf, 0.9, layers)
+        assert surf.tolist() == [[1, 3, 0], [3, 2, 3]]
+
     def test_returns_n_by_n_int64_layer_index(self):
         conf = normalize_confidence(np.random.default_rng(5).normal(size=(11, 6, 6)))
         surf = surface_from_accumulation(conf, 0.5, LAYERS)
@@ -171,6 +180,22 @@ class TestFuseHeightFeatures:
         fused = fuse_height_features(vol, conf, surf, window=0)
         ii, jj = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
         assert np.array_equal(fused.data, vol[surf, ii, jj])
+
+    def test_zero_mass_and_weighted_windows_in_one_grid(self):
+        rng = np.random.default_rng(4)
+        vol = rng.normal(size=(4, 2, 2, 3))
+        surf = np.array([[0, 1], [3, 2]])
+        conf = np.zeros((4, 2, 2))
+        conf[:, 0, 0] = [0.0, 0.0, 0.6, 0.4]    # window {0, 1} has no mass
+        conf[:, 0, 1] = [0.1, 0.3, 0.0, 0.6]    # window {0, 1, 2}
+        conf[:, 1, 0] = [1.0, 0.0, 0.0, 0.0]    # window {2, 3} has no mass
+        conf[:, 1, 1] = [0.25, 0.25, 0.25, 0.25]   # window {1, 2, 3}
+        fused = fuse_height_features(vol, conf, surf, window=1).data
+        v = vol.transpose(1, 2, 0, 3)   # (N, N, M, C): one cell's layers
+        assert np.allclose(fused[0, 0], (v[0, 0, 0] + v[0, 0, 1]) / 2, atol=1e-12)
+        assert np.allclose(fused[0, 1], (0.1 * v[0, 1, 0] + 0.3 * v[0, 1, 1]) / 0.4, atol=1e-12)
+        assert np.allclose(fused[1, 0], (v[1, 0, 2] + v[1, 0, 3]) / 2, atol=1e-12)
+        assert np.allclose(fused[1, 1], v[1, 1, 1:].mean(axis=0), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)
